@@ -1,0 +1,110 @@
+"""Golden-output lock: SHA-256 digests of fixed-seed simulator outputs.
+
+A speed-up or refactor of the simulator must leave every digest here
+unchanged.  A change that alters outputs on purpose updates the digests it
+moves and says why.  Each digest is over the canonical JSON
+(`sort_keys=True`) of the reports, or over the CLI's standard output.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from rscatter import cli, harness
+
+# one code per symbol size m = 3..7
+CODES = {3: (7, 3), 4: (15, 9), 5: (31, 19), 6: (63, 45), 7: (127, 95)}
+MARGINS = (0, 8, 16)
+SCENARIOS = {
+    "bursty": dict(off_shape=1.2, off_scale_min=2.0, on_shape=1.3, on_scale_min=10.0),
+    # off runs of a few bit-times, mostly under the erasure margin
+    "short_off": dict(off_shape=2.0, off_scale_min=0.5, on_shape=1.3, on_scale_min=20.0),
+}
+# symbol mode runs more frames than one batch of the frame kernel holds
+FRAMES = {"symbol": 40, "sample": 3}
+
+LINK_DIGESTS = {
+    ("symbol", 3): "15cf7854394b6d570c9e2e5e60b8c7a16cd0fb1ec50106a627f2186b7334e18a",
+    ("symbol", 4): "9d10eb9349cd47f229a8a9d89362d6cc9189dabfa2dd3273865361318a499871",
+    ("symbol", 5): "8dac310c01c79a2216cae6a62b69799b01a54d71b1b0a4262e6abf7b8e46decf",
+    ("symbol", 6): "215339bd5406ee9ff6fd23722f08fe4a207235ee8a1a4361ec8b25d237e4e292",
+    ("symbol", 7): "528fdf7042a86eb89341c205570120c0918e2720eecd3ee93a23342ad95c670e",
+    ("sample", 3): "ddccfe397d51049f0450a586e5d9d3617fab6ffa6f96ec086c09c66ac92a9f8e",
+    ("sample", 4): "61959751616ba5486ce03a16ea36f6a1bc7decf521a09712e839d56f8bb03c4a",
+    ("sample", 5): "3a7772ada6e28aac4068e5ff1b0c4eda9207b4933d6cb394068581746cb6a711",
+    ("sample", 6): "43697b887c5eb7f8779a6379e2db95b8176470c077ccb42e9c1c8845d0ca386d",
+    ("sample", 7): "fe2ecd489ce93567858b381a4212f8508559953a51295e45499fadbd613587b8",
+}
+PARITY_DIGESTS = {
+    7: "1f789cba096c391e80c03ccca2f5315b1ee7d603eb79207e14f1a445510708a0",
+    15: "47af4a1fa091633cbc7aec15bc6f2f79cb94b3edb288492f12d002ee4e63df35",
+    31: "189cb248b1842a06c6dc077b8641957767a773c395efea451e5b494dfcad1106",
+    63: "699b1ff5def9829975db4b112fa48d9fb83510c2bc88b38c612baf53a1c134e4",
+    127: "227fd02cc509a001a5c6bb1f325650fa5fd0eca64030a5f57050a7d027fbe10a",
+}
+SILENT_DIGEST = "8491f148c4e6b3bad4da2abbdb1d88953ea3a277e6a22ba289f38abaff319abc"
+CLI_SIMULATE_DIGEST = "bdee225fe20caaa987703415ab2aeab36426570b8497896c5b49b966e178190e"
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def link_reports(mode, m):
+    """Reports for every scenario and margin at one mode and symbol size."""
+    reports = []
+    for name, scenario in sorted(SCENARIOS.items()):
+        for margin in MARGINS:
+            cfg = harness.ExperimentConfig(
+                **scenario, code=CODES[m], frames=FRAMES[mode], payload_bytes=16,
+                erasure_margin_bits=margin, mode=mode, seed=1000 * m + margin,
+            )
+            reports.append(harness.run(cfg).to_dict())
+    return reports
+
+
+def parity_rows(n):
+    # on runs short enough that even a 7-symbol codeword sees flagged losses
+    cfg = harness.ExperimentConfig(
+        off_shape=1.5, off_scale_min=3.0, on_shape=1.5, on_scale_min=3.0,
+        erasure_margin_bits=8, frames=16, seed=n,
+    )
+    return harness.sweep_parity(cfg, n=n)
+
+
+def silent_rows():
+    cfg = harness.ExperimentConfig(
+        **SCENARIOS["bursty"], code=(31, 19), frames=20, payload_bytes=12, seed=3,
+    )
+    return harness.sweep_silent(cfg, [5.0, 40.0])
+
+
+def cli_simulate_stdout(tmp_path, capsys):
+    conf = tmp_path / "sim.conf"
+    conf.write_text(
+        "off_shape = 1.001\noff_scale_min = 0.01998\non_shape = 1.15\n"
+        "on_scale_min = 44.52\ncode = optimize\nframes = 36\npayload_bytes = 108\n"
+        "seed = 5\n"
+    )
+    assert cli.main(["simulate", "--config", str(conf), "--keep-frame-log-in-json"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode,m", sorted(LINK_DIGESTS))
+def test_link_reports_unchanged(mode, m):
+    assert _digest(link_reports(mode, m)) == LINK_DIGESTS[mode, m]
+
+
+@pytest.mark.parametrize("n", sorted(PARITY_DIGESTS))
+def test_parity_sweep_unchanged(n):
+    assert _digest(parity_rows(n)) == PARITY_DIGESTS[n]
+
+
+def test_silent_sweep_unchanged():
+    assert _digest(silent_rows()) == SILENT_DIGEST
+
+
+def test_cli_simulate_json_unchanged(tmp_path, capsys):
+    out = cli_simulate_stdout(tmp_path, capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_SIMULATE_DIGEST
