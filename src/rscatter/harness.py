@@ -23,6 +23,11 @@ import numpy as np
 from . import channel, codesearch, phy, rscodec, traffic
 from .errors import FrameCrcError, InfeasibleError, ParameterError
 
+# Frames per block of the symbol-level frame kernel: large enough to
+# amortise the per-call cost of the array operations, small enough to keep
+# memory bounded for any frame count.
+BLOCK_FRAMES = 32
+
 
 @dataclass
 class ExperimentConfig:
@@ -95,16 +100,12 @@ class LinkReport:
 
 
 def _resolve_code(config, stats):
-    if config.code is not None:
-        n, k = config.code
-        code = rscodec.RsCode(n, k)
-        ch = channel.markov_from_stats(stats, config.rate)
-        p_s = channel.symbol_error_rate(ch)
-        return code, p_s, channel.post_decode_error_rate(code, p_s)
-    outcome = codesearch.optimize_code(stats, config.rate, config.pe_threshold)
-    ch = channel.markov_from_stats(stats, config.rate)
-    p_s = channel.symbol_error_rate(ch)
-    return outcome.code, p_s, outcome.predicted_pe
+    code = rscodec.RsCode(*config.code) if config.code is not None else None
+    p_s = channel.symbol_error_rate(channel.markov_from_stats(stats, config.rate))
+    if code is None:
+        outcome = codesearch.optimize_for_ps(p_s, config.pe_threshold)
+        return outcome.code, p_s, outcome.predicted_pe
+    return code, p_s, channel.post_decode_error_rate(code, p_s)
 
 
 def _frame_plan(config, code):
@@ -116,6 +117,8 @@ def _frame_plan(config, code):
     coded_bits_n = n_codewords * code.n * m
     bit_rate = config.rate * m  # bits/second
     bit_us = 1e6 / bit_rate
+    coded_air_us = (phy.PREAMBLE_LEN + coded_bits_n) * bit_us
+    baseline_air_us = (phy.PREAMBLE_LEN + frame_bits_n) * bit_us
     return {
         "m": m,
         "frame_bits_n": frame_bits_n,
@@ -124,8 +127,12 @@ def _frame_plan(config, code):
         "coded_bits_n": coded_bits_n,
         "bit_rate": bit_rate,
         "bit_us": bit_us,
-        "coded_air_us": (phy.PREAMBLE_LEN + coded_bits_n) * bit_us,
-        "baseline_air_us": (phy.PREAMBLE_LEN + frame_bits_n) * bit_us,
+        "coded_air_us": coded_air_us,
+        "baseline_air_us": baseline_air_us,
+        # each frame's gate covers both transmissions; the lost-bit mask
+        # covers the preamble and the longer of the two
+        "horizon_us": max(coded_air_us, baseline_air_us) + 2 * bit_us,
+        "mask_bits_n": phy.PREAMBLE_LEN + max(coded_bits_n, frame_bits_n),
     }
 
 
@@ -135,110 +142,110 @@ def _pad_symbol(m):
     return sum(1 << i for i in range(m - 1, -1, -2))
 
 
-def _encode_frame(code, plan, frame_bits):
-    """Frame bits -> padded info symbols -> concatenated codeword symbols/bits."""
-    syms = phy.bits_to_symbols(frame_bits, plan["m"])
-    pad = plan["n_codewords"] * code.k - syms.size
-    if pad:
-        syms = np.concatenate(
-            [syms, np.full(pad, _pad_symbol(plan["m"]), dtype=syms.dtype)]
-        )
-    cw_syms = []
-    for j in range(plan["n_codewords"]):
-        cw_syms.extend(rscodec.encode(code, syms[j * code.k : (j + 1) * code.k].tolist()))
-    cw_syms = np.array(cw_syms)
-    tx_bits = phy.symbols_to_bits(cw_syms, plan["m"])
-    return syms, cw_syms, tx_bits
+def _encode_frames(code, plan, frame_bits):
+    """Frame bits (..., frame_bits_n) -> transmitted codeword bits
+    (..., coded_bits_n): the frame is zero-filled to whole symbols, padded
+    with pad symbols to whole codewords and encoded codeword by codeword."""
+    m = plan["m"]
+    pad_syms = plan["n_codewords"] * code.k - plan["info_syms"]
+    tail = np.concatenate([
+        np.zeros(plan["info_syms"] * m - plan["frame_bits_n"], dtype=np.uint8),
+        phy.symbols_to_bits(np.full(pad_syms, _pad_symbol(m)), m),
+    ])
+    lead = frame_bits.shape[:-1]
+    info = np.concatenate([frame_bits, np.broadcast_to(tail, lead + tail.shape)], axis=-1)
+    cw = rscodec.encode_bits(code, info.reshape(-1, code.k * m))
+    return cw.reshape(lead + (plan["coded_bits_n"],))
 
 
-def _erased_symbol_counts(flags, code, plan):
-    """Per-codeword count of symbols touched by flagged bits."""
-    sym_touched = flags.reshape(-1, plan["m"]).any(axis=1)
-    return sym_touched.reshape(plan["n_codewords"], code.n), sym_touched
+def _codeword_erasures(flags, code):
+    """Flagged symbols and lost codewords from per-bit erasure flags.
+
+    flags is (..., n_codewords * n * m); returns the per-symbol flags
+    (..., n_codewords, n) and the codewords lost under the delivery rule:
+    more than t flagged symbols is a loss, the same accounting the code
+    selection assumes.
+    """
+    sym = flags.reshape(flags.shape[:-1] + (-1, code.n, code.m)).any(axis=-1)
+    return sym, sym.sum(axis=-1) > code.t
 
 
-def _lost_bit_mask(gate, plan, n_bits):
-    mask = channel.erasure_mask_from_gate(gate, plan["bit_rate"], n_bits)
-    return mask.erased
+def _draw_frame(rng, config, stats, plan):
+    """A frame's random payload, then its gate: returns the payload, the
+    frame bits and the lost-bit mask of the gate."""
+    payload = rng.integers(0, 256, size=config.payload_bytes, dtype=np.uint8).tobytes()
+    gate = channel.gate_durations(rng, stats, plan["horizon_us"])
+    lost = channel.erasure_mask_from_gate(gate, plan["bit_rate"], plan["mask_bits_n"])
+    return payload, phy.bytes_to_bits(phy.frame_build(payload)), lost.erased
 
 
-def _frame_payload(rng, config):
-    return rng.integers(0, 256, size=config.payload_bytes, dtype=np.uint8).tobytes()
+def _coded_bit_errors(code, info_bits, flags, cw_fail):
+    """Errored information bits per row, of codewords lost to erasures.
+
+    A flagged bit reads as zero power and descrambles to the PN bit, so a
+    mismatch happens exactly where the true bit differs from the PN
+    sequence.  info_bits (rows, bits) are the leading info bits of the
+    row's codewords in order; flags (rows, n_codewords * n * m) and
+    cw_fail (rows, n_codewords) are per transmitted bit and per codeword.
+    """
+    width = code.k * code.m
+    pos = np.arange(info_bits.shape[1])
+    cw = pos // width
+    tx = cw * (code.n * code.m) + pos % width
+    pn = phy.scrambler_sequence(flags.shape[1])[tx]
+    return (flags[:, tx] & cw_fail[:, cw] & (info_bits != pn)).sum(axis=1)
 
 
-def _coded_bit_mismatches(frame_bits, flags_or_lost, cw_fail, code, plan, pn):
-    """Errored information bits of failed codewords: a flagged bit reads as
-    zero power and descrambles to the PN bit, so a mismatch happens exactly
-    where the true bit differs from the PN sequence."""
-    mism = 0
-    m = code.m
-    for j in np.flatnonzero(cw_fail):
-        for s in range(code.k):
-            sym_index = j * code.k + s
-            frame_lo = sym_index * m
-            if frame_lo >= frame_bits.size:
-                break
-            tx_lo = (j * code.n + s) * m
-            width = min(m, frame_bits.size - frame_lo)
-            fb = frame_bits[frame_lo : frame_lo + width]
-            fl = flags_or_lost[tx_lo : tx_lo + width]
-            mism += int(np.sum(fb[fl] != pn[tx_lo : tx_lo + width][fl]))
-    return mism
+def _symbol_frames(config, code, plan, frame_bits, lost_all):
+    """Baseline and coded outcomes of a block of frames, one frame per row.
+
+    Returns per-frame baseline errors, baseline bit errors, coded errors
+    and coded bit errors.
+    """
+    pre, nf = phy.PREAMBLE_LEN, plan["frame_bits_n"]
+    preamble_lost = lost_all[:, :pre].any(axis=1)
+
+    # baseline: uncoded frame right after the preamble; a lost bit reads
+    # as the PN bit after descrambling, so only lost bits whose line bit
+    # was 1 actually corrupt the read-back
+    base_corrupt = lost_all[:, pre : pre + nf] & (phy.scramble(frame_bits) == 1)
+    base_err = preamble_lost | base_corrupt.any(axis=1)
+
+    # coded: codeword bits after the preamble, receiver-perceived erasures
+    tx_bits = _encode_frames(code, plan, frame_bits)
+    lost_coded = lost_all[:, pre : pre + plan["coded_bits_n"]]
+    flags = phy.perceived_erasures(tx_bits, lost_coded, config.erasure_margin_bits)
+    _, cw_fail = _codeword_erasures(flags, code)
+    coded_err = preamble_lost | cw_fail.any(axis=1)
+    coded_bits = np.where(
+        preamble_lost, nf, _coded_bit_errors(code, frame_bits, flags, cw_fail)
+    )
+    return base_err, base_corrupt.sum(axis=1), coded_err, coded_bits
 
 
 def run_symbol_level(config):
-    """Erasure-mask Monte Carlo: no waveforms, shared timeline with sample mode."""
+    """Erasure-mask Monte Carlo: no waveforms, shared timeline with sample mode.
+
+    Payloads and gates are drawn frame by frame; the rest runs on blocks
+    of BLOCK_FRAMES frames at once.
+    """
     stats = config.stats()
     code, p_s, predicted_pe = _resolve_code(config, stats)
     plan = _frame_plan(config, code)
     rng = np.random.default_rng(config.seed)
 
-    fe_coded = fe_base = 0
-    bit_err_coded = bit_err_base = 0
-    frame_log = []
-    horizon = max(plan["coded_air_us"], plan["baseline_air_us"]) + 2 * plan["bit_us"]
-    total_bits = max(plan["coded_bits_n"], plan["frame_bits_n"]) + phy.PREAMBLE_LEN
+    outcomes = np.empty((4, config.frames), dtype=np.int64)
+    for first in range(0, config.frames, BLOCK_FRAMES):
+        count = min(BLOCK_FRAMES, config.frames - first)
+        frame_bits = np.empty((count, plan["frame_bits_n"]), dtype=np.uint8)
+        lost_all = np.empty((count, plan["mask_bits_n"]), dtype=bool)
+        for i in range(count):
+            _, frame_bits[i], lost_all[i] = _draw_frame(rng, config, stats, plan)
+        outcomes[:, first : first + count] = _symbol_frames(
+            config, code, plan, frame_bits, lost_all
+        )
 
-    for fi in range(config.frames):
-        payload = _frame_payload(rng, config)
-        frame_bits = phy.bytes_to_bits(phy.frame_build(payload))
-        _, _, tx_bits = _encode_frame(code, plan, frame_bits)
-        gate = channel.gate_durations(rng, stats, horizon)
-        lost_all = _lost_bit_mask(gate, plan, total_bits)
-
-        preamble_lost = bool(lost_all[: phy.PREAMBLE_LEN].any())
-
-        # baseline: uncoded frame right after the preamble; a lost bit reads
-        # as the PN bit after descrambling, so only lost bits whose line bit
-        # was 1 actually corrupt the read-back
-        lost_base = lost_all[phy.PREAMBLE_LEN : phy.PREAMBLE_LEN + plan["frame_bits_n"]]
-        base_corrupt = lost_base & (phy.scramble(frame_bits) == 1)
-        base_err = preamble_lost or bool(base_corrupt.any())
-        if base_err:
-            fe_base += 1
-        bit_err_base += int(base_corrupt.sum())
-
-        # coded: codeword bits after the preamble, receiver-perceived erasures
-        lost_coded = lost_all[phy.PREAMBLE_LEN : phy.PREAMBLE_LEN + plan["coded_bits_n"]]
-        flags = phy.perceived_erasures(tx_bits, lost_coded, config.erasure_margin_bits)
-        per_cw, _ = _erased_symbol_counts(flags, code, plan)
-        cw_fail = per_cw.sum(axis=1) > code.t
-        coded_err = preamble_lost or bool(cw_fail.any())
-        if coded_err:
-            fe_coded += 1
-            if preamble_lost:
-                bit_err_coded += int(frame_bits.size)
-            else:
-                bit_err_coded += _coded_bit_mismatches(
-                    frame_bits, flags, cw_fail, code, plan,
-                    phy.scrambler_sequence(tx_bits.size),
-                )
-        frame_log.append({"frame": fi, "baseline_error": base_err, "coded_error": coded_err})
-
-    return _report(
-        config, code, p_s, predicted_pe, plan,
-        fe_coded, fe_base, bit_err_coded, bit_err_base, frame_log,
-    )
+    return _report(config, code, p_s, predicted_pe, plan, outcomes)
 
 
 def run_sample_level(config):
@@ -249,41 +256,20 @@ def run_sample_level(config):
     rng = np.random.default_rng(config.seed)
     spb = config.samples_per_bit
 
-    fe_coded = fe_base = 0
-    bit_err_coded = bit_err_base = 0
-    frame_log = []
-    horizon = max(plan["coded_air_us"], plan["baseline_air_us"]) + 2 * plan["bit_us"]
-    total_bits = max(plan["coded_bits_n"], plan["frame_bits_n"]) + phy.PREAMBLE_LEN
-
+    outcomes = np.empty((4, config.frames), dtype=np.int64)
     for fi in range(config.frames):
-        payload = _frame_payload(rng, config)
-        frame_bits = phy.bytes_to_bits(phy.frame_build(payload))
-        info_syms, _, tx_bits = _encode_frame(code, plan, frame_bits)
-        gate = channel.gate_durations(rng, stats, horizon)
-        lost_all = _lost_bit_mask(gate, plan, total_bits)
+        payload, frame_bits, lost_all = _draw_frame(rng, config, stats, plan)
+        tx_bits = _encode_frames(code, plan, frame_bits)
         # re-express the lost bits as a bit-aligned gate so waveform gating
         # and the symbol-level mask agree exactly
         bit_gate = _bit_aligned_gate(lost_all, plan["bit_us"])
-
-        base_err, base_bits = _sample_frame_baseline(
+        outcomes[:2, fi] = _sample_frame_baseline(
             config, plan, frame_bits, payload, bit_gate, rng, spb
         )
-        fe_base += base_err
-        bit_err_base += base_bits
-
-        coded_err, coded_bits = _sample_frame_coded(
+        outcomes[2:, fi] = _sample_frame_coded(
             config, code, plan, frame_bits, payload, tx_bits, bit_gate, rng, spb
         )
-        fe_coded += coded_err
-        bit_err_coded += coded_bits
-        frame_log.append(
-            {"frame": fi, "baseline_error": bool(base_err), "coded_error": bool(coded_err)}
-        )
-
-    return _report(
-        config, code, p_s, predicted_pe, plan,
-        fe_coded, fe_base, bit_err_coded, bit_err_base, frame_log,
-    )
+    return _report(config, code, p_s, predicted_pe, plan, outcomes)
 
 
 def _bit_aligned_gate(lost_bits, bit_us):
@@ -337,27 +323,17 @@ def _sample_frame_coded(config, code, plan, frame_bits, payload, tx_bits, gate, 
     if bits.size < tx_bits.size:
         return 1, int(frame_bits.size)
 
-    rx_syms = phy.bits_to_symbols(bits, m)
-    sym_flagged = flags.reshape(-1, m).any(axis=1)
-    decoded_info = np.zeros(plan["n_codewords"] * code.k, dtype=np.int64)
-    failed = np.zeros(plan["n_codewords"], dtype=bool)
-    for j in range(plan["n_codewords"]):
-        word = rx_syms[j * code.n : (j + 1) * code.n]
-        flagged = np.flatnonzero(sym_flagged[j * code.n : (j + 1) * code.n])
-        # delivery rule: erasures beyond the advertised capability t are a
-        # codeword loss (same accounting the code selection assumes)
-        if flagged.size > code.t:
-            failed[j] = True
-            decoded_info[j * code.k : (j + 1) * code.k] = word[: code.k]
-            continue
-        out = rscodec.decode(code, word.tolist(), flagged.tolist())
+    words = phy.bits_to_symbols(bits, m).reshape(plan["n_codewords"], code.n)
+    sym_flagged, failed = _codeword_erasures(flags, code)
+    decoded_info = words[:, : code.k].copy()
+    for j in np.flatnonzero(~failed):
+        out = rscodec.decode(code, words[j].tolist(), np.flatnonzero(sym_flagged[j]).tolist())
         if out is None:
             failed[j] = True
-            decoded_info[j * code.k : (j + 1) * code.k] = word[: code.k]
         else:
-            decoded_info[j * code.k : (j + 1) * code.k] = out
+            decoded_info[j] = out
 
-    info_bits = phy.symbols_to_bits(decoded_info, m)[: frame_bits.size]
+    info_bits = phy.symbols_to_bits(decoded_info.ravel(), m)[: frame_bits.size]
     mismatches = int(np.sum(info_bits != frame_bits))
     if failed.any():
         return 1, mismatches
@@ -368,9 +344,11 @@ def _sample_frame_coded(config, code, plan, frame_bits, payload, tx_bits, gate, 
     return (0 if ok else 1), mismatches
 
 
-def _report(config, code, p_s, predicted_pe, plan,
-            fe_coded, fe_base, bit_err_coded, bit_err_base, frame_log):
+def _report(config, code, p_s, predicted_pe, plan, outcomes):
+    """outcomes is (4, frames): each frame's baseline error, baseline bit
+    errors, coded error and coded bit errors."""
     nf = config.frames
+    fe_base, bit_err_base, fe_coded, bit_err_coded = (int(v) for v in outcomes.sum(axis=1))
     payload_bits = config.payload_bytes * 8
     frame_bits_total = nf * plan["frame_bits_n"]
     fer = fe_coded / nf
@@ -389,7 +367,10 @@ def _report(config, code, p_s, predicted_pe, plan,
         ber_baseline=bit_err_base / frame_bits_total,
         fer_baseline=fer_base,
         throughput_baseline=payload_bits * (1.0 - fer_base) / base_air_s,
-        frame_log=frame_log,
+        frame_log=[
+            {"frame": fi, "baseline_error": bool(b), "coded_error": bool(c)}
+            for fi, (b, c) in enumerate(zip(outcomes[0], outcomes[2]))
+        ],
     )
 
 
@@ -435,26 +416,18 @@ def _parity_point(config, code, lost_rows):
     rng = np.random.default_rng([config.seed, 1, k])
 
     info = rng.integers(0, 1 << m, size=(blocks, k))
-    cw = rscodec.encode_batch(code, info)
-    shifts = np.arange(m - 1, -1, -1)
-    bits = ((cw[:, :, None] >> shifts) & 1).reshape(blocks, coded_bits).astype(np.uint8)
+    info_bits = phy.symbols_to_bits(info.ravel(), m).reshape(blocks, k * m)
+    bits = rscodec.encode_bits(code, info_bits)
 
-    fe_coded = fe_base = 0
-    lost_bits_base = mism_coded = 0
     base_bits = k * m
-    pn = phy.scrambler_sequence(coded_bits)
-    for r in range(blocks):
-        lost = lost_rows[r]
-        corrupt = lost[:base_bits] & ((bits[r, :base_bits] ^ pn[:base_bits]) == 1)
-        if corrupt.any():
-            fe_base += 1
-        lost_bits_base += int(corrupt.sum())
-        flags = phy.perceived_erasures(bits[r], lost, config.erasure_margin_bits)
-        erased_syms = int(flags.reshape(n, m).any(axis=1).sum())
-        if erased_syms > code.t:
-            fe_coded += 1
-            fl = flags[:base_bits]
-            mism_coded += int(np.sum(bits[r, :base_bits][fl] != pn[:base_bits][fl]))
+    corrupt = lost_rows[:, :base_bits] & (phy.scramble(info_bits) == 1)
+    fe_base = int(corrupt.any(axis=1).sum())
+    lost_bits_base = int(corrupt.sum())
+
+    flags = phy.perceived_erasures(bits, lost_rows, config.erasure_margin_bits)
+    _, failed = _codeword_erasures(flags, code)
+    fe_coded = int(failed.sum())
+    mism_coded = int(_coded_bit_errors(code, info_bits, flags, failed).sum())
 
     fer = fe_coded / blocks
     fer_base = fe_base / blocks

@@ -29,16 +29,21 @@ DEFAULT_FLOOR_FRACTION = 0.5
 DEFAULT_CORR_THRESHOLD = 0.5
 
 
+def _crc16_shift8(crc):
+    for _ in range(8):
+        crc = ((crc << 1) ^ 0x1021 if crc & 0x8000 else crc << 1) & 0xFFFF
+    return crc
+
+
+# register update for each value of the register's top byte xor a data byte
+_CRC16_TABLE = [_crc16_shift8(top << 8) for top in range(256)]
+
+
 def crc16(data):
     """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection/xor."""
     crc = 0xFFFF
     for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
+        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[(crc >> 8) ^ byte]
     return crc
 
 
@@ -107,7 +112,7 @@ def scrambler_sequence(n):
 
 
 def scramble(bits):
-    """XOR with the fixed PN sequence (self-inverse).
+    """XOR with the fixed PN sequence (self-inverse), along the last axis.
 
     Whitening keeps every transmitted bit stream free of long zero runs --
     an unscrambled low-weight word would be indistinguishable from a
@@ -115,7 +120,7 @@ def scramble(bits):
     sound margin.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    return bits ^ scrambler_sequence(bits.size)
+    return bits ^ scrambler_sequence(bits.shape[-1])
 
 
 def bits_to_symbols(bits, m):
@@ -243,19 +248,25 @@ def flag_erasure_runs(below_floor, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
 
     This is the receiver's only way to separate off-state losses from legal
     zero runs under OOK; runs at or under the margin are left unflagged.
+    A 2-D (rows, bits) array is flagged row by row: runs never continue
+    from one row into the next.
     """
     below = np.asarray(below_floor, dtype=bool)
-    flags = np.zeros(below.size, dtype=bool)
     if below.size == 0:
-        return flags
-    padded = np.concatenate([[False], below, [False]]).astype(np.int8)
-    d = np.diff(padded)
+        return np.zeros(below.shape, dtype=bool)
+    # a False pad column ends every run within its own row
+    padded = np.zeros(below.shape[:-1] + (below.shape[-1] + 1,), dtype=np.int8)
+    padded[..., :-1] = below
+    d = np.diff(padded.ravel(), prepend=np.int8(0))
     starts = np.flatnonzero(d == 1)
     ends = np.flatnonzero(d == -1)
-    for s, e in zip(starts, ends):
-        if e - s > margin_bits:
-            flags[s:e] = True
-    return flags
+    # with the short runs' edges removed, the running sum of d is 1
+    # exactly inside the long runs
+    short = ends - starts <= margin_bits
+    d[starts[short]] = 0
+    d[ends[short]] = 0
+    flags = np.cumsum(d, dtype=np.int8).astype(bool)
+    return flags.reshape(padded.shape)[..., :-1]
 
 
 def perceived_erasures(bits, lost, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
@@ -265,12 +276,13 @@ def perceived_erasures(bits, lost, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     A bit reads as zero power iff it was lost or its scrambled line bit is
     0, so the perceived erasures are exactly the over-margin runs of that
     predicate.  Used by the symbol-level simulator to stay bit-exact with
-    the sample-level demodulator at zero noise.
+    the sample-level demodulator at zero noise.  2-D inputs are one
+    transmission per row.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     lost = np.asarray(lost, dtype=bool)
-    if bits.size != lost.size:
-        raise ParameterError("bits and lost masks differ in length")
+    if bits.shape != lost.shape:
+        raise ParameterError("bits and lost masks differ in shape")
     return flag_erasure_runs(lost | (scramble(bits) == 0), margin_bits)
 
 

@@ -2,12 +2,16 @@
 
 Codes are narrow-sense (parity-check roots alpha^1..alpha^(n-k)) over
 GF(2^m) with n = 2^m - 1, m in 3..7, and odd k so that n - k is even and
-t = (n - k) / 2 exactly.  Encoding is by generator-polynomial remainder;
-decoding is Berlekamp-Massey on Forney syndromes with erasure handling.
-A decode failure is reported as None, never guessed.
+t = (n - k) / 2 exactly.  Encoding is by generator-polynomial remainder,
+computed on the binary image of the code: the parity bits are the info bits
+times a fixed 0/1 matrix over GF(2).  Decoding is Berlekamp-Massey on
+Forney syndromes with erasure handling.  A decode failure is reported as
+None, never guessed.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import ParameterError
 from .gf2m import FieldContext, PRIMITIVE_POLYS
@@ -50,6 +54,33 @@ class RsCode:
             g = nxt
         return g
 
+    @cached_property
+    def binary_generator(self):
+        """Parity part of the binary image, a (k*m, (n-k)*m) 0/1 float32 matrix.
+
+        Row i*m + b holds the parity bits of the codeword whose only nonzero
+        info bit is bit b (MSB first) of symbol i.  That symbol is the
+        coefficient of x^(n-1-i), so its parity is the symbol times
+        x^(n-1-i) mod g(x), from x^(e+1) mod g = x * (x^e mod g) starting at
+        x^(n-k) mod g = g(x) - x^(n-k).
+        """
+        m, d = self.m, self.n - self.k
+        log = np.asarray(self.field.log_table)
+        expt = np.asarray(self.field.exp_table, dtype=np.uint8)
+        low = np.asarray(self._generator[1:])
+        values = np.arange(1 << m)[:, None]
+        # times_low[v] = v * (g(x) - x^(n-k)) for every symbol value v
+        times_low = np.where((values > 0) & (low > 0), expt[log[values] + log[low]], 0)
+        # rem[i, b]: descending coefficients of 2^(m-1-b) x^(n-1-i) mod g
+        rem = np.empty((self.k, m, d), dtype=np.uint8)
+        rem[-1] = times_low[1 << np.arange(m - 1, -1, -1)]
+        for i in range(self.k - 2, -1, -1):
+            rem[i, :, :-1] = rem[i + 1, :, 1:]
+            rem[i, :, -1] = 0
+            rem[i] ^= times_low[rem[i + 1, :, 0]]
+        bits = (rem[..., None] >> np.arange(m - 1, -1, -1, dtype=np.uint8)) & 1
+        return bits.reshape(self.k * m, d * m).astype(np.float32)
+
     @property
     def rate(self):
         return self.k / self.n
@@ -74,51 +105,33 @@ def encode(code, info):
     info = list(info)
     if len(info) != code.k:
         raise ParameterError(f"info must have exactly {code.k} symbols, got {len(info)}")
-    gf = code.field
     for s in info:
         if not (0 <= s < code.n + 1):
             raise ParameterError(f"symbol {s} out of range for GF(2^{code.m})")
-    gen = code._generator
-    rem = info + [0] * (code.n - code.k)
-    for i in range(code.k):
-        coef = rem[i]
-        if coef != 0:
-            # gen[0] == 1, synthetic division step
-            for j in range(1, len(gen)):
-                rem[i + j] ^= gf.mul(gen[j], coef)
-    return info + rem[code.k:]
+    shifts = np.arange(code.m - 1, -1, -1)
+    bits = (np.array(info, dtype=np.int64)[:, None] >> shifts) & 1
+    cw_bits = encode_bits(code, bits.reshape(1, -1))
+    return (cw_bits.reshape(code.n, code.m) @ (1 << shifts)).tolist()
 
 
-def encode_batch(code, info):
-    """Systematic encode of many words at once.
+def encode_bits(code, info_bits):
+    """Systematic encode of many words on the binary image of the code.
 
-    `info` is an integer array of shape (blocks, k); the result has shape
-    (blocks, n).  Bit-identical to calling encode row by row, but the
-    synthetic division runs across the whole batch per step.
+    `info_bits` has shape (blocks, k*m): each row is k info symbols, m bits
+    per symbol, most significant bit first.  The result, of shape
+    (blocks, n*m) and dtype uint8, is each row followed by its parity bits.
     """
-    import numpy as np
-
-    info = np.asarray(info, dtype=np.int64)
-    if info.ndim != 2 or info.shape[1] != code.k:
-        raise ParameterError(f"info must have shape (blocks, {code.k})")
-    if info.size and (info.min() < 0 or info.max() > code.n):
-        raise ParameterError(f"symbol out of range for GF(2^{code.m})")
-    gf = code.field
-    log = np.asarray(gf.log_table, dtype=np.int64)
-    expt = np.asarray(gf.exp_table, dtype=np.int64)
-    gen_log = [(j, gf.log(g)) for j, g in enumerate(code._generator[1:]) if g]
-    rem = np.zeros((info.shape[0], code.n - code.k), dtype=np.int64)
-    for s in range(code.k):
-        feedback = info[:, s] ^ rem[:, 0]
-        rem = np.roll(rem, -1, axis=1)
-        rem[:, -1] = 0
-        nz = np.flatnonzero(feedback)
-        if nz.size == 0:
-            continue
-        lfb = log[feedback[nz]]
-        for j, lg in gen_log:
-            rem[nz, j] ^= expt[lfb + lg]
-    return np.concatenate([info, rem], axis=1)
+    info_bits = np.asarray(info_bits)
+    width = code.k * code.m
+    if info_bits.ndim != 2 or info_bits.shape[1] != width:
+        raise ParameterError(f"info_bits must have shape (blocks, {width})")
+    if info_bits.size and (info_bits.min() < 0 or info_bits.max() > 1):
+        raise ParameterError("info_bits must be 0 or 1")
+    info_bits = info_bits.astype(np.uint8, copy=False)
+    # float32 sums are exact: each is at most k*m <= 875 < 2**24
+    parity = info_bits.astype(np.float32) @ code.binary_generator
+    parity_bits = (parity.astype(np.uint16) & 1).astype(np.uint8)
+    return np.concatenate([info_bits, parity_bits], axis=1)
 
 
 def _syndromes(code, received):

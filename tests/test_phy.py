@@ -21,6 +21,26 @@ def test_crc16_known_vectors():
     assert phy.crc16(b"") == 0xFFFF
 
 
+def _reference_crc16(data):
+    """Bit-at-a-time CRC-16/CCITT-FALSE."""
+    crc = 0xFFFF
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            if crc & 0x8000:
+                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
+            else:
+                crc = (crc << 1) & 0xFFFF
+    return crc
+
+
+def test_crc16_matches_bitwise_reference():
+    rng = np.random.default_rng(12)
+    for size in range(301):
+        data = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+        assert phy.crc16(data) == _reference_crc16(data)
+
+
 def test_frame_roundtrip():
     payload = bytes(range(64))
     frame = phy.frame_build(payload)
@@ -221,6 +241,47 @@ def test_erasure_run_flagging_margin():
     assert phy.flag_erasure_runs(np.zeros(0, dtype=bool)).size == 0
 
 
+def _reference_flags(row, margin):
+    """Run-by-run flagging of one row."""
+    flags = np.zeros(row.size, dtype=bool)
+    start = None
+    for i, below in enumerate(list(row) + [False]):
+        if below and start is None:
+            start = i
+        elif not below and start is not None:
+            if i - start > margin:
+                flags[start:i] = True
+            start = None
+    return flags
+
+
+@st.composite
+def _below_floor_rows(draw):
+    rows = draw(st.integers(0, 6))
+    width = draw(st.integers(0, 40))
+    out = np.zeros((rows, width), dtype=bool)
+    for r in range(rows):
+        kind = draw(st.sampled_from(["random", "all", "none", "edges"]))
+        if kind == "all":
+            out[r] = True
+        elif kind == "edges":  # runs touching both ends of the row
+            out[r, : draw(st.integers(0, width))] = True
+            out[r, width - draw(st.integers(0, width)) :] = True
+        elif kind == "random":
+            out[r] = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    return out
+
+
+@given(_below_floor_rows(), st.integers(0, 20))
+@settings(max_examples=200)
+def test_erasure_run_flagging_row_wise(below, margin):
+    flags = phy.flag_erasure_runs(below, margin)
+    assert flags.shape == below.shape and flags.dtype == bool
+    for row, got in zip(below, flags):
+        assert (got == phy.flag_erasure_runs(row, margin)).all()
+        assert (got == _reference_flags(row, margin)).all()
+
+
 def test_perceived_erasures_match_demodulator():
     rng = np.random.default_rng(6)
     bits = rng.integers(0, 2, 500, dtype=np.uint8)
@@ -238,6 +299,18 @@ def test_perceived_erasures_match_demodulator():
 def test_perceived_erasures_validates_lengths():
     with pytest.raises(ParameterError):
         phy.perceived_erasures(np.ones(4, dtype=np.uint8), np.zeros(5, dtype=bool))
+    with pytest.raises(ParameterError):
+        phy.perceived_erasures(np.ones((2, 4), dtype=np.uint8), np.zeros(8, dtype=bool))
+
+
+def test_perceived_erasures_row_wise():
+    rng = np.random.default_rng(9)
+    bits = rng.integers(0, 2, (5, 300), dtype=np.uint8)
+    lost = rng.random((5, 300)) < 0.2
+    lost[:, 250:] = True  # runs reaching the row end must not continue into the next row
+    flags = phy.perceived_erasures(bits, lost, 8)
+    for r in range(5):
+        assert (flags[r] == phy.perceived_erasures(bits[r], lost[r], 8)).all()
 
 
 def test_autodetect_finds_frame_start():

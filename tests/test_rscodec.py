@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rscatter.errors import ParameterError
-from rscatter.rscodec import ADMISSIBLE_N, RsCode, decode, encode, encode_batch
+from rscatter.rscodec import ADMISSIBLE_N, RsCode, decode, encode, encode_bits
 
 
 def _random_info(rng, code):
@@ -70,22 +70,50 @@ def test_encode_validates_inputs():
         encode(code, [1, 2, 8])
 
 
-def test_encode_batch_matches_scalar_encode():
+def _reference_encode(code, info):
+    """Systematic encode by synthetic division by g(x), symbol by symbol."""
+    gf = code.field
+    gen = code._generator
+    rem = list(info) + [0] * (code.n - code.k)
+    for i in range(code.k):
+        coef = rem[i]
+        if coef:
+            for j in range(1, len(gen)):
+                rem[i + j] ^= gf.mul(gen[j], coef)
+    return list(info) + rem[code.k :]
+
+
+def _to_bits(symbols, m):
+    shifts = np.arange(m - 1, -1, -1)
+    return ((symbols[..., None] >> shifts) & 1).reshape(symbols.shape[0], -1)
+
+
+def test_encode_matches_synthetic_division_reference():
     rng = np.random.default_rng(17)
-    for n, k in [(7, 5), (15, 11), (63, 29), (127, 63)]:
-        code = RsCode(n, k)
-        info = rng.integers(0, n + 1, size=(40, k))
-        batch = encode_batch(code, info)
-        for row in range(info.shape[0]):
-            assert batch[row].tolist() == encode(code, info[row].tolist())
+    for n in ADMISSIBLE_N:
+        for k in (1, n // 2 | 1, n - 2):
+            code = RsCode(n, k)
+            info = rng.integers(0, n + 1, size=(12, k))
+            info[0] = 0
+            info[1] = n
+            expected = [_reference_encode(code, row.tolist()) for row in info]
+            assert [encode(code, row.tolist()) for row in info] == expected
+            cw_bits = encode_bits(code, _to_bits(info, code.m))
+            assert cw_bits.shape == (12, n * code.m)
+            assert (cw_bits == _to_bits(np.array(expected), code.m)).all()
 
 
-def test_encode_batch_validates_shape():
-    code = RsCode(7, 3)
+def test_encode_bits_validates_shape_and_range():
+    code = RsCode(7, 3)  # k*m = 9 info bits per word
     with pytest.raises(ParameterError):
-        encode_batch(code, np.zeros((4, 5), dtype=int))
+        encode_bits(code, np.zeros((4, 8), dtype=np.uint8))
     with pytest.raises(ParameterError):
-        encode_batch(code, np.full((2, 3), 9))
+        encode_bits(code, np.zeros(9, dtype=np.uint8))
+    with pytest.raises(ParameterError):
+        encode_bits(code, np.full((2, 9), 2))
+    with pytest.raises(ParameterError):
+        encode_bits(code, np.full((2, 9), -1))
+    assert encode_bits(code, np.zeros((0, 9), dtype=np.uint8)).shape == (0, 21)
 
 
 def test_decode_clean_word_roundtrip():
