@@ -43,6 +43,15 @@ PARITY_DIGESTS = {
     63: "699b1ff5def9829975db4b112fa48d9fb83510c2bc88b38c612baf53a1c134e4",
     127: "227fd02cc509a001a5c6bb1f325650fa5fd0eca64030a5f57050a7d027fbe10a",
 }
+# sample mode with receiver noise, keyed by (noise_sigma, m); at 0.1 the
+# noise rarely moves a decision, at 0.3 it does, which pins the order of
+# the baseline and coded noise draws
+NOISY_DIGESTS = {
+    (0.1, 4): "625c53869d8b79cada03e501b6c7c0523ec7708ef7625421d6366e67fe8be981",
+    (0.1, 6): "858248bb7b62321b805476ba674063b17235a486c67119887b5e3305e01b14e7",
+    (0.3, 4): "aa6a92d2a6269c54ddcd4648f33b14186ea64cd8865a454163419500ab04ded7",
+    (0.3, 6): "d2cf5e10d55303739ccc8a44c233e08bc31ee6d390c32a1e1cf5b033dbf00fb2",
+}
 SILENT_DIGEST = "8491f148c4e6b3bad4da2abbdb1d88953ea3a277e6a22ba289f38abaff319abc"
 CLI_SIMULATE_DIGEST = "bdee225fe20caaa987703415ab2aeab36426570b8497896c5b49b966e178190e"
 
@@ -51,7 +60,7 @@ def _digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def link_reports(mode, m):
+def link_reports(mode, m, noise_sigma=0.0):
     """Reports for every scenario and margin at one mode and symbol size."""
     reports = []
     for name, scenario in sorted(SCENARIOS.items()):
@@ -59,6 +68,7 @@ def link_reports(mode, m):
             cfg = harness.ExperimentConfig(
                 **scenario, code=CODES[m], frames=FRAMES[mode], payload_bytes=16,
                 erasure_margin_bits=margin, mode=mode, seed=1000 * m + margin,
+                noise_sigma=noise_sigma,
             )
             reports.append(harness.run(cfg).to_dict())
     return reports
@@ -94,6 +104,11 @@ def cli_simulate_stdout(tmp_path, capsys):
 @pytest.mark.parametrize("mode,m", sorted(LINK_DIGESTS))
 def test_link_reports_unchanged(mode, m):
     assert _digest(link_reports(mode, m)) == LINK_DIGESTS[mode, m]
+
+
+@pytest.mark.parametrize("sigma,m", sorted(NOISY_DIGESTS))
+def test_noisy_sample_reports_unchanged(sigma, m):
+    assert _digest(link_reports("sample", m, noise_sigma=sigma)) == NOISY_DIGESTS[sigma, m]
 
 
 @pytest.mark.parametrize("n", sorted(PARITY_DIGESTS))

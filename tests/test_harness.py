@@ -61,15 +61,42 @@ def test_pad_symbols_alternate():
     assert harness._pad_symbol(3) == 0b101
 
 
+def _bit_aligned_gate_reference(lost_bits, bit_us):
+    """Run-by-run loop the harness's gate builder must match exactly."""
+    runs = []
+    state_on = True
+    count = 0
+    for lost in lost_bits:
+        on = not lost
+        if on == state_on:
+            count += 1
+        else:
+            runs.append(count * bit_us)
+            state_on = on
+            count = 1
+    runs.append(count * bit_us)
+    if state_on:
+        runs[-1] += 4 * bit_us
+    else:
+        runs.append(4 * bit_us)
+    return np.array(runs)
+
+
 def test_bit_aligned_gate_reproduces_mask():
     from rscatter import channel
 
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        lost = rng.random(200) < 0.3
+    masks = [rng.random(200) < 0.3 for _ in range(20)]
+    starts_lost = rng.random(200) < 0.3
+    starts_lost[:3] = True
+    masks += [starts_lost, np.ones(200, dtype=bool), np.zeros(200, dtype=bool)]
+    for lost in masks:
         gate = harness._bit_aligned_gate(lost, bit_us=0.5)
         mask = channel.erasure_mask_from_gate(gate, 2e6, 200)
         assert (mask.erased == lost).all()
+        for bit_us in (0.5, 1 / 6, 1 / 7):
+            got = harness._bit_aligned_gate(lost, bit_us)
+            assert np.array_equal(got, _bit_aligned_gate_reference(lost, bit_us))
 
 
 def test_symbol_level_report_fields():
