@@ -3,7 +3,8 @@
 Runs the same gated channel in both simulator modes -- the fast
 erasure-mask model and the full waveform pipeline -- and shows that at
 zero noise they agree frame for frame while coding turns a mostly-lost
-link into a mostly-delivered one.
+link into a mostly-delivered one.  They agree because every off run here
+(at least 1.9 us) is longer than the 8-bit erasure margin (1.3 us).
 """
 
 from rscatter import harness

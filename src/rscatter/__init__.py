@@ -10,41 +10,4 @@ Submodules:
   harness     Monte Carlo link experiments and sweeps
 """
 
-from .gf2m import FieldContext, field_new
-from .rscodec import RsCode, decode, encode
-from .traffic import (
-    DurationTrace,
-    ParetoParams,
-    TrafficStats,
-    fit_stats,
-    load_trace,
-    measure_trace,
-    mle_fit,
-    pareto_mean,
-    pareto_pdf,
-    pareto_sample,
-    save_trace,
-)
-from .channel import (
-    ErasureMask,
-    MarkovChannel,
-    erasure_mask_from_gate,
-    erasure_mask_markov,
-    gate_durations,
-    markov_from_stats,
-    post_decode_error_rate,
-    symbol_error_rate,
-)
-from .codesearch import SearchOutcome, brute_force_search, optimize_code, optimize_for_ps
-from .harness import ExperimentConfig, LinkReport, run, run_sample_level, run_symbol_level
-from .errors import (
-    DegenerateTraceError,
-    EmptyTraceError,
-    FrameCrcError,
-    InfeasibleError,
-    InfiniteMeanError,
-    ParameterError,
-    TraceParseError,
-)
-
 __version__ = "0.1.0"

@@ -42,19 +42,6 @@ class MarkovChannel:
         return np.array([[1 - self.alpha, self.alpha], [self.beta, 1 - self.beta]])
 
 
-@dataclass
-class ErasureMask:
-    """One boolean flag per transmitted symbol; True = lost to the off state."""
-
-    erased: np.ndarray
-
-    def __post_init__(self):
-        self.erased = np.asarray(self.erased, dtype=bool)
-
-    def __len__(self):
-        return self.erased.size
-
-
 def markov_from_stats(stats, rate):
     """Per-symbol transition probabilities from mean on/off durations.
 
@@ -154,8 +141,9 @@ def _off_time_before(durations, x):
 
 
 def erasure_mask_from_gate(durations, rate, n_symbols):
-    """Deterministic mask: a symbol is erased iff its transmit interval
-    overlaps an off run (a partially-lost symbol counts as lost)."""
+    """Deterministic mask, one bool per symbol: a symbol is erased iff its
+    transmit interval overlaps an off run (a partially-lost symbol counts
+    as lost)."""
     if rate <= 0:
         raise ParameterError(f"rate must be positive, got {rate}")
     durations = np.asarray(durations, dtype=float)
@@ -168,18 +156,18 @@ def erasure_mask_from_gate(durations, rate, n_symbols):
         )
     edges = np.arange(n_symbols + 1) * period_us
     off_cum = _off_time_before(durations, edges)
-    erased = np.diff(off_cum) > period_us * 1e-9
-    return ErasureMask(erased=erased)
+    return np.diff(off_cum) > period_us * 1e-9
 
 
 def erasure_mask_markov(rng, ch, n_symbols):
-    """Simulate the per-symbol chain from its stationary distribution.
+    """Simulate the per-symbol chain from its stationary distribution; True
+    marks a symbol sent in the off state.
 
     Sojourn times in each state are geometric, so the chain is generated
     run-by-run; the first run is a fresh geometric draw by memorylessness.
     """
     if n_symbols <= 0:
-        return ErasureMask(erased=np.empty(0, dtype=bool))
+        return np.empty(0, dtype=bool)
     p_off = symbol_error_rate(ch) if (ch.alpha + ch.beta) > 0 else 0.0
     state_off = bool(rng.random() < p_off)
     flags = []
@@ -194,4 +182,4 @@ def erasure_mask_markov(rng, ch, n_symbols):
         flags.append(np.full(run, state_off))
         covered += run
         state_off = not state_off
-    return ErasureMask(erased=np.concatenate(flags))
+    return np.concatenate(flags)

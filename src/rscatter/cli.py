@@ -15,7 +15,6 @@ import numpy as np
 from . import channel, codesearch, harness, traffic
 from .errors import (
     DegenerateTraceError,
-    EmptyTraceError,
     InfeasibleError,
     InfiniteMeanError,
     ParameterError,
@@ -97,15 +96,13 @@ def _cmd_fit(args):
 
 
 def _scenario_stats(args):
-    if args.trace:
-        return traffic.fit_stats(traffic.load_trace(args.trace))
-    required = (args.off_shape, args.off_scale_min, args.on_shape, args.on_scale_min)
-    if any(v is None for v in required):
-        raise ParameterError("give a trace file or all four --off/--on shape/scale options")
-    return traffic.TrafficStats(
-        off=traffic.ParetoParams(args.off_shape, args.off_scale_min),
-        on=traffic.ParetoParams(args.on_shape, args.on_scale_min),
-    )
+    return harness.ExperimentConfig(
+        trace=args.trace,
+        off_shape=args.off_shape,
+        off_scale_min=args.off_scale_min,
+        on_shape=args.on_shape,
+        on_scale_min=args.on_scale_min,
+    ).stats()
 
 
 def _cmd_optimize(args):
@@ -225,7 +222,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ParameterError, TraceParseError, DegenerateTraceError, EmptyTraceError,
+    except (ParameterError, TraceParseError, DegenerateTraceError,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

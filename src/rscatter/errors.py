@@ -9,10 +9,6 @@ class DegenerateTraceError(ValueError):
     """All samples identical; the Pareto shape estimate is undefined."""
 
 
-class EmptyTraceError(ValueError):
-    """No threshold crossings found in the power sequence."""
-
-
 class TraceParseError(ValueError):
     """Malformed trace file line."""
 

@@ -60,12 +60,6 @@ class FieldContext:
         for i in range(self.order, 2 * self.order):
             self.exp_table[i] = self.exp_table[i - self.order]
 
-    def add(self, a, b):
-        return a ^ b
-
-    # Subtraction equals addition in characteristic 2.
-    sub = add
-
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
@@ -103,8 +97,3 @@ class FieldContext:
 
     def __repr__(self):
         return f"FieldContext(m={self.m}, poly={self.primitive_poly:#b})"
-
-
-def field_new(m):
-    """Build the GF(2^m) context with the fixed primitive polynomial."""
-    return FieldContext(m)

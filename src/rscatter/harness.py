@@ -11,12 +11,14 @@ the receiver can treat lost bits as erasures follows the blind-receiver
 rule in phy.perceived_erasures, and a codeword is counted as delivered
 only when its erased symbols stay within the advertised correction
 capability t -- the same capability the code selection is based on.  At
-zero noise the sample-level pipeline therefore reproduces the
-symbol-level frame outcomes exactly.
+zero noise the sample-level pipeline reproduces the symbol-level frame
+outcomes exactly when every off run is longer than erasure_margin_bits
+bit-times.  A shorter off run is not flagged, and a lost bit in it whose
+line bit was 1 is a symbol error that only the sample-level decoder sees.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -63,6 +65,14 @@ class ExperimentConfig:
             )
         if self.mode not in ("symbol", "sample"):
             raise ParameterError(f"mode must be 'symbol' or 'sample', got {self.mode!r}")
+        if self.noise_sigma < 0:
+            raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        if self.erasure_margin_bits < 0:
+            raise ParameterError(
+                f"erasure_margin_bits must be >= 0, got {self.erasure_margin_bits}"
+            )
 
     def stats(self):
         if self.trace is not None:
@@ -94,9 +104,7 @@ class LinkReport:
     frame_log: list = field(default_factory=list)
 
     def to_dict(self):
-        d = {k: v for k, v in self.__dict__.items() if k != "frame_log"}
-        d["frame_log"] = self.frame_log
-        return d
+        return asdict(self)
 
 
 def _resolve_code(config, stats):
@@ -176,7 +184,7 @@ def _draw_frame(rng, config, stats, plan):
     payload = rng.integers(0, 256, size=config.payload_bytes, dtype=np.uint8).tobytes()
     gate = channel.gate_durations(rng, stats, plan["horizon_us"])
     lost = channel.erasure_mask_from_gate(gate, plan["bit_rate"], plan["mask_bits_n"])
-    return payload, phy.bytes_to_bits(phy.frame_build(payload)), lost.erased
+    return payload, phy.bytes_to_bits(phy.frame_build(payload)), lost
 
 
 def _coded_bit_errors(code, info_bits, flags, cw_fail):
@@ -254,74 +262,69 @@ def run_sample_level(config):
     code, p_s, predicted_pe = _resolve_code(config, stats)
     plan = _frame_plan(config, code)
     rng = np.random.default_rng(config.seed)
-    spb = config.samples_per_bit
 
     outcomes = np.empty((4, config.frames), dtype=np.int64)
     for fi in range(config.frames):
         payload, frame_bits, lost_all = _draw_frame(rng, config, stats, plan)
-        tx_bits = _encode_frames(code, plan, frame_bits)
         # re-express the lost bits as a bit-aligned gate so waveform gating
         # and the symbol-level mask agree exactly
         bit_gate = _bit_aligned_gate(lost_all, plan["bit_us"])
+        # the baseline frame draws its noise before the coded frame
         outcomes[:2, fi] = _sample_frame_baseline(
-            config, plan, frame_bits, payload, bit_gate, rng, spb
+            config, plan, frame_bits, payload, bit_gate, rng
         )
         outcomes[2:, fi] = _sample_frame_coded(
-            config, code, plan, frame_bits, payload, tx_bits, bit_gate, rng, spb
+            config, code, plan, frame_bits, payload, bit_gate, rng
         )
     return _report(config, code, p_s, predicted_pe, plan, outcomes)
 
 
 def _bit_aligned_gate(lost_bits, bit_us):
     """Alternating on/off durations (us) reproducing a lost-bit mask, with a
-    trailing on run so streams never outrun the gate."""
-    runs = []
-    state_on = True
-    count = 0
-    for lost in lost_bits:
-        on = not lost
-        if on == state_on:
-            count += 1
-        else:
-            runs.append(count * bit_us)
-            state_on = on
-            count = 1
-    runs.append(count * bit_us)
-    if state_on:
+    trailing on run so streams never outrun the gate.  A mask that starts
+    lost begins with a zero-length on run."""
+    changes = np.flatnonzero(np.diff(lost_bits, prepend=False))
+    runs = np.diff(np.concatenate([[0], changes, [len(lost_bits)]])) * bit_us
+    if runs.size % 2:  # the last run is on
         runs[-1] += 4 * bit_us
-    else:
-        runs.append(4 * bit_us)
-    return np.array(runs)
+        return runs
+    return np.append(runs, 4 * bit_us)
 
 
-def _sample_frame_baseline(config, plan, frame_bits, payload, gate, rng, spb):
-    stream = phy.modulate(frame_bits, spb, bit_rate=plan["bit_rate"])
+def _receive(config, plan, tx_bits, gate, rng):
+    """Modulate tx_bits, gate them and add noise, and demodulate: returns
+    the received bits and erasure flags of tx_bits, or None when the
+    preamble is lost or the stream ends early."""
+    stream = phy.modulate(tx_bits, config.samples_per_bit, bit_rate=plan["bit_rate"])
     rx = phy.apply_channel(stream, gate, config.noise_sigma, rng)
-    demod = phy.demodulate(rx, spb, erase_margin_bits=config.erasure_margin_bits)
-    if demod is None:
-        return 1, int(frame_bits.size)
-    bits = demod.bits[: frame_bits.size]
-    if bits.size < frame_bits.size:
-        return 1, int(frame_bits.size)
-    mismatches = int(np.sum(bits != frame_bits))
+    demod = phy.demodulate(rx, config.erasure_margin_bits)
+    if demod is None or demod.bits.size < tx_bits.size:
+        return None
+    return demod.bits[: tx_bits.size], demod.erasures[: tx_bits.size]
+
+
+def _delivers(frame_bits, payload):
+    """Whether received frame bits parse, CRC included, to the sent payload."""
     try:
-        ok = phy.frame_parse(phy.bits_to_bytes(bits)) == payload
+        return phy.frame_parse(phy.bits_to_bytes(frame_bits)) == payload
     except (FrameCrcError, ParameterError):
-        ok = False
-    return (0 if ok else 1), mismatches
+        return False
 
 
-def _sample_frame_coded(config, code, plan, frame_bits, payload, tx_bits, gate, rng, spb):
+def _sample_frame_baseline(config, plan, frame_bits, payload, gate, rng):
+    received = _receive(config, plan, frame_bits, gate, rng)
+    if received is None:
+        return 1, frame_bits.size
+    bits, _ = received
+    return int(not _delivers(bits, payload)), int(np.sum(bits != frame_bits))
+
+
+def _sample_frame_coded(config, code, plan, frame_bits, payload, gate, rng):
     m = plan["m"]
-    stream = phy.modulate(tx_bits, spb, bit_rate=plan["bit_rate"])
-    rx = phy.apply_channel(stream, gate, config.noise_sigma, rng)
-    demod = phy.demodulate(rx, spb, erase_margin_bits=config.erasure_margin_bits)
-    if demod is None:
-        return 1, int(frame_bits.size)
-    bits = demod.bits[: tx_bits.size]
-    flags = demod.erasures[: tx_bits.size]
-    if bits.size < tx_bits.size:
-        return 1, int(frame_bits.size)
+    received = _receive(config, plan, _encode_frames(code, plan, frame_bits), gate, rng)
+    if received is None:
+        return 1, frame_bits.size
+    bits, flags = received
 
     words = phy.bits_to_symbols(bits, m).reshape(plan["n_codewords"], code.n)
     sym_flagged, failed = _codeword_erasures(flags, code)
@@ -335,13 +338,7 @@ def _sample_frame_coded(config, code, plan, frame_bits, payload, tx_bits, gate, 
 
     info_bits = phy.symbols_to_bits(decoded_info.ravel(), m)[: frame_bits.size]
     mismatches = int(np.sum(info_bits != frame_bits))
-    if failed.any():
-        return 1, mismatches
-    try:
-        ok = phy.frame_parse(phy.bits_to_bytes(info_bits)) == payload
-    except (FrameCrcError, ParameterError):
-        ok = False
-    return (0 if ok else 1), mismatches
+    return int(failed.any() or not _delivers(info_bits, payload)), mismatches
 
 
 def _report(config, code, p_s, predicted_pe, plan, outcomes):
@@ -401,7 +398,7 @@ def sweep_parity(config, n=127):
     lost = np.empty((blocks, coded_bits), dtype=bool)
     for r in range(blocks):
         gate = channel.gate_durations(gate_rng, stats, air_us + 2e6 / bit_rate)
-        lost[r] = channel.erasure_mask_from_gate(gate, bit_rate, coded_bits).erased
+        lost[r] = channel.erasure_mask_from_gate(gate, bit_rate, coded_bits)
     rows = []
     for k in range(n - 2, 0, -2):
         rows.append(_parity_point(config, rscodec.RsCode(n, k), lost))
@@ -451,7 +448,7 @@ def sweep_silent(config, mean_silent_us_values):
     rows = []
     for mean in mean_silent_us_values:
         scale = mean * (shape - 1.0) / shape
-        cfg = _replace(
+        cfg = replace(
             config,
             off_shape=shape,
             off_scale_min=scale,
@@ -473,9 +470,3 @@ def _sweep_row(parameter, rep):
         "fer_coded": rep.fer,
         "throughput": rep.throughput,
     }
-
-
-def _replace(config, **kw):
-    from dataclasses import replace
-
-    return replace(config, **kw)

@@ -25,8 +25,10 @@ DEFAULT_SAMPLES_PER_BIT = 8
 # OOK cannot tell a transmitted 0 from the off state; a below-floor run is
 # flagged erased only when longer than this many bit-times.
 DEFAULT_ERASE_MARGIN_BITS = 16
-DEFAULT_FLOOR_FRACTION = 0.5
-DEFAULT_CORR_THRESHOLD = 0.5
+# a bit statistic under this fraction of the decision threshold is below floor
+FLOOR_FRACTION = 0.5
+# minimum preamble correlation coefficient for a frame to be detected
+CORR_THRESHOLD = 0.5
 
 
 def _crc16_shift8(crc):
@@ -294,13 +296,7 @@ class DemodResult:
     power_threshold: float
 
 
-def demodulate(
-    stream,
-    samples_per_bit=None,
-    corr_threshold=DEFAULT_CORR_THRESHOLD,
-    floor_fraction=DEFAULT_FLOOR_FRACTION,
-    erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS,
-):
+def demodulate(stream, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     """Blind demodulation of one frame; returns None when no preamble is found.
 
     Per-sample power sqrt(I^2+Q^2) is matched-filtered by a one-bit moving
@@ -314,7 +310,7 @@ def demodulate(
     All thresholds are relative, so scaling the stream amplitude by any
     positive constant leaves every decision unchanged.
     """
-    spb = samples_per_bit or stream.samples_per_bit
+    spb = stream.samples_per_bit
     power = np.hypot(stream.i_samples, stream.q_samples)
     tpl = np.repeat(PREAMBLE_BITS.astype(float), spb)
     if power.size < tpl.size + spb:
@@ -323,7 +319,7 @@ def demodulate(
     if corr.size == 0:
         return None
     start = int(np.argmax(corr))
-    if corr[start] < corr_threshold:
+    if corr[start] < CORR_THRESHOLD:
         return None
     pre_stats = _bit_statistics(power, start, PREAMBLE_LEN, spb)
     ones = pre_stats[PREAMBLE_BITS == 1]
@@ -335,85 +331,8 @@ def demodulate(
     n_bits = (power.size - end) // spb
     stats = _bit_statistics(power, end, n_bits, spb)
     bits = scramble((stats >= threshold).astype(np.uint8))
-    below_floor = stats < floor_fraction * threshold
+    below_floor = stats < FLOOR_FRACTION * threshold
     erasures = flag_erasure_runs(below_floor, erase_margin_bits)
     return DemodResult(
         bits=bits, erasures=erasures, preamble_end=end, power_threshold=threshold
-    )
-
-
-def autodetect(stream, window, lag_bits=2, threshold=0.6, min_gap_bits=8):
-    """Candidate frame offsets from windowed autocorrelation of the
-    alternating preamble prefix (period two bit-times).
-
-    Returns the start of each maximal run of offsets whose lag-2-bit
-    autocorrelation coefficient exceeds the threshold; runs closer than
-    min_gap_bits bit-times are merged.
-    """
-    spb = stream.samples_per_bit
-    if window < spb:
-        raise ParameterError(f"window must be >= samples_per_bit, got {window}")
-    power = np.hypot(stream.i_samples, stream.q_samples)
-    lag = lag_bits * spb
-    n = power.size - lag - window + 1
-    if n <= 0:
-        return []
-    csum = np.concatenate([[0.0], np.cumsum(power)])
-    csum2 = np.concatenate([[0.0], np.cumsum(power**2)])
-    cross = np.concatenate([[0.0], np.cumsum(power[:-lag] * power[lag:])])
-
-    def wsum(c, i, w):
-        return c[i + w] - c[i]
-
-    idx = np.arange(n)
-    sa = wsum(csum, idx, window)
-    sb = wsum(csum, idx + lag, window)
-    qa = wsum(csum2, idx, window)
-    qb = wsum(csum2, idx + lag, window)
-    sab = cross[idx + window] - cross[idx]
-    cov = sab - sa * sb / window
-    var_a = np.maximum(qa - sa**2 / window, 0.0)
-    var_b = np.maximum(qb - sb**2 / window, 0.0)
-    denom = np.sqrt(var_a * var_b)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coef = np.where(denom > 0, cov / np.maximum(denom, 1e-300), 0.0)
-    above = coef > threshold
-    if not above.any():
-        return []
-    padded = np.concatenate([[False], above, [False]]).astype(np.int8)
-    d = np.diff(padded)
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    merged = [[int(starts[0]), int(ends[0])]]
-    for s, e in zip(starts[1:], ends[1:]):
-        if s - merged[-1][1] < min_gap_bits * spb:
-            merged[-1][1] = int(e)
-        else:
-            merged.append([int(s), int(e)])
-    return [s for s, _ in merged]
-
-
-def write_samples(stream, path):
-    """Binary little-endian float32 interleaved I/Q plus a sidecar header."""
-    inter = np.empty(2 * len(stream), dtype="<f4")
-    inter[0::2] = stream.i_samples
-    inter[1::2] = stream.q_samples
-    inter.tofile(path)
-    with open(str(path) + ".hdr", "w") as fh:
-        fh.write(f"sample_rate={stream.sample_rate!r}\n")
-        fh.write(f"samples_per_bit={stream.samples_per_bit}\n")
-
-
-def read_samples(path):
-    inter = np.fromfile(path, dtype="<f4").astype(float)
-    header = {}
-    with open(str(path) + ".hdr") as fh:
-        for line in fh:
-            key, _, value = line.strip().partition("=")
-            header[key] = value
-    return SampleStream(
-        i_samples=inter[0::2],
-        q_samples=inter[1::2],
-        sample_rate=float(header["sample_rate"]),
-        samples_per_bit=int(header["samples_per_bit"]),
     )

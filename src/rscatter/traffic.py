@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import (
     DegenerateTraceError,
-    EmptyTraceError,
     InfiniteMeanError,
     ParameterError,
     TraceParseError,
@@ -116,30 +115,6 @@ def log_likelihood(samples, p):
 def fit_stats(trace):
     """Fit both states of a trace; Eqs. for on and off are identical in form."""
     return TrafficStats(off=mle_fit(trace.off_durations), on=mle_fit(trace.on_durations))
-
-
-def measure_trace(power_samples, sample_rate, power_threshold):
-    """Run-length encode a thresholded power sequence into on/off durations.
-
-    Leading and trailing partial runs are discarded to avoid biasing short
-    durations.  Duration of a run = run_length / sample_rate * 1e6 us.
-    """
-    if sample_rate <= 0:
-        raise ParameterError(f"sample_rate must be positive, got {sample_rate}")
-    power = np.asarray(power_samples, dtype=float)
-    if power.size == 0:
-        raise EmptyTraceError("empty power sequence")
-    above = power > power_threshold
-    edges = np.flatnonzero(np.diff(above.astype(np.int8))) + 1
-    if edges.size == 0:
-        raise EmptyTraceError("no threshold crossings in power sequence")
-    # runs between the first and last crossing are complete
-    starts = edges[:-1]
-    ends = edges[1:]
-    lengths = ends - starts
-    states = above[starts]
-    us = lengths / sample_rate * 1e6
-    return DurationTrace(off_durations=us[~states], on_durations=us[states])
 
 
 def save_trace(trace, path):

@@ -134,13 +134,13 @@ def test_erasure_mask_from_gate_oracle():
     # on 3 us, off 2 us, on 5 us at 1 symbol/us: symbols 0-2 clean,
     # 3-4 erased, 5-9 clean (symbol 4 ends exactly at the off/on edge)
     mask = erasure_mask_from_gate(np.array([3.0, 2.0, 5.0]), 1e6, 10)
-    assert mask.erased.tolist() == [False, False, False, True, True, False, False, False, False, False]
+    assert mask.tolist() == [False, False, False, True, True, False, False, False, False, False]
 
 
 def test_erasure_mask_partial_overlap_counts_as_lost():
     # off run of 0.5 us inside symbol 1: the symbol is partially dark -> lost
     mask = erasure_mask_from_gate(np.array([1.25, 0.5, 10.0]), 1e6, 5)
-    assert mask.erased.tolist() == [False, True, False, False, False]
+    assert mask.tolist() == [False, True, False, False, False]
 
 
 def test_erasure_mask_requires_cover():
@@ -153,7 +153,7 @@ def test_erasure_mask_requires_cover():
 def test_markov_mask_statistics():
     ch = MarkovChannel(alpha=0.02, beta=0.2, rate=1e6)
     rng = np.random.default_rng(1)
-    erased = np.concatenate([erasure_mask_markov(rng, ch, 5000).erased for _ in range(40)])
+    erased = np.concatenate([erasure_mask_markov(rng, ch, 5000) for _ in range(40)])
     target = symbol_error_rate(ch)
     sd = np.sqrt(target * (1 - target) / erased.size)
     # correlated samples: allow a wide multiple of the i.i.d. deviation
@@ -163,7 +163,7 @@ def test_markov_mask_statistics():
 def test_markov_mask_degenerate_chains():
     rng = np.random.default_rng(2)
     always_on = MarkovChannel(alpha=0.0, beta=1.0, rate=1e6)
-    assert not erasure_mask_markov(rng, always_on, 500).erased.any()
+    assert not erasure_mask_markov(rng, always_on, 500).any()
     assert len(erasure_mask_markov(rng, always_on, 0)) == 0
 
 
@@ -179,7 +179,7 @@ def test_predicted_error_rate_matches_markov_mask_overflow():
     rng = np.random.default_rng(3)
     trials = 20_000
     hits = sum(
-        int(erasure_mask_markov(rng, ch, code.n).erased.sum() > code.t)
+        int(erasure_mask_markov(rng, ch, code.n).sum() > code.t)
         for _ in range(trials)
     )
     measured = hits / trials
@@ -188,7 +188,7 @@ def test_predicted_error_rate_matches_markov_mask_overflow():
 
     bursty = MarkovChannel(alpha=0.05, beta=0.45, rate=1e6)
     hits = sum(
-        int(erasure_mask_markov(rng, bursty, code.n).erased.sum() > code.t)
+        int(erasure_mask_markov(rng, bursty, code.n).sum() > code.t)
         for _ in range(trials)
     )
     same_ps_tail = post_decode_error_rate(code, symbol_error_rate(bursty))

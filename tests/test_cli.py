@@ -136,6 +136,14 @@ def test_simulate_missing_config_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_negative_values_exit_code(tmp_path, capsys):
+    scenario = "off_shape = 1.5\noff_scale_min = 2.0\non_shape = 2.0\non_scale_min = 50.0\n"
+    for line in ("seed = -1", "noise_sigma = -0.5", "erasure_margin_bits = -1"):
+        conf = _write_config(tmp_path, scenario + "code = 15,9\nframes = 2\n" + line + "\n")
+        assert cli.main(["simulate", "--config", str(conf)]) == cli.EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+
 def test_sweep_silent_csv(tmp_path, capsys):
     conf = _write_config(
         tmp_path,

@@ -311,44 +311,3 @@ def test_perceived_erasures_row_wise():
     flags = phy.perceived_erasures(bits, lost, 8)
     for r in range(5):
         assert (flags[r] == phy.perceived_erasures(bits[r], lost[r], 8)).all()
-
-
-def test_autodetect_finds_frame_start():
-    rng = np.random.default_rng(7)
-    bits = rng.integers(0, 2, 120, dtype=np.uint8)
-    stream = phy.modulate(bits)
-    spb = stream.samples_per_bit
-    lead = np.zeros(37 * spb)
-    padded = phy.SampleStream(
-        i_samples=np.concatenate([lead, stream.i_samples, np.zeros(10 * spb)]),
-        q_samples=np.zeros(lead.size + len(stream) + 10 * spb),
-        sample_rate=stream.sample_rate,
-        samples_per_bit=spb,
-    )
-    window = 8 * spb
-    hits = phy.autodetect(padded, window=window)
-    assert hits, "expected at least one candidate offset"
-    # the detector is a coarse gate for the correlator, accurate to about
-    # one analysis window
-    assert min(abs(h - lead.size) for h in hits) <= window
-
-
-def test_autodetect_silence_yields_nothing():
-    silent = phy.SampleStream(
-        i_samples=np.zeros(2000), q_samples=np.zeros(2000), sample_rate=8e6, samples_per_bit=8
-    )
-    assert phy.autodetect(silent, window=64) == []
-    with pytest.raises(ParameterError):
-        phy.autodetect(silent, window=4)
-
-
-def test_sample_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    stream = phy.modulate(rng.integers(0, 2, 50, dtype=np.uint8), 8, bit_rate=2.5e6)
-    path = tmp_path / "capture.iq"
-    phy.write_samples(stream, path)
-    back = phy.read_samples(path)
-    assert back.sample_rate == stream.sample_rate
-    assert back.samples_per_bit == stream.samples_per_bit
-    assert np.allclose(back.i_samples, stream.i_samples, atol=1e-6)
-    assert np.allclose(back.q_samples, stream.q_samples, atol=1e-6)

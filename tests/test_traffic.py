@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from rscatter.errors import (
     DegenerateTraceError,
-    EmptyTraceError,
     InfiniteMeanError,
     ParameterError,
     TraceParseError,
@@ -21,7 +20,6 @@ from rscatter.traffic import (
     fit_stats,
     load_trace,
     log_likelihood,
-    measure_trace,
     mle_fit,
     pareto_cdf,
     pareto_mean,
@@ -123,26 +121,6 @@ def test_mle_maximizes_likelihood(seed):
     for factor in (0.9, 1.1):
         worse = log_likelihood(x, ParetoParams(fit.shape * factor, fit.scale_min))
         assert best >= worse
-
-
-def test_measure_trace_square_wave():
-    # 3 samples on, 2 off, repeated; at 1 MHz each sample is 1 us
-    power = np.tile([1.0, 1.0, 1.0, 0.0, 0.0], 5)
-    trace = measure_trace(power, sample_rate=1e6, power_threshold=0.5)
-    assert np.allclose(trace.on_durations, 3.0)
-    assert np.allclose(trace.off_durations, 2.0)
-    # partial leading/trailing runs are dropped: 4 complete on runs survive
-    assert trace.on_durations.size == 4
-    assert trace.off_durations.size == 4
-
-
-def test_measure_trace_rejects_empty_and_flat():
-    with pytest.raises(EmptyTraceError):
-        measure_trace([], 1e6, 0.5)
-    with pytest.raises(EmptyTraceError):
-        measure_trace([1.0, 1.0, 1.0], 1e6, 0.5)
-    with pytest.raises(ParameterError):
-        measure_trace([1.0, 0.0], 0.0, 0.5)
 
 
 def test_trace_roundtrip(tmp_path):
