@@ -158,6 +158,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_gen_trace(args):
+    if args.seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {args.seed}")
     stats = _scenario_stats(args)
     rng = np.random.default_rng(args.seed)
     durations = channel.gate_durations(rng, stats, args.total_us)

@@ -22,6 +22,8 @@ PREAMBLE_LEN = PREAMBLE_BITS.size  # 36
 MIN_PAYLOAD = 3
 MAX_PAYLOAD = 108
 DEFAULT_SAMPLES_PER_BIT = 8
+# fewest samples per bit a stream may carry
+MIN_SAMPLES_PER_BIT = 4
 # OOK cannot tell a transmitted 0 from the off state; a below-floor run is
 # flagged erased only when longer than this many bit-times.
 DEFAULT_ERASE_MARGIN_BITS = 16
@@ -162,9 +164,10 @@ class SampleStream:
         self.q_samples = np.asarray(self.q_samples, dtype=float)
         if self.i_samples.size != self.q_samples.size:
             raise ParameterError("I and Q sample counts differ")
-        if self.samples_per_bit < 4:
+        if self.samples_per_bit < MIN_SAMPLES_PER_BIT:
             raise ParameterError(
-                f"samples_per_bit must be >= 4, got {self.samples_per_bit}"
+                f"samples_per_bit must be >= {MIN_SAMPLES_PER_BIT}, "
+                f"got {self.samples_per_bit}"
             )
 
     def __len__(self):
@@ -226,23 +229,44 @@ def _bit_statistics(power, start, count, spb):
     return seg.reshape(count, spb).mean(axis=1)
 
 
-def _normalized_corr(signal, template):
-    """Normalized cross-correlation (correlation coefficient per offset)."""
-    n = template.size
+def _preamble_corr(signal, spb):
+    """Correlation coefficient of the signal with the preamble template
+    (PREAMBLE_BITS held spb samples per bit) at every offset; 0 where the
+    signal window is constant, empty when the signal is shorter.
+
+    The template is constant over each bit, so its correlation with a
+    window is the sum of the one-bit window sums at the template's '1' bits
+    minus the template mean times the whole window's sum: box sums from one
+    cumulative sum instead of a correlation with the full template.
+    """
+    n = PREAMBLE_LEN * spb
     if signal.size < n:
         return np.empty(0)
-    tpl = template - template.mean()
-    tpl_norm = np.sqrt(np.sum(tpl**2))
-    num = np.correlate(signal, tpl, mode="valid")
-    csum = np.concatenate([[0.0], np.cumsum(signal)])
-    csum2 = np.concatenate([[0.0], np.cumsum(signal**2)])
+    mean = PREAMBLE_BITS.mean()
+    tpl_norm = np.sqrt(spb * np.sum((PREAMBLE_BITS - mean) ** 2))
+    count = signal.size - n + 1
+    # in-place arithmetic: fresh stream-sized temporaries cost more than
+    # the arithmetic on them
+    csum = np.zeros(signal.size + 1)
+    np.cumsum(signal, out=csum[1:])
+    bit_sum = csum[spb:] - csum[:-spb]
+    ones = np.flatnonzero(PREAMBLE_BITS) * spb
+    num = bit_sum[ones[0] : ones[0] + count].copy()
+    for o in ones[1:]:
+        num += bit_sum[o : o + count]
     win_sum = csum[n:] - csum[:-n]
-    win_sq = csum2[n:] - csum2[:-n]
-    var = np.maximum(win_sq - win_sum**2 / n, 0.0)
-    denom = np.sqrt(var) * tpl_norm
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(denom > 0, num / np.maximum(denom, 1e-300), 0.0)
-    return out
+    num -= mean * win_sum
+    # n times each window's variance (sum of squares minus squared sum / n),
+    # then the denominator
+    np.cumsum(np.square(signal), out=csum[1:])
+    denom = csum[n:] - csum[:-n]
+    win_sum *= win_sum
+    win_sum /= n
+    denom -= win_sum
+    np.maximum(denom, 0.0, out=denom)
+    np.sqrt(denom, out=denom)
+    denom *= tpl_norm
+    return np.divide(num, denom, out=np.zeros(count), where=denom > 0)
 
 
 def flag_erasure_runs(below_floor, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
@@ -312,12 +336,9 @@ def demodulate(stream, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     """
     spb = stream.samples_per_bit
     power = np.hypot(stream.i_samples, stream.q_samples)
-    tpl = np.repeat(PREAMBLE_BITS.astype(float), spb)
-    if power.size < tpl.size + spb:
+    if power.size < (PREAMBLE_LEN + 1) * spb:
         return None
-    corr = _normalized_corr(power, tpl)
-    if corr.size == 0:
-        return None
+    corr = _preamble_corr(power, spb)
     start = int(np.argmax(corr))
     if corr[start] < CORR_THRESHOLD:
         return None

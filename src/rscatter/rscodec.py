@@ -4,9 +4,11 @@ Codes are narrow-sense (parity-check roots alpha^1..alpha^(n-k)) over
 GF(2^m) with n = 2^m - 1, m in 3..7, and odd k so that n - k is even and
 t = (n - k) / 2 exactly.  Encoding is by generator-polynomial remainder,
 computed on the binary image of the code: the parity bits are the info bits
-times a fixed 0/1 matrix over GF(2).  Decoding is Berlekamp-Massey on
-Forney syndromes with erasure handling.  A decode failure is reported as
-None, never guessed.
+times a fixed 0/1 matrix over GF(2).  Decoding computes the syndromes on
+the binary image as well (the received bits times a fixed parity-check
+matrix), then runs Berlekamp-Massey on Forney syndromes with erasure
+handling, and a Chien search and Forney's formula on arrays.  A decode
+failure is reported as None, never guessed.
 """
 
 from functools import cached_property, lru_cache
@@ -55,6 +57,34 @@ class RsCode:
         return g
 
     @cached_property
+    def _tables(self):
+        """The field's log and doubled exp tables as numpy arrays, with the
+        log of zero pointing past the exp table into a block of zeros: the
+        product of any two symbols a, b is then expt[log[a] + log[b]]."""
+        log = np.array(self.field.log_table)
+        log[0] = 2 * self.n
+        expt = np.zeros(4 * self.n + 1, dtype=np.uint8)
+        expt[: 2 * self.n] = self.field.exp_table
+        return log, expt
+
+    @cached_property
+    def _bit_weights(self):
+        """Place values of a symbol's bits, MSB first."""
+        return 1 << np.arange(self.m - 1, -1, -1)
+
+    @cached_property
+    def _bit_table(self):
+        """Bits of every symbol value, MSB first: a (2^m, m) float32 matrix."""
+        values = np.arange(self.n + 1)[:, None]
+        return ((values >> np.arange(self.m - 1, -1, -1)) & 1).astype(np.float32)
+
+    @cached_property
+    def _inverse_locator_powers(self):
+        """Entry [j, i] is j * (i + 1) mod n, the log of X_i^-j for the
+        locator X_i = alpha^(n-1-i) of position i, for j = 0..n-k."""
+        return np.arange(self.n - self.k + 1)[:, None] * np.arange(1, self.n + 1) % self.n
+
+    @cached_property
     def binary_generator(self):
         """Parity part of the binary image, a (k*m, (n-k)*m) 0/1 float32 matrix.
 
@@ -65,12 +95,11 @@ class RsCode:
         x^(n-k) mod g = g(x) - x^(n-k).
         """
         m, d = self.m, self.n - self.k
-        log = np.asarray(self.field.log_table)
-        expt = np.asarray(self.field.exp_table, dtype=np.uint8)
+        log, expt = self._tables
         low = np.asarray(self._generator[1:])
         values = np.arange(1 << m)[:, None]
         # times_low[v] = v * (g(x) - x^(n-k)) for every symbol value v
-        times_low = np.where((values > 0) & (low > 0), expt[log[values] + log[low]], 0)
+        times_low = expt[log[values] + log[low]]
         # rem[i, b]: descending coefficients of 2^(m-1-b) x^(n-1-i) mod g
         rem = np.empty((self.k, m, d), dtype=np.uint8)
         rem[-1] = times_low[1 << np.arange(m - 1, -1, -1)]
@@ -80,6 +109,25 @@ class RsCode:
             rem[i] ^= times_low[rem[i + 1, :, 0]]
         bits = (rem[..., None] >> np.arange(m - 1, -1, -1, dtype=np.uint8)) & 1
         return bits.reshape(self.k * m, d * m).astype(np.float32)
+
+    @cached_property
+    def binary_parity_check(self):
+        """Binary image of the syndrome map, a (n*m, (n-k)*m) 0/1 float32 matrix.
+
+        Row j*m + b holds the bits of S_1..S_(n-k) of the word whose only
+        nonzero bit is bit b (MSB first) of symbol j.  That bit is the
+        element 2^(m-1-b) at x^(n-1-j), so it adds 2^(m-1-b) alpha^(i(n-1-j))
+        to S_i = r(alpha^i).  A word's syndrome bits are its bits times this
+        matrix mod 2, m bits (MSB first) per syndrome.
+        """
+        n, m, d = self.n, self.m, self.n - self.k
+        log, expt = self._tables
+        basis_log = log[1 << np.arange(m - 1, -1, -1)]
+        # powers[j, i-1] = i * (n-1-j), the exponent of alpha at x^(n-1-j) in S_i
+        powers = np.arange(n - 1, -1, -1)[:, None] * np.arange(1, d + 1)
+        values = expt[(basis_log[:, None] + powers[:, None, :]) % n]  # (n, m, d)
+        bits = (values[..., None] >> np.arange(m - 1, -1, -1, dtype=np.uint8)) & 1
+        return bits.reshape(n * m, d * m).astype(np.float32)
 
     @property
     def rate(self):
@@ -108,10 +156,13 @@ def encode(code, info):
     for s in info:
         if not (0 <= s < code.n + 1):
             raise ParameterError(f"symbol {s} out of range for GF(2^{code.m})")
-    shifts = np.arange(code.m - 1, -1, -1)
-    bits = (np.array(info, dtype=np.int64)[:, None] >> shifts) & 1
-    cw_bits = encode_bits(code, bits.reshape(1, -1))
-    return (cw_bits.reshape(code.n, code.m) @ (1 << shifts)).tolist()
+    cw_bits = encode_bits(code, code._bit_table[np.array(info, dtype=np.int64)].reshape(1, -1))
+    return _bit_symbols(code, cw_bits).tolist()
+
+
+def _bit_symbols(code, bits):
+    """Bits, m per symbol and MSB first, back to integer symbols."""
+    return bits.reshape(-1, code.m) @ code._bit_weights
 
 
 def encode_bits(code, info_bits):
@@ -134,16 +185,11 @@ def encode_bits(code, info_bits):
     return np.concatenate([info_bits, parity_bits], axis=1)
 
 
-def _syndromes(code, received):
-    gf = code.field
-    out = []
-    for i in range(1, code.n - code.k + 1):
-        root = gf.exp(i)
-        acc = 0
-        for sym in received:
-            acc = gf.mul(acc, root) ^ sym
-        out.append(acc)
-    return out
+def _syndrome_bits(code, word):
+    """Bits of S_1..S_(n-k) of an n-symbol int array, m per syndrome and
+    MSB first: the word's bits times the binary parity-check image, mod 2."""
+    # float32 sums are exact: each is at most n*m <= 889 < 2**24
+    return (code._bit_table[word].reshape(-1) @ code.binary_parity_check) % 2
 
 
 def _berlekamp_massey(gf, seq):
@@ -191,11 +237,15 @@ def _poly_mul_asc(gf, a, b):
     return out
 
 
-def _poly_eval_asc(gf, poly, x):
-    acc = 0
-    for c in reversed(poly):
-        acc = gf.mul(acc, x) ^ c
-    return acc
+def _eval_at_inverse_locators(code, polys):
+    """Ascending-coefficient polynomials of degree <= n-k at the inverse
+    locator of every position, all at once: row r of the result holds
+    polys[r] at positions 0..n-1."""
+    log, expt = code._tables
+    size = max(len(p) for p in polys)
+    coeffs = np.array([p + [0] * (size - len(p)) for p in polys])
+    powers = code._inverse_locator_powers[:size]
+    return np.bitwise_xor.reduce(expt[log[coeffs][:, :, None] + powers], axis=1)
 
 
 def decode(code, received, erasures=()):
@@ -218,23 +268,20 @@ def decode(code, received, erasures=()):
     if f > d:
         return None
 
-    synd = _syndromes(code, received)
-    if not any(synd):
+    word = np.array(received, dtype=np.int64)
+    synd_bits = _syndrome_bits(code, word)
+    if not synd_bits.any():
         return received[:code.k]
+    synd = _bit_symbols(code, synd_bits).astype(np.int64).tolist()
 
     # erasure locator Gamma(x) = prod (1 + X_i x), ascending coefficients
     gamma = [1]
     for pos in erasures:
         gamma = _poly_mul_asc(gf, gamma, [1, code._locator(pos)])
 
-    # Forney syndromes: remove the erasure contribution; the first d - f
-    # entries then obey the errors-only locator.
-    fsynd = list(synd)
-    for pos in erasures:
-        x = code._locator(pos)
-        for j in range(d - 1):
-            fsynd[j] = gf.mul(fsynd[j], x) ^ fsynd[j + 1]
-    err_seq = fsynd[: d - f]
+    # Forney syndromes: coefficients f..d-1 of Gamma(x) S(x) carry no
+    # erasure term and obey the errors-only locator
+    err_seq = _poly_mul_asc(gf, gamma, synd)[f:d]
 
     lam, _ = _berlekamp_massey(gf, err_seq)
     e = len(lam) - 1
@@ -242,28 +289,23 @@ def decode(code, received, erasures=()):
         return None
 
     psi = _poly_mul_asc(gf, lam, gamma)  # joint errata locator
-
-    # Chien search over all positions
-    roots = [
-        i for i in range(code.n)
-        if _poly_eval_asc(gf, psi, gf.inv(code._locator(i))) == 0
-    ]
-    if len(roots) != len(psi) - 1:
-        return None
-
-    # Forney magnitudes: Omega = S(x) * Psi(x) mod x^d
+    # Forney's evaluator Omega = S(x) Psi(x) mod x^d, and the formal
+    # derivative of Psi, which keeps its odd terms only
     omega = _poly_mul_asc(gf, synd, psi)[:d]
-    corrected = list(received)
-    for i in roots:
-        x_inv = gf.inv(code._locator(i))
-        num = _poly_eval_asc(gf, omega, x_inv)
-        den = 0
-        for j in range(1, len(psi), 2):  # formal derivative, odd terms only
-            den ^= gf.mul(psi[j], gf.pow(x_inv, j - 1))
-        if den == 0:
-            return None
-        corrected[i] ^= gf.div(num, den)
+    deriv = [c if j % 2 else 0 for j, c in enumerate(psi)][1:]
 
-    if any(_syndromes(code, corrected)):
+    # Chien search for the roots of Psi, then the Forney magnitudes
+    # Omega(X^-1) / Psi'(X^-1) at them
+    values = _eval_at_inverse_locators(code, [psi, omega, deriv])
+    roots = np.flatnonzero(values[0] == 0)
+    if roots.size != len(psi) - 1:
         return None
-    return corrected[:code.k]
+    num, den = values[1:, roots]
+    if not den.all():
+        return None
+    log, expt = code._tables
+    word[roots] ^= expt[log[num] + code.n - log[den]]
+
+    if _syndrome_bits(code, word).any():
+        return None
+    return word[:code.k].tolist()

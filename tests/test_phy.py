@@ -231,6 +231,56 @@ def test_demodulate_returns_none_without_preamble():
     assert phy.demodulate(tiny) is None
 
 
+def _reference_preamble_corr(signal, spb):
+    """Correlation coefficient of every signal window with the preamble
+    template, from a full-length correlation and two-pass window variances."""
+    template = np.repeat(phy.PREAMBLE_BITS.astype(float), spb)
+    if signal.size < template.size:
+        return np.empty(0)
+    centered = template - template.mean()
+    num = np.correlate(signal, centered, mode="valid")
+    windows = np.lib.stride_tricks.sliding_window_view(signal, template.size)
+    denom = np.sqrt(windows.var(axis=1) * template.size * np.sum(centered**2))
+    return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0)
+
+
+@given(
+    st.integers(phy.MIN_SAMPLES_PER_BIT, 16),
+    st.lists(st.integers(0, 1), max_size=60),
+    st.integers(-40, 40),
+    st.floats(0.01, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_preamble_corr_matches_full_correlation(spb, bits, lead, sigma, seed):
+    # a noisy OOK stream, behind `lead` samples of silence or, for a negative
+    # lead, with its first -lead samples cut (short streams included)
+    rng = np.random.default_rng(seed)
+    clean = phy.modulate(np.array(bits, dtype=np.uint8), spb).i_samples
+    clean = np.concatenate([np.zeros(max(lead, 0)), clean[max(-lead, 0) :]])
+    signal = clean + rng.normal(0.0, sigma, clean.size)
+    got = phy._preamble_corr(signal, spb)
+    expected = _reference_preamble_corr(signal, spb)
+    assert got.shape == expected.shape
+    if expected.size:
+        assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
+        assert np.argmax(got) == np.argmax(expected)
+
+
+def test_preamble_corr_constant_and_short_streams():
+    for spb in (phy.MIN_SAMPLES_PER_BIT, 8, 16):
+        n = phy.PREAMBLE_LEN * spb
+        # levels exact in binary keep the window sums exact, so every
+        # window's variance is exactly 0 and so is its coefficient
+        for level in (0.0, 0.25, 1.0):
+            assert (phy._preamble_corr(np.full(n + 50, level), spb) == 0).all()
+        assert phy._preamble_corr(np.ones(n - 1), spb).size == 0
+        template = np.repeat(phy.PREAMBLE_BITS.astype(float), spb)
+        corr = phy._preamble_corr(np.concatenate([np.zeros(7), template, np.zeros(9)]), spb)
+        assert corr.size == 17
+        assert np.argmax(corr) == 7 and corr[7] == pytest.approx(1.0)
+
+
 def test_erasure_run_flagging_margin():
     below = np.zeros(100, dtype=bool)
     below[10:27] = True  # 17-bit run: flagged at the default margin of 16

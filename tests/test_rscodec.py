@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from rscatter.errors import ParameterError
-from rscatter.rscodec import ADMISSIBLE_N, RsCode, decode, encode, encode_bits
+from rscatter.rscodec import (
+    ADMISSIBLE_N, RsCode, _bit_symbols, _syndrome_bits, decode, encode, encode_bits,
+)
 
 
 def _random_info(rng, code):
@@ -114,6 +116,35 @@ def test_encode_bits_validates_shape_and_range():
     with pytest.raises(ParameterError):
         encode_bits(code, np.full((2, 9), -1))
     assert encode_bits(code, np.zeros((0, 9), dtype=np.uint8)).shape == (0, 21)
+
+
+def _horner_syndromes(code, word):
+    """S_i = r(alpha^i) for i = 1..n-k by Horner's rule; word[0] is the
+    coefficient of x^(n-1)."""
+    gf = code.field
+    out = []
+    for i in range(1, code.n - code.k + 1):
+        acc = 0
+        for sym in word:
+            acc = gf.mul(acc, gf.exp(i)) ^ sym
+        out.append(acc)
+    return out
+
+
+def test_binary_syndromes_match_horner_reference():
+    rng = np.random.default_rng(23)
+    for n in ADMISSIBLE_N:
+        for k in (1, n // 2 | 1, n - 2):
+            code = RsCode(n, k)
+            assert code.binary_parity_check.shape == (n * code.m, (n - k) * code.m)
+            words = [np.zeros(n, dtype=np.int64), np.full(n, n)]
+            words += [rng.integers(0, n + 1, size=n) for _ in range(4)]
+            for word in words:
+                synd = _bit_symbols(code, _syndrome_bits(code, word))
+                assert synd.tolist() == _horner_syndromes(code, word.tolist())
+            for _ in range(3):
+                cw = np.array(encode(code, _random_info(rng, code)))
+                assert not _syndrome_bits(code, cw).any()
 
 
 def test_decode_clean_word_roundtrip():
