@@ -200,15 +200,19 @@ def apply_channel(stream, gate_durations_us, noise_sigma, rng, amplitude=1.0):
     """
     n = len(stream)
     durations = np.asarray(gate_durations_us, dtype=float)
+    if (durations < 0).any():
+        raise ParameterError("gate durations must be >= 0")
     total = float(durations.sum()) if durations.size else 0.0
     t_us = np.arange(n) / stream.sample_rate * 1e6
     if n and t_us[-1] >= total:
         raise ParameterError(
             f"gate ({total:.1f} us) shorter than stream ({t_us[-1]:.1f} us)"
         )
-    bounds = np.cumsum(durations)
-    run_idx = np.searchsorted(bounds, t_us, side="right")
-    keep = (run_idx % 2 == 0).astype(float)
+    # a sample lies in run r when r run ends fall at or before its instant;
+    # the odd runs are off
+    edges = np.searchsorted(t_us, np.cumsum(durations), side="left")
+    run_samples = np.diff(edges, prepend=0, append=n)
+    keep = np.repeat(np.arange(run_samples.size) % 2 == 0, run_samples).astype(float)
     i = stream.i_samples * keep * amplitude
     q = stream.q_samples * keep * amplitude
     if noise_sigma > 0:

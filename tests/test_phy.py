@@ -165,6 +165,27 @@ def test_apply_channel_requires_cover():
     stream = phy.modulate(np.ones(10, dtype=np.uint8), 8)
     with pytest.raises(ParameterError):
         phy.apply_channel(stream, np.array([3.0]), 0.0, np.random.default_rng(0))
+    with pytest.raises(ParameterError):
+        phy.apply_channel(stream, np.array([5.0, -1.0, 100.0]), 0.0, np.random.default_rng(0))
+
+
+@given(
+    st.integers(phy.MIN_SAMPLES_PER_BIT, 16),
+    st.lists(st.integers(0, 12), min_size=1, max_size=12),
+    st.floats(0.1, 3.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_apply_channel_matches_per_sample_run_search(spb, runs_bits, scale):
+    # runs of whole bit-times (so run ends fall exactly on sample instants,
+    # zero-length runs included) and of fractional ones
+    stream = phy.modulate(np.ones(40, dtype=np.uint8), spb, bit_rate=1e6)
+    for durations in (np.array(runs_bits, dtype=float), np.array(runs_bits) * scale):
+        durations = np.append(durations, len(stream) / spb + 1.0)
+        gated = phy.apply_channel(stream, durations, 0.0, None)
+        t_us = np.arange(len(stream)) / stream.sample_rate * 1e6
+        run_idx = np.searchsorted(np.cumsum(durations), t_us, side="right")
+        expected = stream.i_samples * (run_idx % 2 == 0)
+        assert gated.i_samples.tobytes() == expected.tobytes()
 
 
 def test_demodulate_clean_roundtrip():
