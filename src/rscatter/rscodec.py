@@ -262,6 +262,8 @@ def decode(code, received, erasures=()):
     erasures = sorted(set(int(p) for p in erasures))
     if erasures and (erasures[0] < 0 or erasures[-1] >= code.n):
         raise ParameterError("erasure position out of range")
+    if min(received) < 0 or max(received) > code.n:
+        raise ParameterError(f"received symbols must be in 0..{code.n}")
     gf = code.field
     d = code.n - code.k
     f = len(erasures)

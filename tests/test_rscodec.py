@@ -263,3 +263,6 @@ def test_decode_validates_inputs():
         decode(code, [0] * 6)
     with pytest.raises(ParameterError):
         decode(code, [0] * 7, [7])
+    for bad in (8, -1):
+        with pytest.raises(ParameterError):
+            decode(code, [0] * 6 + [bad])
