@@ -16,6 +16,10 @@ import numpy as np
 from .errors import InfeasibleError, ParameterError
 from .traffic import pareto_mean, pareto_sample
 
+# Most on/off runs one gate may hold: the draw loop reaches it in about 1.5 s
+# on a 2-core Xeon, and a 100 us gate at 1e-4 us scales needs about half.
+MAX_GATE_RUNS = 1_000_000
+
 
 @dataclass(frozen=True)
 class MarkovChannel:
@@ -115,7 +119,8 @@ def gate_durations(rng, stats, total_us):
     """Alternating on/off durations covering total_us, starting in on.
 
     Each duration is drawn i.i.d. from its Pareto law; only the last run
-    overshoots the requested horizon.
+    overshoots the requested horizon.  A gate that needs more than
+    MAX_GATE_RUNS runs raises ParameterError.
     """
     if total_us <= 0:
         return np.empty(0)
@@ -123,6 +128,11 @@ def gate_durations(rng, stats, total_us):
     covered = 0.0
     state_on = True
     while covered < total_us:
+        if len(out) == MAX_GATE_RUNS:
+            raise ParameterError(
+                f"a {total_us:g} us gate needs more than {MAX_GATE_RUNS} on/off "
+                "runs at these run scales"
+            )
         p = stats.on if state_on else stats.off
         d = float(pareto_sample(rng, p))
         out.append(d)

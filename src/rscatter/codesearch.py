@@ -30,14 +30,15 @@ class SearchOutcome:
     feasible_alternatives: list = field(default_factory=list)
 
 
-def _check_threshold(pe_threshold):
+def check_threshold(pe_threshold):
+    """Reject a block error threshold outside (0, 1)."""
     if not (0.0 < pe_threshold < 1.0):
         raise ParameterError(f"pe_threshold must be in (0, 1), got {pe_threshold}")
 
 
 def optimize_for_ps(p_s, pe_threshold=DEFAULT_PE_THRESHOLD):
     """Run the heuristic search for a given raw symbol error rate."""
-    _check_threshold(pe_threshold)
+    check_threshold(pe_threshold)
     if not (0.0 <= p_s <= 1.0):
         raise ParameterError(f"p_s must be in [0, 1], got {p_s}")
     winners = []
@@ -85,7 +86,7 @@ def brute_force_search(p_s, pe_threshold=DEFAULT_PE_THRESHOLD):
     Reference implementation for cross-checking the heuristic search; the
     tie-break (larger n on equal rate) is identical.
     """
-    _check_threshold(pe_threshold)
+    check_threshold(pe_threshold)
     best = None
     best_pe_seen = None
     feasible = []

@@ -6,15 +6,18 @@ transmitted at m bits per channel symbol and R symbols/second over a
 Pareto on/off gate that starts in the on state at the first preamble bit.
 
 The gate is applied at bit resolution: a bit whose window overlaps an off
-run counts as lost (a partially-lost symbol is a lost symbol).  Whether
-the receiver can treat lost bits as erasures follows the blind-receiver
-rule in phy.perceived_erasures, and a codeword is counted as delivered
-only when its erased symbols stay within the advertised correction
-capability t -- the same capability the code selection is based on.  At
-zero noise the sample-level pipeline reproduces the symbol-level frame
-outcomes exactly when every off run is longer than erasure_margin_bits
-bit-times.  A shorter off run is not flagged, and a lost bit in it whose
-line bit was 1 is a symbol error that only the sample-level decoder sees.
+run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
+read the same lost-bit mask, preamble included: symbol mode evaluates it
+directly, and sample mode zeroes every sample of a lost bit before noise
+and demodulation.  Whether the receiver can treat lost bits as erasures
+follows the blind-receiver rule in phy.perceived_erasures, and a codeword
+is counted as delivered only when its erased symbols stay within the
+advertised correction capability t -- the same capability the code
+selection is based on.  At zero noise the sample-level pipeline
+reproduces the symbol-level frame outcomes exactly when every off run is
+longer than erasure_margin_bits bit-times.  A shorter off run is not
+flagged, and a lost bit in it whose line bit was 1 is a symbol error that
+only the sample-level decoder sees.
 """
 
 import math
@@ -65,8 +68,11 @@ class ExperimentConfig:
             )
         if self.mode not in ("symbol", "sample"):
             raise ParameterError(f"mode must be 'symbol' or 'sample', got {self.mode!r}")
-        if self.noise_sigma < 0:
-            raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ParameterError(f"rate must be finite and > 0, got {self.rate}")
+        codesearch.check_threshold(self.pe_threshold)
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ParameterError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_bit < phy.MIN_SAMPLES_PER_BIT:
@@ -139,7 +145,6 @@ def _frame_plan(config, code):
         "n_codewords": n_codewords,
         "coded_bits_n": coded_bits_n,
         "bit_rate": bit_rate,
-        "bit_us": bit_us,
         "coded_air_us": coded_air_us,
         "baseline_air_us": baseline_air_us,
         # each frame's gate covers both transmissions; the lost-bit mask
@@ -271,37 +276,20 @@ def run_sample_level(config):
     outcomes = np.empty((4, config.frames), dtype=np.int64)
     for fi in range(config.frames):
         payload, frame_bits, lost_all = _draw_frame(rng, config, stats, plan)
-        # re-express the lost bits as a bit-aligned gate so waveform gating
-        # and the symbol-level mask agree exactly
-        bit_gate = _bit_aligned_gate(lost_all, plan["bit_us"])
         # the baseline frame draws its noise before the coded frame
-        outcomes[:2, fi] = _sample_frame_baseline(
-            config, plan, frame_bits, payload, bit_gate, rng
-        )
+        outcomes[:2, fi] = _sample_frame_baseline(config, frame_bits, payload, lost_all, rng)
         outcomes[2:, fi] = _sample_frame_coded(
-            config, code, plan, frame_bits, payload, bit_gate, rng
+            config, code, plan, frame_bits, payload, lost_all, rng
         )
     return _report(config, code, p_s, predicted_pe, plan, outcomes)
 
 
-def _bit_aligned_gate(lost_bits, bit_us):
-    """Alternating on/off durations (us) reproducing a lost-bit mask, with a
-    trailing on run so streams never outrun the gate.  A mask that starts
-    lost begins with a zero-length on run."""
-    changes = np.flatnonzero(np.diff(lost_bits, prepend=False))
-    runs = np.diff(np.concatenate([[0], changes, [len(lost_bits)]])) * bit_us
-    if runs.size % 2:  # the last run is on
-        runs[-1] += 4 * bit_us
-        return runs
-    return np.append(runs, 4 * bit_us)
-
-
-def _receive(config, plan, tx_bits, gate, rng):
-    """Modulate tx_bits, gate them and add noise, and demodulate: returns
-    the received bits and erasure flags of tx_bits, or None when the
-    preamble is lost or the stream ends early."""
-    stream = phy.modulate(tx_bits, config.samples_per_bit, bit_rate=plan["bit_rate"])
-    rx = phy.apply_channel(stream, gate, config.noise_sigma, rng)
+def _receive(config, tx_bits, lost_bits, rng):
+    """Modulate tx_bits, gate them by the lost-bit mask (preamble first) and
+    add noise, and demodulate: returns the received bits and erasure flags
+    of tx_bits, or None when the preamble is lost or the stream ends early."""
+    stream = phy.modulate(tx_bits, config.samples_per_bit)
+    rx = phy.apply_channel(stream, lost_bits, config.noise_sigma, rng)
     demod = phy.demodulate(rx, config.erasure_margin_bits)
     if demod is None or demod.bits.size < tx_bits.size:
         return None
@@ -316,17 +304,17 @@ def _delivers(frame_bits, payload):
         return False
 
 
-def _sample_frame_baseline(config, plan, frame_bits, payload, gate, rng):
-    received = _receive(config, plan, frame_bits, gate, rng)
+def _sample_frame_baseline(config, frame_bits, payload, lost_bits, rng):
+    received = _receive(config, frame_bits, lost_bits, rng)
     if received is None:
         return 1, frame_bits.size
     bits, _ = received
     return int(not _delivers(bits, payload)), int(np.sum(bits != frame_bits))
 
 
-def _sample_frame_coded(config, code, plan, frame_bits, payload, gate, rng):
+def _sample_frame_coded(config, code, plan, frame_bits, payload, lost_bits, rng):
     m = plan["m"]
-    received = _receive(config, plan, _encode_frames(code, plan, frame_bits), gate, rng)
+    received = _receive(config, _encode_frames(code, plan, frame_bits), lost_bits, rng)
     if received is None:
         return 1, frame_bits.size
     bits, flags = received

@@ -2,9 +2,9 @@
 
 Framing (length byte, 3..108 byte payload, CRC-16), bit/symbol packing,
 unipolar NRZ/OOK sample generation behind a fixed 36-bit preamble, sample
-gating plus additive noise, and blind demodulation: matched filter,
-preamble cross-correlation timing, adaptive power threshold, and erasure
-flagging of long zero-power runs.
+gating by a lost-bit mask plus additive noise, and blind demodulation:
+matched filter, preamble cross-correlation timing, adaptive power
+threshold, and erasure flagging of long zero-power runs.
 """
 
 import struct
@@ -152,11 +152,10 @@ def symbols_to_bits(symbols, m):
 
 @dataclass
 class SampleStream:
-    """Baseband I/Q sample sequences at a known sample rate."""
+    """Baseband I/Q sample sequences, samples_per_bit samples per bit."""
 
     i_samples: np.ndarray
     q_samples: np.ndarray
-    sample_rate: float
     samples_per_bit: int
 
     def __post_init__(self):
@@ -174,7 +173,7 @@ class SampleStream:
         return self.i_samples.size
 
 
-def modulate(bits, samples_per_bit=DEFAULT_SAMPLES_PER_BIT, bit_rate=1e6):
+def modulate(bits, samples_per_bit=DEFAULT_SAMPLES_PER_BIT):
     """OOK/NRZ sample generation: preamble || bits, one amplitude level held
     for samples_per_bit samples per bit (1 -> unit amplitude, 0 -> zero).
 
@@ -185,45 +184,31 @@ def modulate(bits, samples_per_bit=DEFAULT_SAMPLES_PER_BIT, bit_rate=1e6):
     levels = np.concatenate([PREAMBLE_BITS, scramble(bits)]).astype(float)
     i = np.repeat(levels, samples_per_bit)
     return SampleStream(
-        i_samples=i,
-        q_samples=np.zeros_like(i),
-        sample_rate=bit_rate * samples_per_bit,
-        samples_per_bit=samples_per_bit,
+        i_samples=i, q_samples=np.zeros_like(i), samples_per_bit=samples_per_bit
     )
 
 
-def apply_channel(stream, gate_durations_us, noise_sigma, rng, amplitude=1.0):
-    """Gate the stream by the on/off durations and add Gaussian I/Q noise.
+def apply_channel(stream, lost_bits, noise_sigma, rng):
+    """Gate the stream by a lost-bit mask and add Gaussian I/Q noise.
 
-    Samples whose instants fall inside off runs are scaled to zero; the
-    gate starts in the on state at the first sample.
+    lost_bits holds one flag per stream bit, preamble included (entries past
+    the stream are ignored); every sample of a lost bit is scaled to zero.
     """
     n = len(stream)
-    durations = np.asarray(gate_durations_us, dtype=float)
-    if (durations < 0).any():
-        raise ParameterError("gate durations must be >= 0")
-    total = float(durations.sum()) if durations.size else 0.0
-    t_us = np.arange(n) / stream.sample_rate * 1e6
-    if n and t_us[-1] >= total:
+    spb = stream.samples_per_bit
+    n_bits = -(-n // spb)
+    lost_bits = np.asarray(lost_bits, dtype=bool)
+    if lost_bits.size < n_bits:
         raise ParameterError(
-            f"gate ({total:.1f} us) shorter than stream ({t_us[-1]:.1f} us)"
+            f"lost-bit mask ({lost_bits.size} bits) shorter than stream ({n_bits} bits)"
         )
-    # a sample lies in run r when r run ends fall at or before its instant;
-    # the odd runs are off
-    edges = np.searchsorted(t_us, np.cumsum(durations), side="left")
-    run_samples = np.diff(edges, prepend=0, append=n)
-    keep = np.repeat(np.arange(run_samples.size) % 2 == 0, run_samples).astype(float)
-    i = stream.i_samples * keep * amplitude
-    q = stream.q_samples * keep * amplitude
+    keep = np.repeat(~lost_bits[:n_bits], spb)[:n]
+    i = stream.i_samples * keep
+    q = stream.q_samples * keep
     if noise_sigma > 0:
         i = i + rng.normal(0.0, noise_sigma, n)
         q = q + rng.normal(0.0, noise_sigma, n)
-    return SampleStream(
-        i_samples=i,
-        q_samples=q,
-        sample_rate=stream.sample_rate,
-        samples_per_bit=stream.samples_per_bit,
-    )
+    return SampleStream(i_samples=i, q_samples=q, samples_per_bit=spb)
 
 
 def _bit_statistics(power, start, count, spb):

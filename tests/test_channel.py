@@ -130,6 +130,19 @@ def test_gate_durations_cover_horizon():
     assert gate_durations(rng, stats, 0.0).size == 0
 
 
+def test_gate_durations_caps_run_count(monkeypatch):
+    from rscatter import channel
+
+    stats = _stats(1.5, 2.0, 1.5, 20.0)
+    full = gate_durations(np.random.default_rng(1), stats, 500.0)
+    # a gate of exactly the cap is drawn unchanged; one run more raises
+    monkeypatch.setattr(channel, "MAX_GATE_RUNS", full.size)
+    assert np.array_equal(gate_durations(np.random.default_rng(1), stats, 500.0), full)
+    monkeypatch.setattr(channel, "MAX_GATE_RUNS", full.size - 1)
+    with pytest.raises(ParameterError):
+        gate_durations(np.random.default_rng(1), stats, 500.0)
+
+
 def test_erasure_mask_from_gate_oracle():
     # on 3 us, off 2 us, on 5 us at 1 symbol/us: symbols 0-2 clean,
     # 3-4 erased, 5-9 clean (symbol 4 ends exactly at the off/on edge)

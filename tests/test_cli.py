@@ -138,7 +138,8 @@ def test_simulate_missing_config_exit_code(tmp_path, capsys):
 
 def test_simulate_negative_values_exit_code(tmp_path, capsys):
     scenario = "off_shape = 1.5\noff_scale_min = 2.0\non_shape = 2.0\non_scale_min = 50.0\n"
-    for line in ("seed = -1", "noise_sigma = -0.5", "erasure_margin_bits = -1",
+    for line in ("seed = -1", "noise_sigma = -0.5", "noise_sigma = nan",
+                 "erasure_margin_bits = -1", "rate = 0", "rate = inf", "pe_threshold = 2",
                  "samples_per_bit = 3", "samples_per_bit = 3\nmode = sample"):
         conf = _write_config(tmp_path, scenario + "code = 15,9\nframes = 2\n" + line + "\n")
         assert cli.main(["simulate", "--config", str(conf)]) == cli.EXIT_CONFIG
@@ -152,6 +153,20 @@ def test_gen_trace_negative_seed_exit_code(tmp_path, capsys):
         "--off-shape", "2.5", "--off-scale-min", "4.0",
         "--on-shape", "2.0", "--on-scale-min", "100.0",
         "--total-us", "100", "--seed", "-1", "-o", str(out),
+    ])
+    assert rc == cli.EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_trace_run_cap_exit_code(tmp_path, capsys):
+    # sub-picosecond runs would need ~1e11 of them to cover 100 us
+    out = tmp_path / "synthetic.csv"
+    rc = cli.main([
+        "gen-trace",
+        "--off-shape", "2.5", "--off-scale-min", "1e-9",
+        "--on-shape", "2.0", "--on-scale-min", "1e-9",
+        "--total-us", "100", "-o", str(out),
     ])
     assert rc == cli.EXIT_CONFIG
     assert "error:" in capsys.readouterr().err

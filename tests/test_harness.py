@@ -34,8 +34,17 @@ def test_config_validation():
         _config(payload_bytes=109)
     with pytest.raises(ParameterError):
         _config(mode="fast")
-    with pytest.raises(ParameterError):
-        _config(noise_sigma=-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            _config(noise_sigma=bad)
+    for bad in (0.0, -1e6, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            _config(rate=bad)
+    # the threshold is checked whether the code is given or searched for
+    for code in ((15, 9), None):
+        for bad in (0.0, 1.0, 2.0, float("nan")):
+            with pytest.raises(ParameterError):
+                _config(code=code, pe_threshold=bad)
     with pytest.raises(ParameterError):
         _config(seed=-1)
     with pytest.raises(ParameterError):
@@ -76,44 +85,6 @@ def test_pad_symbols_alternate():
     assert harness._pad_symbol(3) == 0b101
 
 
-def _bit_aligned_gate_reference(lost_bits, bit_us):
-    """Run-by-run loop the harness's gate builder must match exactly."""
-    runs = []
-    state_on = True
-    count = 0
-    for lost in lost_bits:
-        on = not lost
-        if on == state_on:
-            count += 1
-        else:
-            runs.append(count * bit_us)
-            state_on = on
-            count = 1
-    runs.append(count * bit_us)
-    if state_on:
-        runs[-1] += 4 * bit_us
-    else:
-        runs.append(4 * bit_us)
-    return np.array(runs)
-
-
-def test_bit_aligned_gate_reproduces_mask():
-    from rscatter import channel
-
-    rng = np.random.default_rng(0)
-    masks = [rng.random(200) < 0.3 for _ in range(20)]
-    starts_lost = rng.random(200) < 0.3
-    starts_lost[:3] = True
-    masks += [starts_lost, np.ones(200, dtype=bool), np.zeros(200, dtype=bool)]
-    for lost in masks:
-        gate = harness._bit_aligned_gate(lost, bit_us=0.5)
-        mask = channel.erasure_mask_from_gate(gate, 2e6, 200)
-        assert (mask == lost).all()
-        for bit_us in (0.5, 1 / 6, 1 / 7):
-            got = harness._bit_aligned_gate(lost, bit_us)
-            assert np.array_equal(got, _bit_aligned_gate_reference(lost, bit_us))
-
-
 def test_symbol_level_report_fields():
     rep = harness.run(_config(mode="symbol"))
     assert rep.frames == 40
@@ -127,16 +98,23 @@ def test_symbol_level_report_fields():
 
 
 def test_modes_agree_frame_by_frame_without_noise():
-    cfg_sym = _config(mode="symbol", frames=30, code=(63, 45), payload_bytes=32,
-                      off_shape=1.1, off_scale_min=3.0, on_shape=1.2, on_scale_min=60.0,
-                      erasure_margin_bits=8)
-    cfg_samp = dataclasses.replace(cfg_sym, mode="sample")
-    rs = harness.run(cfg_sym)
-    rp = harness.run(cfg_samp)
-    assert [f["coded_error"] for f in rs.frame_log] == [f["coded_error"] for f in rp.frame_log]
-    assert [f["baseline_error"] for f in rs.frame_log] == [f["baseline_error"] for f in rp.frame_log]
-    assert rs.fer == rp.fer
-    assert rs.fer_baseline == rp.fer_baseline
+    for cfg_sym in (
+        _config(mode="symbol", frames=30, code=(63, 45), payload_bytes=32,
+                off_shape=1.1, off_scale_min=3.0, on_shape=1.2, on_scale_min=60.0,
+                erasure_margin_bits=8),
+        # spb 4 and short off runs: in frame 15 an off run starts right at
+        # the first sample of a bit, which must gate that whole bit
+        _config(mode="symbol", frames=40, code=(15, 9), payload_bytes=32, seed=14,
+                off_shape=1.5, off_scale_min=2.0, on_shape=1.2, on_scale_min=60.0,
+                samples_per_bit=4, erasure_margin_bits=8),
+    ):
+        cfg_samp = dataclasses.replace(cfg_sym, mode="sample")
+        rs = harness.run(cfg_sym)
+        rp = harness.run(cfg_samp)
+        assert [f["coded_error"] for f in rs.frame_log] == [f["coded_error"] for f in rp.frame_log]
+        assert [f["baseline_error"] for f in rs.frame_log] == [f["baseline_error"] for f in rp.frame_log]
+        assert rs.fer == rp.fer
+        assert rs.fer_baseline == rp.fer_baseline
 
 
 def test_same_seed_same_report():

@@ -131,9 +131,8 @@ def test_scrambler_properties():
 def test_modulate_levels_and_timing():
     bits = np.array([1, 0, 1], dtype=np.uint8)
     spb = 8
-    stream = phy.modulate(bits, spb, bit_rate=2e6)
+    stream = phy.modulate(bits, spb)
     assert len(stream) == (phy.PREAMBLE_LEN + 3) * spb
-    assert stream.sample_rate == 2e6 * spb
     levels = stream.i_samples.reshape(-1, spb)
     assert np.all(levels == levels[:, :1])  # constant within each bit
     assert set(np.unique(stream.i_samples)) <= {0.0, 1.0}
@@ -148,12 +147,17 @@ def test_samples_per_bit_floor():
         phy.modulate([1, 0], samples_per_bit=3)
 
 
+def _no_loss(stream):
+    return np.zeros(len(stream) // stream.samples_per_bit, dtype=bool)
+
+
 def test_apply_channel_gates_samples():
-    stream = phy.modulate(np.ones(10, dtype=np.uint8), 8, bit_rate=1e6)
+    stream = phy.modulate(np.ones(10, dtype=np.uint8), 8)
     rng = np.random.default_rng(0)
-    # off run covering bits 2..3 of the data section (after the preamble)
-    on_us = phy.PREAMBLE_LEN + 2.0
-    gated = phy.apply_channel(stream, np.array([on_us, 2.0, 1000.0]), 0.0, rng)
+    # lost bits 2..3 of the data section (after the preamble)
+    lost = _no_loss(stream)
+    lost[phy.PREAMBLE_LEN + 2 : phy.PREAMBLE_LEN + 4] = True
+    gated = phy.apply_channel(stream, lost, 0.0, rng)
     data = gated.i_samples[phy.PREAMBLE_LEN * 8 :].reshape(10, 8)
     assert not data[2].any() and not data[3].any()
     line = phy.scramble(np.ones(10, dtype=np.uint8))
@@ -163,36 +167,39 @@ def test_apply_channel_gates_samples():
 
 def test_apply_channel_requires_cover():
     stream = phy.modulate(np.ones(10, dtype=np.uint8), 8)
+    lost = _no_loss(stream)
     with pytest.raises(ParameterError):
-        phy.apply_channel(stream, np.array([3.0]), 0.0, np.random.default_rng(0))
-    with pytest.raises(ParameterError):
-        phy.apply_channel(stream, np.array([5.0, -1.0, 100.0]), 0.0, np.random.default_rng(0))
+        phy.apply_channel(stream, lost[:-1], 0.0, np.random.default_rng(0))
+    # a longer mask is cut to the stream
+    gated = phy.apply_channel(stream, np.append(lost, True), 0.0, None)
+    assert gated.i_samples.tobytes() == stream.i_samples.tobytes()
 
 
-@given(
-    st.integers(phy.MIN_SAMPLES_PER_BIT, 16),
-    st.lists(st.integers(0, 12), min_size=1, max_size=12),
-    st.floats(0.1, 3.0),
-)
+@given(st.integers(phy.MIN_SAMPLES_PER_BIT, 16), st.integers(1, 60), st.data())
 @settings(max_examples=150, deadline=None)
-def test_apply_channel_matches_per_sample_run_search(spb, runs_bits, scale):
-    # runs of whole bit-times (so run ends fall exactly on sample instants,
-    # zero-length runs included) and of fractional ones
-    stream = phy.modulate(np.ones(40, dtype=np.uint8), spb, bit_rate=1e6)
-    for durations in (np.array(runs_bits, dtype=float), np.array(runs_bits) * scale):
-        durations = np.append(durations, len(stream) / spb + 1.0)
-        gated = phy.apply_channel(stream, durations, 0.0, None)
-        t_us = np.arange(len(stream)) / stream.sample_rate * 1e6
-        run_idx = np.searchsorted(np.cumsum(durations), t_us, side="right")
-        expected = stream.i_samples * (run_idx % 2 == 0)
-        assert gated.i_samples.tobytes() == expected.tobytes()
+def test_apply_channel_gates_by_lost_bit_mask(spb, n_data, data):
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_data, max_size=n_data)),
+                    dtype=np.uint8)
+    n_bits = phy.PREAMBLE_LEN + n_data
+    # masks may run past the stream
+    lost = np.array(data.draw(st.lists(st.booleans(), min_size=n_bits, max_size=n_bits + 8)))
+    stream = phy.modulate(bits, spb)
+    expected = stream.i_samples * np.repeat(~lost[:n_bits], spb)
+    gated = phy.apply_channel(stream, lost, 0.0, None)
+    assert gated.i_samples.tobytes() == expected.tobytes()
+    assert not gated.q_samples.any() and gated.samples_per_bit == spb
+    # noise is drawn for I, then for Q
+    noisy = phy.apply_channel(stream, lost, 0.1, np.random.default_rng(n_data))
+    ref = np.random.default_rng(n_data)
+    assert noisy.i_samples.tobytes() == (expected + ref.normal(0.0, 0.1, len(stream))).tobytes()
+    assert noisy.q_samples.tobytes() == ref.normal(0.0, 0.1, len(stream)).tobytes()
 
 
 def test_demodulate_clean_roundtrip():
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, 400, dtype=np.uint8)
     stream = phy.modulate(bits)
-    rx = phy.apply_channel(stream, np.array([1e9]), 0.0, rng)
+    rx = phy.apply_channel(stream, _no_loss(stream), 0.0, rng)
     out = phy.demodulate(rx)
     assert out is not None
     assert (out.bits[: bits.size] == bits).all()
@@ -205,8 +212,12 @@ def test_demodulate_is_amplitude_invariant():
     bits = rng.integers(0, 2, 200, dtype=np.uint8)
     stream = phy.modulate(bits)
     for amp in (1e-3, 1.0, 750.0):
-        rx = phy.apply_channel(stream, np.array([1e9]), 0.0, rng, amplitude=amp)
-        out = phy.demodulate(rx)
+        scaled = phy.SampleStream(
+            i_samples=stream.i_samples * amp,
+            q_samples=stream.q_samples * amp,
+            samples_per_bit=stream.samples_per_bit,
+        )
+        out = phy.demodulate(scaled)
         assert out is not None
         assert (out.bits[: bits.size] == bits).all()
 
@@ -215,7 +226,7 @@ def test_demodulate_with_noise():
     rng = np.random.default_rng(3)
     bits = rng.integers(0, 2, 300, dtype=np.uint8)
     stream = phy.modulate(bits)
-    rx = phy.apply_channel(stream, np.array([1e9]), 0.08, rng)
+    rx = phy.apply_channel(stream, _no_loss(stream), 0.08, rng)
     out = phy.demodulate(rx)
     assert out is not None
     assert (out.bits[: bits.size] == bits).all()
@@ -226,8 +237,9 @@ def test_demodulate_flags_long_outage():
     bits = np.ones(200, dtype=np.uint8)
     stream = phy.modulate(bits)
     # 40-bit outage starting 50 bits into the data section
-    on_us = phy.PREAMBLE_LEN + 50.0
-    rx = phy.apply_channel(stream, np.array([on_us, 40.0, 1e6]), 0.0, rng)
+    stream_lost = _no_loss(stream)
+    stream_lost[phy.PREAMBLE_LEN + 50 : phy.PREAMBLE_LEN + 90] = True
+    rx = phy.apply_channel(stream, stream_lost, 0.0, rng)
     out = phy.demodulate(rx)
     assert out is not None
     assert out.erasures[50:90].all()
@@ -242,12 +254,11 @@ def test_demodulate_returns_none_without_preamble():
     noise = phy.SampleStream(
         i_samples=rng.normal(0, 1, 4000),
         q_samples=rng.normal(0, 1, 4000),
-        sample_rate=8e6,
         samples_per_bit=8,
     )
     assert phy.demodulate(noise) is None
     tiny = phy.SampleStream(
-        i_samples=np.ones(16), q_samples=np.zeros(16), sample_rate=8e6, samples_per_bit=8
+        i_samples=np.ones(16), q_samples=np.zeros(16), samples_per_bit=8
     )
     assert phy.demodulate(tiny) is None
 
@@ -357,9 +368,10 @@ def test_perceived_erasures_match_demodulator():
     rng = np.random.default_rng(6)
     bits = rng.integers(0, 2, 500, dtype=np.uint8)
     # outage covering data bits 100..139
-    on_us = phy.PREAMBLE_LEN + 100.0
     stream = phy.modulate(bits)
-    rx = phy.apply_channel(stream, np.array([on_us, 40.0, 1e6]), 0.0, rng)
+    stream_lost = _no_loss(stream)
+    stream_lost[phy.PREAMBLE_LEN + 100 : phy.PREAMBLE_LEN + 140] = True
+    rx = phy.apply_channel(stream, stream_lost, 0.0, rng)
     out = phy.demodulate(rx)
     lost = np.zeros(bits.size, dtype=bool)
     lost[100:140] = True
