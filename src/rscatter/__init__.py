@@ -1,7 +1,7 @@
 """RS-coded backscatter link simulator over intermittent WiFi excitation.
 
 Submodules:
-  gf2m        GF(2^m) arithmetic tables, m in 3..7
+  gf2m        GF(2^m) log/exp tables, one pair per field, m in 3..7
   rscodec     systematic RS encoder / errors-and-erasures decoder
   traffic     Pareto on/off duration modeling, MLE fitting, trace I/O
   channel     two-state Markov burst channel and erasure masks

@@ -1,8 +1,12 @@
-"""GF(2^m) arithmetic on log/antilog tables for m in 3..7.
+"""GF(2^m) log/antilog tables for m in 3..7, one pair per field.
 
 These fields are the symbol alphabets of the supported Reed-Solomon codes
 (n = 2^m - 1, so GF(8) up to GF(128)).
 """
+
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -17,83 +21,34 @@ PRIMITIVE_POLYS = {
     7: 0b10001001,
 }
 
-MIN_M = 3
-MAX_M = 7
 
+@lru_cache(maxsize=None)
+def tables(m):
+    """GF(2^m)'s log and exp tables as read-only numpy arrays (log, expt).
 
-class FieldContext:
-    """Immutable GF(2^m) context with precomputed exp/log tables.
-
-    The exp table is stored doubled so products of two logs index it
-    without a modulo in the hot path.
+    With n = 2^m - 1, expt[e] = alpha^e for e in 0..2n-1 (the powers are
+    stored twice) and expt is zero from 2n to 4n.  log[a] is the log of a
+    nonzero a, and log[0] = 2n points into that zero block, so
+    expt[log[a] + log[b]] is the product of any two symbols a, b, and
+    expt[log[a] + n - log[b]] their quotient for nonzero b.
     """
-
-    def __init__(self, m):
-        if m not in PRIMITIVE_POLYS:
-            raise ParameterError(f"m must be in {MIN_M}..{MAX_M}, got {m}")
-        self.m = m
-        self.primitive_poly = PRIMITIVE_POLYS[m]
-        self.size = 1 << m
-        self.order = self.size - 1  # number of nonzero elements
-        self.exp_table = [0] * (2 * self.order)
-        self.log_table = [0] * self.size
-        self._build_tables()
-
-    def _build_tables(self):
-        x = 1
-        seen = set()
-        for i in range(self.order):
-            if x in seen:
-                raise ParameterError(
-                    f"polynomial {self.primitive_poly:#b} is not primitive for m={self.m}"
-                )
-            seen.add(x)
-            self.exp_table[i] = x
-            self.log_table[x] = i
-            x <<= 1
-            if x & self.size:
-                x ^= self.primitive_poly
-        if x != 1:
-            raise ParameterError(
-                f"generator does not have period {self.order} for m={self.m}"
-            )
-        for i in range(self.order, 2 * self.order):
-            self.exp_table[i] = self.exp_table[i - self.order]
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self.exp_table[self.log_table[a] + self.log_table[b]]
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(2^m)")
-        if a == 0:
-            return 0
-        return self.exp_table[self.log_table[a] - self.log_table[b] + self.order]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse in GF(2^m)")
-        return self.exp_table[self.order - self.log_table[a]]
-
-    def pow(self, a, e):
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("zero has no negative power")
-            return 0
-        return self.exp_table[(self.log_table[a] * e) % self.order + self.order]
-
-    def exp(self, e):
-        """alpha**e for the field generator alpha."""
-        return self.exp_table[e % self.order + self.order]
-
-    def log(self, a):
-        if a == 0:
-            raise ZeroDivisionError("log(0) is undefined")
-        return self.log_table[a]
-
-    def __repr__(self):
-        return f"FieldContext(m={self.m}, poly={self.primitive_poly:#b})"
+    if m not in PRIMITIVE_POLYS:
+        raise ParameterError(f"m must be one of {sorted(PRIMITIVE_POLYS)}, got {m}")
+    poly = PRIMITIVE_POLYS[m]
+    size = 1 << m
+    n = size - 1
+    log = np.full(size, 2 * n)
+    expt = np.zeros(4 * n + 1, dtype=np.uint8)
+    x = 1
+    for i in range(n):
+        if log[x] != 2 * n:
+            raise ParameterError(f"polynomial {poly:#b} is not primitive for m={m}")
+        log[x] = i
+        expt[i] = expt[i + n] = x
+        x <<= 1
+        if x & size:
+            x ^= poly
+    if x != 1:
+        raise ParameterError(f"generator does not have period {n} for m={m}")
+    log.flags.writeable = expt.flags.writeable = False
+    return log, expt

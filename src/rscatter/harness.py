@@ -75,10 +75,10 @@ class ExperimentConfig:
             raise ParameterError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.samples_per_bit < phy.MIN_SAMPLES_PER_BIT:
+        if not (phy.MIN_SAMPLES_PER_BIT <= self.samples_per_bit <= phy.MAX_SAMPLES_PER_BIT):
             raise ParameterError(
-                f"samples_per_bit must be >= {phy.MIN_SAMPLES_PER_BIT}, "
-                f"got {self.samples_per_bit}"
+                f"samples_per_bit must be in {phy.MIN_SAMPLES_PER_BIT}.."
+                f"{phy.MAX_SAMPLES_PER_BIT}, got {self.samples_per_bit}"
             )
         if self.erasure_margin_bits < 0:
             raise ParameterError(

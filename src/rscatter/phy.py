@@ -24,6 +24,10 @@ MAX_PAYLOAD = 108
 DEFAULT_SAMPLES_PER_BIT = 8
 # fewest samples per bit a stream may carry
 MIN_SAMPLES_PER_BIT = 4
+# most samples per bit an experiment may ask for: the longest frame (108
+# bytes under RS(7,1), 6252 bits) then holds about 4*10^5 samples, 3.2 MB
+# per I or Q array
+MAX_SAMPLES_PER_BIT = 64
 # OOK cannot tell a transmitted 0 from the off state; a below-floor run is
 # flagged erased only when longer than this many bit-times.
 DEFAULT_ERASE_MARGIN_BITS = 16

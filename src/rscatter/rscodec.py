@@ -9,6 +9,11 @@ the binary image as well (the received bits times a fixed parity-check
 matrix), then runs Berlekamp-Massey on Forney syndromes with erasure
 handling, and a Chien search and Forney's formula on arrays.  A decode
 failure is reported as None, never guessed.
+
+All field arithmetic is lookups in the one pair of log/exp tables that
+`gf2m.tables` builds per field: numpy indexing for the array steps, and the
+same tables as Python lists for the scalar core (Berlekamp-Massey and the
+polynomial products).
 """
 
 from functools import cached_property, lru_cache
@@ -16,14 +21,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .gf2m import FieldContext, PRIMITIVE_POLYS
+from .gf2m import PRIMITIVE_POLYS, tables
 
 ADMISSIBLE_N = tuple((1 << m) - 1 for m in sorted(PRIMITIVE_POLYS))
 
 
 @lru_cache(maxsize=None)
-def _shared_field(m):
-    return FieldContext(m)
+def _lookups(m):
+    """The field's (log, expt) tables as Python lists, for the scalar core:
+    a list index is cheaper than a numpy one on single symbols."""
+    return tuple(table.tolist() for table in tables(m))
 
 
 class RsCode:
@@ -40,32 +47,19 @@ class RsCode:
         self.k = k
         self.m = n.bit_length()
         self.t = (n - k) // 2
-        self.field = _shared_field(self.m)
+        self._tables = tables(self.m)
         self._generator = self._build_generator()
 
     def _build_generator(self):
-        """g(x) = prod_{i=1}^{n-k} (x - alpha^i), descending coefficients."""
-        gf = self.field
-        g = [1]
-        for i in range(1, self.n - self.k + 1):
-            root = gf.exp(i)
-            nxt = [0] * (len(g) + 1)
-            for j, c in enumerate(g):
-                nxt[j] ^= c
-                nxt[j + 1] ^= gf.mul(c, root)
-            g = nxt
+        """g(x) = prod_{i=1}^{n-k} (x - alpha^i), descending coefficients,
+        as a uint8 array: root i turns g(x) into x g(x) + alpha^i g(x)."""
+        log, expt = self._tables
+        d = self.n - self.k
+        g = np.zeros(d + 1, dtype=np.uint8)
+        g[0] = 1
+        for i in range(1, d + 1):
+            g[1 : i + 1] ^= expt[log[g[:i]] + i]
         return g
-
-    @cached_property
-    def _tables(self):
-        """The field's log and doubled exp tables as numpy arrays, with the
-        log of zero pointing past the exp table into a block of zeros: the
-        product of any two symbols a, b is then expt[log[a] + log[b]]."""
-        log = np.array(self.field.log_table)
-        log[0] = 2 * self.n
-        expt = np.zeros(4 * self.n + 1, dtype=np.uint8)
-        expt[: 2 * self.n] = self.field.exp_table
-        return log, expt
 
     @cached_property
     def _bit_weights(self):
@@ -79,7 +73,7 @@ class RsCode:
         return ((values >> np.arange(self.m - 1, -1, -1)) & 1).astype(np.float32)
 
     @cached_property
-    def _inverse_locator_powers(self):
+    def _position_powers(self):
         """Entry [j, i] is j * (i + 1) mod n, the log of X_i^-j for the
         locator X_i = alpha^(n-1-i) of position i, for j = 0..n-k."""
         return np.arange(self.n - self.k + 1)[:, None] * np.arange(1, self.n + 1) % self.n
@@ -96,7 +90,7 @@ class RsCode:
         """
         m, d = self.m, self.n - self.k
         log, expt = self._tables
-        low = np.asarray(self._generator[1:])
+        low = self._generator[1:]
         values = np.arange(1 << m)[:, None]
         # times_low[v] = v * (g(x) - x^(n-k)) for every symbol value v
         times_low = expt[log[values] + log[low]]
@@ -141,11 +135,6 @@ class RsCode:
 
     def __hash__(self):
         return hash((self.n, self.k))
-
-    # position i in a codeword holds the coefficient of x^(n-1-i), so its
-    # locator is alpha^(n-1-i)
-    def _locator(self, position):
-        return self.field.exp(self.n - 1 - position)
 
 
 def encode(code, info):
@@ -192,8 +181,10 @@ def _syndrome_bits(code, word):
     return (code._bit_table[word].reshape(-1) @ code.binary_parity_check) % 2
 
 
-def _berlekamp_massey(gf, seq):
+def _berlekamp_massey(lookups, seq):
     """Minimal LFSR (ascending coefficients, lam[0] = 1) for seq."""
+    log, expt = lookups
+    n = len(log) - 1
     lam = [1]
     prev = [1]
     length = 0
@@ -201,14 +192,15 @@ def _berlekamp_massey(gf, seq):
     prev_disc = 1
     for r, s in enumerate(seq):
         disc = s
-        for i in range(1, length + 1):
-            if i < len(lam):
-                disc ^= gf.mul(lam[i], seq[r - i])
+        for i in range(1, min(length, len(lam) - 1) + 1):
+            disc ^= expt[log[lam[i]] + log[seq[r - i]]]
         if disc == 0:
             shift += 1
             continue
-        scale = gf.div(disc, prev_disc)
-        update = [0] * shift + [gf.mul(scale, c) for c in prev]
+        # log of disc / prev_disc, reduced mod n so that adding the log of
+        # a nonzero coefficient stays inside the doubled exp table
+        scale = (log[disc] - log[prev_disc]) % n
+        update = [0] * shift + [expt[scale + log[c]] for c in prev]
         merged = [0] * max(len(lam), len(update))
         for i, c in enumerate(lam):
             merged[i] ^= c
@@ -224,27 +216,30 @@ def _berlekamp_massey(gf, seq):
         lam = merged
     while len(lam) > 1 and lam[-1] == 0:
         lam.pop()
-    return lam, length
+    return lam
 
 
-def _poly_mul_asc(gf, a, b):
+def _poly_mul_asc(lookups, a, b):
+    log, expt = lookups
+    log_b = [log[c] for c in b]
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
-        for j, cb in enumerate(b):
-            out[i + j] ^= gf.mul(ca, cb)
+        log_a = log[ca]
+        for j, lb in enumerate(log_b):
+            out[i + j] ^= expt[log_a + lb]
     return out
 
 
-def _eval_at_inverse_locators(code, polys):
+def _eval_at_positions(code, polys):
     """Ascending-coefficient polynomials of degree <= n-k at the inverse
     locator of every position, all at once: row r of the result holds
     polys[r] at positions 0..n-1."""
     log, expt = code._tables
     size = max(len(p) for p in polys)
     coeffs = np.array([p + [0] * (size - len(p)) for p in polys])
-    powers = code._inverse_locator_powers[:size]
+    powers = code._position_powers[:size]
     return np.bitwise_xor.reduce(expt[log[coeffs][:, :, None] + powers], axis=1)
 
 
@@ -264,7 +259,6 @@ def decode(code, received, erasures=()):
         raise ParameterError("erasure position out of range")
     if min(received) < 0 or max(received) > code.n:
         raise ParameterError(f"received symbols must be in 0..{code.n}")
-    gf = code.field
     d = code.n - code.k
     f = len(erasures)
     if f > d:
@@ -276,29 +270,31 @@ def decode(code, received, erasures=()):
         return received[:code.k]
     synd = _bit_symbols(code, synd_bits).astype(np.int64).tolist()
 
-    # erasure locator Gamma(x) = prod (1 + X_i x), ascending coefficients
+    # erasure locator Gamma(x) = prod (1 + X_i x), ascending coefficients;
+    # position i holds the coefficient of x^(n-1-i), so X_i = alpha^(n-1-i)
+    lookups = _lookups(code.m)
     gamma = [1]
     for pos in erasures:
-        gamma = _poly_mul_asc(gf, gamma, [1, code._locator(pos)])
+        gamma = _poly_mul_asc(lookups, gamma, [1, lookups[1][code.n - 1 - pos]])
 
     # Forney syndromes: coefficients f..d-1 of Gamma(x) S(x) carry no
     # erasure term and obey the errors-only locator
-    err_seq = _poly_mul_asc(gf, gamma, synd)[f:d]
+    err_seq = _poly_mul_asc(lookups, gamma, synd)[f:d]
 
-    lam, _ = _berlekamp_massey(gf, err_seq)
+    lam = _berlekamp_massey(lookups, err_seq)
     e = len(lam) - 1
     if 2 * e > d - f:
         return None
 
-    psi = _poly_mul_asc(gf, lam, gamma)  # joint errata locator
+    psi = _poly_mul_asc(lookups, lam, gamma)  # joint errata locator
     # Forney's evaluator Omega = S(x) Psi(x) mod x^d, and the formal
     # derivative of Psi, which keeps its odd terms only
-    omega = _poly_mul_asc(gf, synd, psi)[:d]
+    omega = _poly_mul_asc(lookups, synd, psi)[:d]
     deriv = [c if j % 2 else 0 for j, c in enumerate(psi)][1:]
 
     # Chien search for the roots of Psi, then the Forney magnitudes
     # Omega(X^-1) / Psi'(X^-1) at them
-    values = _eval_at_inverse_locators(code, [psi, omega, deriv])
+    values = _eval_at_positions(code, [psi, omega, deriv])
     roots = np.flatnonzero(values[0] == 0)
     if roots.size != len(psi) - 1:
         return None

@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, config parsing, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from rscatter import cli, traffic
+from rscatter import cli, phy, traffic
 from rscatter.errors import ParameterError
 
 
@@ -140,10 +141,20 @@ def test_simulate_negative_values_exit_code(tmp_path, capsys):
     scenario = "off_shape = 1.5\noff_scale_min = 2.0\non_shape = 2.0\non_scale_min = 50.0\n"
     for line in ("seed = -1", "noise_sigma = -0.5", "noise_sigma = nan",
                  "erasure_margin_bits = -1", "rate = 0", "rate = inf", "pe_threshold = 2",
-                 "samples_per_bit = 3", "samples_per_bit = 3\nmode = sample"):
+                 "samples_per_bit = 3", "samples_per_bit = 3\nmode = sample",
+                 "samples_per_bit = 100000", "samples_per_bit = 100000\nmode = sample"):
         conf = _write_config(tmp_path, scenario + "code = 15,9\nframes = 2\n" + line + "\n")
+        # rejected before any waveform is built, so an oversized
+        # samples_per_bit costs no time or memory
+        t0 = time.perf_counter()
         assert cli.main(["simulate", "--config", str(conf)]) == cli.EXIT_CONFIG
+        assert time.perf_counter() - t0 < 5.0
         assert "error:" in capsys.readouterr().err
+    # the sample-rate cap itself is accepted
+    conf = _write_config(tmp_path, scenario + "code = 15,9\nframes = 2\nmode = sample\n"
+                         f"samples_per_bit = {phy.MAX_SAMPLES_PER_BIT}\n")
+    assert cli.main(["simulate", "--config", str(conf)]) == 0
+    capsys.readouterr()
 
 
 def test_gen_trace_negative_seed_exit_code(tmp_path, capsys):

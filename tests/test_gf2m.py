@@ -1,10 +1,24 @@
-"""Field arithmetic tests for the GF(2^m) table implementation."""
+"""GF(2^m) table tests, checked against the shift-and-xor oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gf_oracle import gf_mul, gf_pow
+from rscatter import gf2m
 from rscatter.errors import ParameterError
-from rscatter.gf2m import FieldContext, PRIMITIVE_POLYS
+from rscatter.gf2m import PRIMITIVE_POLYS, tables
+
+
+def _products(m):
+    """The table product of every pair (a, b), zero included."""
+    log, expt = tables(m)
+    return expt[log[:, None] + log[None, :]].astype(np.int64)
+
+
+def _mul(m, a, b):
+    log, expt = tables(m)
+    return int(expt[log[a] + log[b]])
 
 
 def test_supported_degrees_and_polynomials():
@@ -21,34 +35,57 @@ def test_supported_degrees_and_polynomials():
 def test_rejects_unsupported_degree():
     for m in (0, 1, 2, 8, 9):
         with pytest.raises(ParameterError):
-            FieldContext(m)
+            tables(m)
+
+
+def test_tables_are_shared_and_read_only():
+    for m in PRIMITIVE_POLYS:
+        log, expt = tables(m)
+        assert tables(m)[0] is log and tables(m)[1] is expt
+        with pytest.raises(ValueError):
+            log[1] = 0
+        with pytest.raises(ValueError):
+            expt[0] = 0
 
 
 def test_exp_log_are_inverse_bijections():
     for m in PRIMITIVE_POLYS:
-        gf = FieldContext(m)
+        log, expt = tables(m)
+        n = (1 << m) - 1
+        assert log.shape == (n + 1,) and expt.shape == (4 * n + 1,)
         seen = set()
-        for e in range(gf.order):
-            x = gf.exp(e)
-            assert 1 <= x < gf.size
-            assert gf.log(x) == e
+        for e in range(n):
+            x = int(expt[e])
+            assert 1 <= x <= n
+            assert x == gf_pow(m, 2, e)  # alpha = x, the polynomial's root
+            assert expt[e + n] == x
+            assert log[x] == e
             seen.add(x)
-        assert len(seen) == gf.order  # alpha generates every nonzero element
+        assert len(seen) == n  # alpha generates every nonzero element
+        # the log of zero points into the zero block
+        assert log[0] == 2 * n and not expt[2 * n :].any()
+
+
+@pytest.mark.parametrize("m", sorted(PRIMITIVE_POLYS))
+def test_table_product_matches_oracle(m):
+    size = 1 << m
+    oracle = [[gf_mul(m, a, b) for b in range(size)] for a in range(size)]
+    assert _products(m).tolist() == oracle
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_field_axioms_exhaustive(m):
-    gf = FieldContext(m)
-    elems = range(gf.size)
+    prod = _products(m)
+    elems = range(1 << m)
     for a in elems:
-        assert gf.mul(a, 1) == a
-        assert gf.mul(a, 0) == 0
+        assert prod[a, 1] == a
+        assert prod[a, 0] == 0
         if a:
-            assert gf.mul(a, gf.inv(a)) == 1
+            assert (prod[a] == 1).sum() == 1  # a unique inverse
         for b in elems:
-            assert gf.mul(a, b) == gf.mul(b, a)
+            assert prod[a, b] == prod[b, a]
             for c in elems:
-                assert gf.mul(a, b ^ c) == gf.mul(a, b) ^ gf.mul(a, c)
+                assert prod[a, b ^ c] == prod[a, b] ^ prod[a, c]
 
 
 @given(
@@ -58,43 +95,36 @@ def test_field_axioms_exhaustive(m):
     st.integers(min_value=0, max_value=127),
 )
 def test_associativity_sampled(m, a, b, c):
-    gf = FieldContext(m)
-    a, b, c = a % gf.size, b % gf.size, c % gf.size
-    assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
+    size = 1 << m
+    a, b, c = a % size, b % size, c % size
+    assert _mul(m, _mul(m, a, b), c) == _mul(m, a, _mul(m, b, c))
 
 
 def test_pow_matches_repeated_multiplication():
-    gf = FieldContext(5)
-    for a in (1, 2, 7, 19, 31):
-        acc = 1
-        for e in range(12):
-            assert gf.pow(a, e) == acc
-            acc = gf.mul(acc, a)
-    assert gf.pow(0, 0) == 1
-    assert gf.pow(0, 3) == 0
+    # a^e is alpha^(log(a) e), read from the exp table
+    for m in PRIMITIVE_POLYS:
+        log, expt = tables(m)
+        n = (1 << m) - 1
+        for a in (1, 2, 7, n // 2, n):
+            for e in range(12):
+                assert expt[log[a] * e % n] == gf_pow(m, a, e)
 
 
 def test_division_and_zero_handling():
-    gf = FieldContext(6)
-    for a in (1, 5, 44, 63):
-        for b in (1, 2, 33, 62):
-            assert gf.mul(gf.div(a, b), b) == a
-    with pytest.raises(ZeroDivisionError):
-        gf.div(3, 0)
-    with pytest.raises(ZeroDivisionError):
-        gf.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        gf.log(0)
+    # the quotient a / b is expt[log[a] + n - log[b]] for nonzero b
+    for m in PRIMITIVE_POLYS:
+        log, expt = tables(m)
+        n = (1 << m) - 1
+        for a in range(n + 1):
+            for b in range(1, n + 1):
+                assert gf_mul(m, expt[log[a] + n - log[b]], b) == a
+        # a zero numerator lands in the zero block
+        assert not expt[log[0] + n - log[1 : n + 1]].any()
 
 
-def test_nonprimitive_polynomial_is_rejected():
-    # x^3 + x^2 + x + 1 = (x+1)(x^2+1) is reducible, hence not primitive
+def test_nonprimitive_polynomial_is_rejected(monkeypatch):
+    # x^3 + x^2 + x + 1 = (x+1)(x^2+1) is reducible, hence not primitive;
+    # the uncached builder sees the patched polynomial
+    monkeypatch.setitem(gf2m.PRIMITIVE_POLYS, 3, 0b1111)
     with pytest.raises(ParameterError):
-        bad = FieldContext.__new__(FieldContext)
-        bad.m = 3
-        bad.primitive_poly = 0b1111
-        bad.size = 8
-        bad.order = 7
-        bad.exp_table = [0] * 14
-        bad.log_table = [0] * 8
-        bad._build_tables()
+        tables.__wrapped__(3)

@@ -49,12 +49,14 @@ def test_config_validation():
         _config(seed=-1)
     with pytest.raises(ParameterError):
         _config(erasure_margin_bits=-1)
-    # the sample-rate floor holds in both modes, though symbol mode never
-    # builds a waveform
+    # the sample-rate floor and cap hold in both modes, though symbol mode
+    # never builds a waveform
     for mode in ("symbol", "sample"):
-        with pytest.raises(ParameterError):
-            _config(mode=mode, samples_per_bit=phy.MIN_SAMPLES_PER_BIT - 1)
+        for bad in (phy.MIN_SAMPLES_PER_BIT - 1, phy.MAX_SAMPLES_PER_BIT + 1, 100000):
+            with pytest.raises(ParameterError):
+                _config(mode=mode, samples_per_bit=bad)
         _config(mode=mode, samples_per_bit=phy.MIN_SAMPLES_PER_BIT)
+        _config(mode=mode, samples_per_bit=phy.MAX_SAMPLES_PER_BIT)
     _config(noise_sigma=0.0, seed=0, erasure_margin_bits=0)
 
 

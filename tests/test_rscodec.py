@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gf_oracle import gf_mul, gf_pow, poly_eval
 from rscatter.errors import ParameterError
 from rscatter.rscodec import (
     ADMISSIBLE_N, RsCode, _bit_symbols, _syndrome_bits, decode, encode, encode_bits,
@@ -36,32 +37,22 @@ def test_code_parameter_validation():
 def test_generator_has_consecutive_roots():
     for n, k in [(7, 3), (15, 7), (63, 45)]:
         code = RsCode(n, k)
-        gf = code.field
         g = code._generator
         assert g[0] == 1 and len(g) == n - k + 1
         for i in range(1, n - k + 1):
-            root = gf.exp(i)
-            acc = 0
-            for c in g:
-                acc = gf.mul(acc, root) ^ c
-            assert acc == 0
+            assert poly_eval(code.m, g, gf_pow(code.m, 2, i)) == 0
 
 
 def test_encode_is_systematic_and_in_code():
     rng = np.random.default_rng(5)
     for n, k in [(7, 3), (31, 17), (127, 95)]:
         code = RsCode(n, k)
-        gf = code.field
         info = _random_info(rng, code)
         cw = encode(code, info)
         assert cw[:k] == info
         # codeword evaluates to zero at every parity-check root
         for i in range(1, n - k + 1):
-            root = gf.exp(i)
-            acc = 0
-            for sym in cw:
-                acc = gf.mul(acc, root) ^ sym
-            assert acc == 0
+            assert poly_eval(code.m, cw, gf_pow(code.m, 2, i)) == 0
 
 
 def test_encode_validates_inputs():
@@ -74,14 +65,13 @@ def test_encode_validates_inputs():
 
 def _reference_encode(code, info):
     """Systematic encode by synthetic division by g(x), symbol by symbol."""
-    gf = code.field
     gen = code._generator
     rem = list(info) + [0] * (code.n - code.k)
     for i in range(code.k):
         coef = rem[i]
         if coef:
             for j in range(1, len(gen)):
-                rem[i + j] ^= gf.mul(gen[j], coef)
+                rem[i + j] ^= gf_mul(code.m, gen[j], coef)
     return list(info) + rem[code.k :]
 
 
@@ -121,14 +111,9 @@ def test_encode_bits_validates_shape_and_range():
 def _horner_syndromes(code, word):
     """S_i = r(alpha^i) for i = 1..n-k by Horner's rule; word[0] is the
     coefficient of x^(n-1)."""
-    gf = code.field
-    out = []
-    for i in range(1, code.n - code.k + 1):
-        acc = 0
-        for sym in word:
-            acc = gf.mul(acc, gf.exp(i)) ^ sym
-        out.append(acc)
-    return out
+    return [
+        poly_eval(code.m, word, gf_pow(code.m, 2, i)) for i in range(1, code.n - code.k + 1)
+    ]
 
 
 def test_binary_syndromes_match_horner_reference():
@@ -241,20 +226,27 @@ def test_too_many_erasures_fail():
 
 
 def test_large_code_random_stress_within_capacity():
-    code = RsCode(63, 45)  # t = 9, d = 18
+    # every field, at the smallest, a middle and the largest k; each code
+    # gets the boundary words f = n - k (erasures only) and e = t (errors
+    # only), then random mixes with 2e + f <= n - k
     rng = np.random.default_rng(8)
-    for _ in range(60):
-        info = _random_info(rng, code)
-        cw = encode(code, info)
-        f = int(rng.integers(0, 19))
-        e = int(rng.integers(0, (18 - f) // 2 + 1))
-        positions = rng.choice(63, size=f + e, replace=False)
-        word = list(cw)
-        for p in positions[:f]:
-            word[p] = 0
-        for p in positions[f:]:
-            word[p] ^= int(rng.integers(1, 64))
-        assert decode(code, word, positions[:f].tolist()) == info
+    for n in ADMISSIBLE_N:
+        for k in (1, n // 2 | 1, n - 2):
+            code = RsCode(n, k)
+            d = n - k
+            patterns = [(d, 0), (0, code.t)]
+            for _ in range(10):
+                f = int(rng.integers(0, d + 1))
+                patterns.append((f, int(rng.integers(0, (d - f) // 2 + 1))))
+            for f, e in patterns:
+                info = _random_info(rng, code)
+                positions = rng.choice(n, size=f + e, replace=False)
+                word = encode(code, info)
+                for p in positions[:f]:
+                    word[p] = 0
+                for p in positions[f:]:
+                    word[p] ^= int(rng.integers(1, n + 1))
+                assert decode(code, word, positions[:f].tolist()) == info
 
 
 def test_decode_validates_inputs():
