@@ -43,6 +43,14 @@ PARITY_DIGESTS = {
     63: "699b1ff5def9829975db4b112fa48d9fb83510c2bc88b38c612baf53a1c134e4",
     127: "227fd02cc509a001a5c6bb1f325650fa5fd0eca64030a5f57050a7d027fbe10a",
 }
+# the parity sweep off the default rate and margin, keyed by (rate, margin, n):
+# the gate horizon and bit clock scale with the rate
+PARITY_RATE_DIGESTS = {
+    (3e5, 0, 15): "2235405428de0991e0888543387079ad4940811f5bf3db363dbf95f25c59a646",
+    (3e5, 0, 127): "0063252df53170d4464af34ba037560a4e21392e0501950ee9eebf05cd5e7339",
+    (2.5e6, 16, 15): "f7a7f4e51eac05c6ffc27248e3b10119dd3942fd2f9766519aadc49fc6c787ca",
+    (2.5e6, 16, 127): "56bc944b595fa7fd634a933ffb0f95003ef559e1ee4af8a289584f1160a85d2a",
+}
 # sample mode with receiver noise, keyed by (noise_sigma, m); at 0.1 the
 # noise rarely moves a decision, at 0.3 it does, which pins the order of
 # the baseline and coded noise draws
@@ -74,11 +82,11 @@ def link_reports(mode, m, noise_sigma=0.0):
     return reports
 
 
-def parity_rows(n):
+def parity_rows(n, rate=1e6, margin=8):
     # on runs short enough that even a 7-symbol codeword sees flagged losses
     cfg = harness.ExperimentConfig(
         off_shape=1.5, off_scale_min=3.0, on_shape=1.5, on_scale_min=3.0,
-        erasure_margin_bits=8, frames=16, seed=n,
+        erasure_margin_bits=margin, frames=16, seed=n, rate=rate,
     )
     return harness.sweep_parity(cfg, n=n)
 
@@ -114,6 +122,11 @@ def test_noisy_sample_reports_unchanged(sigma, m):
 @pytest.mark.parametrize("n", sorted(PARITY_DIGESTS))
 def test_parity_sweep_unchanged(n):
     assert _digest(parity_rows(n)) == PARITY_DIGESTS[n]
+
+
+@pytest.mark.parametrize("rate,margin,n", sorted(PARITY_RATE_DIGESTS))
+def test_parity_sweep_at_rate_and_margin_unchanged(rate, margin, n):
+    assert _digest(parity_rows(n, rate, margin)) == PARITY_RATE_DIGESTS[rate, margin, n]
 
 
 def test_silent_sweep_unchanged():
