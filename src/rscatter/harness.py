@@ -18,6 +18,10 @@ reproduces the symbol-level frame outcomes exactly when every off run is
 longer than erasure_margin_bits bit-times.  A shorter off run is not
 flagged, and a lost bit in it whose line bit was 1 is a symbol error that
 only the sample-level decoder sees.
+
+The parity sweep runs the same symbol-level frame kernel: each trial is a
+frame without preamble or CRC whose k*m information bits form a single
+codeword.
 """
 
 import math
@@ -118,28 +122,35 @@ class LinkReport:
         return asdict(self)
 
 
-def _resolve_code(config, stats):
+def _link_setup(config, stats):
+    """The link's code, its frame plan, p_s and predicted error rate."""
     code = rscodec.RsCode(*config.code) if config.code is not None else None
     p_s = channel.symbol_error_rate(channel.markov_from_stats(stats, config.rate))
     if code is None:
         outcome = codesearch.optimize_for_ps(p_s, config.pe_threshold)
-        return outcome.code, p_s, outcome.predicted_pe
-    return code, p_s, channel.post_decode_error_rate(code, p_s)
+        code, predicted_pe = outcome.code, outcome.predicted_pe
+    else:
+        predicted_pe = channel.post_decode_error_rate(code, p_s)
+    # a frame is the length byte, the payload and the CRC-16
+    plan = _frame_plan(code, config.rate, (1 + config.payload_bytes + 2) * 8)
+    return code, plan, p_s, predicted_pe
 
 
-def _frame_plan(config, code):
-    """Static per-frame geometry shared by both modes."""
+def _frame_plan(code, rate, frame_bits_n, preamble_bits=phy.PREAMBLE_LEN):
+    """Static geometry of a frame of frame_bits_n bits that follows
+    preamble_bits preamble bits, sent bare (baseline) or as whole codewords
+    of code (coded) at rate symbols/second."""
     m = code.m
-    frame_bits_n = (1 + config.payload_bytes + 2) * 8
     info_syms = math.ceil(frame_bits_n / m)
     n_codewords = math.ceil(info_syms / code.k)
     coded_bits_n = n_codewords * code.n * m
-    bit_rate = config.rate * m  # bits/second
+    bit_rate = rate * m  # bits/second
     bit_us = 1e6 / bit_rate
-    coded_air_us = (phy.PREAMBLE_LEN + coded_bits_n) * bit_us
-    baseline_air_us = (phy.PREAMBLE_LEN + frame_bits_n) * bit_us
+    coded_air_us = (preamble_bits + coded_bits_n) * bit_us
+    baseline_air_us = (preamble_bits + frame_bits_n) * bit_us
     return {
         "m": m,
+        "preamble_bits": preamble_bits,
         "frame_bits_n": frame_bits_n,
         "info_syms": info_syms,
         "n_codewords": n_codewords,
@@ -150,7 +161,7 @@ def _frame_plan(config, code):
         # each frame's gate covers both transmissions; the lost-bit mask
         # covers the preamble and the longer of the two
         "horizon_us": max(coded_air_us, baseline_air_us) + 2 * bit_us,
-        "mask_bits_n": phy.PREAMBLE_LEN + max(coded_bits_n, frame_bits_n),
+        "mask_bits_n": preamble_bits + max(coded_bits_n, frame_bits_n),
     }
 
 
@@ -188,12 +199,17 @@ def _codeword_erasures(flags, code):
     return sym, sym.sum(axis=-1) > code.t
 
 
+def _draw_lost(rng, stats, plan):
+    """One gate over the plan's horizon, as its lost-bit mask."""
+    gate = channel.gate_durations(rng, stats, plan["horizon_us"])
+    return channel.erasure_mask_from_gate(gate, plan["bit_rate"], plan["mask_bits_n"])
+
+
 def _draw_frame(rng, config, stats, plan):
     """A frame's random payload, then its gate: returns the payload, the
     frame bits and the lost-bit mask of the gate."""
     payload = rng.integers(0, 256, size=config.payload_bytes, dtype=np.uint8).tobytes()
-    gate = channel.gate_durations(rng, stats, plan["horizon_us"])
-    lost = channel.erasure_mask_from_gate(gate, plan["bit_rate"], plan["mask_bits_n"])
+    lost = _draw_lost(rng, stats, plan)
     return payload, phy.bytes_to_bits(phy.frame_build(payload)), lost
 
 
@@ -220,7 +236,7 @@ def _symbol_frames(config, code, plan, frame_bits, lost_all):
     Returns per-frame baseline errors, baseline bit errors, coded errors
     and coded bit errors.
     """
-    pre, nf = phy.PREAMBLE_LEN, plan["frame_bits_n"]
+    pre, nf = plan["preamble_bits"], plan["frame_bits_n"]
     preamble_lost = lost_all[:, :pre].any(axis=1)
 
     # baseline: uncoded frame right after the preamble; a lost bit reads
@@ -248,8 +264,7 @@ def run_symbol_level(config):
     of BLOCK_FRAMES frames at once.
     """
     stats = config.stats()
-    code, p_s, predicted_pe = _resolve_code(config, stats)
-    plan = _frame_plan(config, code)
+    code, plan, p_s, predicted_pe = _link_setup(config, stats)
     rng = np.random.default_rng(config.seed)
 
     outcomes = np.empty((4, config.frames), dtype=np.int64)
@@ -269,8 +284,7 @@ def run_symbol_level(config):
 def run_sample_level(config):
     """Full modulate -> gate+noise -> demodulate -> decode pipeline per frame."""
     stats = config.stats()
-    code, p_s, predicted_pe = _resolve_code(config, stats)
-    plan = _frame_plan(config, code)
+    code, plan, p_s, predicted_pe = _link_setup(config, stats)
     rng = np.random.default_rng(config.seed)
 
     outcomes = np.empty((4, config.frames), dtype=np.int64)
@@ -373,61 +387,44 @@ def run(config):
 def sweep_parity(config, n=127):
     """Block error rate per odd k (n-2 down to 1) at fixed codeword length.
 
-    Unlike the frame experiments, each trial is a single codeword over its
-    own gate, so the airtime exposure (n*m bit-times) is identical for
-    every k and the measured trend isolates the correction capability.
-    The uncoded baseline sends the k information symbols bare.
+    Each trial is a symbol-level frame without preamble or CRC whose k
+    random information symbols form a single codeword over its own gate,
+    so the airtime exposure (n*m bit-times) is identical for every k and
+    the measured trend isolates the correction capability.  The uncoded
+    baseline sends the k information symbols bare.
     """
     stats = config.stats()
-    m = n.bit_length()
-    bit_rate = config.rate * m
-    coded_bits = n * m
-    air_us = coded_bits * 1e6 / bit_rate
-    blocks = config.frames
-    # common random gates across all parity points: each trial's erasure
-    # burden is then fixed while t grows, so the trend is not blurred by
-    # independent sampling noise per point
-    gate_rng = np.random.default_rng([config.seed, 0])
-    lost = np.empty((blocks, coded_bits), dtype=bool)
-    for r in range(blocks):
-        gate = channel.gate_durations(gate_rng, stats, air_us + 2e6 / bit_rate)
-        lost[r] = channel.erasure_mask_from_gate(gate, bit_rate, coded_bits)
-    rows = []
+    rows, lost = [], None
     for k in range(n - 2, 0, -2):
-        rows.append(_parity_point(config, rscodec.RsCode(n, k), lost))
+        code = rscodec.RsCode(n, k)
+        plan = _frame_plan(code, config.rate, k * code.m, preamble_bits=0)
+        if lost is None:
+            # common random gates across all parity points (every k has the
+            # same horizon): each trial's erasure burden is then fixed while
+            # t grows, so the trend is not blurred by independent sampling
+            # noise per point
+            gate_rng = np.random.default_rng([config.seed, 0])
+            lost = np.array([_draw_lost(gate_rng, stats, plan) for _ in range(config.frames)])
+        rows.append(_parity_point(config, code, plan, lost))
     return rows
 
 
-def _parity_point(config, code, lost_rows):
-    m, n, k = code.m, code.n, code.k
-    bit_rate = config.rate * m
-    coded_bits = n * m
-    blocks = config.frames
-    rng = np.random.default_rng([config.seed, 1, k])
-
-    info = rng.integers(0, 1 << m, size=(blocks, k))
-    info_bits = phy.symbols_to_bits(info.ravel(), m).reshape(blocks, k * m)
-    bits = rscodec.encode_bits(code, info_bits)
-
-    base_bits = k * m
-    corrupt = lost_rows[:, :base_bits] & (phy.scramble(info_bits) == 1)
-    fe_base = int(corrupt.any(axis=1).sum())
-    lost_bits_base = int(corrupt.sum())
-
-    flags = phy.perceived_erasures(bits, lost_rows, config.erasure_margin_bits)
-    _, failed = _codeword_erasures(flags, code)
-    fe_coded = int(failed.sum())
-    mism_coded = int(_coded_bit_errors(code, info_bits, flags, failed).sum())
-
-    fer = fe_coded / blocks
-    fer_base = fe_base / blocks
+def _parity_point(config, code, plan, lost):
+    m, k, trials = code.m, code.k, config.frames
+    info = np.random.default_rng([config.seed, 1, k]).integers(0, 1 << m, size=(trials, k))
+    info_bits = phy.symbols_to_bits(info.ravel(), m).reshape(trials, k * m)
+    fe_base, bit_err_base, fe_coded, bit_err_coded = (
+        int(v.sum()) for v in _symbol_frames(config, code, plan, info_bits, lost)
+    )
+    fer = fe_coded / trials
+    base_bits = plan["frame_bits_n"]
     return {
         "parameter": k,
-        "ber_baseline": lost_bits_base / (blocks * base_bits),
-        "ber_coded": mism_coded / (blocks * base_bits),
-        "fer_baseline": fer_base,
+        "ber_baseline": bit_err_base / (trials * base_bits),
+        "ber_coded": bit_err_coded / (trials * base_bits),
+        "fer_baseline": fe_base / trials,
         "fer_coded": fer,
-        "throughput": base_bits * (1.0 - fer) * bit_rate / coded_bits,
+        "throughput": base_bits * (1.0 - fer) * plan["bit_rate"] / plan["coded_bits_n"],
     }
 
 

@@ -69,8 +69,8 @@ def test_config_requires_scenario():
 def test_frame_plan_geometry():
     from rscatter.rscodec import RsCode
 
-    cfg = _config(payload_bytes=64, code=(63, 45), rate=1e6)
-    plan = harness._frame_plan(cfg, RsCode(63, 45))
+    plan = harness._frame_plan(RsCode(63, 45), 1e6, (1 + 64 + 2) * 8)
+    assert plan["preamble_bits"] == phy.PREAMBLE_LEN
     assert plan["frame_bits_n"] == (1 + 64 + 2) * 8  # 536
     assert plan["info_syms"] == 90  # ceil(536 / 6)
     assert plan["n_codewords"] == 2  # ceil(90 / 45)
@@ -78,6 +78,12 @@ def test_frame_plan_geometry():
     assert plan["bit_rate"] == 6e6
     assert plan["baseline_air_us"] == pytest.approx((36 + 536) / 6, rel=1e-12)
     assert plan["coded_air_us"] == pytest.approx((36 + 756) / 6, rel=1e-12)
+    assert plan["mask_bits_n"] == 36 + 756
+    # a parity-sweep trial: k info symbols, no preamble, one codeword, no pad
+    plan = harness._frame_plan(RsCode(63, 45), 1e6, 45 * 6, preamble_bits=0)
+    assert (plan["info_syms"], plan["n_codewords"]) == (45, 1)
+    assert plan["coded_bits_n"] == plan["mask_bits_n"] == 63 * 6
+    assert plan["horizon_us"] == pytest.approx((63 * 6 + 2) / 6, rel=1e-12)
 
 
 def test_pad_symbols_alternate():
