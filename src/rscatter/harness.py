@@ -241,9 +241,10 @@ def _symbol_frames(config, code, plan, frame_bits, lost_all):
 
     # baseline: uncoded frame right after the preamble; a lost bit reads
     # as the PN bit after descrambling, so only lost bits whose line bit
-    # was 1 actually corrupt the read-back
+    # was 1 actually corrupt the read-back; a lost preamble loses every bit
     base_corrupt = lost_all[:, pre : pre + nf] & (phy.scramble(frame_bits) == 1)
     base_err = preamble_lost | base_corrupt.any(axis=1)
+    base_bits = np.where(preamble_lost, nf, base_corrupt.sum(axis=1))
 
     # coded: codeword bits after the preamble, receiver-perceived erasures
     tx_bits = _encode_frames(code, plan, frame_bits)
@@ -254,7 +255,7 @@ def _symbol_frames(config, code, plan, frame_bits, lost_all):
     coded_bits = np.where(
         preamble_lost, nf, _coded_bit_errors(code, frame_bits, flags, cw_fail)
     )
-    return base_err, base_corrupt.sum(axis=1), coded_err, coded_bits
+    return base_err, base_bits, coded_err, coded_bits
 
 
 def run_symbol_level(config):

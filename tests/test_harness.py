@@ -115,6 +115,11 @@ def test_modes_agree_frame_by_frame_without_noise():
         _config(mode="symbol", frames=40, code=(15, 9), payload_bytes=32, seed=14,
                 off_shape=1.5, off_scale_min=2.0, on_shape=1.2, on_scale_min=60.0,
                 samples_per_bit=4, erasure_margin_bits=8),
+        # on runs of a few microseconds lose many preambles: a frame whose
+        # preamble is lost counts every frame bit as a bit error in both modes
+        _config(mode="symbol", frames=200, code=(15, 9), payload_bytes=16, seed=5,
+                off_shape=1.5, off_scale_min=3.0, on_shape=1.5, on_scale_min=2.0,
+                erasure_margin_bits=8),
     ):
         cfg_samp = dataclasses.replace(cfg_sym, mode="sample")
         rs = harness.run(cfg_sym)
@@ -123,6 +128,8 @@ def test_modes_agree_frame_by_frame_without_noise():
         assert [f["baseline_error"] for f in rs.frame_log] == [f["baseline_error"] for f in rp.frame_log]
         assert rs.fer == rp.fer
         assert rs.fer_baseline == rp.fer_baseline
+        assert rs.ber == rp.ber
+        assert rs.ber_baseline == rp.ber_baseline
 
 
 def test_same_seed_same_report():
