@@ -7,7 +7,9 @@ parameter error, 3 infeasible channel or search.
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,23 +26,8 @@ from .errors import (
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
-_CONFIG_FIELDS = {
-    "off_shape": float,
-    "off_scale_min": float,
-    "on_shape": float,
-    "on_scale_min": float,
-    "trace": str,
-    "rate": float,
-    "code": str,
-    "pe_threshold": float,
-    "frames": int,
-    "payload_bytes": int,
-    "mode": str,
-    "noise_sigma": float,
-    "seed": int,
-    "samples_per_bit": int,
-    "erasure_margin_bits": int,
-}
+# config key -> value type; `code` is parsed by _parse_code
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(harness.ExperimentConfig)}
 
 
 def _parse_code(text):
@@ -144,7 +131,12 @@ def _cmd_sweep(args):
     else:
         if args.values is None:
             raise ParameterError("--values is required for --vary silent-duration")
-        values = [float(v) for v in args.values.split(",")]
+        try:
+            values = [float(v) for v in args.values.split(",")]
+        except ValueError:
+            raise ParameterError(
+                f"--values must be a comma list of numbers, got {args.values!r}"
+            ) from None
         rows = harness.sweep_silent(config, values)
     writer = csv.DictWriter(
         sys.stdout,
@@ -160,6 +152,8 @@ def _cmd_sweep(args):
 def _cmd_gen_trace(args):
     if args.seed < 0:
         raise ParameterError(f"seed must be >= 0, got {args.seed}")
+    if not (math.isfinite(args.total_us) and args.total_us > 0):
+        raise ParameterError(f"--total-us must be finite and > 0, got {args.total_us}")
     stats = _scenario_stats(args)
     rng = np.random.default_rng(args.seed)
     durations = channel.gate_durations(rng, stats, args.total_us)

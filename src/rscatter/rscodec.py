@@ -123,18 +123,8 @@ class RsCode:
         bits = (values[..., None] >> np.arange(m - 1, -1, -1, dtype=np.uint8)) & 1
         return bits.reshape(n * m, d * m).astype(np.float32)
 
-    @property
-    def rate(self):
-        return self.k / self.n
-
     def __repr__(self):
         return f"RsCode(n={self.n}, k={self.k})"
-
-    def __eq__(self, other):
-        return isinstance(other, RsCode) and (self.n, self.k) == (other.n, other.k)
-
-    def __hash__(self):
-        return hash((self.n, self.k))
 
 
 def encode(code, info):

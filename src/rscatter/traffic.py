@@ -26,10 +26,10 @@ class ParetoParams:
     scale_min: float
 
     def __post_init__(self):
-        if not (self.shape > 0):
-            raise ParameterError(f"shape must be positive, got {self.shape}")
-        if not (self.scale_min > 0):
-            raise ParameterError(f"scale_min must be positive, got {self.scale_min}")
+        if not (math.isfinite(self.shape) and self.shape > 0):
+            raise ParameterError(f"shape must be finite and positive, got {self.shape}")
+        if not (math.isfinite(self.scale_min) and self.scale_min > 0):
+            raise ParameterError(f"scale_min must be finite and positive, got {self.scale_min}")
 
 
 @dataclass(frozen=True)

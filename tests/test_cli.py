@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, config parsing, exit codes."""
 
+import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
 
-from rscatter import cli, phy, traffic
+from rscatter import cli, harness, phy, traffic
 from rscatter.errors import ParameterError
 
 
@@ -78,22 +79,37 @@ def test_infinite_mean_exit_code(capsys):
 
 
 def test_load_config_types_and_comments(tmp_path):
+    # every config field once, with the value and type it must parse to
+    expected = {
+        "off_shape": 1.5, "off_scale_min": 2.0, "on_shape": 2.0, "on_scale_min": 50.0,
+        "trace": "trace.csv", "rate": 2e6, "code": (15, 9), "pe_threshold": 0.01,
+        "frames": 7, "payload_bytes": 16, "mode": "sample", "noise_sigma": 0.1,
+        "seed": 3, "samples_per_bit": 8, "erasure_margin_bits": 12,
+    }
+    assert set(expected) == {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
     path = _write_config(
         tmp_path,
         "# scenario\n"
         "off_shape = 1.5\n"
         "off_scale_min = 2.0  # us\n"
-        "on_shape = 2.0\n"
+        "on_shape = 2\n"
         "on_scale_min = 50.0\n"
+        "trace = trace.csv\n"
+        "rate = 2e6\n"
         "code = 15,9\n"
+        "pe_threshold = 1e-2\n"
         "frames = 7\n"
-        "mode = symbol\n"
-        "seed = 3\n",
+        "payload_bytes = 16\n"
+        "mode = sample\n"
+        "noise_sigma = 0.1\n"
+        "seed = 3\n"
+        "samples_per_bit = 8\n"
+        "erasure_margin_bits = 12\n",
     )
     cfg = cli.load_config(path)
-    assert cfg.code == (15, 9)
-    assert cfg.frames == 7
-    assert cfg.off_shape == 1.5
+    for name, value in expected.items():
+        got = getattr(cfg, name)
+        assert type(got) is type(value) and got == value, name
 
 
 def test_load_config_rejects_garbage(tmp_path):
@@ -170,6 +186,35 @@ def test_gen_trace_negative_seed_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_trace_bad_total_us_exit_code(tmp_path, capsys):
+    out = tmp_path / "synthetic.csv"
+    for total in ("-5", "0", "nan", "inf"):
+        rc = cli.main([
+            "gen-trace",
+            "--off-shape", "2.5", "--off-scale-min", "4.0",
+            "--on-shape", "2.0", "--on-scale-min", "100.0",
+            "--total-us", total, "-o", str(out),
+        ])
+        assert rc == cli.EXIT_CONFIG, total
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_non_finite_scenario_exit_code(tmp_path, capsys):
+    # an infinite off run would gate nothing and report a perfect link
+    scenario = "off_shape = 1.5\non_shape = 2.0\non_scale_min = 50.0\ncode = 15,9\nframes = 2\n"
+    for value in ("inf", "nan"):
+        conf = _write_config(tmp_path, scenario + f"off_scale_min = {value}\n")
+        assert cli.main(["simulate", "--config", str(conf)]) == cli.EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+    conf = _write_config(tmp_path, scenario + "off_scale_min = 2.0\n")
+    for values in ("inf", "20,nan"):
+        rc = cli.main(["sweep", "--vary", "silent-duration", "--values", values,
+                       "--config", str(conf)])
+        assert rc == cli.EXIT_CONFIG, values
+        assert "error:" in capsys.readouterr().err
+
+
 def test_gen_trace_run_cap_exit_code(tmp_path, capsys):
     # sub-picosecond runs would need ~1e11 of them to cover 100 us
     out = tmp_path / "synthetic.csv"
@@ -208,6 +253,19 @@ def test_sweep_silent_requires_values(tmp_path, capsys):
     rc = cli.main(["sweep", "--vary", "silent-duration", "--config", str(conf)])
     assert rc == cli.EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_sweep_bad_values_exit_code(tmp_path, capsys):
+    conf = _write_config(
+        tmp_path,
+        "off_shape = 2.0\noff_scale_min = 10.0\non_shape = 2.0\non_scale_min = 50.0\n"
+        "code = 15,9\nframes = 5\nseed = 2\n",
+    )
+    for values in ("5,abc", ""):
+        rc = cli.main(["sweep", "--vary", "silent-duration", "--values", values,
+                       "--config", str(conf)])
+        assert rc == cli.EXIT_CONFIG, values
+        assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_parity_csv(tmp_path, capsys):

@@ -31,7 +31,7 @@ def test_code_parameter_validation():
     with pytest.raises(ParameterError):
         RsCode(7, -1)
     code = RsCode(15, 9)
-    assert (code.m, code.t, code.rate) == (4, 3, 9 / 15)
+    assert (code.m, code.t) == (4, 3)
 
 
 def test_generator_has_consecutive_roots():
