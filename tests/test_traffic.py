@@ -34,7 +34,7 @@ def test_params_validation():
         ParetoParams(0.0, 1.0)
     with pytest.raises(ParameterError):
         ParetoParams(1.5, -2.0)
-    # an infinite or NaN value would let a gate draw no off run at all
+    # an infinite off-run scale gave NaN gate edges that flagged no lost bit
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ParameterError):
             ParetoParams(bad, 1.0)
