@@ -9,9 +9,11 @@ moves and says why.  Each digest is over the canonical JSON
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from rscatter import cli, harness
+from rscatter.rscodec import ADMISSIBLE_N, RsCode
 
 # one code per symbol size m = 3..7
 CODES = {3: (7, 3), 4: (15, 9), 5: (31, 19), 6: (63, 45), 7: (127, 95)}
@@ -64,6 +66,9 @@ NOISY_DIGESTS = {
 }
 SILENT_DIGEST = "8491f148c4e6b3bad4da2abbdb1d88953ea3a277e6a22ba289f38abaff319abc"
 CLI_SIMULATE_DIGEST = "bdee225fe20caaa987703415ab2aeab36426570b8497896c5b49b966e178190e"
+# the parity part G2 of every admissible code's binary generator, as uint8
+# bytes, n ascending and then k ascending
+BINARY_GENERATOR_DIGEST = "47bf1046db48156e04774c16fc97df5e73daa40743696bb991458daae84a7c10"
 
 
 def _digest(obj):
@@ -133,6 +138,14 @@ def test_parity_sweep_at_rate_and_margin_unchanged(rate, margin, n):
 
 def test_silent_sweep_unchanged():
     assert _digest(silent_rows()) == SILENT_DIGEST
+
+
+def test_binary_generators_unchanged():
+    digest = hashlib.sha256()
+    for n in ADMISSIBLE_N:
+        for k in range(1, n - 1, 2):
+            digest.update(RsCode(n, k).binary_generator.astype(np.uint8).tobytes())
+    assert digest.hexdigest() == BINARY_GENERATOR_DIGEST
 
 
 def test_cli_simulate_json_unchanged(tmp_path, capsys):

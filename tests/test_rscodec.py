@@ -95,6 +95,16 @@ def test_encode_matches_synthetic_division_reference():
             assert (cw_bits == _to_bits(np.array(expected), code.m)).all()
 
 
+def test_every_binary_generator_row_is_a_codeword():
+    # each row of [I | G2] is the binary image of a codeword, so its
+    # syndrome under the independently built parity-check image is zero
+    for n in ADMISSIBLE_N:
+        for k in range(1, n - 1, 2):
+            code = RsCode(n, k)
+            rows = np.hstack([np.eye(k * code.m, dtype=np.float32), code.binary_generator])
+            assert ((rows @ code.binary_parity_check) % 2 == 0).all()
+
+
 def test_encode_bits_validates_shape_and_range():
     code = RsCode(7, 3)  # k*m = 9 info bits per word
     with pytest.raises(ParameterError):
