@@ -38,8 +38,8 @@ class MarkovChannel:
             raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
         if not (0.0 <= self.beta <= 1.0):
             raise ParameterError(f"beta must be in [0, 1], got {self.beta}")
-        if not (self.rate > 0):
-            raise ParameterError(f"rate must be positive, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ParameterError(f"rate must be finite and > 0, got {self.rate}")
 
     @property
     def transition_matrix(self):
@@ -53,8 +53,8 @@ def markov_from_stats(stats, rate):
     per microsecond, so both are dimensionless per-symbol probabilities.
     Quotients above 1 are clamped with a diagnostic.
     """
-    if rate <= 0:
-        raise ParameterError(f"rate must be positive, got {rate}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ParameterError(f"rate must be finite and > 0, got {rate}")
     try:
         mean_on = pareto_mean(stats.on)
         mean_off = pareto_mean(stats.off)

@@ -2,9 +2,10 @@
 
 Codes are narrow-sense (parity-check roots alpha^1..alpha^(n-k)) over
 GF(2^m) with n = 2^m - 1, m in 3..7, and odd k so that n - k is even and
-t = (n - k) / 2 exactly.  Encoding is by generator-polynomial remainder,
-computed on the binary image of the code: the parity bits are the info bits
-times a fixed 0/1 matrix over GF(2).  Decoding computes the syndromes on
+t = (n - k) / 2 exactly.  Encoding is on the binary image of the code: the
+parity bits are the info bits times a fixed 0/1 matrix over GF(2), built in
+one shot from the closed Cauchy form of the code's systematic generator
+(Roth and Seroussi, IEEE Trans. IT 31(6), 1985).  Decoding computes the syndromes on
 the binary image as well (the received bits times a fixed parity-check
 matrix), then runs Berlekamp-Massey on Forney syndromes with erasure
 handling, and a Chien search and Forney's formula on arrays.  A decode
@@ -48,18 +49,6 @@ class RsCode:
         self.m = n.bit_length()
         self.t = (n - k) // 2
         self._tables = tables(self.m)
-        self._generator = self._build_generator()
-
-    def _build_generator(self):
-        """g(x) = prod_{i=1}^{n-k} (x - alpha^i), descending coefficients,
-        as a uint8 array: root i turns g(x) into x g(x) + alpha^i g(x)."""
-        log, expt = self._tables
-        d = self.n - self.k
-        g = np.zeros(d + 1, dtype=np.uint8)
-        g[0] = 1
-        for i in range(1, d + 1):
-            g[1 : i + 1] ^= expt[log[g[:i]] + i]
-        return g
 
     @cached_property
     def _bit_weights(self):
@@ -83,26 +72,31 @@ class RsCode:
         """Parity part of the binary image, a (k*m, (n-k)*m) 0/1 float32 matrix.
 
         Row i*m + b holds the parity bits of the codeword whose only nonzero
-        info bit is bit b (MSB first) of symbol i.  That symbol is the
-        coefficient of x^(n-1-i), so its parity is the symbol times
-        x^(n-1-i) mod g(x), from x^(e+1) mod g = x * (x^e mod g) starting at
-        x^(n-k) mod g = g(x) - x^(n-k).
+        info bit is bit b (MSB first) of symbol i.  With locators
+        X_i = alpha^(n-1-i) and parity positions P = k..n-1, the parity
+        symbol at p of the unit info word at i is the Cauchy-form entry
+
+            X_i A_i / (X_p B_p (X_i + X_p)),
+            A_i = prod_{q in P} (X_i + X_q),  B_p = prod_{q in P, q != p} (X_p + X_q),
+
+        by Lagrange interpolation of sum_p (c_p X_p) X_p^(j-1) = X_i^j for
+        j = 1..n-k (Roth and Seroussi, "On generator matrices of MDS codes",
+        IEEE Trans. IT 31(6), 1985).  Row i*m + b holds its multiple by
+        2^(m-1-b), all in the log domain.
         """
-        m, d = self.m, self.n - self.k
+        n, m, k = self.n, self.m, self.k
         log, expt = self._tables
-        low = self._generator[1:]
-        values = np.arange(1 << m)[:, None]
-        # times_low[v] = v * (g(x) - x^(n-k)) for every symbol value v
-        times_low = expt[log[values] + log[low]]
-        # rem[i, b]: descending coefficients of 2^(m-1-b) x^(n-1-i) mod g
-        rem = np.empty((self.k, m, d), dtype=np.uint8)
-        rem[-1] = times_low[1 << np.arange(m - 1, -1, -1)]
-        for i in range(self.k - 2, -1, -1):
-            rem[i, :, :-1] = rem[i + 1, :, 1:]
-            rem[i, :, -1] = 0
-            rem[i] ^= times_low[rem[i + 1, :, 0]]
-        bits = (rem[..., None] >> np.arange(m - 1, -1, -1, dtype=np.uint8)) & 1
-        return bits.reshape(self.k * m, d * m).astype(np.float32)
+        lx = np.arange(n - 1, -1, -1)  # log X_i
+        # log(X_i + X_q) for every position i and parity position q; the sum
+        # is 0 only on the diagonal of the parity rows, where its log is 2n
+        ls = log[expt[lx[:, None]] ^ expt[lx[k:]]]
+        la = ls[:k].sum(axis=1)
+        lb = ls[k:].sum(axis=1) - 2 * n
+        lp = (lx[:k, None] + la[:, None] - lx[k:] - lb - ls[:k]) % n
+        # both logs are below n, so their sum stays inside the doubled table
+        values = expt[lp[:, None, :] + log[self._bit_weights][:, None]]  # (k, m, n-k)
+        bits = np.unpackbits(values[..., None], axis=-1)[..., 8 - m :]
+        return bits.reshape(k * m, (n - k) * m).astype(np.float32)
 
     @cached_property
     def binary_parity_check(self):

@@ -1,5 +1,6 @@
 """Independent GF(2^m) arithmetic for the tests: shift-and-xor
-multiplication modulo the field's primitive polynomial, with no tables."""
+multiplication modulo the field's primitive polynomial, with no tables, and
+the Reed-Solomon generator polynomial built on it."""
 
 from rscatter.gf2m import PRIMITIVE_POLYS
 
@@ -32,3 +33,14 @@ def poly_eval(m, coeffs, x):
     for c in coeffs:
         acc = gf_mul(m, acc, x) ^ int(c)
     return acc
+
+
+def generator_poly(m, d):
+    """g(x) = prod_{i=1}^{d} (x - alpha^i) with alpha = 2, descending
+    coefficients: root r turns g(x) into x g(x) + r g(x)."""
+    g = [1]
+    root = 1
+    for _ in range(d):
+        root = gf_mul(m, root, 2)
+        g = [a ^ gf_mul(m, root, b) for a, b in zip(g + [0], [0] + g)]
+    return g

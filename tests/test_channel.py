@@ -2,7 +2,7 @@
 
 import warnings
 from fractions import Fraction
-from math import comb
+from math import comb, inf, nan
 
 import numpy as np
 import pytest
@@ -43,8 +43,11 @@ def test_markov_channel_validation_and_matrix():
     assert np.allclose(q.sum(axis=1), 1.0)
     with pytest.raises(ParameterError):
         MarkovChannel(alpha=1.2, beta=0.5, rate=1e6)
-    with pytest.raises(ParameterError):
-        MarkovChannel(alpha=0.2, beta=0.5, rate=0.0)
+    for rate in (0.0, -1.0, inf, nan):
+        with pytest.raises(ParameterError, match="rate"):
+            MarkovChannel(alpha=0.2, beta=0.5, rate=rate)
+        with pytest.raises(ParameterError, match="rate"):
+            markov_from_stats(_stats(3.0, 10.0, 2.0, 100.0), rate=rate)
 
 
 def test_markov_from_stats_transition_quotients():

@@ -52,9 +52,15 @@ def test_optimize_from_parameters(capsys):
 
 
 def test_optimize_requires_full_scenario(capsys):
-    rc = cli.main(["optimize", "--off-shape", "3.0"])
-    assert rc == cli.EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+    scenario = ["--off-shape", "3.0", "--off-scale-min", "13.333",
+                "--on-shape", "2.0", "--on-scale-min", "170.665"]
+    # a partial scenario, then a full one at a rate that is not finite
+    for argv, named in [(scenario[:2], ""), (scenario + ["--rate", "inf"], "rate"),
+                        (scenario + ["--rate", "nan"], "rate")]:
+        rc = cli.main(["optimize", *argv])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err
 
 
 def test_optimize_infeasible_exit_code(tmp_path, capsys):
