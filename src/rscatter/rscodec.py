@@ -5,11 +5,11 @@ GF(2^m) with n = 2^m - 1, m in 3..7, and odd k so that n - k is even and
 t = (n - k) / 2 exactly.  Encoding is on the binary image of the code: the
 parity bits are the info bits times a fixed 0/1 matrix over GF(2), built in
 one shot from the closed Cauchy form of the code's systematic generator
-(Roth and Seroussi, IEEE Trans. IT 31(6), 1985).  Decoding computes the syndromes on
-the binary image as well (the received bits times a fixed parity-check
-matrix), then runs Berlekamp-Massey on Forney syndromes with erasure
-handling, and a Chien search and Forney's formula on arrays.  A decode
-failure is reported as None, never guessed.
+(Roth and Seroussi, IEEE Trans. IT 31(6), 1985).  Decoding computes the
+syndromes on the binary image as well (the received bits times a fixed
+parity-check matrix), then runs Berlekamp-Massey on Forney syndromes with
+erasure handling, and a Chien search and Forney's formula on arrays.  A
+decode failure is reported as None, never guessed.
 
 All field arithmetic is lookups in the one pair of log/exp tables that
 `gf2m.tables` builds per field: numpy indexing for the array steps, and the
@@ -81,8 +81,9 @@ class RsCode:
 
         by Lagrange interpolation of sum_p (c_p X_p) X_p^(j-1) = X_i^j for
         j = 1..n-k (Roth and Seroussi, "On generator matrices of MDS codes",
-        IEEE Trans. IT 31(6), 1985).  Row i*m + b holds its multiple by
-        2^(m-1-b), all in the log domain.
+        IEEE Trans. IT 31(6), 1985).  Bit b of symbol i is the element
+        2^(m-1-b), so row i*m + b holds the bits of 2^(m-1-b) times that
+        entry.  Every product is a sum of logs.
         """
         n, m, k = self.n, self.m, self.k
         log, expt = self._tables
@@ -90,11 +91,12 @@ class RsCode:
         # log(X_i + X_q) for every position i and parity position q; the sum
         # is 0 only on the diagonal of the parity rows, where its log is 2n
         ls = log[expt[lx[:, None]] ^ expt[lx[k:]]]
-        la = ls[:k].sum(axis=1)
-        lb = ls[k:].sum(axis=1) - 2 * n
+        la = ls[:k].sum(axis=1)  # log A_i
+        lb = ls[k:].sum(axis=1) - 2 * n  # log B_p, without the diagonal
         lp = (lx[:k, None] + la[:, None] - lx[k:] - lb - ls[:k]) % n
         # both logs are below n, so their sum stays inside the doubled table
         values = expt[lp[:, None, :] + log[self._bit_weights][:, None]]  # (k, m, n-k)
+        # the low m of each byte's 8 bits, MSB first
         bits = np.unpackbits(values[..., None], axis=-1)[..., 8 - m :]
         return bits.reshape(k * m, (n - k) * m).astype(np.float32)
 
