@@ -19,13 +19,13 @@ def main():
     frame_bits = phy.bytes_to_bits(phy.frame_build(payload))
 
     code = rscodec.RsCode(63, 45)
-    syms = phy.bits_to_symbols(frame_bits, code.m)
+    syms = rscodec.bits_to_symbols(frame_bits, code.m)
     pad = (-syms.size) % code.k
     syms = np.concatenate([syms, np.zeros(pad, dtype=syms.dtype)])
     cw = []
     for i in range(0, syms.size, code.k):
         cw.extend(rscodec.encode(code, syms[i : i + code.k].tolist()))
-    tx_bits = phy.symbols_to_bits(np.array(cw), code.m)
+    tx_bits = rscodec.symbols_to_bits(np.array(cw), code.m)
     print(f"frame: {len(payload)} payload bytes -> {frame_bits.size} bits -> "
           f"{len(cw) // code.n} codeword(s) of RS({code.n},{code.k})")
 
@@ -46,7 +46,7 @@ def main():
     flagged = int(out.erasures[: tx_bits.size].sum())
     print(f"erasure flags: {flagged} bit(s) flagged around the outage")
 
-    rx_syms = phy.bits_to_symbols(out.bits[: tx_bits.size], code.m)
+    rx_syms = rscodec.bits_to_symbols(out.bits[: tx_bits.size], code.m)
     flags = out.erasures[: tx_bits.size].reshape(-1, code.m).any(axis=1)
     decoded = []
     for i in range(0, rx_syms.size, code.n):
@@ -57,7 +57,7 @@ def main():
         decoded.extend(got)
         print(f"codeword {i // code.n}: {erased.size} erased symbol(s), corrected")
 
-    bits = phy.symbols_to_bits(np.array(decoded), code.m)[: frame_bits.size]
+    bits = rscodec.symbols_to_bits(np.array(decoded), code.m)[: frame_bits.size]
     recovered = phy.frame_parse(phy.bits_to_bytes(bits))
     print(f"payload recovered intact: {recovered == payload}")
 

@@ -154,8 +154,8 @@ def erasure_mask_from_gate(durations, rate, n_symbols):
     """Deterministic mask, one bool per symbol: a symbol is erased iff its
     transmit interval overlaps an off run (a partially-lost symbol counts
     as lost)."""
-    if rate <= 0:
-        raise ParameterError(f"rate must be positive, got {rate}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ParameterError(f"rate must be finite and > 0, got {rate}")
     durations = np.asarray(durations, dtype=float)
     period_us = 1e6 / rate
     total = float(durations.sum()) if durations.size else 0.0

@@ -6,7 +6,8 @@ odd k <= n-2 whose predicted post-decode error rate stays at or below the
 threshold is found by scanning k downward in steps of 2; the per-length
 winners then compete on rate k/n, ties broken toward larger n (better
 burst spanning).  A brute-force scan over the whole candidate set is also
-provided for cross-checking; the search space has at most 315 pairs.
+provided for cross-checking; the search space has 119 pairs (every odd
+k <= n-2 of each n).
 """
 
 from dataclasses import dataclass, field

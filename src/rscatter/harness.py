@@ -179,7 +179,7 @@ def _encode_frames(code, plan, frame_bits):
     pad_syms = plan["n_codewords"] * code.k - plan["info_syms"]
     tail = np.concatenate([
         np.zeros(plan["info_syms"] * m - plan["frame_bits_n"], dtype=np.uint8),
-        phy.symbols_to_bits(np.full(pad_syms, _pad_symbol(m)), m),
+        rscodec.symbols_to_bits(np.full(pad_syms, _pad_symbol(m)), m),
     ])
     lead = frame_bits.shape[:-1]
     info = np.concatenate([frame_bits, np.broadcast_to(tail, lead + tail.shape)], axis=-1)
@@ -334,7 +334,7 @@ def _sample_frame_coded(config, code, plan, frame_bits, payload, lost_bits, rng)
         return 1, frame_bits.size
     bits, flags = received
 
-    words = phy.bits_to_symbols(bits, m).reshape(plan["n_codewords"], code.n)
+    words = rscodec.bits_to_symbols(bits, m).reshape(plan["n_codewords"], code.n)
     sym_flagged, failed = _codeword_erasures(flags, code)
     decoded_info = words[:, : code.k].copy()
     for j in np.flatnonzero(~failed):
@@ -344,7 +344,7 @@ def _sample_frame_coded(config, code, plan, frame_bits, payload, lost_bits, rng)
         else:
             decoded_info[j] = out
 
-    info_bits = phy.symbols_to_bits(decoded_info.ravel(), m)[: frame_bits.size]
+    info_bits = rscodec.symbols_to_bits(decoded_info.ravel(), m)[: frame_bits.size]
     mismatches = int(np.sum(info_bits != frame_bits))
     return int(failed.any() or not _delivers(info_bits, payload)), mismatches
 
@@ -413,7 +413,7 @@ def sweep_parity(config, n=127):
 def _parity_point(config, code, plan, lost):
     m, k, trials = code.m, code.k, config.frames
     info = np.random.default_rng([config.seed, 1, k]).integers(0, 1 << m, size=(trials, k))
-    info_bits = phy.symbols_to_bits(info.ravel(), m).reshape(trials, k * m)
+    info_bits = rscodec.symbols_to_bits(info.ravel(), m).reshape(trials, k * m)
     fe_base, bit_err_base, fe_coded, bit_err_coded = (
         int(v.sum()) for v in _symbol_frames(config, code, plan, info_bits, lost)
     )

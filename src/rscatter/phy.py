@@ -1,6 +1,6 @@
 """Tag-side frame construction and receiver-side detection.
 
-Framing (length byte, 3..108 byte payload, CRC-16), bit/symbol packing,
+Framing (length byte, 3..108 byte payload, CRC-16), scrambling,
 unipolar NRZ/OOK sample generation behind a fixed 36-bit preamble, sample
 gating by a lost-bit mask plus additive noise, and blind demodulation:
 matched filter, preamble cross-correlation timing, adaptive power
@@ -129,29 +129,6 @@ def scramble(bits):
     """
     bits = np.asarray(bits, dtype=np.uint8)
     return bits ^ scrambler_sequence(bits.shape[-1])
-
-
-def bits_to_symbols(bits, m):
-    """Big-endian grouping of m bits per symbol; final group zero-padded."""
-    if not (3 <= m <= 7):
-        raise ParameterError(f"m must be in 3..7, got {m}")
-    bits = np.asarray(bits, dtype=np.uint8)
-    pad = (-bits.size) % m
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    groups = bits.reshape(-1, m)
-    weights = 1 << np.arange(m - 1, -1, -1)
-    return groups @ weights
-
-
-def symbols_to_bits(symbols, m):
-    """Inverse of bits_to_symbols (padding bits are kept; the frame length
-    field is what lets a parser strip them)."""
-    if not (3 <= m <= 7):
-        raise ParameterError(f"m must be in 3..7, got {m}")
-    symbols = np.asarray(symbols, dtype=np.int64)
-    shifts = np.arange(m - 1, -1, -1)
-    return ((symbols[:, None] >> shifts) & 1).astype(np.uint8).ravel()
 
 
 @dataclass

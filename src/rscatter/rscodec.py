@@ -5,16 +5,18 @@ GF(2^m) with n = 2^m - 1, m in 3..7, and odd k so that n - k is even and
 t = (n - k) / 2 exactly.  Encoding is on the binary image of the code: the
 parity bits are the info bits times a fixed 0/1 matrix over GF(2), built in
 one shot from the closed Cauchy form of the code's systematic generator
-(Roth and Seroussi, IEEE Trans. IT 31(6), 1985).  Decoding computes the
-syndromes on the binary image as well (the received bits times a fixed
-parity-check matrix), then runs Berlekamp-Massey on Forney syndromes with
-erasure handling, and a Chien search and Forney's formula on arrays.  A
-decode failure is reported as None, never guessed.
+(Roth and Seroussi, IEEE Trans. IT 31(6), 1985).  Decoding takes the
+syndromes S_j = r(alpha^j) straight from the field tables, then runs
+Berlekamp-Massey on Forney syndromes with erasure handling, and a Chien
+search and Forney's formula on arrays.  A decode failure is reported as
+None, never guessed.
 
 All field arithmetic is lookups in the one pair of log/exp tables that
 `gf2m.tables` builds per field: numpy indexing for the array steps, and the
 same tables as Python lists for the scalar core (Berlekamp-Massey and the
-polynomial products).
+polynomial products).  This module also owns the one symbol/bit layout of
+the package, m bits per symbol, most significant first
+(`bits_to_symbols`, `symbols_to_bits`).
 """
 
 from functools import cached_property, lru_cache
@@ -34,6 +36,30 @@ def _lookups(m):
     return tuple(table.tolist() for table in tables(m))
 
 
+def _bit_weights(m):
+    """Place values of a symbol's m bits, most significant first: the one
+    symbol/bit layout.  An m with no field raises ParameterError."""
+    tables(m)
+    return 1 << np.arange(m - 1, -1, -1)
+
+
+def bits_to_symbols(bits, m):
+    """Big-endian grouping of m bits per symbol; final group zero-padded."""
+    weights = _bit_weights(m)
+    bits = np.asarray(bits, dtype=np.uint8)
+    pad = (-bits.size) % m
+    if pad:
+        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+    return bits.reshape(-1, m) @ weights
+
+
+def symbols_to_bits(symbols, m):
+    """Inverse of bits_to_symbols (padding bits are kept; the frame length
+    field is what lets a parser strip them)."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    return ((symbols[..., None] & _bit_weights(m)) != 0).astype(np.uint8).ravel()
+
+
 class RsCode:
     """An (n, k) Reed-Solomon code with derived correction capability t."""
 
@@ -49,17 +75,6 @@ class RsCode:
         self.m = n.bit_length()
         self.t = (n - k) // 2
         self._tables = tables(self.m)
-
-    @cached_property
-    def _bit_weights(self):
-        """Place values of a symbol's bits, MSB first."""
-        return 1 << np.arange(self.m - 1, -1, -1)
-
-    @cached_property
-    def _bit_table(self):
-        """Bits of every symbol value, MSB first: a (2^m, m) float32 matrix."""
-        values = np.arange(self.n + 1)[:, None]
-        return ((values >> np.arange(self.m - 1, -1, -1)) & 1).astype(np.float32)
 
     @cached_property
     def _position_powers(self):
@@ -95,29 +110,11 @@ class RsCode:
         lb = ls[k:].sum(axis=1) - 2 * n  # log B_p, without the diagonal
         lp = (lx[:k, None] + la[:, None] - lx[k:] - lb - ls[:k]) % n
         # both logs are below n, so their sum stays inside the doubled table
-        values = expt[lp[:, None, :] + log[self._bit_weights][:, None]]  # (k, m, n-k)
-        # the low m of each byte's 8 bits, MSB first
-        bits = np.unpackbits(values[..., None], axis=-1)[..., 8 - m :]
+        values = expt[lp[:, None, :] + log[_bit_weights(m)][:, None]]  # (k, m, n-k)
+        # the bits of every symbol value, looked up rather than computed
+        # per entry, so the expansion needs no int64 temporary
+        bits = symbols_to_bits(np.arange(n + 1), m).reshape(n + 1, m)[values]
         return bits.reshape(k * m, (n - k) * m).astype(np.float32)
-
-    @cached_property
-    def binary_parity_check(self):
-        """Binary image of the syndrome map, a (n*m, (n-k)*m) 0/1 float32 matrix.
-
-        Row j*m + b holds the bits of S_1..S_(n-k) of the word whose only
-        nonzero bit is bit b (MSB first) of symbol j.  That bit is the
-        element 2^(m-1-b) at x^(n-1-j), so it adds 2^(m-1-b) alpha^(i(n-1-j))
-        to S_i = r(alpha^i).  A word's syndrome bits are its bits times this
-        matrix mod 2, m bits (MSB first) per syndrome.
-        """
-        n, m, d = self.n, self.m, self.n - self.k
-        log, expt = self._tables
-        basis_log = log[1 << np.arange(m - 1, -1, -1)]
-        # powers[j, i-1] = i * (n-1-j), the exponent of alpha at x^(n-1-j) in S_i
-        powers = np.arange(n - 1, -1, -1)[:, None] * np.arange(1, d + 1)
-        values = expt[(basis_log[:, None] + powers[:, None, :]) % n]  # (n, m, d)
-        bits = (values[..., None] >> np.arange(m - 1, -1, -1, dtype=np.uint8)) & 1
-        return bits.reshape(n * m, d * m).astype(np.float32)
 
     def __repr__(self):
         return f"RsCode(n={self.n}, k={self.k})"
@@ -131,13 +128,8 @@ def encode(code, info):
     for s in info:
         if not (0 <= s < code.n + 1):
             raise ParameterError(f"symbol {s} out of range for GF(2^{code.m})")
-    cw_bits = encode_bits(code, code._bit_table[np.array(info, dtype=np.int64)].reshape(1, -1))
-    return _bit_symbols(code, cw_bits).tolist()
-
-
-def _bit_symbols(code, bits):
-    """Bits, m per symbol and MSB first, back to integer symbols."""
-    return bits.reshape(-1, code.m) @ code._bit_weights
+    cw_bits = encode_bits(code, symbols_to_bits(info, code.m).reshape(1, -1))
+    return bits_to_symbols(cw_bits, code.m).tolist()
 
 
 def encode_bits(code, info_bits):
@@ -160,11 +152,15 @@ def encode_bits(code, info_bits):
     return np.concatenate([info_bits, parity_bits], axis=1)
 
 
-def _syndrome_bits(code, word):
-    """Bits of S_1..S_(n-k) of an n-symbol int array, m per syndrome and
-    MSB first: the word's bits times the binary parity-check image, mod 2."""
-    # float32 sums are exact: each is at most n*m <= 889 < 2**24
-    return (code._bit_table[word].reshape(-1) @ code.binary_parity_check) % 2
+def _syndromes(code, words):
+    """S_1..S_(n-k) of one n-symbol word, or of each row of a (rows, n)
+    array: S_j = r(alpha^j) = sum_i r_i X_i^j, where the log of X_i^j is
+    n minus row j of the position powers."""
+    log, expt = code._tables
+    # a nonzero symbol's index is below 2n, inside the doubled exp table;
+    # a zero's (log 2n) is at most 3n, inside the zero block
+    powers = log[words][..., None, :] + code.n - code._position_powers[1:]
+    return np.bitwise_xor.reduce(expt[powers], axis=-1)
 
 
 def _berlekamp_massey(lookups, seq):
@@ -251,10 +247,10 @@ def decode(code, received, erasures=()):
         return None
 
     word = np.array(received, dtype=np.int64)
-    synd_bits = _syndrome_bits(code, word)
-    if not synd_bits.any():
+    synd = _syndromes(code, word)
+    if not synd.any():
         return received[:code.k]
-    synd = _bit_symbols(code, synd_bits).astype(np.int64).tolist()
+    synd = synd.tolist()
 
     # erasure locator Gamma(x) = prod (1 + X_i x), ascending coefficients;
     # position i holds the coefficient of x^(n-1-i), so X_i = alpha^(n-1-i)
@@ -290,6 +286,6 @@ def decode(code, received, erasures=()):
     log, expt = code._tables
     word[roots] ^= expt[log[num] + code.n - log[den]]
 
-    if _syndrome_bits(code, word).any():
+    if _syndromes(code, word).any():
         return None
     return word[:code.k].tolist()

@@ -50,8 +50,9 @@ class DurationTrace:
     def __post_init__(self):
         self.off_durations = np.asarray(self.off_durations, dtype=float)
         self.on_durations = np.asarray(self.on_durations, dtype=float)
-        if np.any(self.off_durations <= 0) or np.any(self.on_durations <= 0):
-            raise ParameterError("all durations must be positive")
+        durations = np.concatenate([self.off_durations, self.on_durations])
+        if not np.all(np.isfinite(durations) & (durations > 0)):
+            raise ParameterError("all durations must be finite and positive")
 
 
 def pareto_pdf(tau, p):
@@ -135,7 +136,8 @@ def save_trace(trace, path):
 
 
 def load_trace(path):
-    """Parse a trace CSV; rejects nonpositive durations and malformed lines."""
+    """Parse a trace CSV; rejects nonpositive or non-finite durations and
+    malformed lines."""
     on = []
     off = []
     with open(path) as fh:
@@ -153,7 +155,7 @@ def load_trace(path):
                 dur = float(dur_s)
             except ValueError:
                 raise TraceParseError(lineno, f"bad duration {dur_s!r}") from None
-            if dur <= 0:
-                raise TraceParseError(lineno, f"duration must be positive, got {dur}")
+            if not (math.isfinite(dur) and dur > 0):
+                raise TraceParseError(lineno, f"duration must be finite and positive, got {dur}")
             (on if state == "on" else off).append(dur)
     return DurationTrace(off_durations=np.array(off), on_durations=np.array(on))

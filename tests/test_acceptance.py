@@ -64,7 +64,7 @@ def test_criterion_1_rs_exhaustive_correctness():
     for _ in range(300):
         payload = rng.integers(0, 256, size=8, dtype=np.uint8).tobytes()
         frame_bits = phy.bytes_to_bits(phy.frame_build(payload))
-        syms = phy.bits_to_symbols(frame_bits, 3)
+        syms = rscodec.bits_to_symbols(frame_bits, 3)
         pad = (-syms.size) % 3
         syms = np.concatenate([syms, np.zeros(pad, dtype=syms.dtype)])
         words = [
@@ -82,7 +82,7 @@ def test_criterion_1_rs_exhaustive_correctness():
             if out is None:
                 out = (corrupted if i == j else w)[:3]
             decoded.extend(out)
-        bits = phy.symbols_to_bits(np.array(decoded), 3)[: frame_bits.size]
+        bits = rscodec.symbols_to_bits(np.array(decoded), 3)[: frame_bits.size]
         try:
             delivered = phy.frame_parse(phy.bits_to_bytes(bits))
         except Exception:

@@ -162,8 +162,9 @@ def test_erasure_mask_partial_overlap_counts_as_lost():
 def test_erasure_mask_requires_cover():
     with pytest.raises(ParameterError):
         erasure_mask_from_gate(np.array([3.0]), 1e6, 10)
-    with pytest.raises(ParameterError):
-        erasure_mask_from_gate(np.array([3.0, 2.0]), 0.0, 1)
+    for rate in (0.0, -1.0, inf, nan):
+        with pytest.raises(ParameterError, match="rate"):
+            erasure_mask_from_gate(np.array([10.0, 5.0, 10.0]), rate, 8)
 
 
 def test_markov_mask_statistics():

@@ -87,32 +87,6 @@ def test_bit_packing_roundtrip():
         phy.bits_to_bytes([1, 0, 1])
 
 
-def test_symbol_packing_pads_final_group():
-    # 7 bits at m=3: 3 symbols, the last padded with 2 zero bits
-    bits = [1, 0, 1, 1, 1, 0, 1]
-    syms = phy.bits_to_symbols(bits, 3)
-    assert syms.tolist() == [0b101, 0b110, 0b100]
-    back = phy.symbols_to_bits(syms, 3)
-    assert back[:7].tolist() == bits
-    assert back[7:].tolist() == [0, 0]
-
-
-@given(st.lists(st.integers(0, 1), min_size=0, max_size=200), st.integers(3, 7))
-@settings(max_examples=60)
-def test_symbol_packing_roundtrip_property(bits, m):
-    syms = phy.bits_to_symbols(bits, m)
-    back = phy.symbols_to_bits(syms, m)
-    assert back[: len(bits)].tolist() == bits
-    assert not back[len(bits) :].any()
-
-
-def test_symbol_packing_validates_m():
-    with pytest.raises(ParameterError):
-        phy.bits_to_symbols([1, 0], 2)
-    with pytest.raises(ParameterError):
-        phy.symbols_to_bits([1], 8)
-
-
 def test_scrambler_properties():
     pn = phy.scrambler_sequence(127 * 3)
     # maximal-length sequence balance over one period: 64 ones, 63 zeros

@@ -5,11 +5,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gf_oracle import generator_poly, gf_mul, gf_pow, poly_eval
 from rscatter.errors import ParameterError
 from rscatter.rscodec import (
-    ADMISSIBLE_N, RsCode, _bit_symbols, _syndrome_bits, decode, encode, encode_bits,
+    ADMISSIBLE_N, RsCode, _syndromes, bits_to_symbols, decode, encode, encode_bits,
+    symbols_to_bits,
 )
 
 
@@ -32,6 +34,32 @@ def test_code_parameter_validation():
         RsCode(7, -1)
     code = RsCode(15, 9)
     assert (code.m, code.t) == (4, 3)
+
+
+def test_symbol_packing_pads_final_group():
+    # 7 bits at m=3: 3 symbols, the last padded with 2 zero bits
+    bits = [1, 0, 1, 1, 1, 0, 1]
+    syms = bits_to_symbols(bits, 3)
+    assert syms.tolist() == [0b101, 0b110, 0b100]
+    back = symbols_to_bits(syms, 3)
+    assert back[:7].tolist() == bits
+    assert back[7:].tolist() == [0, 0]
+
+
+@given(st.lists(st.integers(0, 1), min_size=0, max_size=200), st.integers(3, 7))
+@settings(max_examples=60)
+def test_symbol_packing_roundtrip_property(bits, m):
+    syms = bits_to_symbols(bits, m)
+    back = symbols_to_bits(syms, m)
+    assert back[: len(bits)].tolist() == bits
+    assert not back[len(bits) :].any()
+
+
+def test_symbol_packing_validates_m():
+    with pytest.raises(ParameterError):
+        bits_to_symbols([1, 0], 2)
+    with pytest.raises(ParameterError):
+        symbols_to_bits([1], 8)
 
 
 def test_generator_has_consecutive_roots():
@@ -97,12 +125,13 @@ def test_encode_matches_synthetic_division_reference():
 
 def test_every_binary_generator_row_is_a_codeword():
     # each row of [I | G2] is the binary image of a codeword, so its
-    # syndrome under the independently built parity-check image is zero
+    # symbols have zero syndromes on the field tables
     for n in ADMISSIBLE_N:
         for k in range(1, n - 1, 2):
             code = RsCode(n, k)
-            rows = np.hstack([np.eye(k * code.m, dtype=np.float32), code.binary_generator])
-            assert ((rows @ code.binary_parity_check) % 2 == 0).all()
+            rows = np.hstack([np.eye(k * code.m, dtype=np.uint8), code.binary_generator])
+            words = bits_to_symbols(rows, code.m).reshape(-1, n)
+            assert not _syndromes(code, words).any()
 
 
 def test_encode_bits_validates_shape_and_range():
@@ -131,15 +160,16 @@ def test_binary_syndromes_match_horner_reference():
     for n in ADMISSIBLE_N:
         for k in (1, n // 2 | 1, n - 2):
             code = RsCode(n, k)
-            assert code.binary_parity_check.shape == (n * code.m, (n - k) * code.m)
             words = [np.zeros(n, dtype=np.int64), np.full(n, n)]
             words += [rng.integers(0, n + 1, size=n) for _ in range(4)]
-            for word in words:
-                synd = _bit_symbols(code, _syndrome_bits(code, word))
-                assert synd.tolist() == _horner_syndromes(code, word.tolist())
+            expected = [_horner_syndromes(code, word.tolist()) for word in words]
+            for word, synd in zip(words, expected):
+                assert _syndromes(code, word).tolist() == synd
+            # a (rows, n) block gives each row's syndromes
+            assert _syndromes(code, np.array(words)).tolist() == expected
             for _ in range(3):
                 cw = np.array(encode(code, _random_info(rng, code)))
-                assert not _syndrome_bits(code, cw).any()
+                assert not _syndromes(code, cw).any()
 
 
 def test_decode_clean_word_roundtrip():

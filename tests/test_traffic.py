@@ -138,6 +138,14 @@ def test_trace_roundtrip(tmp_path):
     assert back.on_durations.tolist() == [10.0, 11.5, 12.125]
 
 
+def test_duration_trace_requires_finite_positive_durations():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            DurationTrace(off_durations=[1.5, bad], on_durations=[10.0])
+        with pytest.raises(ParameterError, match="finite and positive"):
+            DurationTrace(off_durations=[1.5], on_durations=[bad])
+
+
 def test_load_trace_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# header\non,3.5\nbogus line\n")
@@ -154,6 +162,13 @@ def test_load_trace_reports_line_numbers(tmp_path):
     with pytest.raises(TraceParseError) as err:
         load_trace(path)
     assert err.value.line_number == 1
+
+    # a non-finite duration is named by its line, not by a later fit
+    for text, line in [("on,3.5\noff,inf\n", 2), ("# header\non,3.5\noff,2.0\non,nan\n", 4)]:
+        path.write_text(text)
+        with pytest.raises(TraceParseError) as err:
+            load_trace(path)
+        assert err.value.line_number == line
 
     path.write_text("maybe,3.0\n")
     with pytest.raises(TraceParseError):
