@@ -29,15 +29,15 @@ def main():
     print(f"frame: {len(payload)} payload bytes -> {frame_bits.size} bits -> "
           f"{len(cw) // code.n} codeword(s) of RS({code.n},{code.k})")
 
-    stream = phy.modulate(tx_bits)
-    sample_rate = BIT_RATE * stream.samples_per_bit
-    print(f"waveform: {len(stream)} samples at {sample_rate / 1e6:.0f} MS/s")
+    samples = phy.modulate(tx_bits)
+    sample_rate = BIT_RATE * samples.shape[1]
+    print(f"waveform: {samples.size} samples at {sample_rate / 1e6:.0f} MS/s")
 
     # excitation dies for 5 us, 25 us into the frame: at 6 Mb/s that is
     # bits 150..179, preamble included
     lost = np.zeros(phy.PREAMBLE_LEN + tx_bits.size, dtype=bool)
     lost[150:180] = True
-    rx = phy.apply_channel(stream, lost, noise_sigma=0.03, rng=rng)
+    rx = phy.apply_channel(samples, lost, noise_sigma=0.03, rng=rng)
 
     out = phy.demodulate(rx)
     assert out is not None, "preamble not found"

@@ -2,7 +2,8 @@
 
 Subcommands: fit, optimize, simulate, sweep, gen-trace.  Reports are JSON,
 sweeps and per-frame logs are CSV.  Exit codes: 0 success, 2 config or
-parameter error, 3 infeasible channel or search.
+parameter error or an unreadable or unwritable file, 3 infeasible channel
+or search.
 """
 
 import argparse
@@ -219,7 +220,7 @@ def main(argv=None):
     try:
         args.func(args)
     except (ParameterError, TraceParseError, DegenerateTraceError,
-            FileNotFoundError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleError, InfiniteMeanError) as exc:

@@ -213,23 +213,6 @@ def _draw_frame(rng, config, stats, plan):
     return payload, phy.bytes_to_bits(phy.frame_build(payload)), lost
 
 
-def _coded_bit_errors(code, info_bits, flags, cw_fail):
-    """Errored information bits per row, of codewords lost to erasures.
-
-    A flagged bit reads as zero power and descrambles to the PN bit, so a
-    mismatch happens exactly where the true bit differs from the PN
-    sequence.  info_bits (rows, bits) are the leading info bits of the
-    row's codewords in order; flags (rows, n_codewords * n * m) and
-    cw_fail (rows, n_codewords) are per transmitted bit and per codeword.
-    """
-    width = code.k * code.m
-    pos = np.arange(info_bits.shape[1])
-    cw = pos // width
-    tx = cw * (code.n * code.m) + pos % width
-    pn = phy.scrambler_sequence(flags.shape[1])[tx]
-    return (flags[:, tx] & cw_fail[:, cw] & (info_bits != pn)).sum(axis=1)
-
-
 def _symbol_frames(config, code, plan, frame_bits, lost_all):
     """Baseline and coded outcomes of a block of frames, one frame per row.
 
@@ -246,14 +229,17 @@ def _symbol_frames(config, code, plan, frame_bits, lost_all):
     base_err = preamble_lost | base_corrupt.any(axis=1)
     base_bits = np.where(preamble_lost, nf, base_corrupt.sum(axis=1))
 
-    # coded: codeword bits after the preamble, receiver-perceived erasures
+    # coded: codeword bits after the preamble, receiver-perceived erasures;
+    # a flagged info bit of a lost codeword is wrong by the same line-bit rule
     tx_bits = _encode_frames(code, plan, frame_bits)
     lost_coded = lost_all[:, pre : pre + plan["coded_bits_n"]]
     flags = phy.perceived_erasures(tx_bits, lost_coded, config.erasure_margin_bits)
     _, cw_fail = _codeword_erasures(flags, code)
     coded_err = preamble_lost | cw_fail.any(axis=1)
+    wrong = flags & (phy.scramble(tx_bits) == 1)
+    wrong = wrong.reshape(cw_fail.shape + (-1,))[..., : code.k * code.m] & cw_fail[..., None]
     coded_bits = np.where(
-        preamble_lost, nf, _coded_bit_errors(code, frame_bits, flags, cw_fail)
+        preamble_lost, nf, wrong.reshape(len(wrong), -1)[:, :nf].sum(axis=1)
     )
     return base_err, base_bits, coded_err, coded_bits
 
@@ -302,9 +288,9 @@ def run_sample_level(config):
 def _receive(config, tx_bits, lost_bits, rng):
     """Modulate tx_bits, gate them by the lost-bit mask (preamble first) and
     add noise, and demodulate: returns the received bits and erasure flags
-    of tx_bits, or None when the preamble is lost or the stream ends early."""
-    stream = phy.modulate(tx_bits, config.samples_per_bit)
-    rx = phy.apply_channel(stream, lost_bits, config.noise_sigma, rng)
+    of tx_bits, or None when the preamble is lost or the waveform ends early."""
+    samples = phy.modulate(tx_bits, config.samples_per_bit)
+    rx = phy.apply_channel(samples, lost_bits, config.noise_sigma, rng)
     demod = phy.demodulate(rx, config.erasure_margin_bits)
     if demod is None or demod.bits.size < tx_bits.size:
         return None

@@ -5,6 +5,9 @@ unipolar NRZ/OOK sample generation behind a fixed 36-bit preamble, sample
 gating by a lost-bit mask plus additive noise, and blind demodulation:
 matched filter, preamble cross-correlation timing, adaptive power
 threshold, and erasure flagging of long zero-power runs.
+
+A waveform is one (bits, samples_per_bit) array: `modulate` returns the real
+envelope, `apply_channel` the complex I + jQ samples `demodulate` reads.
 """
 
 import struct
@@ -22,11 +25,11 @@ PREAMBLE_LEN = PREAMBLE_BITS.size  # 36
 MIN_PAYLOAD = 3
 MAX_PAYLOAD = 108
 DEFAULT_SAMPLES_PER_BIT = 8
-# fewest samples per bit a stream may carry
+# fewest samples per bit a waveform may carry
 MIN_SAMPLES_PER_BIT = 4
 # most samples per bit an experiment may ask for: the longest frame (108
 # bytes under RS(7,1), 6252 bits) then holds about 4*10^5 samples, 3.2 MB
-# per I or Q array
+# as a float envelope and 6.4 MB as complex I + jQ
 MAX_SAMPLES_PER_BIT = 64
 # OOK cannot tell a transmitted 0 from the off state; a below-floor run is
 # flagged erased only when longer than this many bit-times.
@@ -113,83 +116,59 @@ def _scrambler_base():
 _SCRAMBLER = _scrambler_base()
 
 
-def scrambler_sequence(n):
-    """The fixed scrambler PN sequence, tiled to n bits."""
-    reps = -(-n // _SCRAMBLER.size)
-    return np.tile(_SCRAMBLER, reps)[:n]
-
-
 def scramble(bits):
     """XOR with the fixed PN sequence (self-inverse), along the last axis.
 
     Whitening keeps every transmitted bit stream free of long zero runs --
     an unscrambled low-weight word would be indistinguishable from a
     carrier outage -- and bounds legal zero runs so erasure flagging has a
-    sound margin.
+    sound margin.  The PN sequence itself is scramble(zeros).
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    return bits ^ scrambler_sequence(bits.shape[-1])
+    n = bits.shape[-1]
+    return bits ^ np.tile(_SCRAMBLER, -(-n // _SCRAMBLER.size))[:n]
 
 
-@dataclass
-class SampleStream:
-    """Baseband I/Q sample sequences, samples_per_bit samples per bit."""
-
-    i_samples: np.ndarray
-    q_samples: np.ndarray
-    samples_per_bit: int
-
-    def __post_init__(self):
-        self.i_samples = np.asarray(self.i_samples, dtype=float)
-        self.q_samples = np.asarray(self.q_samples, dtype=float)
-        if self.i_samples.size != self.q_samples.size:
-            raise ParameterError("I and Q sample counts differ")
-        if self.samples_per_bit < MIN_SAMPLES_PER_BIT:
-            raise ParameterError(
-                f"samples_per_bit must be >= {MIN_SAMPLES_PER_BIT}, "
-                f"got {self.samples_per_bit}"
-            )
-
-    def __len__(self):
-        return self.i_samples.size
+def _waveform(samples):
+    """samples as a (bits, samples_per_bit) array; ParameterError unless it
+    is 2-D with at least MIN_SAMPLES_PER_BIT samples per bit."""
+    samples = np.asarray(samples)
+    if samples.ndim != 2 or samples.shape[1] < MIN_SAMPLES_PER_BIT:
+        shape = f"(bits, >= {MIN_SAMPLES_PER_BIT} samples per bit)"
+        raise ParameterError(f"waveform shape must be {shape}, got {samples.shape}")
+    return samples
 
 
 def modulate(bits, samples_per_bit=DEFAULT_SAMPLES_PER_BIT):
-    """OOK/NRZ sample generation: preamble || bits, one amplitude level held
-    for samples_per_bit samples per bit (1 -> unit amplitude, 0 -> zero).
+    """OOK/NRZ envelope of preamble || scrambled bits, a float (PREAMBLE_LEN +
+    bits, samples_per_bit) array: 1 -> unit amplitude, 0 -> zero.
 
-    Carrier and frequency shifting are abstracted away; the stream is the
-    ideal clean-band baseband envelope.
+    Carrier and frequency shifting are abstracted away; the envelope is the
+    ideal clean-band baseband signal.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     levels = np.concatenate([PREAMBLE_BITS, scramble(bits)]).astype(float)
-    i = np.repeat(levels, samples_per_bit)
-    return SampleStream(
-        i_samples=i, q_samples=np.zeros_like(i), samples_per_bit=samples_per_bit
-    )
+    return _waveform(np.repeat(levels[:, None], samples_per_bit, axis=1))
 
 
-def apply_channel(stream, lost_bits, noise_sigma, rng):
-    """Gate the stream by a lost-bit mask and add Gaussian I/Q noise.
+def apply_channel(samples, lost_bits, noise_sigma, rng):
+    """Gate a waveform by a lost-bit mask and add Gaussian I/Q noise.
 
-    lost_bits holds one flag per stream bit, preamble included (entries past
-    the stream are ignored); every sample of a lost bit is scaled to zero.
+    lost_bits holds one flag per waveform row, preamble included (entries
+    past the waveform are ignored); every sample of a lost bit is scaled to
+    zero.  Returns the complex I + jQ waveform, the I noise drawn before
+    the Q noise.
     """
-    n = len(stream)
-    spb = stream.samples_per_bit
-    n_bits = -(-n // spb)
+    samples = _waveform(samples)
+    rows = samples.shape[0]
     lost_bits = np.asarray(lost_bits, dtype=bool)
-    if lost_bits.size < n_bits:
-        raise ParameterError(
-            f"lost-bit mask ({lost_bits.size} bits) shorter than stream ({n_bits} bits)"
-        )
-    keep = np.repeat(~lost_bits[:n_bits], spb)[:n]
-    i = stream.i_samples * keep
-    q = stream.q_samples * keep
+    if lost_bits.size < rows:
+        raise ParameterError(f"lost-bit mask ({lost_bits.size}) shorter than waveform ({rows})")
+    rx = (samples * ~lost_bits[:rows, None]).astype(complex)
     if noise_sigma > 0:
-        i = i + rng.normal(0.0, noise_sigma, n)
-        q = q + rng.normal(0.0, noise_sigma, n)
-    return SampleStream(i_samples=i, q_samples=q, samples_per_bit=spb)
+        rx.real += rng.normal(0.0, noise_sigma, samples.shape)
+        rx.imag += rng.normal(0.0, noise_sigma, samples.shape)
+    return rx
 
 
 def _bit_statistics(power, start, count, spb):
@@ -290,7 +269,7 @@ class DemodResult:
     power_threshold: float
 
 
-def demodulate(stream, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
+def demodulate(samples, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     """Blind demodulation of one frame; returns None when no preamble is found.
 
     Per-sample power sqrt(I^2+Q^2) is matched-filtered by a one-bit moving
@@ -301,11 +280,12 @@ def demodulate(stream, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     Below-floor runs longer than erase_margin_bits bit-times are flagged
     erased.
 
-    All thresholds are relative, so scaling the stream amplitude by any
+    All thresholds are relative, so scaling the waveform amplitude by any
     positive constant leaves every decision unchanged.
     """
-    spb = stream.samples_per_bit
-    power = np.hypot(stream.i_samples, stream.q_samples)
+    samples = _waveform(samples)
+    spb = samples.shape[1]
+    power = np.hypot(samples.real, samples.imag).ravel()
     if power.size < (PREAMBLE_LEN + 1) * spb:
         return None
     corr = _preamble_corr(power, spb)

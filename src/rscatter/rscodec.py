@@ -43,10 +43,18 @@ def _bit_weights(m):
     return 1 << np.arange(m - 1, -1, -1)
 
 
+def _in_range(values, top, what):
+    """values as an array; ParameterError unless every entry is in 0..top."""
+    values = np.asarray(values)
+    if not ((values >= 0) & (values <= top)).all():
+        raise ParameterError(f"{what} must be in 0..{top}")
+    return values
+
+
 def bits_to_symbols(bits, m):
     """Big-endian grouping of m bits per symbol; final group zero-padded."""
     weights = _bit_weights(m)
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = _in_range(bits, 1, "bits").astype(np.uint8)
     pad = (-bits.size) % m
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
@@ -56,8 +64,9 @@ def bits_to_symbols(bits, m):
 def symbols_to_bits(symbols, m):
     """Inverse of bits_to_symbols (padding bits are kept; the frame length
     field is what lets a parser strip them)."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    return ((symbols[..., None] & _bit_weights(m)) != 0).astype(np.uint8).ravel()
+    weights = _bit_weights(m)
+    symbols = _in_range(symbols, (1 << m) - 1, f"GF(2^{m}) symbols").astype(np.int64)
+    return ((symbols[..., None] & weights) != 0).astype(np.uint8).ravel()
 
 
 class RsCode:
@@ -125,9 +134,6 @@ def encode(code, info):
     info = list(info)
     if len(info) != code.k:
         raise ParameterError(f"info must have exactly {code.k} symbols, got {len(info)}")
-    for s in info:
-        if not (0 <= s < code.n + 1):
-            raise ParameterError(f"symbol {s} out of range for GF(2^{code.m})")
     cw_bits = encode_bits(code, symbols_to_bits(info, code.m).reshape(1, -1))
     return bits_to_symbols(cw_bits, code.m).tolist()
 

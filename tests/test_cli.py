@@ -159,6 +159,26 @@ def test_simulate_missing_config_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+_SCENARIO_ARGS = ["--off-shape", "2.5", "--off-scale-min", "4.0",
+                  "--on-shape", "2.0", "--on-scale-min", "100.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "{dir}"],
+    ["simulate", "--config", "{dir}"],
+    ["fit", "{binary}"],
+    ["simulate", "--config", "{binary}"],
+    ["gen-trace", *_SCENARIO_ARGS, "--total-us", "100", "-o", "{dir}"],
+], ids=["fit-dir", "simulate-dir", "fit-binary", "simulate-binary", "gen-trace-dir"])
+def test_unreadable_path_exit_code(tmp_path, capsys, argv):
+    # a directory where a file belongs, and a file that is not text
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"off_shape = 2\xff\n")
+    argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
 def test_simulate_negative_values_exit_code(tmp_path, capsys):
     scenario = "off_shape = 1.5\noff_scale_min = 2.0\non_shape = 2.0\non_scale_min = 50.0\n"
     # a later line overrides the scenario's; an infinite off run would gate

@@ -88,7 +88,7 @@ def test_bit_packing_roundtrip():
 
 
 def test_scrambler_properties():
-    pn = phy.scrambler_sequence(127 * 3)
+    pn = phy.scramble(np.zeros(127 * 3, dtype=np.uint8))
     # maximal-length sequence balance over one period: 64 ones, 63 zeros
     assert int(pn[:127].sum()) == 64
     assert (pn[:127] == pn[127:254]).all()
@@ -105,12 +105,11 @@ def test_scrambler_properties():
 def test_modulate_levels_and_timing():
     bits = np.array([1, 0, 1], dtype=np.uint8)
     spb = 8
-    stream = phy.modulate(bits, spb)
-    assert len(stream) == (phy.PREAMBLE_LEN + 3) * spb
-    levels = stream.i_samples.reshape(-1, spb)
+    levels = phy.modulate(bits, spb)
+    assert levels.shape == (phy.PREAMBLE_LEN + 3, spb)
+    assert levels.dtype == float  # a real envelope: no Q component
     assert np.all(levels == levels[:, :1])  # constant within each bit
-    assert set(np.unique(stream.i_samples)) <= {0.0, 1.0}
-    assert not stream.q_samples.any()
+    assert set(np.unique(levels)) <= {0.0, 1.0}
     # the data section carries the scrambled line bits
     line = levels[phy.PREAMBLE_LEN :, 0].astype(np.uint8)
     assert (line == phy.scramble(bits)).all()
@@ -119,20 +118,30 @@ def test_modulate_levels_and_timing():
 def test_samples_per_bit_floor():
     with pytest.raises(ParameterError):
         phy.modulate([1, 0], samples_per_bit=3)
+    good = phy.modulate(np.ones(10, dtype=np.uint8), 8)
+    lost = _no_loss(good)
+    # a flat waveform, and rows shorter than the samples-per-bit floor
+    for bad in (good.ravel(), good[:, : phy.MIN_SAMPLES_PER_BIT - 1]):
+        with pytest.raises(ParameterError):
+            phy.apply_channel(bad, lost, 0.0, None)
+        with pytest.raises(ParameterError):
+            phy.demodulate(bad)
+    assert phy.demodulate(good[:, : phy.MIN_SAMPLES_PER_BIT]) is not None
 
 
-def _no_loss(stream):
-    return np.zeros(len(stream) // stream.samples_per_bit, dtype=bool)
+def _no_loss(samples):
+    return np.zeros(samples.shape[0], dtype=bool)
 
 
 def test_apply_channel_gates_samples():
-    stream = phy.modulate(np.ones(10, dtype=np.uint8), 8)
+    samples = phy.modulate(np.ones(10, dtype=np.uint8), 8)
     rng = np.random.default_rng(0)
     # lost bits 2..3 of the data section (after the preamble)
-    lost = _no_loss(stream)
+    lost = _no_loss(samples)
     lost[phy.PREAMBLE_LEN + 2 : phy.PREAMBLE_LEN + 4] = True
-    gated = phy.apply_channel(stream, lost, 0.0, rng)
-    data = gated.i_samples[phy.PREAMBLE_LEN * 8 :].reshape(10, 8)
+    gated = phy.apply_channel(samples, lost, 0.0, rng)
+    assert gated.shape == samples.shape and not gated.imag.any()
+    data = gated.real[phy.PREAMBLE_LEN :]
     assert not data[2].any() and not data[3].any()
     line = phy.scramble(np.ones(10, dtype=np.uint8))
     for i in (0, 1, 4, 9):
@@ -140,13 +149,13 @@ def test_apply_channel_gates_samples():
 
 
 def test_apply_channel_requires_cover():
-    stream = phy.modulate(np.ones(10, dtype=np.uint8), 8)
-    lost = _no_loss(stream)
+    samples = phy.modulate(np.ones(10, dtype=np.uint8), 8)
+    lost = _no_loss(samples)
     with pytest.raises(ParameterError):
-        phy.apply_channel(stream, lost[:-1], 0.0, np.random.default_rng(0))
-    # a longer mask is cut to the stream
-    gated = phy.apply_channel(stream, np.append(lost, True), 0.0, None)
-    assert gated.i_samples.tobytes() == stream.i_samples.tobytes()
+        phy.apply_channel(samples, lost[:-1], 0.0, np.random.default_rng(0))
+    # a longer mask is cut to the waveform
+    gated = phy.apply_channel(samples, np.append(lost, True), 0.0, None)
+    assert gated.real.tobytes() == samples.tobytes()
 
 
 @given(st.integers(phy.MIN_SAMPLES_PER_BIT, 16), st.integers(1, 60), st.data())
@@ -155,43 +164,41 @@ def test_apply_channel_gates_by_lost_bit_mask(spb, n_data, data):
     bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_data, max_size=n_data)),
                     dtype=np.uint8)
     n_bits = phy.PREAMBLE_LEN + n_data
-    # masks may run past the stream
+    # masks may run past the waveform
     lost = np.array(data.draw(st.lists(st.booleans(), min_size=n_bits, max_size=n_bits + 8)))
-    stream = phy.modulate(bits, spb)
-    expected = stream.i_samples * np.repeat(~lost[:n_bits], spb)
-    gated = phy.apply_channel(stream, lost, 0.0, None)
-    assert gated.i_samples.tobytes() == expected.tobytes()
-    assert not gated.q_samples.any() and gated.samples_per_bit == spb
-    # noise is drawn for I, then for Q
-    noisy = phy.apply_channel(stream, lost, 0.1, np.random.default_rng(n_data))
+    samples = phy.modulate(bits, spb)
+    expected = samples * np.repeat(~lost[:n_bits], spb).reshape(n_bits, spb)
+    gated = phy.apply_channel(samples, lost, 0.0, None)
+    assert gated.shape == (n_bits, spb)
+    assert gated.real.tobytes() == expected.tobytes()
+    assert not gated.imag.any()
+    # noise is drawn for I, then for Q, each as one flat C-order draw
+    noisy = phy.apply_channel(samples, lost, 0.1, np.random.default_rng(n_data))
     ref = np.random.default_rng(n_data)
-    assert noisy.i_samples.tobytes() == (expected + ref.normal(0.0, 0.1, len(stream))).tobytes()
-    assert noisy.q_samples.tobytes() == ref.normal(0.0, 0.1, len(stream)).tobytes()
+    i_noise = ref.normal(0.0, 0.1, samples.size).reshape(samples.shape)
+    q_noise = ref.normal(0.0, 0.1, samples.size).reshape(samples.shape)
+    assert noisy.real.tobytes() == (expected + i_noise).tobytes()
+    assert noisy.imag.tobytes() == q_noise.tobytes()
 
 
 def test_demodulate_clean_roundtrip():
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, 400, dtype=np.uint8)
-    stream = phy.modulate(bits)
-    rx = phy.apply_channel(stream, _no_loss(stream), 0.0, rng)
+    samples = phy.modulate(bits)
+    rx = phy.apply_channel(samples, _no_loss(samples), 0.0, rng)
     out = phy.demodulate(rx)
     assert out is not None
     assert (out.bits[: bits.size] == bits).all()
     assert not out.erasures.any()
-    assert out.preamble_end == phy.PREAMBLE_LEN * stream.samples_per_bit
+    assert out.preamble_end == phy.PREAMBLE_LEN * samples.shape[1]
 
 
 def test_demodulate_is_amplitude_invariant():
     rng = np.random.default_rng(2)
     bits = rng.integers(0, 2, 200, dtype=np.uint8)
-    stream = phy.modulate(bits)
+    samples = phy.modulate(bits)
     for amp in (1e-3, 1.0, 750.0):
-        scaled = phy.SampleStream(
-            i_samples=stream.i_samples * amp,
-            q_samples=stream.q_samples * amp,
-            samples_per_bit=stream.samples_per_bit,
-        )
-        out = phy.demodulate(scaled)
+        out = phy.demodulate(samples * amp)
         assert out is not None
         assert (out.bits[: bits.size] == bits).all()
 
@@ -199,8 +206,8 @@ def test_demodulate_is_amplitude_invariant():
 def test_demodulate_with_noise():
     rng = np.random.default_rng(3)
     bits = rng.integers(0, 2, 300, dtype=np.uint8)
-    stream = phy.modulate(bits)
-    rx = phy.apply_channel(stream, _no_loss(stream), 0.08, rng)
+    samples = phy.modulate(bits)
+    rx = phy.apply_channel(samples, _no_loss(samples), 0.08, rng)
     out = phy.demodulate(rx)
     assert out is not None
     assert (out.bits[: bits.size] == bits).all()
@@ -209,11 +216,11 @@ def test_demodulate_with_noise():
 def test_demodulate_flags_long_outage():
     rng = np.random.default_rng(4)
     bits = np.ones(200, dtype=np.uint8)
-    stream = phy.modulate(bits)
+    samples = phy.modulate(bits)
     # 40-bit outage starting 50 bits into the data section
-    stream_lost = _no_loss(stream)
-    stream_lost[phy.PREAMBLE_LEN + 50 : phy.PREAMBLE_LEN + 90] = True
-    rx = phy.apply_channel(stream, stream_lost, 0.0, rng)
+    samples_lost = _no_loss(samples)
+    samples_lost[phy.PREAMBLE_LEN + 50 : phy.PREAMBLE_LEN + 90] = True
+    rx = phy.apply_channel(samples, samples_lost, 0.0, rng)
     out = phy.demodulate(rx)
     assert out is not None
     assert out.erasures[50:90].all()
@@ -225,16 +232,9 @@ def test_demodulate_flags_long_outage():
 
 def test_demodulate_returns_none_without_preamble():
     rng = np.random.default_rng(5)
-    noise = phy.SampleStream(
-        i_samples=rng.normal(0, 1, 4000),
-        q_samples=rng.normal(0, 1, 4000),
-        samples_per_bit=8,
-    )
+    noise = rng.normal(0, 1, (500, 8)) + 1j * rng.normal(0, 1, (500, 8))
     assert phy.demodulate(noise) is None
-    tiny = phy.SampleStream(
-        i_samples=np.ones(16), q_samples=np.zeros(16), samples_per_bit=8
-    )
-    assert phy.demodulate(tiny) is None
+    assert phy.demodulate(np.ones((2, 8))) is None
 
 
 def _reference_preamble_corr(signal, spb):
@@ -262,7 +262,7 @@ def test_preamble_corr_matches_full_correlation(spb, bits, lead, sigma, seed):
     # a noisy OOK stream, behind `lead` samples of silence or, for a negative
     # lead, with its first -lead samples cut (short streams included)
     rng = np.random.default_rng(seed)
-    clean = phy.modulate(np.array(bits, dtype=np.uint8), spb).i_samples
+    clean = phy.modulate(np.array(bits, dtype=np.uint8), spb).ravel()
     clean = np.concatenate([np.zeros(max(lead, 0)), clean[max(-lead, 0) :]])
     signal = clean + rng.normal(0.0, sigma, clean.size)
     got = phy._preamble_corr(signal, spb)
@@ -342,10 +342,10 @@ def test_perceived_erasures_match_demodulator():
     rng = np.random.default_rng(6)
     bits = rng.integers(0, 2, 500, dtype=np.uint8)
     # outage covering data bits 100..139
-    stream = phy.modulate(bits)
-    stream_lost = _no_loss(stream)
-    stream_lost[phy.PREAMBLE_LEN + 100 : phy.PREAMBLE_LEN + 140] = True
-    rx = phy.apply_channel(stream, stream_lost, 0.0, rng)
+    samples = phy.modulate(bits)
+    samples_lost = _no_loss(samples)
+    samples_lost[phy.PREAMBLE_LEN + 100 : phy.PREAMBLE_LEN + 140] = True
+    rx = phy.apply_channel(samples, samples_lost, 0.0, rng)
     out = phy.demodulate(rx)
     lost = np.zeros(bits.size, dtype=bool)
     lost[100:140] = True

@@ -62,6 +62,17 @@ def test_symbol_packing_validates_m():
         symbols_to_bits([1], 8)
 
 
+def test_symbol_packing_validates_values():
+    # each would otherwise be cast to a wrong symbol or lose bits silently
+    for bits in ([2, 0, 0], np.array([-1, 0, 0]), [0.0, np.nan, 1.0]):
+        with pytest.raises(ParameterError):
+            bits_to_symbols(bits, 3)
+    for symbols in ([9], [-1], np.array([[1, 8]])):
+        with pytest.raises(ParameterError):
+            symbols_to_bits(symbols, 3)
+    assert symbols_to_bits([7, 0], 3).tolist() == [1, 1, 1, 0, 0, 0]
+
+
 def test_generator_has_consecutive_roots():
     for n, k in [(7, 3), (15, 7), (63, 45)]:
         m = n.bit_length()
