@@ -64,6 +64,14 @@ NOISY_DIGESTS = {
     (0.3, 4): "aa6a92d2a6269c54ddcd4648f33b14186ea64cd8865a454163419500ab04ded7",
     (0.3, 6): "d2cf5e10d55303739ccc8a44c233e08bc31ee6d390c32a1e1cf5b033dbf00fb2",
 }
+# sample mode over more frames than one block of the run loop, keyed by
+# (noise_sigma, m): pins the block boundaries and, with noise, the order of
+# the noise draws from one block to the next
+SAMPLE_BLOCK_FRAMES = 40
+SAMPLE_BLOCK_DIGESTS = {
+    (0.0, 3): "409fdf742fa1a1e0827d75bdc61aff35ff3490f1c0e6802e71d4542ec0e9f62f",
+    (0.3, 4): "95765fc5da56dbb7db76a2ec01de8a0cb45b7336ec005aa2ca5a038b7901117a",
+}
 SILENT_DIGEST = "8491f148c4e6b3bad4da2abbdb1d88953ea3a277e6a22ba289f38abaff319abc"
 CLI_SIMULATE_DIGEST = "bdee225fe20caaa987703415ab2aeab36426570b8497896c5b49b966e178190e"
 # the parity part G2 of every admissible code's binary generator, as uint8
@@ -75,13 +83,13 @@ def _digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def link_reports(mode, m, noise_sigma=0.0):
+def link_reports(mode, m, noise_sigma=0.0, frames=None):
     """Reports for every scenario and margin at one mode and symbol size."""
     reports = []
     for name, scenario in sorted(SCENARIOS.items()):
         for margin in MARGINS:
             cfg = harness.ExperimentConfig(
-                **scenario, code=CODES[m], frames=FRAMES[mode], payload_bytes=16,
+                **scenario, code=CODES[m], frames=frames or FRAMES[mode], payload_bytes=16,
                 erasure_margin_bits=margin, mode=mode, seed=1000 * m + margin,
                 noise_sigma=noise_sigma,
             )
@@ -124,6 +132,12 @@ def test_link_reports_unchanged(mode, m):
 @pytest.mark.parametrize("sigma,m", sorted(NOISY_DIGESTS))
 def test_noisy_sample_reports_unchanged(sigma, m):
     assert _digest(link_reports("sample", m, noise_sigma=sigma)) == NOISY_DIGESTS[sigma, m]
+
+
+@pytest.mark.parametrize("sigma,m", sorted(SAMPLE_BLOCK_DIGESTS))
+def test_sample_reports_over_blocks_unchanged(sigma, m):
+    reports = link_reports("sample", m, noise_sigma=sigma, frames=SAMPLE_BLOCK_FRAMES)
+    assert _digest(reports) == SAMPLE_BLOCK_DIGESTS[sigma, m]
 
 
 @pytest.mark.parametrize("n", sorted(PARITY_DIGESTS))
