@@ -45,25 +45,22 @@ def _parse_code(text):
 def load_config(path):
     """Flat key=value config; '#' starts a comment."""
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not key:
-                raise ParameterError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            if key not in _CONFIG_FIELDS:
-                raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-            conv = _CONFIG_FIELDS[key]
-            try:
-                values[key] = _parse_code(value) if key == "code" else conv(value)
-            except ValueError:
-                raise ParameterError(
-                    f"{path}:{lineno}: bad value for {key}: {value!r}"
-                ) from None
+    for lineno, raw in traffic.text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not sep or not key:
+            raise ParameterError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        if key not in _CONFIG_FIELDS:
+            raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+        conv = _CONFIG_FIELDS[key]
+        try:
+            values[key] = _parse_code(value) if key == "code" else conv(value)
+        except ValueError:
+            raise ParameterError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return harness.ExperimentConfig(**values)
 
 
@@ -219,8 +216,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ParameterError, TraceParseError, DegenerateTraceError,
-            OSError, UnicodeDecodeError) as exc:
+    except (ParameterError, TraceParseError, DegenerateTraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleError, InfiniteMeanError) as exc:

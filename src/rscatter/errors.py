@@ -12,8 +12,8 @@ class DegenerateTraceError(ValueError):
 class TraceParseError(ValueError):
     """Malformed trace file line."""
 
-    def __init__(self, line_number, message):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, path, line_number, message):
+        super().__init__(f"{path}:{line_number}: {message}")
         self.line_number = line_number
 
 

@@ -1,9 +1,11 @@
 """Monte Carlo link experiments: baseline vs RS-coded backscatter.
 
-Two modes share one timeline model: a frame is the 36-bit preamble
-followed by the payload bits (baseline) or the RS codeword bits (coded),
-transmitted at m bits per channel symbol and R symbols/second over a
-Pareto on/off gate that starts in the on state at the first preamble bit.
+Two modes share one timeline model and one run loop: a frame is the
+36-bit preamble followed by the payload bits (baseline) or the RS codeword
+bits (coded), transmitted at m bits per channel symbol and R
+symbols/second over a Pareto on/off gate that starts in the on state at
+the first preamble bit.  Frames are scored a block at a time; sample mode
+decodes all codewords of a block in one call.
 
 The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
@@ -32,8 +34,8 @@ import numpy as np
 from . import channel, codesearch, phy, rscodec, traffic
 from .errors import FrameCrcError, InfeasibleError, ParameterError
 
-# Frames per block of the symbol-level frame kernel: large enough to
-# amortise the per-call cost of the array operations, small enough to keep
+# Frames per block of the run loop: large enough to amortise the per-call
+# cost of the array operations and of the decoder, small enough to keep
 # memory bounded for any frame count.
 BLOCK_FRAMES = 32
 
@@ -75,8 +77,9 @@ class ExperimentConfig:
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ParameterError(f"rate must be finite and > 0, got {self.rate}")
         codesearch.check_threshold(self.pe_threshold)
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ParameterError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not (0 <= self.noise_sigma <= phy.MAX_NOISE_SIGMA):
+            raise ParameterError(f"noise_sigma must be in 0..{phy.MAX_NOISE_SIGMA:g}, "
+                                 f"got {self.noise_sigma}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if not (phy.MIN_SAMPLES_PER_BIT <= self.samples_per_bit <= phy.MAX_SAMPLES_PER_BIT):
@@ -206,11 +209,11 @@ def _draw_lost(rng, stats, plan):
 
 
 def _draw_frame(rng, config, stats, plan):
-    """A frame's random payload, then its gate: returns the payload, the
-    frame bits and the lost-bit mask of the gate."""
+    """A frame's random payload, then its gate: returns the frame bits and
+    the lost-bit mask of the gate."""
     payload = rng.integers(0, 256, size=config.payload_bytes, dtype=np.uint8).tobytes()
     lost = _draw_lost(rng, stats, plan)
-    return payload, phy.bytes_to_bits(phy.frame_build(payload)), lost
+    return phy.bytes_to_bits(phy.frame_build(payload)), lost
 
 
 def _symbol_frames(config, code, plan, frame_bits, lost_all):
@@ -244,11 +247,13 @@ def _symbol_frames(config, code, plan, frame_bits, lost_all):
     return base_err, base_bits, coded_err, coded_bits
 
 
-def run_symbol_level(config):
-    """Erasure-mask Monte Carlo: no waveforms, shared timeline with sample mode.
+def run(config):
+    """One Monte Carlo link experiment, in symbol or sample mode.
 
-    Payloads and gates are drawn frame by frame; the rest runs on blocks
-    of BLOCK_FRAMES frames at once.
+    Payloads and gates are drawn frame by frame; in sample mode each frame
+    is received as soon as it is drawn, baseline then coded, so the noise
+    draws stay interleaved with them.  Each block of BLOCK_FRAMES frames is
+    then scored by the symbol-level kernel or by the sample scorer.
     """
     stats = config.stats()
     code, plan, p_s, predicted_pe = _link_setup(config, stats)
@@ -259,80 +264,67 @@ def run_symbol_level(config):
         count = min(BLOCK_FRAMES, config.frames - first)
         frame_bits = np.empty((count, plan["frame_bits_n"]), dtype=np.uint8)
         lost_all = np.empty((count, plan["mask_bits_n"]), dtype=bool)
+        received = []
         for i in range(count):
-            _, frame_bits[i], lost_all[i] = _draw_frame(rng, config, stats, plan)
-        outcomes[:, first : first + count] = _symbol_frames(
-            config, code, plan, frame_bits, lost_all
+            frame_bits[i], lost_all[i] = _draw_frame(rng, config, stats, plan)
+            if config.mode == "sample":
+                tx_bits = _encode_frames(code, plan, frame_bits[i])
+                received.append([_receive(config, bits, lost_all[i], rng)
+                                 for bits in (frame_bits[i], tx_bits)])
+        outcomes[:, first : first + count] = (
+            _sample_frames(code, plan, frame_bits, received) if config.mode == "sample"
+            else _symbol_frames(config, code, plan, frame_bits, lost_all)
         )
 
-    return _report(config, code, p_s, predicted_pe, plan, outcomes)
-
-
-def run_sample_level(config):
-    """Full modulate -> gate+noise -> demodulate -> decode pipeline per frame."""
-    stats = config.stats()
-    code, plan, p_s, predicted_pe = _link_setup(config, stats)
-    rng = np.random.default_rng(config.seed)
-
-    outcomes = np.empty((4, config.frames), dtype=np.int64)
-    for fi in range(config.frames):
-        payload, frame_bits, lost_all = _draw_frame(rng, config, stats, plan)
-        # the baseline frame draws its noise before the coded frame
-        outcomes[:2, fi] = _sample_frame_baseline(config, frame_bits, payload, lost_all, rng)
-        outcomes[2:, fi] = _sample_frame_coded(
-            config, code, plan, frame_bits, payload, lost_all, rng
-        )
     return _report(config, code, p_s, predicted_pe, plan, outcomes)
 
 
 def _receive(config, tx_bits, lost_bits, rng):
     """Modulate tx_bits, gate them by the lost-bit mask (preamble first) and
-    add noise, and demodulate: returns the received bits and erasure flags
-    of tx_bits, or None when the preamble is lost or the waveform ends early."""
+    add noise, and demodulate: the received bits and erasure flags of
+    tx_bits, or None when the preamble is lost or found past offset 0."""
     samples = phy.modulate(tx_bits, config.samples_per_bit)
     rx = phy.apply_channel(samples, lost_bits, config.noise_sigma, rng)
     demod = phy.demodulate(rx, config.erasure_margin_bits)
     if demod is None or demod.bits.size < tx_bits.size:
         return None
-    return demod.bits[: tx_bits.size], demod.erasures[: tx_bits.size]
+    return demod.bits, demod.erasures
 
 
-def _delivers(frame_bits, payload):
-    """Whether received frame bits parse, CRC included, to the sent payload."""
+def _delivers(bits, frame_bits):
+    """Whether received bits parse, CRC included, to the sent frame's payload."""
+    payload = phy.bits_to_bytes(frame_bits)[1:-2]  # between length byte and CRC
     try:
-        return phy.frame_parse(phy.bits_to_bytes(frame_bits)) == payload
+        return phy.frame_parse(phy.bits_to_bytes(bits)) == payload
     except (FrameCrcError, ParameterError):
         return False
 
 
-def _sample_frame_baseline(config, frame_bits, payload, lost_bits, rng):
-    received = _receive(config, frame_bits, lost_bits, rng)
-    if received is None:
-        return 1, frame_bits.size
-    bits, _ = received
-    return int(not _delivers(bits, payload)), int(np.sum(bits != frame_bits))
+def _sample_frames(code, plan, frame_bits, received):
+    """Baseline and coded outcomes of a block of frames, as _symbol_frames
+    returns them.  received holds each frame's baseline and coded reception,
+    None (a frame error, every bit wrong) when its preamble was lost; all
+    codewords left to the decoder by the delivery rule are decoded at once."""
+    nf = plan["frame_bits_n"]
+    outcomes = np.array([[1], [nf], [1], [nf]]).repeat(len(frame_bits), axis=1)
+    for i, (base, _) in enumerate(received):
+        if base is not None:
+            sent = frame_bits[i]
+            outcomes[:2, i] = not _delivers(base[0], sent), np.sum(base[0] != sent)
 
-
-def _sample_frame_coded(config, code, plan, frame_bits, payload, lost_bits, rng):
-    m = plan["m"]
-    received = _receive(config, _encode_frames(code, plan, frame_bits), lost_bits, rng)
-    if received is None:
-        return 1, frame_bits.size
-    bits, flags = received
-
-    words = rscodec.bits_to_symbols(bits, m).reshape(plan["n_codewords"], code.n)
-    sym_flagged, failed = _codeword_erasures(flags, code)
-    decoded_info = words[:, : code.k].copy()
-    for j in np.flatnonzero(~failed):
-        out = rscodec.decode(code, words[j].tolist(), np.flatnonzero(sym_flagged[j]).tolist())
-        if out is None:
-            failed[j] = True
-        else:
-            decoded_info[j] = out
-
-    info_bits = rscodec.symbols_to_bits(decoded_info.ravel(), m)[: frame_bits.size]
-    mismatches = int(np.sum(info_bits != frame_bits))
-    return int(failed.any() or not _delivers(info_bits, payload)), mismatches
+    heard = [i for i, (_, coded) in enumerate(received) if coded is not None]
+    if heard:
+        bits, flags = map(np.array, zip(*(received[i][1] for i in heard)))
+        words = rscodec.bits_to_symbols(bits, code.m).reshape(len(heard), -1, code.n)
+        erased, failed = _codeword_erasures(flags, code)
+        info = words[..., : code.k].copy()
+        info[~failed], decoded = rscodec.decode_block(code, words[~failed], erased[~failed])
+        failed[~failed] = ~decoded
+        info_bits = rscodec.symbols_to_bits(info, code.m).reshape(len(heard), -1)[:, :nf]
+        delivered = [_delivers(b, frame_bits[i]) for b, i in zip(info_bits, heard)]
+        outcomes[2, heard] = failed.any(axis=1) | ~np.array(delivered)
+        outcomes[3, heard] = (info_bits != frame_bits[heard]).sum(axis=1)
+    return outcomes
 
 
 def _report(config, code, p_s, predicted_pe, plan, outcomes):
@@ -342,10 +334,7 @@ def _report(config, code, p_s, predicted_pe, plan, outcomes):
     fe_base, bit_err_base, fe_coded, bit_err_coded = (int(v) for v in outcomes.sum(axis=1))
     payload_bits = config.payload_bytes * 8
     frame_bits_total = nf * plan["frame_bits_n"]
-    fer = fe_coded / nf
-    fer_base = fe_base / nf
-    coded_air_s = plan["coded_air_us"] / 1e6
-    base_air_s = plan["baseline_air_us"] / 1e6
+    fer, fer_base = fe_coded / nf, fe_base / nf
     return LinkReport(
         code_n=code.n,
         code_k=code.k,
@@ -354,21 +343,15 @@ def _report(config, code, p_s, predicted_pe, plan, outcomes):
         frames=nf,
         ber=bit_err_coded / frame_bits_total,
         fer=fer,
-        throughput=payload_bits * (1.0 - fer) / coded_air_s,
+        throughput=payload_bits * (1.0 - fer) / (plan["coded_air_us"] / 1e6),
         ber_baseline=bit_err_base / frame_bits_total,
         fer_baseline=fer_base,
-        throughput_baseline=payload_bits * (1.0 - fer_base) / base_air_s,
+        throughput_baseline=payload_bits * (1.0 - fer_base) / (plan["baseline_air_us"] / 1e6),
         frame_log=[
             {"frame": fi, "baseline_error": bool(b), "coded_error": bool(c)}
             for fi, (b, c) in enumerate(zip(outcomes[0], outcomes[2]))
         ],
     )
-
-
-def run(config):
-    if config.mode == "sample":
-        return run_sample_level(config)
-    return run_symbol_level(config)
 
 
 def sweep_parity(config, n=127):
@@ -424,26 +407,16 @@ def sweep_silent(config, mean_silent_us_values):
         raise InfeasibleError("off shape <= 1; mean silent duration undefined")
     rows = []
     for mean in mean_silent_us_values:
-        scale = mean * (shape - 1.0) / shape
-        cfg = replace(
-            config,
-            off_shape=shape,
-            off_scale_min=scale,
-            on_shape=stats.on.shape,
-            on_scale_min=stats.on.scale_min,
-            trace=None,
-        )
-        rep = run(cfg)
-        rows.append(_sweep_row(mean, rep))
+        rep = run(replace(
+            config, off_shape=shape, off_scale_min=mean * (shape - 1.0) / shape,
+            on_shape=stats.on.shape, on_scale_min=stats.on.scale_min, trace=None,
+        ))
+        rows.append({
+            "parameter": mean,
+            "ber_baseline": rep.ber_baseline,
+            "ber_coded": rep.ber,
+            "fer_baseline": rep.fer_baseline,
+            "fer_coded": rep.fer,
+            "throughput": rep.throughput,
+        })
     return rows
-
-
-def _sweep_row(parameter, rep):
-    return {
-        "parameter": parameter,
-        "ber_baseline": rep.ber_baseline,
-        "ber_coded": rep.ber,
-        "fer_baseline": rep.fer_baseline,
-        "fer_coded": rep.fer,
-        "throughput": rep.throughput,
-    }

@@ -31,6 +31,10 @@ MIN_SAMPLES_PER_BIT = 4
 # bytes under RS(7,1), 6252 bits) then holds about 4*10^5 samples, 3.2 MB
 # as a float envelope and 6.4 MB as complex I + jQ
 MAX_SAMPLES_PER_BIT = 64
+# largest receiver noise an experiment may ask for: a thousand times the
+# unit carrier amplitude (SNR -60 dB) already buries every frame, while
+# from about 1e151 the demodulator's squared-power sums overflow float64
+MAX_NOISE_SIGMA = 1e3
 # OOK cannot tell a transmitted 0 from the off state; a below-floor run is
 # flagged erased only when longer than this many bit-times.
 DEFAULT_ERASE_MARGIN_BITS = 16

@@ -8,18 +8,17 @@ one shot from the closed Cauchy form of the code's systematic generator
 (Roth and Seroussi, IEEE Trans. IT 31(6), 1985).  Decoding takes the
 syndromes S_j = r(alpha^j) straight from the field tables, then runs
 Berlekamp-Massey on Forney syndromes with erasure handling, and a Chien
-search and Forney's formula on arrays.  A decode failure is reported as
-None, never guessed.
+search and Forney's formula.  `decode_block` runs every step on a block of
+words at once, a row that has finished its own steps masked out; a decode
+failure is reported, never guessed.
 
-All field arithmetic is lookups in the one pair of log/exp tables that
-`gf2m.tables` builds per field: numpy indexing for the array steps, and the
-same tables as Python lists for the scalar core (Berlekamp-Massey and the
-polynomial products).  This module also owns the one symbol/bit layout of
-the package, m bits per symbol, most significant first
+All field arithmetic is numpy indexing into the one pair of log/exp tables
+that `gf2m.tables` builds per field.  This module also owns the one
+symbol/bit layout of the package, m bits per symbol, most significant first
 (`bits_to_symbols`, `symbols_to_bits`).
 """
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -27,13 +26,6 @@ from .errors import ParameterError
 from .gf2m import PRIMITIVE_POLYS, tables
 
 ADMISSIBLE_N = tuple((1 << m) - 1 for m in sorted(PRIMITIVE_POLYS))
-
-
-@lru_cache(maxsize=None)
-def _lookups(m):
-    """The field's (log, expt) tables as Python lists, for the scalar core:
-    a list index is cheaper than a numpy one on single symbols."""
-    return tuple(table.tolist() for table in tables(m))
 
 
 def _bit_weights(m):
@@ -86,10 +78,11 @@ class RsCode:
         self._tables = tables(self.m)
 
     @cached_property
-    def _position_powers(self):
-        """Entry [j, i] is j * (i + 1) mod n, the log of X_i^-j for the
-        locator X_i = alpha^(n-1-i) of position i, for j = 0..n-k."""
-        return np.arange(self.n - self.k + 1)[:, None] * np.arange(1, self.n + 1) % self.n
+    def _locator_powers(self):
+        """Entry [j-1, i] is the log of X_i^j, as a value in 1..n, for the
+        locator X_i = alpha^(n-1-i) of position i and j = 1..n-k."""
+        powers = np.arange(1, self.n - self.k + 1)[:, None] * np.arange(1, self.n + 1)
+        return (self.n - powers % self.n).astype(np.int16)
 
     @cached_property
     def binary_generator(self):
@@ -160,138 +153,143 @@ def encode_bits(code, info_bits):
 
 def _syndromes(code, words):
     """S_1..S_(n-k) of one n-symbol word, or of each row of a (rows, n)
-    array: S_j = r(alpha^j) = sum_i r_i X_i^j, where the log of X_i^j is
-    n minus row j of the position powers."""
+    array: S_j = r(alpha^j) = sum_i r_i X_i^j."""
     log, expt = code._tables
-    # a nonzero symbol's index is below 2n, inside the doubled exp table;
-    # a zero's (log 2n) is at most 3n, inside the zero block
-    powers = log[words][..., None, :] + code.n - code._position_powers[1:]
+    # int16 keeps the (rows, n-k, n) index block small: a nonzero symbol's
+    # index is below 2n, inside the doubled exp table, and a zero's (log
+    # 2n) at most 3n, inside the zero block
+    powers = log[words].astype(np.int16)[..., None, :] + code._locator_powers
     return np.bitwise_xor.reduce(expt[powers], axis=-1)
 
 
-def _berlekamp_massey(lookups, seq):
-    """Minimal LFSR (ascending coefficients, lam[0] = 1) for seq."""
-    log, expt = lookups
-    n = len(log) - 1
-    lam = [1]
-    prev = [1]
-    length = 0
-    shift = 1
-    prev_disc = 1
-    for r, s in enumerate(seq):
-        disc = s
-        for i in range(1, min(length, len(lam) - 1) + 1):
-            disc ^= expt[log[lam[i]] + log[seq[r - i]]]
-        if disc == 0:
-            shift += 1
-            continue
-        # log of disc / prev_disc, reduced mod n so that adding the log of
-        # a nonzero coefficient stays inside the doubled exp table
-        scale = (log[disc] - log[prev_disc]) % n
-        update = [0] * shift + [expt[scale + log[c]] for c in prev]
-        merged = [0] * max(len(lam), len(update))
-        for i, c in enumerate(lam):
-            merged[i] ^= c
-        for i, c in enumerate(update):
-            merged[i] ^= c
-        if 2 * length <= r:
-            prev = lam
-            prev_disc = disc
-            length = r + 1 - length
-            shift = 1
-        else:
-            shift += 1
-        lam = merged
-    while len(lam) > 1 and lam[-1] == 0:
-        lam.pop()
-    return lam
-
-
-def _poly_mul_asc(lookups, a, b):
-    log, expt = lookups
-    log_b = [log[c] for c in b]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        log_a = log[ca]
-        for j, lb in enumerate(log_b):
-            out[i + j] ^= expt[log_a + lb]
+def _poly_mul(code, a, b, width):
+    """Row-wise products of two blocks of ascending-coefficient
+    polynomials, cut to their first `width` coefficients."""
+    log, expt = code._tables
+    out = np.zeros((len(a), width), dtype=np.uint8)
+    log_b = log[b]
+    for j in range(min(a.shape[1], width)):
+        span = min(b.shape[1], width - j)
+        out[:, j : j + span] ^= expt[log[a[:, j, None]] + log_b[:, :span]]
     return out
 
 
-def _eval_at_positions(code, polys):
-    """Ascending-coefficient polynomials of degree <= n-k at the inverse
-    locator of every position, all at once: row r of the result holds
-    polys[r] at positions 0..n-1."""
-    log, expt = code._tables
-    size = max(len(p) for p in polys)
-    coeffs = np.array([p + [0] * (size - len(p)) for p in polys])
-    powers = code._position_powers[:size]
-    return np.bitwise_xor.reduce(expt[log[coeffs][:, :, None] + powers], axis=1)
+def _berlekamp_massey(code, seqs, lengths):
+    """Minimal LFSR (ascending coefficients, constant term 1) of each row's
+    first lengths[row] entries of seqs, in one loop of max(lengths) steps.
 
-
-def decode(code, received, erasures=()):
-    """Decode an n-symbol word; returns the k info symbols or None on failure.
-
-    Corrects any pattern with 2e + f <= n - k, where f = |erasures| and e is
-    the number of symbol errors at unknown positions.  Beyond that the call
-    either returns None or (undetectably) a wrong codeword; the caller is
-    expected to CRC-check.
+    A row stops after its own length and keeps its locator from then on.
+    `prev` is held already multiplied by x^shift, so the scalar form's
+    "shift += 1" is one multiplication by x, and "shift = 1" is x * lam.
     """
-    received = list(received)
-    if len(received) != code.n:
-        raise ParameterError(f"received must have {code.n} symbols, got {len(received)}")
-    erasures = sorted(set(int(p) for p in erasures))
-    if erasures and (erasures[0] < 0 or erasures[-1] >= code.n):
-        raise ParameterError("erasure position out of range")
-    if min(received) < 0 or max(received) > code.n:
-        raise ParameterError(f"received symbols must be in 0..{code.n}")
-    d = code.n - code.k
-    f = len(erasures)
-    if f > d:
-        return None
+    log, expt = code._tables
+    lam = np.zeros((len(seqs), lengths.max() + 1), dtype=np.uint8)
+    lam[:, 0] = 1
+    prev = np.zeros_like(lam)  # its constant term stays 0
+    prev[:, 1:] = lam[:, :-1]
+    prev_disc = np.ones(len(seqs), dtype=np.uint8)
+    length = np.zeros(len(seqs), dtype=np.int64)
+    for r in range(lengths.max()):
+        disc = np.bitwise_xor.reduce(expt[log[lam[:, : r + 1]] + log[seqs[:, r::-1]]], axis=1)
+        hit = (r < lengths) & (disc != 0)
+        grow = hit & (2 * length <= r)
+        # log of disc / prev_disc, reduced mod n so that adding the log of
+        # a nonzero coefficient stays inside the doubled exp table
+        scale = (log[disc] - log[prev_disc]) % code.n
+        update = expt[scale[:, None] + log[prev]]
+        prev[:, 1:] = np.where(grow[:, None], lam, prev)[:, :-1]
+        lam ^= update * hit[:, None]
+        prev_disc = np.where(grow, disc, prev_disc)
+        length = np.where(grow, r + 1 - length, length)
+    return lam
 
-    word = np.array(received, dtype=np.int64)
-    synd = _syndromes(code, word)
-    if not synd.any():
-        return received[:code.k]
-    synd = synd.tolist()
 
-    # erasure locator Gamma(x) = prod (1 + X_i x), ascending coefficients;
-    # position i holds the coefficient of x^(n-1-i), so X_i = alpha^(n-1-i)
-    lookups = _lookups(code.m)
-    gamma = [1]
-    for pos in erasures:
-        gamma = _poly_mul_asc(lookups, gamma, [1, lookups[1][code.n - 1 - pos]])
+def _eval_at_positions(code, polys):
+    """Ascending-coefficient polynomials (..., width) at the inverse locator
+    X_i^-1 = alpha^(i+1) of every position i, by one Horner pass over all
+    positions: the result is (..., n)."""
+    log, expt = code._tables
+    log_x = np.arange(1, code.n + 1) % code.n
+    acc = np.zeros(polys.shape[:-1] + (code.n,), dtype=np.uint8)
+    for j in range(polys.shape[-1] - 1, -1, -1):
+        # a zero accumulator's index is at most 3n, inside the zero block
+        acc = expt[log[acc] + log_x] ^ polys[..., j, None]
+    return acc
+
+
+def decode_block(code, words, erased):
+    """Decode each row of a (W, n) block of received words, with a (W, n)
+    boolean mask of erased symbols.
+
+    Returns the (W, k) info symbols and a (W,) mask of the rows that
+    decoded; a row that fails keeps its received info symbols.  A row
+    corrects any pattern with 2e + f <= n - k, where f is its number of
+    erased symbols and e its number of symbol errors at unknown positions.
+    Beyond that it either fails or (undetectably) lands on a wrong
+    codeword; the caller is expected to CRC-check.
+    """
+    words, erased = np.asarray(words), np.asarray(erased)
+    if words.ndim != 2 or words.shape[1] != code.n:
+        raise ParameterError(f"words must have shape (rows, {code.n}), got {words.shape}")
+    if erased.shape != words.shape or erased.dtype != bool:
+        raise ParameterError(f"erased must be a boolean mask of shape {words.shape}")
+    words = _in_range(words, code.n, "received symbols").astype(np.int64)
+    n, k, d = code.n, code.k, code.n - code.k
+    log, expt = code._tables
+    info = words[:, :k].copy()
+    f = erased.sum(axis=1)
+    synd = _syndromes(code, words)
+    ok = (f <= d) & ~synd.any(axis=1)
+    rows = np.flatnonzero((f <= d) & synd.any(axis=1))
+    if not rows.size:
+        return info, ok
+    rx, synd, f, erased = words[rows], synd[rows], f[rows], erased[rows]
+
+    # erasure locator Gamma(x) = prod (1 + X_i x) over each row's erased
+    # positions, X_i = alpha^(n-1-i), in max(f) steps; a row with fewer
+    # erasures is padded with the locator 0, a factor of 1
+    pos = np.argsort(~erased, axis=1, kind="stable")[:, : f.max()]
+    loc = np.where(np.take_along_axis(erased, pos, axis=1), expt[n - 1 - pos], 0)
+    gamma = np.zeros((len(rows), f.max() + 1), dtype=np.uint8)
+    gamma[:, 0] = 1
+    for j in range(f.max()):
+        gamma[:, 1:] ^= expt[log[loc[:, j, None]] + log[gamma[:, :-1]]]
 
     # Forney syndromes: coefficients f..d-1 of Gamma(x) S(x) carry no
     # erasure term and obey the errors-only locator
-    err_seq = _poly_mul_asc(lookups, gamma, synd)[f:d]
+    at = f[:, None] + np.arange(d)
+    seqs = np.where(at < d, np.take_along_axis(_poly_mul(code, gamma, synd, d), at % d, 1), 0)
+    lam = _berlekamp_massey(code, seqs, d - f)
+    e = lam.shape[1] - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)  # lam[:, 0] is 1
+    good = 2 * e <= d - f
 
-    lam = _berlekamp_massey(lookups, err_seq)
-    e = len(lam) - 1
-    if 2 * e > d - f:
-        return None
+    # joint errata locator Psi, Forney's evaluator Omega = S(x) Psi(x)
+    # mod x^d, and the formal derivative of Psi, which keeps its odd terms
+    # only; then the Chien search for the roots of Psi and the Forney
+    # magnitudes Omega(X^-1) / Psi'(X^-1) at them
+    width = int((e + f)[good].max(initial=0)) + 1
+    polys = np.zeros((3, len(rows), max(width, d)), dtype=np.uint8)
+    polys[0, :, :width] = _poly_mul(code, gamma, lam, width)
+    polys[1, :, :d] = _poly_mul(code, polys[0, :, :width], synd, d)
+    polys[2, :, : width - 1 : 2] = polys[0, :, 1:width:2]
+    psi, num, den = _eval_at_positions(code, polys)
+    roots = psi == 0
+    good &= (roots.sum(axis=1) == e + f) & ~(roots & (den == 0)).any(axis=1)
+    fix = roots & good[:, None]
+    rx[fix] ^= expt[log[num[fix]] + n - log[den[fix]]]
 
-    psi = _poly_mul_asc(lookups, lam, gamma)  # joint errata locator
-    # Forney's evaluator Omega = S(x) Psi(x) mod x^d, and the formal
-    # derivative of Psi, which keeps its odd terms only
-    omega = _poly_mul_asc(lookups, synd, psi)[:d]
-    deriv = [c if j % 2 else 0 for j, c in enumerate(psi)][1:]
+    good[good] = ~_syndromes(code, rx[good]).any(axis=1)
+    info[rows[good]] = rx[good, :k]
+    ok[rows[good]] = True
+    return info, ok
 
-    # Chien search for the roots of Psi, then the Forney magnitudes
-    # Omega(X^-1) / Psi'(X^-1) at them
-    values = _eval_at_positions(code, [psi, omega, deriv])
-    roots = np.flatnonzero(values[0] == 0)
-    if roots.size != len(psi) - 1:
-        return None
-    num, den = values[1:, roots]
-    if not den.all():
-        return None
-    log, expt = code._tables
-    word[roots] ^= expt[log[num] + code.n - log[den]]
 
-    if _syndromes(code, word).any():
-        return None
-    return word[:code.k].tolist()
+def decode(code, received, erasures=()):
+    """Decode one n-symbol word: decode_block on a one-row block.  Returns
+    the k info symbols, or None on failure."""
+    erasures = [int(p) for p in erasures]
+    if not all(0 <= p < code.n for p in erasures):
+        raise ParameterError("erasure position out of range")
+    erased = np.isin(np.arange(code.n), erasures)[None]
+    info, ok = decode_block(code, np.reshape(received, (1, -1)), erased)
+    return info[0].tolist() if ok[0] else None

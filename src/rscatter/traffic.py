@@ -137,25 +137,34 @@ def save_trace(trace, path):
 
 def load_trace(path):
     """Parse a trace CSV; rejects nonpositive or non-finite durations and
-    malformed lines."""
+    malformed lines, naming the file and line."""
     on = []
     off = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise TraceParseError(lineno, f"expected 'state,duration_us', got {line!r}")
-            state, dur_s = parts[0].strip().lower(), parts[1].strip()
-            if state not in ("on", "off"):
-                raise TraceParseError(lineno, f"state must be 'on' or 'off', got {state!r}")
-            try:
-                dur = float(dur_s)
-            except ValueError:
-                raise TraceParseError(lineno, f"bad duration {dur_s!r}") from None
-            if not (math.isfinite(dur) and dur > 0):
-                raise TraceParseError(lineno, f"duration must be finite and positive, got {dur}")
-            (on if state == "on" else off).append(dur)
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise TraceParseError(path, lineno, f"expected 'state,duration_us', got {line!r}")
+        state, dur_s = parts[0].strip().lower(), parts[1].strip()
+        if state not in ("on", "off"):
+            raise TraceParseError(path, lineno, f"state must be 'on' or 'off', got {state!r}")
+        try:
+            dur = float(dur_s)
+        except ValueError:
+            raise TraceParseError(path, lineno, f"bad duration {dur_s!r}") from None
+        if not (math.isfinite(dur) and dur > 0):
+            raise TraceParseError(path, lineno, f"duration must be finite and positive, got {dur}")
+        (on if state == "on" else off).append(dur)
     return DurationTrace(off_durations=np.array(off), on_durations=np.array(on))
+
+
+def text_lines(path):
+    """The lines of a text file, numbered from 1; a file that does not
+    decode as text raises ParameterError naming it."""
+    with open(path) as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: not a text file: {exc}") from None

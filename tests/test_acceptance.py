@@ -28,61 +28,55 @@ def test_criterion_1_rs_exhaustive_correctness():
     t0 = time.monotonic()
     code = rscodec.RsCode(7, 3)
     rng = np.random.default_rng(101)
-    ok = True
 
-    for _ in range(50):
-        info = [int(v) for v in rng.integers(0, 8, size=3)]
-        cw = rscodec.encode(code, info)
+    # every erasure pattern with f <= 4, then every error pattern with
+    # e <= 2 (positions x magnitudes), each one row of a block
+    erasures = [ps for f in range(5) for ps in itertools.combinations(range(7), f)]
+    errors = [((pos,), (err,)) for pos in range(7) for err in range(1, 8)]
+    errors += [
+        ((p1, p2), (e1, e2))
+        for p1, p2 in itertools.combinations(range(7), 2)
+        for e1 in range(1, 8)
+        for e2 in range(1, 8)
+    ]
+    erased = np.zeros((len(erasures) + len(errors), 7), dtype=bool)
+    flips = np.zeros(erased.shape, dtype=np.int64)
+    for row, positions in enumerate(erasures):
+        erased[row, list(positions)] = True
+    for row, (positions, values) in enumerate(errors, start=len(erasures)):
+        flips[row, list(positions)] = values
 
-        # every erasure pattern with f <= 4
-        for f in range(5):
-            for positions in itertools.combinations(range(7), f):
-                word = list(cw)
-                for p in positions:
-                    word[p] = 0
-                if rscodec.decode(code, word, positions) != info:
-                    ok = False
-
-        # every error pattern with e <= 2 (positions x magnitudes)
-        for pos in range(7):
-            for err in range(1, 8):
-                word = list(cw)
-                word[pos] ^= err
-                if rscodec.decode(code, word) != info:
-                    ok = False
-        for p1, p2 in itertools.combinations(range(7), 2):
-            for e1 in range(1, 8):
-                for e2 in range(1, 8):
-                    word = list(cw)
-                    word[p1] ^= e1
-                    word[p2] ^= e2
-                    if rscodec.decode(code, word) != info:
-                        ok = False
+    # all patterns on each of 50 codewords, decoded in one call
+    info = rng.integers(0, 8, size=(50, 3))
+    cws = np.array([rscodec.encode(code, row.tolist()) for row in info])
+    words = np.where(erased, 0, cws[:, None] ^ flips).reshape(-1, 7)
+    out, good = rscodec.decode_block(code, words, np.tile(erased, (50, 1)))
+    ok = good.all() and (out == info.repeat(len(erased), axis=0)).all()
 
     # beyond-capacity patterns in the end-to-end path: decode failure or a
     # CRC/payload check must catch every corruption
+    payloads, frames = [], []
     for _ in range(300):
         payload = rng.integers(0, 256, size=8, dtype=np.uint8).tobytes()
         frame_bits = phy.bytes_to_bits(phy.frame_build(payload))
         syms = rscodec.bits_to_symbols(frame_bits, 3)
         pad = (-syms.size) % 3
         syms = np.concatenate([syms, np.zeros(pad, dtype=syms.dtype)])
-        words = [
+        words = np.array([
             rscodec.encode(code, syms[i : i + 3].tolist())
             for i in range(0, syms.size, 3)
-        ]
+        ])
         j = int(rng.integers(0, len(words)))
         positions = rng.choice(7, size=3, replace=False)
-        corrupted = list(words[j])
         for p in positions:
-            corrupted[p] ^= int(rng.integers(1, 8))
-        decoded = []
-        for i, w in enumerate(words):
-            out = rscodec.decode(code, corrupted if i == j else w)
-            if out is None:
-                out = (corrupted if i == j else w)[:3]
-            decoded.extend(out)
-        bits = rscodec.symbols_to_bits(np.array(decoded), 3)[: frame_bits.size]
+            words[j, p] ^= int(rng.integers(1, 8))
+        payloads.append(payload)
+        frames.append(words)
+    # a word that fails to decode keeps its received info symbols
+    words = np.concatenate(frames)
+    out, _ = rscodec.decode_block(code, words, np.zeros(words.shape, dtype=bool))
+    for payload, decoded in zip(payloads, out.reshape(len(frames), -1)):
+        bits = rscodec.symbols_to_bits(decoded, 3)[: frame_bits.size]
         try:
             delivered = phy.frame_parse(phy.bits_to_bytes(bits))
         except Exception:

@@ -185,6 +185,7 @@ def test_simulate_negative_values_exit_code(tmp_path, capsys):
     # nothing and report a perfect link
     for line in ("off_scale_min = inf", "on_shape = nan",
                  "seed = -1", "noise_sigma = -0.5", "noise_sigma = nan",
+                 "noise_sigma = 1e300", "noise_sigma = 1e300\nmode = sample",
                  "erasure_margin_bits = -1", "rate = 0", "rate = inf", "pe_threshold = 2",
                  "samples_per_bit = 3", "samples_per_bit = 3\nmode = sample",
                  "samples_per_bit = 100000", "samples_per_bit = 100000\nmode = sample"):
@@ -195,11 +196,35 @@ def test_simulate_negative_values_exit_code(tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(conf)]) == cli.EXIT_CONFIG
         assert time.perf_counter() - t0 < 5.0
         assert "error:" in capsys.readouterr().err
-    # the sample-rate cap itself is accepted
-    conf = _write_config(tmp_path, scenario + "code = 15,9\nframes = 2\nmode = sample\n"
-                         f"samples_per_bit = {phy.MAX_SAMPLES_PER_BIT}\n")
-    assert cli.main(["simulate", "--config", str(conf)]) == 0
+    # the sample-rate and noise caps themselves are accepted
+    for line in (f"samples_per_bit = {phy.MAX_SAMPLES_PER_BIT}",
+                 f"noise_sigma = {phy.MAX_NOISE_SIGMA}"):
+        conf = _write_config(tmp_path, scenario + "code = 15,9\nframes = 2\nmode = sample\n"
+                             + line + "\n")
+        assert cli.main(["simulate", "--config", str(conf)]) == 0
     capsys.readouterr()
+
+
+def test_bad_input_file_error_names_the_file(tmp_path, capsys):
+    # a config or trace that is not text, and a malformed trace line, are
+    # reported with the file they came from
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"off_shape = 2\xff\n")
+    bad_trace = tmp_path / "bad.csv"
+    bad_trace.write_text("on,3.5\nbogus line\n")
+    via_binary = tmp_path / "binary_trace.conf"
+    via_binary.write_text(f"trace = {binary}\n")
+    via_bad = tmp_path / "bad_trace.conf"
+    via_bad.write_text(f"trace = {bad_trace}\n")
+    for argv, named in [
+        (["simulate", "--config", str(binary)], f"{binary}: "),
+        (["simulate", "--config", str(via_binary)], f"{binary}: "),
+        (["simulate", "--config", str(via_bad)], f"{bad_trace}:2: "),
+        (["fit", str(binary)], f"{binary}: "),
+        (["fit", str(bad_trace)], f"{bad_trace}:2: "),
+    ]:
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
 
 
 def test_gen_trace_negative_seed_exit_code(tmp_path, capsys):
