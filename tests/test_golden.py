@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from rscatter import cli, harness
+from rscatter import cli, harness, phy
 from rscatter.rscodec import ADMISSIBLE_N, RsCode
 
 # one code per symbol size m = 3..7
@@ -72,6 +72,23 @@ SAMPLE_BLOCK_DIGESTS = {
     (0.0, 3): "409fdf742fa1a1e0827d75bdc61aff35ff3490f1c0e6802e71d4542ec0e9f62f",
     (0.3, 4): "95765fc5da56dbb7db76a2ec01de8a0cb45b7336ec005aa2ca5a038b7901117a",
 }
+# sample mode off the default 8 samples per bit, keyed by (samples_per_bit,
+# noise_sigma): 37 frames fill no whole number of blocks of any size
+SPB_FRAMES = 37
+SPB_DIGESTS = {
+    (4, 0.0): "ea5bd0ab7224af60be553c3f0aae3d18ede22b63aacc769391000c6dc9789802",
+    (4, 0.3): "bbf9f9816a18391ce882fb156d4fd158c17c9ede0bcdf709648e7c57d58159bc",
+    (13, 0.0): "ae10aa54a7eb7858e28045b9d86c2def5bfada711ea659b4afce440c5b10f37d",
+    (13, 0.3): "8399ef0fe212daab4597c8b35830c54286fb122a414adf7f558a5d1f7d48291a",
+    (64, 0.0): "150653322b665c481281332d24f061939bace4a308d638b3ec99a8f0ed25682a",
+    (64, 0.3): "ac580d3c47266dab696f34f5178b25679d85dd2a2923b0efd725e1f56cef2dac",
+}
+# the longest waveform an experiment can ask for: RS(7,1), 108-byte payloads
+# and 64 samples per bit, keyed by noise_sigma
+LONGEST_WAVEFORM_DIGESTS = {
+    0.0: "440d68c283c98c38177923903a4ae9826e25a27f2560d56ab98a7fcdbff638cb",
+    0.3: "d65340a4a3997c77556161a876fd61c0f65f1b5f24116df001e8785fcfb5f8a8",
+}
 SILENT_DIGEST = "8491f148c4e6b3bad4da2abbdb1d88953ea3a277e6a22ba289f38abaff319abc"
 CLI_SIMULATE_DIGEST = "bdee225fe20caaa987703415ab2aeab36426570b8497896c5b49b966e178190e"
 # the parity part G2 of every admissible code's binary generator, as uint8
@@ -95,6 +112,18 @@ def link_reports(mode, m, noise_sigma=0.0, frames=None):
             )
             reports.append(harness.run(cfg).to_dict())
     return reports
+
+
+def sample_report(samples_per_bit, noise_sigma, code=(15, 9), payload_bytes=16,
+                  frames=SPB_FRAMES, on_scale_min=60.0, margin=8):
+    """One sample-mode report over bursty off runs."""
+    cfg = harness.ExperimentConfig(
+        off_shape=1.2, off_scale_min=2.0, on_shape=1.3, on_scale_min=on_scale_min,
+        code=code, frames=frames, payload_bytes=payload_bytes, erasure_margin_bits=margin,
+        mode="sample", seed=samples_per_bit, samples_per_bit=samples_per_bit,
+        noise_sigma=noise_sigma,
+    )
+    return harness.run(cfg).to_dict()
 
 
 def parity_rows(n, rate=1e6, margin=8):
@@ -138,6 +167,20 @@ def test_noisy_sample_reports_unchanged(sigma, m):
 def test_sample_reports_over_blocks_unchanged(sigma, m):
     reports = link_reports("sample", m, noise_sigma=sigma, frames=SAMPLE_BLOCK_FRAMES)
     assert _digest(reports) == SAMPLE_BLOCK_DIGESTS[sigma, m]
+
+
+@pytest.mark.parametrize("spb,sigma", sorted(SPB_DIGESTS))
+def test_sample_reports_at_samples_per_bit_unchanged(spb, sigma):
+    assert _digest(sample_report(spb, sigma)) == SPB_DIGESTS[spb, sigma]
+
+
+@pytest.mark.parametrize("sigma", sorted(LONGEST_WAVEFORM_DIGESTS))
+def test_longest_waveform_reports_unchanged(sigma):
+    # on runs long enough that some 2 ms frames get through
+    report = sample_report(phy.MAX_SAMPLES_PER_BIT, sigma, code=(7, 1),
+                           payload_bytes=phy.MAX_PAYLOAD, frames=5, on_scale_min=300.0,
+                           margin=16)
+    assert _digest(report) == LONGEST_WAVEFORM_DIGESTS[sigma]
 
 
 @pytest.mark.parametrize("n", sorted(PARITY_DIGESTS))
