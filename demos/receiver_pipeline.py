@@ -37,9 +37,10 @@ def main():
     # bits 150..179, preamble included
     lost = np.zeros(phy.PREAMBLE_LEN + tx_bits.size, dtype=bool)
     lost[150:180] = True
-    rx = phy.apply_channel(samples, lost, noise_sigma=0.03, rng=rng)
+    noise = rng.normal(0.0, 0.03, (2,) + samples.shape)  # I, then Q
+    power = phy.apply_channel(samples, lost, noise)
 
-    out = phy.demodulate(rx)
+    out = phy.demodulate(power)
     assert out is not None, "preamble not found"
     print(f"demodulator: preamble ends at sample {out.preamble_end}, "
           f"threshold {out.power_threshold:.3f}")

@@ -4,22 +4,22 @@ Two modes share one timeline model and one run loop: a frame is the
 36-bit preamble followed by the payload bits (baseline) or the RS codeword
 bits (coded), transmitted at m bits per channel symbol and R
 symbols/second over a Pareto on/off gate that starts in the on state at
-the first preamble bit.  Frames are scored a block at a time; sample mode
-decodes all codewords of a block in one call.
+the first preamble bit.  Frames are scored a block at a time.  Sample mode
+runs the waveform chain on as many frames at once as fit WAVEFORM_BYTES
+and decodes all codewords of a block in one call.
 
 The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
 read the same lost-bit mask, preamble included: symbol mode evaluates it
 directly, and sample mode zeroes every sample of a lost bit before noise
-and demodulation.  Whether the receiver can treat lost bits as erasures
-follows the blind-receiver rule in phy.perceived_erasures, and a codeword
-is counted as delivered only when its erased symbols stay within the
-advertised correction capability t -- the same capability the code
-selection is based on.  At zero noise the sample-level pipeline
-reproduces the symbol-level frame outcomes exactly when every off run is
-longer than erasure_margin_bits bit-times.  A shorter off run is not
-flagged, and a lost bit in it whose line bit was 1 is a symbol error that
-only the sample-level decoder sees.
+and demodulation.  Lost bits are erasures by the blind-receiver rule in
+phy.perceived_erasures, and a codeword is delivered only when its erased
+symbols stay within the correction capability t that the code selection
+assumes.  At zero noise the sample-level pipeline reproduces the
+symbol-level frame outcomes exactly when every off run is longer than
+erasure_margin_bits bit-times.  A shorter off run is not flagged, and a
+lost bit in it whose line bit was 1 is a symbol error that only the
+sample-level decoder sees.
 
 The parity sweep runs the same symbol-level frame kernel: each trial is a
 frame without preamble or CRC whose k*m information bits form a single
@@ -38,6 +38,16 @@ from .errors import FrameCrcError, InfeasibleError, ParameterError
 # cost of the array operations and of the decoder, small enough to keep
 # memory bounded for any frame count.
 BLOCK_FRAMES = 32
+# Most frames (or parity trials) per experiment.  At this cap the per-frame
+# log dominates memory: a symbol-mode `rscatter simulate` peaked at 451 MB RSS,
+# 1148 MB with the log in its JSON (Python 3.11, numpy 2.4, x86-64 Linux).
+MAX_FRAMES = 10**6
+# Bytes of one float waveform array in sample mode.  The waveform chain runs
+# on as many frames of a block at once as this holds: 3 at RS(63,29),
+# 64-byte payloads and 8 samples per bit (there 1 frame ran slower, and 10
+# no faster with 1.4 MB more peak memory), and 1 when a single waveform is
+# larger (3.2 MB at RS(7,1), 108-byte payloads and 64 samples per bit).
+WAVEFORM_BYTES = 384 * 1024
 
 
 @dataclass
@@ -65,32 +75,23 @@ class ExperimentConfig:
     erasure_margin_bits: int = phy.DEFAULT_ERASE_MARGIN_BITS
 
     def __post_init__(self):
-        if self.frames < 1:
-            raise ParameterError(f"frames must be >= 1, got {self.frames}")
-        if not (phy.MIN_PAYLOAD <= self.payload_bytes <= phy.MAX_PAYLOAD):
-            raise ParameterError(
-                f"payload_bytes must be in {phy.MIN_PAYLOAD}..{phy.MAX_PAYLOAD}, "
-                f"got {self.payload_bytes}"
-            )
         if self.mode not in ("symbol", "sample"):
             raise ParameterError(f"mode must be 'symbol' or 'sample', got {self.mode!r}")
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ParameterError(f"rate must be finite and > 0, got {self.rate}")
         codesearch.check_threshold(self.pe_threshold)
-        if not (0 <= self.noise_sigma <= phy.MAX_NOISE_SIGMA):
-            raise ParameterError(f"noise_sigma must be in 0..{phy.MAX_NOISE_SIGMA:g}, "
-                                 f"got {self.noise_sigma}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if not (phy.MIN_SAMPLES_PER_BIT <= self.samples_per_bit <= phy.MAX_SAMPLES_PER_BIT):
-            raise ParameterError(
-                f"samples_per_bit must be in {phy.MIN_SAMPLES_PER_BIT}.."
-                f"{phy.MAX_SAMPLES_PER_BIT}, got {self.samples_per_bit}"
-            )
-        if self.erasure_margin_bits < 0:
-            raise ParameterError(
-                f"erasure_margin_bits must be >= 0, got {self.erasure_margin_bits}"
-            )
+        # the sample-rate bounds hold in both modes, though symbol mode never
+        # builds a waveform
+        for name, low, high in (
+            ("frames", 1, MAX_FRAMES),
+            ("payload_bytes", phy.MIN_PAYLOAD, phy.MAX_PAYLOAD),
+            ("noise_sigma", 0, phy.MAX_NOISE_SIGMA),
+            ("seed", 0, math.inf),
+            ("samples_per_bit", phy.MIN_SAMPLES_PER_BIT, phy.MAX_SAMPLES_PER_BIT),
+            ("erasure_margin_bits", 0, math.inf),
+        ):
+            if not (low <= getattr(self, name) <= high):
+                raise ParameterError(f"{name} must be in {low}..{high}, got {getattr(self, name)}")
 
     def stats(self):
         if self.trace is not None:
@@ -152,7 +153,6 @@ def _frame_plan(code, rate, frame_bits_n, preamble_bits=phy.PREAMBLE_LEN):
     coded_air_us = (preamble_bits + coded_bits_n) * bit_us
     baseline_air_us = (preamble_bits + frame_bits_n) * bit_us
     return {
-        "m": m,
         "preamble_bits": preamble_bits,
         "frame_bits_n": frame_bits_n,
         "info_syms": info_syms,
@@ -178,7 +178,7 @@ def _encode_frames(code, plan, frame_bits):
     """Frame bits (..., frame_bits_n) -> transmitted codeword bits
     (..., coded_bits_n): the frame is zero-filled to whole symbols, padded
     with pad symbols to whole codewords and encoded codeword by codeword."""
-    m = plan["m"]
+    m = code.m
     pad_syms = plan["n_codewords"] * code.k - plan["info_syms"]
     tail = np.concatenate([
         np.zeros(plan["info_syms"] * m - plan["frame_bits_n"], dtype=np.uint8),
@@ -208,12 +208,16 @@ def _draw_lost(rng, stats, plan):
     return channel.erasure_mask_from_gate(gate, plan["bit_rate"], plan["mask_bits_n"])
 
 
-def _draw_frame(rng, config, stats, plan):
-    """A frame's random payload, then its gate: returns the frame bits and
-    the lost-bit mask of the gate."""
-    payload = rng.integers(0, 256, size=config.payload_bytes, dtype=np.uint8).tobytes()
-    lost = _draw_lost(rng, stats, plan)
-    return phy.bytes_to_bits(phy.frame_build(payload)), lost
+def _draw_frames(rng, config, stats, plan, frame_bits, lost_all, noise=()):
+    """Draw frames into the rows of frame_bits and lost_all: per frame a
+    random payload, then its gate as a lost-bit mask, then one normal draw
+    into the same row of each array of noise."""
+    for i in range(len(frame_bits)):
+        payload = rng.integers(0, 256, size=config.payload_bytes, dtype=np.uint8).tobytes()
+        lost_all[i] = _draw_lost(rng, stats, plan)
+        frame_bits[i] = phy.bytes_to_bits(phy.frame_build(payload))
+        for draws in noise:
+            draws[i] = rng.normal(0.0, config.noise_sigma, draws.shape[1:])
 
 
 def _symbol_frames(config, code, plan, frame_bits, lost_all):
@@ -250,10 +254,8 @@ def _symbol_frames(config, code, plan, frame_bits, lost_all):
 def run(config):
     """One Monte Carlo link experiment, in symbol or sample mode.
 
-    Payloads and gates are drawn frame by frame; in sample mode each frame
-    is received as soon as it is drawn, baseline then coded, so the noise
-    draws stay interleaved with them.  Each block of BLOCK_FRAMES frames is
-    then scored by the symbol-level kernel or by the sample scorer.
+    Frames are drawn and scored a block of BLOCK_FRAMES at a time, by the
+    symbol-level kernel or by the sample-level receiver.
     """
     stats = config.stats()
     code, plan, p_s, predicted_pe = _link_setup(config, stats)
@@ -264,31 +266,14 @@ def run(config):
         count = min(BLOCK_FRAMES, config.frames - first)
         frame_bits = np.empty((count, plan["frame_bits_n"]), dtype=np.uint8)
         lost_all = np.empty((count, plan["mask_bits_n"]), dtype=bool)
-        received = []
-        for i in range(count):
-            frame_bits[i], lost_all[i] = _draw_frame(rng, config, stats, plan)
-            if config.mode == "sample":
-                tx_bits = _encode_frames(code, plan, frame_bits[i])
-                received.append([_receive(config, bits, lost_all[i], rng)
-                                 for bits in (frame_bits[i], tx_bits)])
-        outcomes[:, first : first + count] = (
-            _sample_frames(code, plan, frame_bits, received) if config.mode == "sample"
-            else _symbol_frames(config, code, plan, frame_bits, lost_all)
-        )
+        if config.mode == "sample":
+            block = _sample_frames(rng, config, stats, code, plan, frame_bits, lost_all)
+        else:
+            _draw_frames(rng, config, stats, plan, frame_bits, lost_all)
+            block = _symbol_frames(config, code, plan, frame_bits, lost_all)
+        outcomes[:, first : first + count] = block
 
     return _report(config, code, p_s, predicted_pe, plan, outcomes)
-
-
-def _receive(config, tx_bits, lost_bits, rng):
-    """Modulate tx_bits, gate them by the lost-bit mask (preamble first) and
-    add noise, and demodulate: the received bits and erasure flags of
-    tx_bits, or None when the preamble is lost or found past offset 0."""
-    samples = phy.modulate(tx_bits, config.samples_per_bit)
-    rx = phy.apply_channel(samples, lost_bits, config.noise_sigma, rng)
-    demod = phy.demodulate(rx, config.erasure_margin_bits)
-    if demod is None or demod.bits.size < tx_bits.size:
-        return None
-    return demod.bits, demod.erasures
 
 
 def _delivers(bits, frame_bits):
@@ -300,30 +285,51 @@ def _delivers(bits, frame_bits):
         return False
 
 
-def _sample_frames(code, plan, frame_bits, received):
-    """Baseline and coded outcomes of a block of frames, as _symbol_frames
-    returns them.  received holds each frame's baseline and coded reception,
-    None (a frame error, every bit wrong) when its preamble was lost; all
-    codewords left to the decoder by the delivery rule are decoded at once."""
-    nf = plan["frame_bits_n"]
-    outcomes = np.array([[1], [nf], [1], [nf]]).repeat(len(frame_bits), axis=1)
-    for i, (base, _) in enumerate(received):
-        if base is not None:
-            sent = frame_bits[i]
-            outcomes[:2, i] = not _delivers(base[0], sent), np.sum(base[0] != sent)
+def _sample_frames(rng, config, stats, code, plan, frame_bits, lost_all):
+    """Draw a block of frames into frame_bits and lost_all, receive them and
+    return their outcomes as _symbol_frames does.
 
-    heard = [i for i, (_, coded) in enumerate(received) if coded is not None]
-    if heard:
-        bits, flags = map(np.array, zip(*(received[i][1] for i in heard)))
-        words = rscodec.bits_to_symbols(bits, code.m).reshape(len(heard), -1, code.n)
-        erased, failed = _codeword_erasures(flags, code)
+    Each frame's baseline, then coded, I and Q noise is drawn right after
+    its gate.  The waveforms of as many frames as fit WAVEFORM_BYTES are
+    then modulated, gated and demodulated at once.  A transmission whose
+    preamble is not found at offset 0 is a frame error with every bit
+    wrong; all codewords left to the decoder by the delivery rule are
+    decoded at once.
+    """
+    pre, nf, spb = plan["preamble_bits"], plan["frame_bits_n"], config.samples_per_bit
+    count, sizes = len(frame_bits), (nf, plan["coded_bits_n"])
+    step = max(1, WAVEFORM_BYTES // ((pre + max(sizes)) * spb * 8))
+    noisy = config.noise_sigma > 0
+    # per transmission: received bits, erasure flags, preamble found
+    received = [(np.empty((count, size), np.uint8), np.empty((count, size), bool),
+                 np.empty(count, bool)) for size in sizes]
+    for lo in range(0, count, step):
+        part = slice(lo, min(lo + step, count))
+        noise = [np.empty((part.stop - lo, 2, pre + size, spb)) if noisy else None
+                 for size in sizes]
+        _draw_frames(rng, config, stats, plan, frame_bits[part], lost_all[part],
+                     noise if noisy else ())
+        transmissions = (frame_bits[part], _encode_frames(code, plan, frame_bits[part]))
+        for bits, draws, outs in zip(transmissions, noise, received):
+            power = phy.apply_channel(phy.modulate(bits, spb), lost_all[part], draws)
+            for out, got in zip(outs, phy.demodulate_block(power, config.erasure_margin_bits)):
+                out[part] = got
+
+    (base, _, base_found), (bits, flags, heard) = received
+    outcomes = np.array([[1], [nf], [1], [nf]]).repeat(count, axis=1)
+    for i in np.flatnonzero(base_found):
+        outcomes[:2, i] = not _delivers(base[i], frame_bits[i]), np.sum(base[i] != frame_bits[i])
+    if heard.any():
+        words = rscodec.bits_to_symbols(bits[heard], code.m).reshape(heard.sum(), -1, code.n)
+        erased, failed = _codeword_erasures(flags[heard], code)
         info = words[..., : code.k].copy()
         info[~failed], decoded = rscodec.decode_block(code, words[~failed], erased[~failed])
         failed[~failed] = ~decoded
-        info_bits = rscodec.symbols_to_bits(info, code.m).reshape(len(heard), -1)[:, :nf]
-        delivered = [_delivers(b, frame_bits[i]) for b, i in zip(info_bits, heard)]
+        info_bits = rscodec.symbols_to_bits(info, code.m).reshape(len(words), -1)[:, :nf]
+        sent = frame_bits[heard]
+        delivered = [_delivers(b, f) for b, f in zip(info_bits, sent)]
         outcomes[2, heard] = failed.any(axis=1) | ~np.array(delivered)
-        outcomes[3, heard] = (info_bits != frame_bits[heard]).sum(axis=1)
+        outcomes[3, heard] = (info_bits != sent).sum(axis=1)
     return outcomes
 
 
@@ -336,16 +342,10 @@ def _report(config, code, p_s, predicted_pe, plan, outcomes):
     frame_bits_total = nf * plan["frame_bits_n"]
     fer, fer_base = fe_coded / nf, fe_base / nf
     return LinkReport(
-        code_n=code.n,
-        code_k=code.k,
-        p_s=p_s,
-        predicted_pe=predicted_pe,
-        frames=nf,
-        ber=bit_err_coded / frame_bits_total,
-        fer=fer,
+        code_n=code.n, code_k=code.k, p_s=p_s, predicted_pe=predicted_pe, frames=nf,
+        ber=bit_err_coded / frame_bits_total, fer=fer,
         throughput=payload_bits * (1.0 - fer) / (plan["coded_air_us"] / 1e6),
-        ber_baseline=bit_err_base / frame_bits_total,
-        fer_baseline=fer_base,
+        ber_baseline=bit_err_base / frame_bits_total, fer_baseline=fer_base,
         throughput_baseline=payload_bits * (1.0 - fer_base) / (plan["baseline_air_us"] / 1e6),
         frame_log=[
             {"frame": fi, "baseline_error": bool(b), "coded_error": bool(c)}

@@ -6,8 +6,13 @@ gating by a lost-bit mask plus additive noise, and blind demodulation:
 matched filter, preamble cross-correlation timing, adaptive power
 threshold, and erasure flagging of long zero-power runs.
 
-A waveform is one (bits, samples_per_bit) array: `modulate` returns the real
-envelope, `apply_channel` the complex I + jQ samples `demodulate` reads.
+A waveform is one (bits, samples_per_bit) array, and the waveform functions
+take a leading frame axis: `modulate` returns the real envelopes,
+`apply_channel` the received power sqrt(I^2 + Q^2) per sample, and
+`demodulate_block` reads a (frames, bits, samples_per_bit) block of frames
+sent from offset 0 with the same correlator, threshold rule and slicer as
+the one-frame `demodulate`, which searches every offset.  No complex array
+is built: the power is hypot(gated + I noise, Q noise).
 """
 
 import struct
@@ -21,6 +26,11 @@ PREAMBLE_BITS = np.array(
     [int(c) for c in "101010101010101010101010110100100011"], dtype=np.uint8
 )
 PREAMBLE_LEN = PREAMBLE_BITS.size  # 36
+# the correlator's template constants: '1' positions, mean and sum of
+# squared deviations of PREAMBLE_BITS
+_PREAMBLE_ONES = np.flatnonzero(PREAMBLE_BITS)
+_PREAMBLE_MEAN = PREAMBLE_BITS.mean()
+_PREAMBLE_SQUARES = np.sum((PREAMBLE_BITS - _PREAMBLE_MEAN) ** 2)
 
 MIN_PAYLOAD = 3
 MAX_PAYLOAD = 108
@@ -29,7 +39,7 @@ DEFAULT_SAMPLES_PER_BIT = 8
 MIN_SAMPLES_PER_BIT = 4
 # most samples per bit an experiment may ask for: the longest frame (108
 # bytes under RS(7,1), 6252 bits) then holds about 4*10^5 samples, 3.2 MB
-# as a float envelope and 6.4 MB as complex I + jQ
+# as a float envelope
 MAX_SAMPLES_PER_BIT = 64
 # largest receiver noise an experiment may ask for: a thousand times the
 # unit carrier amplitude (SNR -60 dB) already buries every frame, while
@@ -133,53 +143,59 @@ def scramble(bits):
     return bits ^ np.tile(_SCRAMBLER, -(-n // _SCRAMBLER.size))[:n]
 
 
-def _waveform(samples):
-    """samples as a (bits, samples_per_bit) array; ParameterError unless it
-    is 2-D with at least MIN_SAMPLES_PER_BIT samples per bit."""
+def _waveform(samples, ndim=None):
+    """samples as a (..., bits, samples_per_bit) array; ParameterError unless
+    it has ndim axes (at least 2 when ndim is None) and at least
+    MIN_SAMPLES_PER_BIT samples per bit."""
     samples = np.asarray(samples)
-    if samples.ndim != 2 or samples.shape[1] < MIN_SAMPLES_PER_BIT:
-        shape = f"(bits, >= {MIN_SAMPLES_PER_BIT} samples per bit)"
+    bad_ndim = samples.ndim < 2 if ndim is None else samples.ndim != ndim
+    if bad_ndim or samples.shape[-1] < MIN_SAMPLES_PER_BIT:
+        lead = "frames, " if ndim == 3 else "" if ndim == 2 else "..., "
+        shape = f"({lead}bits, >= {MIN_SAMPLES_PER_BIT} samples per bit)"
         raise ParameterError(f"waveform shape must be {shape}, got {samples.shape}")
     return samples
 
 
 def modulate(bits, samples_per_bit=DEFAULT_SAMPLES_PER_BIT):
-    """OOK/NRZ envelope of preamble || scrambled bits, a float (PREAMBLE_LEN +
-    bits, samples_per_bit) array: 1 -> unit amplitude, 0 -> zero.
+    """OOK/NRZ envelope of preamble || scrambled bits, one waveform per row of
+    bits: (..., bits) -> float (..., PREAMBLE_LEN + bits, samples_per_bit),
+    1 -> unit amplitude, 0 -> zero.
 
     Carrier and frequency shifting are abstracted away; the envelope is the
     ideal clean-band baseband signal.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    levels = np.concatenate([PREAMBLE_BITS, scramble(bits)]).astype(float)
-    return _waveform(np.repeat(levels[:, None], samples_per_bit, axis=1))
+    levels = np.empty(bits.shape[:-1] + (PREAMBLE_LEN + bits.shape[-1],))
+    levels[..., :PREAMBLE_LEN] = PREAMBLE_BITS
+    levels[..., PREAMBLE_LEN:] = scramble(bits)
+    return _waveform(np.repeat(levels[..., None], samples_per_bit, axis=-1))
 
 
-def apply_channel(samples, lost_bits, noise_sigma, rng):
-    """Gate a waveform by a lost-bit mask and add Gaussian I/Q noise.
+def apply_channel(samples, lost_bits, noise=None):
+    """Gate waveforms by lost-bit masks, add I/Q noise and detect the power.
 
-    lost_bits holds one flag per waveform row, preamble included (entries
-    past the waveform are ignored); every sample of a lost bit is scaled to
-    zero.  Returns the complex I + jQ waveform, the I noise drawn before
-    the Q noise.
+    samples is (..., rows, samples_per_bit); lost_bits (..., >= rows) holds
+    one flag per waveform row, preamble included (entries past the waveform
+    are ignored), and every sample of a lost bit is scaled to zero.  noise,
+    when given, is (..., 2, rows, samples_per_bit): each waveform's I noise,
+    then its Q noise.  Returns the received power sqrt(I^2 + Q^2) per sample,
+    hypot(gated + I noise, Q noise); without noise, the gated envelope.
     """
     samples = _waveform(samples)
-    rows = samples.shape[0]
+    rows = samples.shape[-2]
     lost_bits = np.asarray(lost_bits, dtype=bool)
-    if lost_bits.size < rows:
-        raise ParameterError(f"lost-bit mask ({lost_bits.size}) shorter than waveform ({rows})")
-    rx = (samples * ~lost_bits[:rows, None]).astype(complex)
-    if noise_sigma > 0:
-        rx.real += rng.normal(0.0, noise_sigma, samples.shape)
-        rx.imag += rng.normal(0.0, noise_sigma, samples.shape)
-    return rx
-
-
-def _bit_statistics(power, start, count, spb):
-    """Mean power over each bit window (rectangular matched filter output
-    sampled once per bit)."""
-    seg = power[start : start + count * spb]
-    return seg.reshape(count, spb).mean(axis=1)
+    if lost_bits.shape[-1] < rows:
+        raise ParameterError(
+            f"lost-bit mask ({lost_bits.shape[-1]}) shorter than waveform ({rows})")
+    power = samples * ~lost_bits[..., :rows, None]
+    if noise is not None:
+        noise = np.asarray(noise)
+        expected = samples.shape[:-2] + (2,) + samples.shape[-2:]
+        if noise.shape != expected:
+            raise ParameterError(f"noise shape must be {expected} (I, then Q), got {noise.shape}")
+        power += noise[..., 0, :, :]
+        np.hypot(power, noise[..., 1, :, :], out=power)
+    return power
 
 
 def _preamble_corr(signal, spb):
@@ -195,31 +211,55 @@ def _preamble_corr(signal, spb):
     n = PREAMBLE_LEN * spb
     if signal.size < n:
         return np.empty(0)
-    mean = PREAMBLE_BITS.mean()
-    tpl_norm = np.sqrt(spb * np.sum((PREAMBLE_BITS - mean) ** 2))
     count = signal.size - n + 1
-    # in-place arithmetic: fresh stream-sized temporaries cost more than
-    # the arithmetic on them
+    # in-place arithmetic in four stream-sized arrays: fresh stream-sized
+    # temporaries cost more than the arithmetic on them
     csum = np.zeros(signal.size + 1)
+    scratch = np.empty_like(csum)
+    tmp = scratch[:count]
     np.cumsum(signal, out=csum[1:])
-    bit_sum = csum[spb:] - csum[:-spb]
-    ones = np.flatnonzero(PREAMBLE_BITS) * spb
-    num = bit_sum[ones[0] : ones[0] + count].copy()
-    for o in ones[1:]:
+    bit_sum = np.subtract(csum[spb:], csum[:-spb], out=scratch[: signal.size + 1 - spb])
+    first, second, *rest = _PREAMBLE_ONES * spb
+    num = bit_sum[first : first + count] + bit_sum[second : second + count]
+    for o in rest:
         num += bit_sum[o : o + count]
     win_sum = csum[n:] - csum[:-n]
-    num -= mean * win_sum
+    num -= np.multiply(_PREAMBLE_MEAN, win_sum, out=tmp)
     # n times each window's variance (sum of squares minus squared sum / n),
     # then the denominator
-    np.cumsum(np.square(signal), out=csum[1:])
-    denom = csum[n:] - csum[:-n]
+    np.cumsum(np.square(signal, out=scratch[: signal.size]), out=csum[1:])
+    denom = np.subtract(csum[n:], csum[:-n], out=tmp)
     win_sum *= win_sum
     win_sum /= n
     denom -= win_sum
     np.maximum(denom, 0.0, out=denom)
     np.sqrt(denom, out=denom)
-    denom *= tpl_norm
-    return np.divide(num, denom, out=np.zeros(count), where=denom > 0)
+    denom *= np.sqrt(spb * _PREAMBLE_SQUARES)
+    nonzero = denom > 0
+    np.divide(num, denom, out=num, where=nonzero)
+    num[~nonzero] = 0.0
+    return num
+
+
+def _slice(power, erase_margin_bits):
+    """Bits, erasure flags and decision threshold of (..., rows, spb) power
+    waveforms whose preamble fills their first PREAMBLE_LEN rows.
+
+    Each bit's statistic is its mean power (a rectangular matched filter
+    sampled once per bit).  The threshold is the average of the minimum '1'
+    and the maximum '0' statistic over the preamble; data bits are sliced at
+    it and descrambled, and below-floor runs longer than erase_margin_bits
+    bit-times are flagged erased.
+    """
+    stats = power.mean(axis=-1)
+    pre = stats[..., :PREAMBLE_LEN]
+    threshold = (pre[..., PREAMBLE_BITS == 1].min(axis=-1)
+                 + pre[..., PREAMBLE_BITS == 0].max(axis=-1)) / 2.0
+    data = stats[..., PREAMBLE_LEN:]
+    level = np.expand_dims(threshold, -1)
+    bits = scramble((data >= level).astype(np.uint8))
+    erasures = flag_erasure_runs(data < FLOOR_FRACTION * level, erase_margin_bits)
+    return bits, erasures, threshold
 
 
 def flag_erasure_runs(below_floor, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
@@ -273,41 +313,54 @@ class DemodResult:
     power_threshold: float
 
 
-def demodulate(samples, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
-    """Blind demodulation of one frame; returns None when no preamble is found.
+def demodulate(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
+    """Blind demodulation of one (bits, samples_per_bit) power waveform;
+    returns None when no preamble is found.
 
-    Per-sample power sqrt(I^2+Q^2) is matched-filtered by a one-bit moving
-    average; the preamble end is located by the normalized cross-correlation
-    peak; the decision threshold is the average of the minimum '1' and
-    maximum '0' statistics over the preamble; bits are sliced at one
-    statistic per bit from the preamble-derived timing and descrambled.
-    Below-floor runs longer than erase_margin_bits bit-times are flagged
-    erased.
-
-    All thresholds are relative, so scaling the waveform amplitude by any
-    positive constant leaves every decision unchanged.
+    The preamble end is located by the normalized cross-correlation peak at
+    any sample offset, and the bits from there on are sliced and flagged as
+    in demodulate_block.  All thresholds are relative, so scaling the power
+    by any positive constant leaves every decision unchanged.
     """
-    samples = _waveform(samples)
-    spb = samples.shape[1]
-    power = np.hypot(samples.real, samples.imag).ravel()
-    if power.size < (PREAMBLE_LEN + 1) * spb:
+    power = _waveform(power, ndim=2)
+    spb = power.shape[1]
+    signal = power.ravel()
+    if signal.size < (PREAMBLE_LEN + 1) * spb:
         return None
-    corr = _preamble_corr(power, spb)
+    corr = _preamble_corr(signal, spb)
     start = int(np.argmax(corr))
     if corr[start] < CORR_THRESHOLD:
         return None
-    pre_stats = _bit_statistics(power, start, PREAMBLE_LEN, spb)
-    ones = pre_stats[PREAMBLE_BITS == 1]
-    zeros = pre_stats[PREAMBLE_BITS == 0]
-    threshold = (ones.min() + zeros.max()) / 2.0
+    rows = (signal.size - start) // spb
+    aligned = signal[start : start + rows * spb].reshape(rows, spb)
+    bits, erasures, threshold = _slice(aligned, erase_margin_bits)
     if threshold <= 0:
         return None
-    end = start + PREAMBLE_LEN * spb
-    n_bits = (power.size - end) // spb
-    stats = _bit_statistics(power, end, n_bits, spb)
-    bits = scramble((stats >= threshold).astype(np.uint8))
-    below_floor = stats < FLOOR_FRACTION * threshold
-    erasures = flag_erasure_runs(below_floor, erase_margin_bits)
-    return DemodResult(
-        bits=bits, erasures=erasures, preamble_end=end, power_threshold=threshold
-    )
+    return DemodResult(bits=bits, erasures=erasures, preamble_end=start + PREAMBLE_LEN * spb,
+                       power_threshold=threshold)
+
+
+def demodulate_block(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
+    """Blind demodulation of a block of frames sent from offset 0.
+
+    power is (frames, rows, samples_per_bit), one frame's preamble and
+    rows - PREAMBLE_LEN bits per waveform.  Returns the (frames, rows -
+    PREAMBLE_LEN) bits and erasure flags and a (frames,) mask of the frames
+    found.  A frame is found iff demodulate finds its preamble at offset 0:
+    its correlation peaks there (at or above CORR_THRESHOLD) and its
+    threshold is positive, and then its bits and flags are demodulate's.  A
+    peak anywhere else would leave fewer bits than were sent.  The rows of
+    frames not found hold no meaning.
+    """
+    power = _waveform(power, ndim=3)
+    frames, rows, spb = power.shape
+    if rows <= PREAMBLE_LEN:
+        raise ParameterError(f"waveforms of {rows} rows carry no bit past the preamble")
+    # the correlator runs one frame at a time: a frame's work arrays are
+    # then small enough to be reused from the heap, while block-sized ones
+    # were mapped afresh, page faults and all, for every block
+    corrs = (_preamble_corr(signal, spb) for signal in power.reshape(frames, rows * spb))
+    peaks = np.array([corr.argmax() == 0 and corr[0] >= CORR_THRESHOLD for corr in corrs],
+                     dtype=bool)
+    bits, erasures, threshold = _slice(power, erase_margin_bits)
+    return bits, erasures, peaks & (threshold > 0)

@@ -205,6 +205,22 @@ def test_simulate_negative_values_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_huge_frames_exit_code(tmp_path, capsys):
+    # rejected by the frame cap before any array is sized by the frame count
+    scenario = "off_shape = 1.5\noff_scale_min = 2.0\non_shape = 2.0\non_scale_min = 50.0\n"
+    for frames in (harness.MAX_FRAMES + 1, 100000000000):
+        for mode in ("symbol", "sample"):
+            conf = _write_config(tmp_path, f"{scenario}code = 15,9\nframes = {frames}\n"
+                                           f"mode = {mode}\n")
+            t0 = time.perf_counter()
+            assert cli.main(["simulate", "--config", str(conf)]) == cli.EXIT_CONFIG
+            assert time.perf_counter() - t0 < 5.0
+            assert "frames must be in" in capsys.readouterr().err
+        conf = _write_config(tmp_path, f"{scenario}frames = {frames}\n")
+        assert cli.main(["sweep", "--vary", "parity", "--config", str(conf)]) == cli.EXIT_CONFIG
+        assert "frames must be in" in capsys.readouterr().err
+
+
 def test_bad_input_file_error_names_the_file(tmp_path, capsys):
     # a config or trace that is not text, and a malformed trace line, are
     # reported with the file they came from

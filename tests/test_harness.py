@@ -26,8 +26,10 @@ def _config(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ParameterError):
-        _config(frames=0)
+    for bad in (0, harness.MAX_FRAMES + 1, 10**11):
+        with pytest.raises(ParameterError):
+            _config(frames=bad)
+    _config(frames=harness.MAX_FRAMES)
     with pytest.raises(ParameterError):
         _config(payload_bytes=2)
     with pytest.raises(ParameterError):

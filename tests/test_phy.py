@@ -123,10 +123,17 @@ def test_samples_per_bit_floor():
     # a flat waveform, and rows shorter than the samples-per-bit floor
     for bad in (good.ravel(), good[:, : phy.MIN_SAMPLES_PER_BIT - 1]):
         with pytest.raises(ParameterError):
-            phy.apply_channel(bad, lost, 0.0, None)
+            phy.apply_channel(bad, lost)
         with pytest.raises(ParameterError):
             phy.demodulate(bad)
+        with pytest.raises(ParameterError):
+            phy.demodulate_block(bad[None])
     assert phy.demodulate(good[:, : phy.MIN_SAMPLES_PER_BIT]) is not None
+    # one frame is 2-D, a block of frames 3-D
+    with pytest.raises(ParameterError):
+        phy.demodulate(good[None])
+    with pytest.raises(ParameterError):
+        phy.demodulate_block(good)
 
 
 def _no_loss(samples):
@@ -139,9 +146,9 @@ def test_apply_channel_gates_samples():
     # lost bits 2..3 of the data section (after the preamble)
     lost = _no_loss(samples)
     lost[phy.PREAMBLE_LEN + 2 : phy.PREAMBLE_LEN + 4] = True
-    gated = phy.apply_channel(samples, lost, 0.0, rng)
-    assert gated.shape == samples.shape and not gated.imag.any()
-    data = gated.real[phy.PREAMBLE_LEN :]
+    gated = phy.apply_channel(samples, lost)
+    assert gated.shape == samples.shape and gated.dtype == float
+    data = gated[phy.PREAMBLE_LEN :]
     assert not data[2].any() and not data[3].any()
     line = phy.scramble(np.ones(10, dtype=np.uint8))
     for i in (0, 1, 4, 9):
@@ -152,10 +159,14 @@ def test_apply_channel_requires_cover():
     samples = phy.modulate(np.ones(10, dtype=np.uint8), 8)
     lost = _no_loss(samples)
     with pytest.raises(ParameterError):
-        phy.apply_channel(samples, lost[:-1], 0.0, np.random.default_rng(0))
+        phy.apply_channel(samples, lost[:-1])
     # a longer mask is cut to the waveform
-    gated = phy.apply_channel(samples, np.append(lost, True), 0.0, None)
-    assert gated.real.tobytes() == samples.tobytes()
+    gated = phy.apply_channel(samples, np.append(lost, True))
+    assert gated.tobytes() == samples.tobytes()
+    # the noise is one I and one Q draw of the waveform's shape
+    for shape in ((2,) + samples.shape[:-1] + (7,), samples.shape, (1, 2) + samples.shape):
+        with pytest.raises(ParameterError):
+            phy.apply_channel(samples, lost, np.zeros(shape))
 
 
 @given(st.integers(phy.MIN_SAMPLES_PER_BIT, 16), st.integers(1, 60), st.data())
@@ -168,24 +179,28 @@ def test_apply_channel_gates_by_lost_bit_mask(spb, n_data, data):
     lost = np.array(data.draw(st.lists(st.booleans(), min_size=n_bits, max_size=n_bits + 8)))
     samples = phy.modulate(bits, spb)
     expected = samples * np.repeat(~lost[:n_bits], spb).reshape(n_bits, spb)
-    gated = phy.apply_channel(samples, lost, 0.0, None)
+    gated = phy.apply_channel(samples, lost)
     assert gated.shape == (n_bits, spb)
-    assert gated.real.tobytes() == expected.tobytes()
-    assert not gated.imag.any()
-    # noise is drawn for I, then for Q, each as one flat C-order draw
-    noisy = phy.apply_channel(samples, lost, 0.1, np.random.default_rng(n_data))
-    ref = np.random.default_rng(n_data)
-    i_noise = ref.normal(0.0, 0.1, samples.size).reshape(samples.shape)
-    q_noise = ref.normal(0.0, 0.1, samples.size).reshape(samples.shape)
-    assert noisy.real.tobytes() == (expected + i_noise).tobytes()
-    assert noisy.imag.tobytes() == q_noise.tobytes()
+    assert gated.tobytes() == expected.tobytes()
+    # the power sqrt(I^2 + Q^2) of the gated samples plus I and Q noise, I
+    # noise first; a block of frames gets the same per frame
+    rng = np.random.default_rng(n_data)
+    i_noise = rng.normal(0.0, 0.1, samples.shape)
+    q_noise = rng.normal(0.0, 0.1, samples.shape)
+    noisy = phy.apply_channel(samples, lost, np.stack([i_noise, q_noise]))
+    assert noisy.tobytes() == np.hypot(expected + i_noise, q_noise).tobytes()
+    block = phy.apply_channel(np.stack([samples, samples]), np.stack([lost, ~lost]),
+                              np.stack([[i_noise, q_noise], [q_noise, i_noise]]))
+    assert block[0].tobytes() == noisy.tobytes()
+    flipped = samples * np.repeat(lost[:n_bits], spb).reshape(n_bits, spb)
+    assert block[1].tobytes() == np.hypot(flipped + q_noise, i_noise).tobytes()
 
 
 def test_demodulate_clean_roundtrip():
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, 400, dtype=np.uint8)
     samples = phy.modulate(bits)
-    rx = phy.apply_channel(samples, _no_loss(samples), 0.0, rng)
+    rx = phy.apply_channel(samples, _no_loss(samples))
     out = phy.demodulate(rx)
     assert out is not None
     assert (out.bits[: bits.size] == bits).all()
@@ -207,20 +222,19 @@ def test_demodulate_with_noise():
     rng = np.random.default_rng(3)
     bits = rng.integers(0, 2, 300, dtype=np.uint8)
     samples = phy.modulate(bits)
-    rx = phy.apply_channel(samples, _no_loss(samples), 0.08, rng)
+    rx = phy.apply_channel(samples, _no_loss(samples), rng.normal(0, 0.08, (2,) + samples.shape))
     out = phy.demodulate(rx)
     assert out is not None
     assert (out.bits[: bits.size] == bits).all()
 
 
 def test_demodulate_flags_long_outage():
-    rng = np.random.default_rng(4)
     bits = np.ones(200, dtype=np.uint8)
     samples = phy.modulate(bits)
     # 40-bit outage starting 50 bits into the data section
     samples_lost = _no_loss(samples)
     samples_lost[phy.PREAMBLE_LEN + 50 : phy.PREAMBLE_LEN + 90] = True
-    rx = phy.apply_channel(samples, samples_lost, 0.0, rng)
+    rx = phy.apply_channel(samples, samples_lost)
     out = phy.demodulate(rx)
     assert out is not None
     assert out.erasures[50:90].all()
@@ -232,7 +246,7 @@ def test_demodulate_flags_long_outage():
 
 def test_demodulate_returns_none_without_preamble():
     rng = np.random.default_rng(5)
-    noise = rng.normal(0, 1, (500, 8)) + 1j * rng.normal(0, 1, (500, 8))
+    noise = np.hypot(rng.normal(0, 1, (500, 8)), rng.normal(0, 1, (500, 8)))
     assert phy.demodulate(noise) is None
     assert phy.demodulate(np.ones((2, 8))) is None
 
@@ -271,6 +285,53 @@ def test_preamble_corr_matches_full_correlation(spb, bits, lead, sigma, seed):
     if expected.size:
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
         assert np.argmax(got) == np.argmax(expected)
+
+
+@given(
+    st.integers(phy.MIN_SAMPLES_PER_BIT, 16),
+    st.integers(1, 60),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    st.sampled_from(["none", "scattered", "preamble", "late"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_demodulate_block_matches_demodulate(spb, n_data, frames, sigma, loss, seed):
+    # a block of frames, some with lost preamble bits or with the waveform
+    # delayed so that the correlation peaks past offset 0, is demodulated
+    # row for row as the one-frame receiver would from offset 0
+    rng = np.random.default_rng(seed)
+    rows = phy.PREAMBLE_LEN + n_data
+    samples = phy.modulate(rng.integers(0, 2, (frames, n_data)), spb)
+    lost = np.zeros((frames, rows), dtype=bool)
+    if loss == "scattered":
+        lost = rng.random((frames, rows)) < 0.2
+    elif loss == "preamble":
+        start = rng.integers(0, phy.PREAMBLE_LEN, frames)
+        for f in range(frames):
+            lost[f, start[f] : start[f] + rng.integers(1, 20)] = True
+    elif loss == "late":
+        # silence in front of each waveform, its tail cut to keep the length
+        for f in range(frames):
+            delay = rng.integers(0, 3 * spb)
+            samples[f] = np.roll(samples[f].ravel(), delay).reshape(rows, spb)
+            samples[f].ravel()[:delay] = 0.0
+    noise = rng.normal(0.0, sigma, (frames, 2, rows, spb)) if sigma else None
+    power = phy.apply_channel(samples, lost, noise)
+    bits, erasures, found = phy.demodulate_block(power, 8)
+    assert bits.shape == erasures.shape == (frames, n_data) and found.shape == (frames,)
+    for f in range(frames):
+        one = phy.demodulate(power[f], 8)
+        at_zero = one is not None and one.preamble_end == phy.PREAMBLE_LEN * spb
+        assert found[f] == at_zero
+        if at_zero:
+            assert np.array_equal(bits[f], one.bits)
+            assert np.array_equal(erasures[f], one.erasures)
+
+
+def test_demodulate_block_needs_a_data_bit():
+    with pytest.raises(ParameterError):
+        phy.demodulate_block(np.ones((2, phy.PREAMBLE_LEN, 8)))
 
 
 def test_preamble_corr_constant_and_short_streams():
@@ -345,7 +406,7 @@ def test_perceived_erasures_match_demodulator():
     samples = phy.modulate(bits)
     samples_lost = _no_loss(samples)
     samples_lost[phy.PREAMBLE_LEN + 100 : phy.PREAMBLE_LEN + 140] = True
-    rx = phy.apply_channel(samples, samples_lost, 0.0, rng)
+    rx = phy.apply_channel(samples, samples_lost)
     out = phy.demodulate(rx)
     lost = np.zeros(bits.size, dtype=bool)
     lost[100:140] = True
