@@ -148,11 +148,10 @@ def _waveform(samples, ndim=None):
     it has ndim axes (at least 2 when ndim is None) and at least
     MIN_SAMPLES_PER_BIT samples per bit."""
     samples = np.asarray(samples)
-    bad_ndim = samples.ndim < 2 if ndim is None else samples.ndim != ndim
-    if bad_ndim or samples.shape[-1] < MIN_SAMPLES_PER_BIT:
-        lead = "frames, " if ndim == 3 else "" if ndim == 2 else "..., "
-        shape = f"({lead}bits, >= {MIN_SAMPLES_PER_BIT} samples per bit)"
-        raise ParameterError(f"waveform shape must be {shape}, got {samples.shape}")
+    axes_ok = samples.ndim == ndim if ndim else samples.ndim >= 2
+    if not axes_ok or samples.shape[-1] < MIN_SAMPLES_PER_BIT:
+        raise ParameterError(f"a waveform needs {ndim or 'at least 2'} axes and >= "
+                             f"{MIN_SAMPLES_PER_BIT} samples per bit, got shape {samples.shape}")
     return samples
 
 
