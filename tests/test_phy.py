@@ -264,6 +264,29 @@ def _reference_preamble_corr(signal, spb):
     return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0)
 
 
+def _box_sum_preamble_corr(signal, spb):
+    """The correlator's box-sum arithmetic written plainly, one fresh array
+    per step: the found/lost decision rests on these exact floats."""
+    n = phy.PREAMBLE_LEN * spb
+    if signal.size < n:
+        return np.empty(0)
+    mean = phy.PREAMBLE_BITS.mean()
+    tpl_norm = np.sqrt(spb * np.sum((phy.PREAMBLE_BITS - mean) ** 2))
+    count = signal.size - n + 1
+    csum = np.concatenate([[0.0], np.cumsum(signal)])
+    bit_sum = csum[spb:] - csum[:-spb]
+    ones = np.flatnonzero(phy.PREAMBLE_BITS) * spb
+    num = bit_sum[ones[0] : ones[0] + count]
+    for o in ones[1:]:
+        num = num + bit_sum[o : o + count]
+    win_sum = csum[n:] - csum[:-n]
+    num = num - mean * win_sum
+    csq = np.concatenate([[0.0], np.cumsum(np.square(signal))])
+    denom = (csq[n:] - csq[:-n]) - win_sum * win_sum / n
+    denom = np.sqrt(np.maximum(denom, 0.0)) * tpl_norm
+    return np.divide(num, denom, out=np.zeros(count), where=denom > 0)
+
+
 @given(
     st.integers(phy.MIN_SAMPLES_PER_BIT, 16),
     st.lists(st.integers(0, 1), max_size=60),
@@ -282,6 +305,7 @@ def test_preamble_corr_matches_full_correlation(spb, bits, lead, sigma, seed):
     got = phy._preamble_corr(signal, spb)
     expected = _reference_preamble_corr(signal, spb)
     assert got.shape == expected.shape
+    assert np.array_equal(got, _box_sum_preamble_corr(signal, spb))
     if expected.size:
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
         assert np.argmax(got) == np.argmax(expected)
