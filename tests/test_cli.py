@@ -284,6 +284,9 @@ def test_gen_trace_run_cap_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+SWEEP_HEADER = "parameter,ber_baseline,ber_coded,fer_baseline,fer_coded,throughput"
+
+
 def test_sweep_silent_csv(tmp_path, capsys):
     conf = _write_config(
         tmp_path,
@@ -294,7 +297,7 @@ def test_sweep_silent_csv(tmp_path, capsys):
                    "--config", str(conf)])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("parameter,")
+    assert lines[0] == SWEEP_HEADER
     assert len(lines) == 3
     assert lines[1].startswith("20")
 
@@ -325,6 +328,7 @@ def test_sweep_parity_csv(tmp_path, capsys):
     rc = cli.main(["sweep", "--vary", "parity", "--config", str(conf)])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == SWEEP_HEADER
     assert len(lines) == 1 + 7  # header plus one row per odd k of n=15
 
 

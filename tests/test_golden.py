@@ -91,6 +91,12 @@ LONGEST_WAVEFORM_DIGESTS = {
 }
 SILENT_DIGEST = "8491f148c4e6b3bad4da2abbdb1d88953ea3a277e6a22ba289f38abaff319abc"
 CLI_SIMULATE_DIGEST = "bdee225fe20caaa987703415ab2aeab36426570b8497896c5b49b966e178190e"
+# the CSV that `rscatter sweep` prints, keyed by --vary; the silent-duration
+# sweep runs in sample mode
+CLI_SWEEP_DIGESTS = {
+    "parity": "583e97f61ecc09d5c3c2752e88407876229ee0cf77458dc078a2222cebfab20d",
+    "silent-duration": "9bc1f149bf75355c715591d58222ef43ae3b63e3fb79b8d5e1165f4f5f974c9d",
+}
 # the parity part G2 of every admissible code's binary generator, as uint8
 # bytes, n ascending and then k ascending
 BINARY_GENERATOR_DIGEST = "47bf1046db48156e04774c16fc97df5e73daa40743696bb991458daae84a7c10"
@@ -153,6 +159,26 @@ def cli_simulate_stdout(tmp_path, capsys):
     return capsys.readouterr().out
 
 
+def cli_sweep_stdout(vary, tmp_path, capsys):
+    conf = tmp_path / "sweep.conf"
+    argv = ["sweep", "--vary", vary, "--config", str(conf)]
+    if vary == "parity":
+        # on runs short enough that every k sees flagged losses
+        conf.write_text(
+            "off_shape = 1.5\noff_scale_min = 3.0\non_shape = 1.5\non_scale_min = 3.0\n"
+            "code = 15,9\nframes = 16\nerasure_margin_bits = 4\nseed = 6\n"
+        )
+    else:
+        conf.write_text(
+            "off_shape = 1.5\noff_scale_min = 1.0\non_shape = 1.5\non_scale_min = 30.0\n"
+            "code = 15,9\nframes = 8\npayload_bytes = 8\nmode = sample\n"
+            "noise_sigma = 0.3\nsamples_per_bit = 4\nseed = 6\n"
+        )
+        argv += ["--values", "2,20"]
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mode,m", sorted(LINK_DIGESTS))
 def test_link_reports_unchanged(mode, m):
     assert _digest(link_reports(mode, m)) == LINK_DIGESTS[mode, m]
@@ -208,3 +234,9 @@ def test_binary_generators_unchanged():
 def test_cli_simulate_json_unchanged(tmp_path, capsys):
     out = cli_simulate_stdout(tmp_path, capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_SIMULATE_DIGEST
+
+
+@pytest.mark.parametrize("vary", sorted(CLI_SWEEP_DIGESTS))
+def test_cli_sweep_csv_unchanged(vary, tmp_path, capsys):
+    out = cli_sweep_stdout(vary, tmp_path, capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_SWEEP_DIGESTS[vary]
