@@ -136,13 +136,7 @@ def _cmd_sweep(args):
                 f"--values must be a comma list of numbers, got {args.values!r}"
             ) from None
         rows = harness.sweep_silent(config, values)
-    writer = csv.DictWriter(
-        sys.stdout,
-        fieldnames=[
-            "parameter", "ber_baseline", "ber_coded",
-            "fer_baseline", "fer_coded", "throughput",
-        ],
-    )
+    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)
 

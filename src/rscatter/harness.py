@@ -15,7 +15,11 @@ directly, and sample mode zeroes every sample of a lost bit before noise
 and demodulation.  Lost bits are erasures by the blind-receiver rule in
 phy.perceived_erasures, and a codeword is delivered only when its erased
 symbols stay within the correction capability t that the code selection
-assumes.  At zero noise the sample-level pipeline reproduces the
+assumes.  Both modes score a frame by one rule: it is delivered iff its
+preamble is found, no codeword is lost or fails to decode, and its
+received frame bits equal the sent bits, which is exactly when
+phy.frame_parse of those bits returns the sent payload.  A frame not found
+has every bit wrong.  At zero noise the sample-level pipeline reproduces the
 symbol-level frame outcomes exactly when every off run is longer than
 erasure_margin_bits bit-times.  A shorter off run is not flagged, and a
 lost bit in it whose line bit was 1 is a symbol error that only the
@@ -32,7 +36,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import channel, codesearch, phy, rscodec, traffic
-from .errors import FrameCrcError, InfeasibleError, ParameterError
+from .errors import InfeasibleError, ParameterError
 
 # Frames per block of the run loop: large enough to amortise the per-call
 # cost of the array operations and of the decoder, small enough to keep
@@ -221,20 +225,16 @@ def _draw_frames(rng, config, stats, plan, frame_bits, lost_all, noise=()):
 
 
 def _symbol_frames(config, code, plan, frame_bits, lost_all):
-    """Baseline and coded outcomes of a block of frames, one frame per row.
-
-    Returns per-frame baseline errors, baseline bit errors, coded errors
-    and coded bit errors.
+    """The baseline and the coded transmission of a block of frames, one
+    frame per row, each as the (found, wrong, failed) that _outcomes scores.
     """
     pre, nf = plan["preamble_bits"], plan["frame_bits_n"]
-    preamble_lost = lost_all[:, :pre].any(axis=1)
+    found = ~lost_all[:, :pre].any(axis=1)
 
     # baseline: uncoded frame right after the preamble; a lost bit reads
     # as the PN bit after descrambling, so only lost bits whose line bit
-    # was 1 actually corrupt the read-back; a lost preamble loses every bit
-    base_corrupt = lost_all[:, pre : pre + nf] & (phy.scramble(frame_bits) == 1)
-    base_err = preamble_lost | base_corrupt.any(axis=1)
-    base_bits = np.where(preamble_lost, nf, base_corrupt.sum(axis=1))
+    # was 1 actually corrupt the read-back
+    base_wrong = lost_all[:, pre : pre + nf] & (phy.scramble(frame_bits) == 1)
 
     # coded: codeword bits after the preamble, receiver-perceived erasures;
     # a flagged info bit of a lost codeword is wrong by the same line-bit rule
@@ -242,13 +242,35 @@ def _symbol_frames(config, code, plan, frame_bits, lost_all):
     lost_coded = lost_all[:, pre : pre + plan["coded_bits_n"]]
     flags = phy.perceived_erasures(tx_bits, lost_coded, config.erasure_margin_bits)
     _, cw_fail = _codeword_erasures(flags, code)
-    coded_err = preamble_lost | cw_fail.any(axis=1)
     wrong = flags & (phy.scramble(tx_bits) == 1)
     wrong = wrong.reshape(cw_fail.shape + (-1,))[..., : code.k * code.m] & cw_fail[..., None]
-    coded_bits = np.where(
-        preamble_lost, nf, wrong.reshape(len(wrong), -1)[:, :nf].sum(axis=1)
-    )
-    return base_err, base_bits, coded_err, coded_bits
+    coded_wrong = wrong.reshape(len(wrong), -1)[:, :nf]
+    return (found, base_wrong, False), (found, coded_wrong, cw_fail.any(axis=1))
+
+
+def _outcomes(transmissions):
+    """(4, frames) outcomes: each frame's baseline error, baseline bit
+    errors, coded error and coded bit errors.
+
+    transmissions are the baseline's, then the coded, (found, wrong,
+    failed): preamble found per frame, a (frames, frame_bits_n) mask of
+    wrong frame bits, and some codeword lost or not decoded per frame.
+    """
+    rows = []
+    for found, wrong, failed in transmissions:
+        rows += [~found | failed | wrong.any(axis=1),
+                 np.where(found, wrong.sum(axis=1), wrong.shape[1])]
+    return np.array(rows)
+
+
+def _rates(outcomes, frame_bits_n):
+    """Baseline and coded BER and FER of (4, frames) outcomes, keyed as in
+    the sweep rows."""
+    frames = outcomes.shape[1]
+    fe_base, bit_err_base, fe_coded, bit_err_coded = (int(v) for v in outcomes.sum(axis=1))
+    bits = frames * frame_bits_n
+    return {"ber_baseline": bit_err_base / bits, "ber_coded": bit_err_coded / bits,
+            "fer_baseline": fe_base / frames, "fer_coded": fe_coded / frames}
 
 
 def run(config):
@@ -271,30 +293,20 @@ def run(config):
         else:
             _draw_frames(rng, config, stats, plan, frame_bits, lost_all)
             block = _symbol_frames(config, code, plan, frame_bits, lost_all)
-        outcomes[:, first : first + count] = block
+        outcomes[:, first : first + count] = _outcomes(block)
 
     return _report(config, code, p_s, predicted_pe, plan, outcomes)
 
 
-def _delivers(bits, frame_bits):
-    """Whether received bits parse, CRC included, to the sent frame's payload."""
-    payload = phy.bits_to_bytes(frame_bits)[1:-2]  # between length byte and CRC
-    try:
-        return phy.frame_parse(phy.bits_to_bytes(bits)) == payload
-    except (FrameCrcError, ParameterError):
-        return False
-
-
 def _sample_frames(rng, config, stats, code, plan, frame_bits, lost_all):
     """Draw a block of frames into frame_bits and lost_all, receive them and
-    return their outcomes as _symbol_frames does.
+    return their transmissions as _symbol_frames does.
 
     Each frame's baseline, then coded, I and Q noise is drawn right after
     its gate.  The waveforms of as many frames as fit WAVEFORM_BYTES are
-    then modulated, gated and demodulated at once.  A transmission whose
-    preamble is not found at offset 0 is a frame error with every bit
-    wrong; all codewords left to the decoder by the delivery rule are
-    decoded at once.
+    then modulated, gated and demodulated at once.  A transmission is found
+    iff its preamble is found at offset 0.  All codewords of found coded
+    frames left to the decoder by the delivery rule are decoded at once.
     """
     pre, nf, spb = plan["preamble_bits"], plan["frame_bits_n"], config.samples_per_bit
     count, sizes = len(frame_bits), (nf, plan["coded_bits_n"])
@@ -316,36 +328,27 @@ def _sample_frames(rng, config, stats, code, plan, frame_bits, lost_all):
                 out[part] = got
 
     (base, _, base_found), (bits, flags, heard) = received
-    outcomes = np.array([[1], [nf], [1], [nf]]).repeat(count, axis=1)
-    for i in np.flatnonzero(base_found):
-        outcomes[:2, i] = not _delivers(base[i], frame_bits[i]), np.sum(base[i] != frame_bits[i])
-    if heard.any():
-        words = rscodec.bits_to_symbols(bits[heard], code.m).reshape(heard.sum(), -1, code.n)
-        erased, failed = _codeword_erasures(flags[heard], code)
-        info = words[..., : code.k].copy()
-        info[~failed], decoded = rscodec.decode_block(code, words[~failed], erased[~failed])
-        failed[~failed] = ~decoded
-        info_bits = rscodec.symbols_to_bits(info, code.m).reshape(len(words), -1)[:, :nf]
-        sent = frame_bits[heard]
-        delivered = [_delivers(b, f) for b, f in zip(info_bits, sent)]
-        outcomes[2, heard] = failed.any(axis=1) | ~np.array(delivered)
-        outcomes[3, heard] = (info_bits != sent).sum(axis=1)
-    return outcomes
+    words = rscodec.bits_to_symbols(bits, code.m).reshape(count, -1, code.n)
+    erased, failed = _codeword_erasures(flags, code)
+    failed[~heard] = True  # frames not found are not decoded
+    info = words[..., : code.k].copy()
+    info[~failed], decoded = rscodec.decode_block(code, words[~failed], erased[~failed])
+    failed[~failed] = ~decoded
+    info_bits = rscodec.symbols_to_bits(info, code.m).reshape(count, -1)[:, :nf]
+    return ((base_found, base != frame_bits, False),
+            (heard, info_bits != frame_bits, failed.any(axis=1)))
 
 
 def _report(config, code, p_s, predicted_pe, plan, outcomes):
-    """outcomes is (4, frames): each frame's baseline error, baseline bit
-    errors, coded error and coded bit errors."""
-    nf = config.frames
-    fe_base, bit_err_base, fe_coded, bit_err_coded = (int(v) for v in outcomes.sum(axis=1))
+    """The report of (4, frames) outcomes, as _outcomes gives them."""
+    rates = _rates(outcomes, plan["frame_bits_n"])
+    fer, fer_base = rates["fer_coded"], rates["fer_baseline"]
     payload_bits = config.payload_bytes * 8
-    frame_bits_total = nf * plan["frame_bits_n"]
-    fer, fer_base = fe_coded / nf, fe_base / nf
     return LinkReport(
-        code_n=code.n, code_k=code.k, p_s=p_s, predicted_pe=predicted_pe, frames=nf,
-        ber=bit_err_coded / frame_bits_total, fer=fer,
+        code_n=code.n, code_k=code.k, p_s=p_s, predicted_pe=predicted_pe, frames=config.frames,
+        ber=rates["ber_coded"], fer=fer,
         throughput=payload_bits * (1.0 - fer) / (plan["coded_air_us"] / 1e6),
-        ber_baseline=bit_err_base / frame_bits_total, fer_baseline=fer_base,
+        ber_baseline=rates["ber_baseline"], fer_baseline=fer_base,
         throughput_baseline=payload_bits * (1.0 - fer_base) / (plan["baseline_air_us"] / 1e6),
         frame_log=[
             {"frame": fi, "baseline_error": bool(b), "coded_error": bool(c)}
@@ -383,19 +386,10 @@ def _parity_point(config, code, plan, lost):
     m, k, trials = code.m, code.k, config.frames
     info = np.random.default_rng([config.seed, 1, k]).integers(0, 1 << m, size=(trials, k))
     info_bits = rscodec.symbols_to_bits(info.ravel(), m).reshape(trials, k * m)
-    fe_base, bit_err_base, fe_coded, bit_err_coded = (
-        int(v.sum()) for v in _symbol_frames(config, code, plan, info_bits, lost)
-    )
-    fer = fe_coded / trials
     base_bits = plan["frame_bits_n"]
-    return {
-        "parameter": k,
-        "ber_baseline": bit_err_base / (trials * base_bits),
-        "ber_coded": bit_err_coded / (trials * base_bits),
-        "fer_baseline": fe_base / trials,
-        "fer_coded": fer,
-        "throughput": base_bits * (1.0 - fer) * plan["bit_rate"] / plan["coded_bits_n"],
-    }
+    rates = _rates(_outcomes(_symbol_frames(config, code, plan, info_bits, lost)), base_bits)
+    throughput = base_bits * (1.0 - rates["fer_coded"]) * plan["bit_rate"] / plan["coded_bits_n"]
+    return {"parameter": k, **rates, "throughput": throughput}
 
 
 def sweep_silent(config, mean_silent_us_values):

@@ -77,6 +77,24 @@ def test_frame_roundtrip_property(payload):
     assert phy.frame_parse(phy.frame_build(payload)) == payload
 
 
+@settings(max_examples=300, deadline=None)
+@given(payload=st.binary(min_size=phy.MIN_PAYLOAD, max_size=phy.MAX_PAYLOAD), data=st.data())
+def test_frame_parse_delivers_iff_bits_equal(payload, data):
+    # a received frame is exactly as long as the sent one; flips land in the
+    # length byte, the payload or the CRC, or nowhere
+    sent = phy.bytes_to_bits(phy.frame_build(payload))
+    anywhere = st.one_of(st.integers(0, 7), st.integers(8, sent.size - 17),
+                         st.integers(sent.size - 16, sent.size - 1))
+    rx = sent.copy()
+    for at in data.draw(st.lists(anywhere, max_size=12)):
+        rx[at] ^= 1
+    try:
+        delivered = phy.frame_parse(phy.bits_to_bytes(rx)) == payload
+    except FrameCrcError:
+        delivered = False
+    assert delivered == np.array_equal(rx, sent)
+
+
 def test_bit_packing_roundtrip():
     data = bytes([0x00, 0xFF, 0xA5, 0x01])
     bits = phy.bytes_to_bits(data)
