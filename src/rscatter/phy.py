@@ -133,13 +133,13 @@ _SCRAMBLER = _scrambler_base()
 def scramble(bits):
     """XOR with the fixed PN sequence (self-inverse), along the last axis.
 
-    Whitening keeps low-weight words such as all-zero frames off the air as
-    long zero runs, which a receiver could not tell from a carrier outage.
-    It bounds no zero run but the PN sequence's own (at most 6, and the PN
-    sequence itself is scramble(zeros)): scrambled random data puts about 1%
-    of its bits in zero runs longer than 8 bits, up to about 20 in 2M bits,
-    and data equal to the PN sequence goes on air as all zeros.  Erasure
-    flagging can therefore flag a run of legal zeros.
+    Whitening keeps low-weight words such as an all-zero frame from going on
+    air as long zero runs, which a receiver could not tell from a carrier
+    outage.  It bounds the zero runs of the PN sequence alone (at most 6;
+    the PN sequence is scramble(zeros)), not those of scrambled data: random
+    data puts about 1% of its bits in zero runs longer than 8, up to about
+    20 in 2M bits, and data equal to the PN sequence goes on air as all
+    zeros.  Erasure flagging can therefore flag legal zeros.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     n = bits.shape[-1]

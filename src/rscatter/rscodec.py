@@ -226,7 +226,8 @@ def decode_block(code, words, erased):
     corrects any pattern with 2e + f <= n - k, where f is its number of
     erased symbols and e its number of symbol errors at unknown positions.
     Beyond that it either fails or (undetectably) lands on a wrong
-    codeword; the caller is expected to CRC-check.
+    codeword; the caller is expected to check the result, by a CRC or,
+    in simulation, against the sent bits.
     """
     words, erased = np.asarray(words), np.asarray(erased)
     if words.ndim != 2 or words.shape[1] != code.n:
