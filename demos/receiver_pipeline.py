@@ -19,15 +19,14 @@ def main():
     frame_bits = phy.bytes_to_bits(phy.frame_build(payload))
 
     code = rscodec.RsCode(63, 45)
-    syms = rscodec.bits_to_symbols(frame_bits, code.m)
-    pad = (-syms.size) % code.k
-    syms = np.concatenate([syms, np.zeros(pad, dtype=syms.dtype)])
-    cw = []
-    for i in range(0, syms.size, code.k):
-        cw.extend(rscodec.encode(code, syms[i : i + code.k].tolist()))
-    tx_bits = rscodec.symbols_to_bits(np.array(cw), code.m)
+    # zero-filled to whole k-symbol info blocks, all encoded in one call
+    width = code.k * code.m
+    pad = (-frame_bits.size) % width
+    info_bits = np.concatenate([frame_bits, np.zeros(pad, dtype=np.uint8)])
+    cw_bits = rscodec.encode_bits(code, info_bits.reshape(-1, width))
+    tx_bits = cw_bits.ravel()
     print(f"frame: {len(payload)} payload bytes -> {frame_bits.size} bits -> "
-          f"{len(cw) // code.n} codeword(s) of RS({code.n},{code.k})")
+          f"{len(cw_bits)} codeword(s) of RS({code.n},{code.k})")
 
     samples = phy.modulate(tx_bits)
     sample_rate = BIT_RATE * samples.shape[1]
@@ -47,18 +46,15 @@ def main():
     flagged = int(out.erasures[: tx_bits.size].sum())
     print(f"erasure flags: {flagged} bit(s) flagged around the outage")
 
-    rx_syms = rscodec.bits_to_symbols(out.bits[: tx_bits.size], code.m)
-    flags = out.erasures[: tx_bits.size].reshape(-1, code.m).any(axis=1)
-    decoded = []
-    for i in range(0, rx_syms.size, code.n):
-        word = rx_syms[i : i + code.n]
-        erased = np.flatnonzero(flags[i : i + code.n])
-        got = rscodec.decode(code, word.tolist(), erased.tolist())
-        assert got is not None, "decode failed"
-        decoded.extend(got)
-        print(f"codeword {i // code.n}: {erased.size} erased symbol(s), corrected")
+    # every codeword with its erased symbols, decoded in one call
+    words = rscodec.bits_to_symbols(out.bits[: tx_bits.size], code.m).reshape(-1, code.n)
+    erased = out.erasures[: tx_bits.size].reshape(-1, code.n, code.m).any(axis=2)
+    decoded, ok = rscodec.decode_block(code, words, erased)
+    assert ok.all(), "decode failed"
+    for i, count in enumerate(erased.sum(axis=1)):
+        print(f"codeword {i}: {count} erased symbol(s), corrected")
 
-    bits = rscodec.symbols_to_bits(np.array(decoded), code.m)[: frame_bits.size]
+    bits = rscodec.symbols_to_bits(decoded, code.m)[: frame_bits.size]
     recovered = phy.frame_parse(phy.bits_to_bytes(bits))
     print(f"payload recovered intact: {recovered == payload}")
 

@@ -2,15 +2,20 @@
 
 Codes are narrow-sense (parity-check roots alpha^1..alpha^(n-k)) over
 GF(2^m) with n = 2^m - 1, m in 3..7, and odd k so that n - k is even and
-t = (n - k) / 2 exactly.  Encoding is on the binary image of the code: the
-parity bits are the info bits times a fixed 0/1 matrix over GF(2), built in
-one shot from the closed Cauchy form of the code's systematic generator
-(Roth and Seroussi, IEEE Trans. IT 31(6), 1985).  Decoding takes the
-syndromes S_j = r(alpha^j) straight from the field tables, then runs
-Berlekamp-Massey on Forney syndromes with erasure handling, and a Chien
-search and Forney's formula.  `decode_block` runs every step on a block of
-words at once, a row that has finished its own steps masked out; a decode
-failure is reported, never guessed.
+t = (n - k) / 2 exactly.  The codec takes blocks only: `encode_bits`
+encodes a (words, k*m) block of info bits, and `decode_block` decodes a
+(words, n) block of received symbols with its (words, n) erasure mask.  A
+single word is a block of one row.
+
+Encoding is on the binary image of the code: the parity bits are the info
+bits times a fixed 0/1 matrix over GF(2), built in one shot from the
+closed Cauchy form of the code's systematic generator (Roth and Seroussi,
+IEEE Trans. IT 31(6), 1985).  Decoding takes the syndromes
+S_j = r(alpha^j) straight from the field tables, then runs Berlekamp-Massey
+on Forney syndromes with erasure handling, and a Chien search and Forney's
+formula.  Every decoding step runs on the whole block at once, a row that
+has finished its own steps masked out; a decode failure is reported, never
+guessed.
 
 All field arithmetic is numpy indexing into the one pair of log/exp tables
 that `gf2m.tables` builds per field.  This module also owns the one
@@ -120,15 +125,6 @@ class RsCode:
 
     def __repr__(self):
         return f"RsCode(n={self.n}, k={self.k})"
-
-
-def encode(code, info):
-    """Systematic encode: codeword = info || remainder(x^(n-k) u(x), g(x))."""
-    info = list(info)
-    if len(info) != code.k:
-        raise ParameterError(f"info must have exactly {code.k} symbols, got {len(info)}")
-    cw_bits = encode_bits(code, symbols_to_bits(info, code.m).reshape(1, -1))
-    return bits_to_symbols(cw_bits, code.m).tolist()
 
 
 def encode_bits(code, info_bits):
@@ -283,14 +279,3 @@ def decode_block(code, words, erased):
     info[rows[good]] = rx[good, :k]
     ok[rows[good]] = True
     return info, ok
-
-
-def decode(code, received, erasures=()):
-    """Decode one n-symbol word: decode_block on a one-row block.  Returns
-    the k info symbols, or None on failure."""
-    erasures = [int(p) for p in erasures]
-    if not all(0 <= p < code.n for p in erasures):
-        raise ParameterError("erasure position out of range")
-    erased = np.isin(np.arange(code.n), erasures)[None]
-    info, ok = decode_block(code, np.reshape(received, (1, -1)), erased)
-    return info[0].tolist() if ok[0] else None

@@ -48,32 +48,33 @@ def test_criterion_1_rs_exhaustive_correctness():
 
     # all patterns on each of 50 codewords, decoded in one call
     info = rng.integers(0, 8, size=(50, 3))
-    cws = np.array([rscodec.encode(code, row.tolist()) for row in info])
+    info_bits = rscodec.symbols_to_bits(info, 3).reshape(50, -1)
+    cws = rscodec.bits_to_symbols(rscodec.encode_bits(code, info_bits), 3).reshape(50, 7)
     words = np.where(erased, 0, cws[:, None] ^ flips).reshape(-1, 7)
     out, good = rscodec.decode_block(code, words, np.tile(erased, (50, 1)))
     ok = good.all() and (out == info.repeat(len(erased), axis=0)).all()
 
     # beyond-capacity patterns in the end-to-end path: decode failure or a
     # CRC/payload check must catch every corruption
-    payloads, frames = [], []
+    # every frame zero-filled to whole 9-bit info words; three symbol
+    # errors in one codeword of each frame
+    payloads, frames, hits = [], [], []
     for _ in range(300):
         payload = rng.integers(0, 256, size=8, dtype=np.uint8).tobytes()
         frame_bits = phy.bytes_to_bits(phy.frame_build(payload))
-        syms = rscodec.bits_to_symbols(frame_bits, 3)
-        pad = (-syms.size) % 3
-        syms = np.concatenate([syms, np.zeros(pad, dtype=syms.dtype)])
-        words = np.array([
-            rscodec.encode(code, syms[i : i + 3].tolist())
-            for i in range(0, syms.size, 3)
-        ])
-        j = int(rng.integers(0, len(words)))
+        pad = (-frame_bits.size) % 9
+        frames.append(np.concatenate([frame_bits, np.zeros(pad, dtype=np.uint8)]))
+        j = int(rng.integers(0, frames[-1].size // 9))
         positions = rng.choice(7, size=3, replace=False)
-        for p in positions:
-            words[j, p] ^= int(rng.integers(1, 8))
+        hits.append((j, positions, [int(rng.integers(1, 8)) for _ in positions]))
         payloads.append(payload)
-        frames.append(words)
+    # all frames' codewords encoded in one call
+    cw_bits = rscodec.encode_bits(code, np.reshape(frames, (-1, 9)))
+    words = rscodec.bits_to_symbols(cw_bits, 3).reshape(len(frames), -1, 7)
+    for frame_words, (j, positions, values) in zip(words, hits):
+        frame_words[j, positions] ^= values
     # a word that fails to decode keeps its received info symbols
-    words = np.concatenate(frames)
+    words = words.reshape(-1, 7)
     out, _ = rscodec.decode_block(code, words, np.zeros(words.shape, dtype=bool))
     for payload, decoded in zip(payloads, out.reshape(len(frames), -1)):
         bits = rscodec.symbols_to_bits(decoded, 3)[: frame_bits.size]

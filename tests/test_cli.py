@@ -126,9 +126,10 @@ def test_load_config_rejects_garbage(tmp_path):
 
 
 def test_simulate_reports_and_logs(tmp_path, capsys):
+    # on runs short enough that the log holds every pair of outcome flags
     conf = _write_config(
         tmp_path,
-        "off_shape = 1.5\noff_scale_min = 2.0\non_shape = 2.0\non_scale_min = 50.0\n"
+        "off_shape = 1.5\noff_scale_min = 2.0\non_shape = 2.0\non_scale_min = 20.0\n"
         "code = 15,9\nframes = 12\npayload_bytes = 8\nseed = 5\n",
     )
     log = tmp_path / "frames.csv"
@@ -140,6 +141,13 @@ def test_simulate_reports_and_logs(tmp_path, capsys):
     lines = log.read_text().strip().splitlines()
     assert lines[0] == "frame,baseline_error,coded_error"
     assert len(lines) == 13
+    # one row per frame, its outcome flags written as True/False
+    expected = harness.run(cli.load_config(conf)).frame_log
+    assert {(row["baseline_error"], row["coded_error"]) for row in expected} == {
+        (False, False), (False, True), (True, False), (True, True)}
+    assert lines[1:] == [
+        f"{row['frame']},{row['baseline_error']},{row['coded_error']}" for row in expected
+    ]
 
 
 def test_simulate_optimize_keyword(tmp_path, capsys):
