@@ -2,8 +2,8 @@
 
 Builds a frame, modulates it as scrambled OOK behind the 36-bit preamble,
 punches an excitation outage into the waveform, and lets the blind
-demodulator recover timing, threshold, bits, and erasure flags before the
-RS decoder repairs the hole.
+demodulator check that the preamble peaks at sample 0 and recover
+threshold, bits, and erasure flags before the RS decoder repairs the hole.
 """
 
 import numpy as np
@@ -39,16 +39,17 @@ def main():
     noise = rng.normal(0.0, 0.03, (2,) + samples.shape)  # I, then Q
     power = phy.apply_channel(samples, lost, noise)
 
-    out = phy.demodulate(power)
-    assert out is not None, "preamble not found"
-    print(f"demodulator: preamble ends at sample {out.preamble_end}, "
-          f"threshold {out.power_threshold:.3f}")
-    flagged = int(out.erasures[: tx_bits.size].sum())
+    # a block of one frame, sent from sample 0
+    rx_bits, flags, found = phy.demodulate(power[None])
+    assert found[0], "preamble not found"
+    print(f"demodulator: preamble found at sample 0, data from sample "
+          f"{phy.PREAMBLE_LEN * samples.shape[1]}")
+    flagged = int(flags[0].sum())
     print(f"erasure flags: {flagged} bit(s) flagged around the outage")
 
     # every codeword with its erased symbols, decoded in one call
-    words = rscodec.bits_to_symbols(out.bits[: tx_bits.size], code.m).reshape(-1, code.n)
-    erased = out.erasures[: tx_bits.size].reshape(-1, code.n, code.m).any(axis=2)
+    words = rscodec.bits_to_symbols(rx_bits[0], code.m).reshape(-1, code.n)
+    erased = flags[0].reshape(-1, code.n, code.m).any(axis=2)
     decoded, ok = rscodec.decode_block(code, words, erased)
     assert ok.all(), "decode failed"
     for i, count in enumerate(erased.sum(axis=1)):

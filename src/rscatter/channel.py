@@ -23,23 +23,20 @@ MAX_GATE_RUNS = 1_000_000
 
 @dataclass(frozen=True)
 class MarkovChannel:
-    """Per-symbol transition probabilities and the backscatter symbol rate.
+    """Per-symbol transition probabilities of the two-state chain.
 
     The transition matrix is Q = [[1-alpha, alpha], [beta, 1-beta]] over
-    the (on, off) states; rate is in symbols/second.
+    the (on, off) states.
     """
 
     alpha: float
     beta: float
-    rate: float
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
         if not (0.0 <= self.beta <= 1.0):
             raise ParameterError(f"beta must be in [0, 1], got {self.beta}")
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ParameterError(f"rate must be finite and > 0, got {self.rate}")
 
     @property
     def transition_matrix(self):
@@ -71,7 +68,7 @@ def markov_from_stats(stats, rate):
         )
         alpha = min(alpha, 1.0)
         beta = min(beta, 1.0)
-    return MarkovChannel(alpha=alpha, beta=beta, rate=rate)
+    return MarkovChannel(alpha=alpha, beta=beta)
 
 
 def symbol_error_rate(ch):
@@ -107,10 +104,11 @@ def binomial_tail(n, t, p_s):
 
 
 def post_decode_error_rate(code, p_s):
-    """Residual symbol error rate of an (n, k) RS code at raw rate p_s.
+    """Codeword failure probability of an (n, k) RS code at raw rate p_s:
+    P(more than t of n symbols erased), reported as predicted_pe.
 
-    Binomial tail over more than t of n symbols erring; the i.i.d.
-    assumption follows the Markov-channel stationary rate.
+    The symbols are taken as i.i.d. erasures at the Markov chain's
+    stationary rate.
     """
     return binomial_tail(code.n, code.t, p_s)
 

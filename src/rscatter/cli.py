@@ -64,20 +64,13 @@ def load_config(path):
     return harness.ExperimentConfig(**values)
 
 
-def _stats_json(stats):
-    return {
-        "off": {"shape": stats.off.shape, "scale_min": stats.off.scale_min},
-        "on": {"shape": stats.on.shape, "scale_min": stats.on.scale_min},
-    }
-
-
 def _emit(obj):
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _cmd_fit(args):
     stats = traffic.fit_stats(traffic.load_trace(args.trace))
-    _emit(_stats_json(stats))
+    _emit(dataclasses.asdict(stats))
 
 
 def _scenario_stats(args):

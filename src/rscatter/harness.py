@@ -173,8 +173,10 @@ def _frame_plan(code, rate, frame_bits_n, preamble_bits=phy.PREAMBLE_LEN):
 
 
 def _pad_symbol(m):
-    """Alternating-bit pad value (101010...): padding must never modulate as a
-    long run of zeros, which an OOK receiver cannot tell from a carrier gap."""
+    """Alternating-bit pad value (101010...).  The pad is scrambled with the
+    rest of the frame, so the alternation never reaches the air: over every
+    scrambler phase the scrambled pad holds zero runs of up to 8 bits (11
+    at m = 5), which erasure flagging treats as any other zero run."""
     return sum(1 << i for i in range(m - 1, -1, -2))
 
 
@@ -324,7 +326,7 @@ def _sample_frames(rng, config, stats, code, plan, frame_bits, lost_all):
         transmissions = (frame_bits[part], _encode_frames(code, plan, frame_bits[part]))
         for bits, draws, outs in zip(transmissions, noise, received):
             power = phy.apply_channel(phy.modulate(bits, spb), lost_all[part], draws)
-            for out, got in zip(outs, phy.demodulate_block(power, config.erasure_margin_bits)):
+            for out, got in zip(outs, phy.demodulate(power, config.erasure_margin_bits)):
                 out[part] = got
 
     (base, _, base_found), (bits, flags, heard) = received
@@ -364,8 +366,11 @@ def sweep_parity(config, n=127):
     random information symbols form a single codeword over its own gate,
     so the airtime exposure (n*m bit-times) is identical for every k and
     the measured trend isolates the correction capability.  The uncoded
-    baseline sends the k information symbols bare.
+    baseline sends the k information symbols bare.  Sample mode is
+    rejected: the sweep has no waveform receiver.
     """
+    if config.mode == "sample":
+        raise ParameterError("the parity sweep runs in symbol mode only, got mode 'sample'")
     stats = config.stats()
     rows, lost = [], None
     for k in range(n - 2, 0, -2):

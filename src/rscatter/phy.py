@@ -3,20 +3,18 @@
 Framing (length byte, 3..108 byte payload, CRC-16), scrambling,
 unipolar NRZ/OOK sample generation behind a fixed 36-bit preamble, sample
 gating by a lost-bit mask plus additive noise, and blind demodulation:
-matched filter, preamble cross-correlation timing, adaptive power
+matched filter, preamble cross-correlation check, adaptive power
 threshold, and erasure flagging of long zero-power runs.
 
 A waveform is one (bits, samples_per_bit) array, and the waveform functions
 take a leading frame axis: `modulate` returns the real envelopes,
 `apply_channel` the received power sqrt(I^2 + Q^2) per sample, and
-`demodulate_block` reads a (frames, bits, samples_per_bit) block of frames
-sent from offset 0 with the same correlator, threshold rule and slicer as
-the one-frame `demodulate`, which searches every offset.  No complex array
-is built: the power is hypot(gated + I noise, Q noise).
+`demodulate` reads a (frames, bits, samples_per_bit) block of frames sent
+from sample 0.  No complex array is built: the power is hypot(gated + I
+noise, Q noise).
 """
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,27 +241,6 @@ def _preamble_corr(signal, spb):
     return num
 
 
-def _slice(power, erase_margin_bits):
-    """Bits, erasure flags and decision threshold of (..., rows, spb) power
-    waveforms whose preamble fills their first PREAMBLE_LEN rows.
-
-    Each bit's statistic is its mean power (a rectangular matched filter
-    sampled once per bit).  The threshold is the average of the minimum '1'
-    and the maximum '0' statistic over the preamble; data bits are sliced at
-    it and descrambled, and below-floor runs longer than erase_margin_bits
-    bit-times are flagged erased.
-    """
-    stats = power.mean(axis=-1)
-    pre = stats[..., :PREAMBLE_LEN]
-    threshold = (pre[..., PREAMBLE_BITS == 1].min(axis=-1)
-                 + pre[..., PREAMBLE_BITS == 0].max(axis=-1)) / 2.0
-    data = stats[..., PREAMBLE_LEN:]
-    level = np.expand_dims(threshold, -1)
-    bits = scramble((data >= level).astype(np.uint8))
-    erasures = flag_erasure_runs(data < FLOOR_FRACTION * level, erase_margin_bits)
-    return bits, erasures, threshold
-
-
 def flag_erasure_runs(below_floor, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     """Flag maximal runs of below-floor bits longer than margin_bits.
 
@@ -307,52 +284,22 @@ def perceived_erasures(bits, lost, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     return flag_erasure_runs(lost | (scramble(bits) == 0), margin_bits)
 
 
-@dataclass
-class DemodResult:
-    bits: np.ndarray
-    erasures: np.ndarray
-    preamble_end: int
-    power_threshold: float
-
-
 def demodulate(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
-    """Blind demodulation of one (bits, samples_per_bit) power waveform;
-    returns None when no preamble is found.
-
-    The preamble end is located by the normalized cross-correlation peak at
-    any sample offset, and the bits from there on are sliced and flagged as
-    in demodulate_block.  All thresholds are relative, so scaling the power
-    by any positive constant leaves every decision unchanged.
-    """
-    power = _waveform(power, ndim=2)
-    spb = power.shape[1]
-    signal = power.ravel()
-    if signal.size < (PREAMBLE_LEN + 1) * spb:
-        return None
-    corr = _preamble_corr(signal, spb)
-    start = int(np.argmax(corr))
-    if corr[start] < CORR_THRESHOLD:
-        return None
-    rows = (signal.size - start) // spb
-    aligned = signal[start : start + rows * spb].reshape(rows, spb)
-    bits, erasures, threshold = _slice(aligned, erase_margin_bits)
-    if threshold <= 0:
-        return None
-    return DemodResult(bits=bits, erasures=erasures, preamble_end=start + PREAMBLE_LEN * spb,
-                       power_threshold=threshold)
-
-
-def demodulate_block(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
-    """Blind demodulation of a block of frames sent from offset 0.
+    """Blind demodulation of a block of frames sent from sample 0.
 
     power is (frames, rows, samples_per_bit), one frame's preamble and
     rows - PREAMBLE_LEN bits per waveform.  Returns the (frames, rows -
     PREAMBLE_LEN) bits and erasure flags and a (frames,) mask of the frames
-    found.  A frame is found iff demodulate finds its preamble at offset 0:
-    its correlation peaks there (at or above CORR_THRESHOLD) and its
-    threshold is positive, and then its bits and flags are demodulate's.  A
-    peak anywhere else would leave fewer bits than were sent.  The rows of
+    found.  A frame is found iff its preamble correlation peaks at sample 0,
+    at or above CORR_THRESHOLD, and its threshold is positive.  The rows of
     frames not found hold no meaning.
+
+    Each bit's statistic is its mean power (a rectangular matched filter
+    sampled once per bit).  The threshold is the average of the minimum '1'
+    and the maximum '0' statistic over the preamble; data bits are sliced at
+    it and descrambled, and below-floor runs longer than erase_margin_bits
+    bit-times are flagged erased.  All thresholds are relative, so scaling
+    the power by any positive constant leaves every decision unchanged.
     """
     power = _waveform(power, ndim=3)
     frames, rows, spb = power.shape
@@ -364,5 +311,12 @@ def demodulate_block(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     corrs = (_preamble_corr(signal, spb) for signal in power.reshape(frames, rows * spb))
     peaks = np.array([corr.argmax() == 0 and corr[0] >= CORR_THRESHOLD for corr in corrs],
                      dtype=bool)
-    bits, erasures, threshold = _slice(power, erase_margin_bits)
+    stats = power.mean(axis=-1)
+    pre = stats[:, :PREAMBLE_LEN]
+    threshold = (pre[:, PREAMBLE_BITS == 1].min(axis=-1)
+                 + pre[:, PREAMBLE_BITS == 0].max(axis=-1)) / 2.0
+    data = stats[:, PREAMBLE_LEN:]
+    level = threshold[:, None]
+    bits = scramble((data >= level).astype(np.uint8))
+    erasures = flag_erasure_runs(data < FLOOR_FRACTION * level, erase_margin_bits)
     return bits, erasures, peaks & (threshold > 0)

@@ -134,7 +134,7 @@ def test_criterion_4_optimizer_oracle_equivalence():
         beta = float(rng.uniform(0.02, 1.0))
         threshold = float(10 ** rng.uniform(-5, -1))
         p_s = channel.symbol_error_rate(
-            channel.MarkovChannel(alpha=alpha, beta=beta, rate=1e6)
+            channel.MarkovChannel(alpha=alpha, beta=beta)
         )
         try:
             fast = codesearch.optimize_for_ps(p_s, threshold)

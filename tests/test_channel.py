@@ -37,15 +37,13 @@ def _exact_tail(n, t, p):
 
 
 def test_markov_channel_validation_and_matrix():
-    ch = MarkovChannel(alpha=0.2, beta=0.5, rate=1e6)
+    ch = MarkovChannel(alpha=0.2, beta=0.5)
     q = ch.transition_matrix
     assert np.allclose(q, [[0.8, 0.2], [0.5, 0.5]])
     assert np.allclose(q.sum(axis=1), 1.0)
     with pytest.raises(ParameterError):
-        MarkovChannel(alpha=1.2, beta=0.5, rate=1e6)
+        MarkovChannel(alpha=1.2, beta=0.5)
     for rate in (0.0, -1.0, inf, nan):
-        with pytest.raises(ParameterError, match="rate"):
-            MarkovChannel(alpha=0.2, beta=0.5, rate=rate)
         with pytest.raises(ParameterError, match="rate"):
             markov_from_stats(_stats(3.0, 10.0, 2.0, 100.0), rate=rate)
 
@@ -74,13 +72,13 @@ def test_markov_from_stats_infinite_mean_is_infeasible():
 
 
 def test_stationary_error_rate():
-    ch = MarkovChannel(alpha=0.1, beta=0.4, rate=1e6)
+    ch = MarkovChannel(alpha=0.1, beta=0.4)
     assert symbol_error_rate(ch) == pytest.approx(0.2, rel=1e-12)
     # stationary vector of the transition matrix agrees
     pi = np.array([ch.beta, ch.alpha]) / (ch.alpha + ch.beta)
     assert np.allclose(pi @ ch.transition_matrix, pi)
     with pytest.raises(ParameterError):
-        symbol_error_rate(MarkovChannel(alpha=0.0, beta=0.0, rate=1e6))
+        symbol_error_rate(MarkovChannel(alpha=0.0, beta=0.0))
 
 
 def test_binomial_tail_against_exact_rationals():
@@ -168,7 +166,7 @@ def test_erasure_mask_requires_cover():
 
 
 def test_markov_mask_statistics():
-    ch = MarkovChannel(alpha=0.02, beta=0.2, rate=1e6)
+    ch = MarkovChannel(alpha=0.02, beta=0.2)
     rng = np.random.default_rng(1)
     erased = np.concatenate([erasure_mask_markov(rng, ch, 5000) for _ in range(40)])
     target = symbol_error_rate(ch)
@@ -179,7 +177,7 @@ def test_markov_mask_statistics():
 
 def test_markov_mask_degenerate_chains():
     rng = np.random.default_rng(2)
-    always_on = MarkovChannel(alpha=0.0, beta=1.0, rate=1e6)
+    always_on = MarkovChannel(alpha=0.0, beta=1.0)
     assert not erasure_mask_markov(rng, always_on, 500).any()
     assert len(erasure_mask_markov(rng, always_on, 0)) == 0
 
@@ -190,7 +188,7 @@ def test_predicted_error_rate_matches_markov_mask_overflow():
     code = RsCode(63, 45)
     # alpha + beta = 1 makes successive symbols independent, so the
     # binomial tail is exact; burstier chains overshoot it (checked below)
-    ch = MarkovChannel(alpha=0.08, beta=0.92, rate=1e6)
+    ch = MarkovChannel(alpha=0.08, beta=0.92)
     p_s = symbol_error_rate(ch)
     predicted = post_decode_error_rate(code, p_s)
     rng = np.random.default_rng(3)
@@ -203,7 +201,7 @@ def test_predicted_error_rate_matches_markov_mask_overflow():
     sd = np.sqrt(predicted * (1 - predicted) / trials)
     assert abs(measured - predicted) < 3 * sd
 
-    bursty = MarkovChannel(alpha=0.05, beta=0.45, rate=1e6)
+    bursty = MarkovChannel(alpha=0.05, beta=0.45)
     hits = sum(
         int(erasure_mask_markov(rng, bursty, code.n).sum() > code.t)
         for _ in range(trials)

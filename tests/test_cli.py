@@ -204,6 +204,10 @@ def test_simulate_negative_values_exit_code(tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(conf)]) == cli.EXIT_CONFIG
         assert time.perf_counter() - t0 < 5.0
         assert "error:" in capsys.readouterr().err
+    # the parity sweep has no waveform receiver
+    conf = _write_config(tmp_path, scenario + "code = 15,9\nframes = 2\nmode = sample\n")
+    assert cli.main(["sweep", "--vary", "parity", "--config", str(conf)]) == cli.EXIT_CONFIG
+    assert "symbol mode only" in capsys.readouterr().err
     # the sample-rate and noise caps themselves are accepted
     for line in (f"samples_per_bit = {phy.MAX_SAMPLES_PER_BIT}",
                  f"noise_sigma = {phy.MAX_NOISE_SIGMA}"):

@@ -40,7 +40,7 @@ def test_heuristic_equals_brute_force_over_random_channels():
         alpha = float(rng.uniform(0.001, 0.5))
         beta = float(rng.uniform(0.05, 1.0))
         threshold = float(10 ** rng.uniform(-5, -1))
-        p_s = symbol_error_rate(MarkovChannel(alpha=alpha, beta=beta, rate=1e6))
+        p_s = symbol_error_rate(MarkovChannel(alpha=alpha, beta=beta))
         try:
             fast = optimize_for_ps(p_s, threshold)
         except InfeasibleError:

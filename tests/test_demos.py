@@ -18,7 +18,7 @@ STDOUT_DIGESTS = {
     "fit_traffic": "2fe7239b04e87d40d7ae1535904ab303cd0cb6bb2a22f1a9975e7a6d082970d4",
     "link_simulation": "8ecab449531b9d1e95fd3b9eb376d76d404bb75528f2a43f0f06db175296dd80",
     "parity_sweep": "d9f80349df381832b3ea25bd2b6f53ca18684a3f3b4217338d3d30be95f5abf7",
-    "receiver_pipeline": "918d87ed059a1d6d83df1a641037d12521c2b6aadbefd28fcdeb32c0d6d69164",
+    "receiver_pipeline": "5bded81cb42129396e4d88830e726273c8ce795c26d48e6201b2887229f5a09f",
 }
 
 

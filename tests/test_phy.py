@@ -143,19 +143,20 @@ def test_samples_per_bit_floor():
         with pytest.raises(ParameterError):
             phy.apply_channel(bad, lost)
         with pytest.raises(ParameterError):
-            phy.demodulate(bad)
-        with pytest.raises(ParameterError):
-            phy.demodulate_block(bad[None])
-    assert phy.demodulate(good[:, : phy.MIN_SAMPLES_PER_BIT]) is not None
-    # one frame is 2-D, a block of frames 3-D
+            phy.demodulate(bad[None])
+    assert _receive(good[:, : phy.MIN_SAMPLES_PER_BIT])[2]
+    # the receiver reads a 3-D block of frames
     with pytest.raises(ParameterError):
-        phy.demodulate(good[None])
-    with pytest.raises(ParameterError):
-        phy.demodulate_block(good)
+        phy.demodulate(good)
 
 
 def _no_loss(samples):
     return np.zeros(samples.shape[0], dtype=bool)
+
+
+def _receive(power):
+    """phy.demodulate on a block of one frame: its bits, flags and found."""
+    return [out[0] for out in phy.demodulate(power[None])]
 
 
 def test_apply_channel_gates_samples():
@@ -219,11 +220,10 @@ def test_demodulate_clean_roundtrip():
     bits = rng.integers(0, 2, 400, dtype=np.uint8)
     samples = phy.modulate(bits)
     rx = phy.apply_channel(samples, _no_loss(samples))
-    out = phy.demodulate(rx)
-    assert out is not None
-    assert (out.bits[: bits.size] == bits).all()
-    assert not out.erasures.any()
-    assert out.preamble_end == phy.PREAMBLE_LEN * samples.shape[1]
+    got, flags, found = _receive(rx)
+    assert found
+    assert (got == bits).all()
+    assert not flags.any()
 
 
 def test_demodulate_is_amplitude_invariant():
@@ -231,9 +231,9 @@ def test_demodulate_is_amplitude_invariant():
     bits = rng.integers(0, 2, 200, dtype=np.uint8)
     samples = phy.modulate(bits)
     for amp in (1e-3, 1.0, 750.0):
-        out = phy.demodulate(samples * amp)
-        assert out is not None
-        assert (out.bits[: bits.size] == bits).all()
+        got, _, found = _receive(samples * amp)
+        assert found
+        assert (got == bits).all()
 
 
 def test_demodulate_with_noise():
@@ -241,9 +241,9 @@ def test_demodulate_with_noise():
     bits = rng.integers(0, 2, 300, dtype=np.uint8)
     samples = phy.modulate(bits)
     rx = phy.apply_channel(samples, _no_loss(samples), rng.normal(0, 0.08, (2,) + samples.shape))
-    out = phy.demodulate(rx)
-    assert out is not None
-    assert (out.bits[: bits.size] == bits).all()
+    got, _, found = _receive(rx)
+    assert found
+    assert (got == bits).all()
 
 
 def test_demodulate_flags_long_outage():
@@ -253,20 +253,19 @@ def test_demodulate_flags_long_outage():
     samples_lost = _no_loss(samples)
     samples_lost[phy.PREAMBLE_LEN + 50 : phy.PREAMBLE_LEN + 90] = True
     rx = phy.apply_channel(samples, samples_lost)
-    out = phy.demodulate(rx)
-    assert out is not None
-    assert out.erasures[50:90].all()
+    _, flags, found = _receive(rx)
+    assert found
+    assert flags[50:90].all()
     # flags may extend over adjacent line-level zero bits but nowhere else
     lost = np.zeros(bits.size, dtype=bool)
     lost[50:90] = True
-    assert (out.erasures[: bits.size] == phy.perceived_erasures(bits, lost)).all()
+    assert (flags == phy.perceived_erasures(bits, lost)).all()
 
 
-def test_demodulate_returns_none_without_preamble():
+def test_demodulate_misses_noise_without_preamble():
     rng = np.random.default_rng(5)
     noise = np.hypot(rng.normal(0, 1, (500, 8)), rng.normal(0, 1, (500, 8)))
-    assert phy.demodulate(noise) is None
-    assert phy.demodulate(np.ones((2, 8))) is None
+    assert not _receive(noise)[2]
 
 
 def _reference_preamble_corr(signal, spb):
@@ -338,10 +337,10 @@ def test_preamble_corr_matches_full_correlation(spb, bits, lead, sigma, seed):
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=120, deadline=None)
-def test_demodulate_block_matches_demodulate(spb, n_data, frames, sigma, loss, seed):
+def test_demodulate_matches_offset_zero_reference(spb, n_data, frames, sigma, loss, seed):
     # a block of frames, some with lost preamble bits or with the waveform
-    # delayed so that the correlation peaks past offset 0, is demodulated
-    # row for row as the one-frame receiver would from offset 0
+    # delayed so that the correlation peaks past sample 0, is demodulated
+    # frame for frame as the plain reference reads it from sample 0
     rng = np.random.default_rng(seed)
     rows = phy.PREAMBLE_LEN + n_data
     samples = phy.modulate(rng.integers(0, 2, (frames, n_data)), spb)
@@ -360,20 +359,19 @@ def test_demodulate_block_matches_demodulate(spb, n_data, frames, sigma, loss, s
             samples[f].ravel()[:delay] = 0.0
     noise = rng.normal(0.0, sigma, (frames, 2, rows, spb)) if sigma else None
     power = phy.apply_channel(samples, lost, noise)
-    bits, erasures, found = phy.demodulate_block(power, 8)
+    bits, erasures, found = phy.demodulate(power, 8)
     assert bits.shape == erasures.shape == (frames, n_data) and found.shape == (frames,)
     for f in range(frames):
-        one = phy.demodulate(power[f], 8)
-        at_zero = one is not None and one.preamble_end == phy.PREAMBLE_LEN * spb
-        assert found[f] == at_zero
-        if at_zero:
-            assert np.array_equal(bits[f], one.bits)
-            assert np.array_equal(erasures[f], one.erasures)
+        ref_bits, ref_flags, ref_found = _reference_demodulate(power[f], 8)
+        assert found[f] == ref_found
+        if ref_found:
+            assert np.array_equal(bits[f], ref_bits)
+            assert np.array_equal(erasures[f], ref_flags)
 
 
-def test_demodulate_block_needs_a_data_bit():
+def test_demodulate_needs_a_data_bit():
     with pytest.raises(ParameterError):
-        phy.demodulate_block(np.ones((2, phy.PREAMBLE_LEN, 8)))
+        phy.demodulate(np.ones((2, phy.PREAMBLE_LEN, 8)))
 
 
 def test_preamble_corr_constant_and_short_streams():
@@ -414,6 +412,23 @@ def _reference_flags(row, margin):
     return flags
 
 
+def _reference_demodulate(power, margin):
+    """One (rows, spb) power waveform read from sample 0, step by step:
+    (bits, flags, found).  Found iff the correlation peaks at sample 0 at or
+    above CORR_THRESHOLD and the threshold halfway between the weakest
+    preamble '1' and the strongest preamble '0' bit mean is positive."""
+    corr = _box_sum_preamble_corr(power.ravel(), power.shape[1])
+    means = power.mean(axis=1)
+    preamble = means[: phy.PREAMBLE_LEN]
+    threshold = (preamble[phy.PREAMBLE_BITS == 1].min()
+                 + preamble[phy.PREAMBLE_BITS == 0].max()) / 2.0
+    found = corr[0] == corr.max() and corr[0] >= phy.CORR_THRESHOLD and threshold > 0
+    data = means[phy.PREAMBLE_LEN :]
+    bits = phy.scramble((data >= threshold).astype(np.uint8))
+    flags = _reference_flags(data < phy.FLOOR_FRACTION * threshold, margin)
+    return bits, flags, found
+
+
 @st.composite
 def _below_floor_rows(draw):
     rows = draw(st.integers(0, 6))
@@ -449,11 +464,12 @@ def test_perceived_erasures_match_demodulator():
     samples_lost = _no_loss(samples)
     samples_lost[phy.PREAMBLE_LEN + 100 : phy.PREAMBLE_LEN + 140] = True
     rx = phy.apply_channel(samples, samples_lost)
-    out = phy.demodulate(rx)
+    _, flags, found = _receive(rx)
+    assert found
     lost = np.zeros(bits.size, dtype=bool)
     lost[100:140] = True
     predicted = phy.perceived_erasures(bits, lost)
-    assert (out.erasures[: bits.size] == predicted).all()
+    assert (flags == predicted).all()
 
 
 def test_perceived_erasures_validates_lengths():
