@@ -96,6 +96,11 @@ class ExperimentConfig:
         ):
             if not (low <= getattr(self, name) <= high):
                 raise ParameterError(f"{name} must be in {low}..{high}, got {getattr(self, name)}")
+        # symbol mode models no receiver noise: it would run a noisy config
+        # noise-free
+        if self.mode == "symbol" and self.noise_sigma > 0:
+            raise ParameterError(f"noise_sigma applies to sample mode only, got {self.noise_sigma} "
+                                 "in symbol mode")
 
     def stats(self):
         if self.trace is not None:
@@ -307,8 +312,10 @@ def _sample_frames(rng, config, stats, code, plan, frame_bits, lost_all):
     Each frame's baseline, then coded, I and Q noise is drawn right after
     its gate.  The waveforms of as many frames as fit WAVEFORM_BYTES are
     then modulated, gated and demodulated at once.  A transmission is found
-    iff its preamble is found at offset 0.  All codewords of found coded
-    frames left to the decoder by the delivery rule are decoded at once.
+    iff its preamble correlation at sample 0, the only offset tested, is at
+    least phy.CORR_THRESHOLD and its threshold is positive.  All codewords
+    of found coded frames left to the decoder by the delivery rule are
+    decoded at once.
     """
     pre, nf, spb = plan["preamble_bits"], plan["frame_bits_n"], config.samples_per_bit
     count, sizes = len(frame_bits), (nf, plan["coded_bits_n"])

@@ -2,9 +2,10 @@
 
 Framing (length byte, 3..108 byte payload, CRC-16), scrambling,
 unipolar NRZ/OOK sample generation behind a fixed 36-bit preamble, sample
-gating by a lost-bit mask plus additive noise, and blind demodulation:
-matched filter, preamble cross-correlation check, adaptive power
-threshold, and erasure flagging of long zero-power runs.
+gating by a lost-bit mask plus additive noise, and blind demodulation of
+frames synchronised to sample 0: matched filter, a preamble
+cross-correlation test at sample 0 alone, adaptive power threshold, and
+erasure flagging of long zero-power runs.
 
 A waveform is one (bits, samples_per_bit) array, and the waveform functions
 take a leading frame axis: `modulate` returns the real envelopes,
@@ -198,47 +199,34 @@ def apply_channel(samples, lost_bits, noise=None):
     return power
 
 
-def _preamble_corr(signal, spb):
-    """Correlation coefficient of the signal with the preamble template
-    (PREAMBLE_BITS held spb samples per bit) at every offset; 0 where the
-    signal window is constant, empty when the signal is shorter.
+def _preamble_corr(power):
+    """Each frame's correlation coefficient with the preamble template
+    (PREAMBLE_BITS held spb samples per bit) at sample 0: power is a
+    (frames, rows >= PREAMBLE_LEN, spb) block, of which only the first
+    PREAMBLE_LEN rows are read.  0 where a frame's preamble window is
+    constant.
 
-    The template is constant over each bit, so its correlation with a
-    window is the sum of the one-bit window sums at the template's '1' bits
-    minus the template mean times the whole window's sum: box sums from one
-    cumulative sum instead of a correlation with the full template.
+    The template is constant over each bit, so its correlation with the
+    window is the sum of the one-bit sums at the template's '1' bits minus
+    the template mean times the window's sum: box sums from one cumulative
+    sum per frame, added in sequence, instead of a correlation with the full
+    template.
     """
+    frames, _, spb = power.shape
     n = PREAMBLE_LEN * spb
-    if signal.size < n:
-        return np.empty(0)
-    count = signal.size - n + 1
-    # in-place arithmetic in four stream-sized arrays: fresh stream-sized
-    # temporaries cost more than the arithmetic on them
-    csum = np.zeros(signal.size + 1)
-    scratch = np.empty_like(csum)
-    tmp = scratch[:count]
-    np.cumsum(signal, out=csum[1:])
-    bit_sum = np.subtract(csum[spb:], csum[:-spb], out=scratch[: signal.size + 1 - spb])
-    first, second, *rest = _PREAMBLE_ONES * spb
-    num = bit_sum[first : first + count] + bit_sum[second : second + count]
-    for o in rest:
-        num += bit_sum[o : o + count]
-    win_sum = csum[n:] - csum[:-n]
-    num -= np.multiply(_PREAMBLE_MEAN, win_sum, out=tmp)
-    # n times each window's variance (sum of squares minus squared sum / n),
+    window = power[:, :PREAMBLE_LEN].reshape(frames, n)
+    csum = np.zeros((frames, n + 1))
+    np.cumsum(window, axis=1, out=csum[:, 1:])
+    bit_sum = csum[:, spb::spb] - csum[:, :-spb:spb]
+    # a running sum over the '1' bits adds them first + second, then the rest
+    num = np.cumsum(bit_sum[:, _PREAMBLE_ONES], axis=1)[:, -1]
+    win_sum = csum[:, n]
+    num -= _PREAMBLE_MEAN * win_sum
+    # n times the window's variance (sum of squares minus squared sum / n),
     # then the denominator
-    np.cumsum(np.square(signal, out=scratch[: signal.size]), out=csum[1:])
-    denom = np.subtract(csum[n:], csum[:-n], out=tmp)
-    win_sum *= win_sum
-    win_sum /= n
-    denom -= win_sum
-    np.maximum(denom, 0.0, out=denom)
-    np.sqrt(denom, out=denom)
-    denom *= np.sqrt(spb * _PREAMBLE_SQUARES)
-    nonzero = denom > 0
-    np.divide(num, denom, out=num, where=nonzero)
-    num[~nonzero] = 0.0
-    return num
+    denom = np.cumsum(np.square(window), axis=1)[:, -1] - win_sum * win_sum / n
+    denom = np.sqrt(np.maximum(denom, 0.0)) * np.sqrt(spb * _PREAMBLE_SQUARES)
+    return np.divide(num, denom, out=np.zeros(frames), where=denom > 0)
 
 
 def flag_erasure_runs(below_floor, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
@@ -290,9 +278,10 @@ def demodulate(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     power is (frames, rows, samples_per_bit), one frame's preamble and
     rows - PREAMBLE_LEN bits per waveform.  Returns the (frames, rows -
     PREAMBLE_LEN) bits and erasure flags and a (frames,) mask of the frames
-    found.  A frame is found iff its preamble correlation peaks at sample 0,
-    at or above CORR_THRESHOLD, and its threshold is positive.  The rows of
-    frames not found hold no meaning.
+    found.  A frame is found iff the correlation of its first PREAMBLE_LEN
+    bit-times with the preamble template, taken at sample 0 only, is at or
+    above CORR_THRESHOLD and its threshold is positive; no other offset is
+    searched.  The rows of frames not found hold no meaning.
 
     Each bit's statistic is its mean power (a rectangular matched filter
     sampled once per bit).  The threshold is the average of the minimum '1'
@@ -302,15 +291,9 @@ def demodulate(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     the power by any positive constant leaves every decision unchanged.
     """
     power = _waveform(power, ndim=3)
-    frames, rows, spb = power.shape
+    rows = power.shape[1]
     if rows <= PREAMBLE_LEN:
         raise ParameterError(f"waveforms of {rows} rows carry no bit past the preamble")
-    # the correlator runs one frame at a time: a frame's work arrays are
-    # then small enough to be reused from the heap, while block-sized ones
-    # were mapped afresh, page faults and all, for every block
-    corrs = (_preamble_corr(signal, spb) for signal in power.reshape(frames, rows * spb))
-    peaks = np.array([corr.argmax() == 0 and corr[0] >= CORR_THRESHOLD for corr in corrs],
-                     dtype=bool)
     stats = power.mean(axis=-1)
     pre = stats[:, :PREAMBLE_LEN]
     threshold = (pre[:, PREAMBLE_BITS == 1].min(axis=-1)
@@ -319,4 +302,4 @@ def demodulate(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     level = threshold[:, None]
     bits = scramble((data >= level).astype(np.uint8))
     erasures = flag_erasure_runs(data < FLOOR_FRACTION * level, erase_margin_bits)
-    return bits, erasures, peaks & (threshold > 0)
+    return bits, erasures, (_preamble_corr(power) >= CORR_THRESHOLD) & (threshold > 0)

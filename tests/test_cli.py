@@ -193,7 +193,7 @@ def test_simulate_negative_values_exit_code(tmp_path, capsys):
     # nothing and report a perfect link
     for line in ("off_scale_min = inf", "on_shape = nan",
                  "seed = -1", "noise_sigma = -0.5", "noise_sigma = nan",
-                 "noise_sigma = 1e300", "noise_sigma = 1e300\nmode = sample",
+                 "noise_sigma = 1e300", "noise_sigma = 1e300\nmode = sample", "noise_sigma = 0.3",
                  "erasure_margin_bits = -1", "rate = 0", "rate = inf", "pe_threshold = 2",
                  "samples_per_bit = 3", "samples_per_bit = 3\nmode = sample",
                  "samples_per_bit = 100000", "samples_per_bit = 100000\nmode = sample"):
@@ -208,6 +208,10 @@ def test_simulate_negative_values_exit_code(tmp_path, capsys):
     conf = _write_config(tmp_path, scenario + "code = 15,9\nframes = 2\nmode = sample\n")
     assert cli.main(["sweep", "--vary", "parity", "--config", str(conf)]) == cli.EXIT_CONFIG
     assert "symbol mode only" in capsys.readouterr().err
+    # nor a receiver noise model: noise in symbol mode is a config error too
+    conf = _write_config(tmp_path, scenario + "code = 15,9\nframes = 2\nnoise_sigma = 0.3\n")
+    assert cli.main(["sweep", "--vary", "parity", "--config", str(conf)]) == cli.EXIT_CONFIG
+    assert "sample mode only" in capsys.readouterr().err
     # the sample-rate and noise caps themselves are accepted
     for line in (f"samples_per_bit = {phy.MAX_SAMPLES_PER_BIT}",
                  f"noise_sigma = {phy.MAX_NOISE_SIGMA}"):

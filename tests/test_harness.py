@@ -39,6 +39,11 @@ def test_config_validation():
     for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ParameterError):
             _config(noise_sigma=bad)
+    # symbol mode models no receiver noise, so it takes none
+    for sigma in (0.3, phy.MAX_NOISE_SIGMA):
+        with pytest.raises(ParameterError, match="sample mode only"):
+            _config(mode="symbol", noise_sigma=sigma)
+        _config(mode="sample", noise_sigma=sigma)
     for bad in (0.0, -1e6, float("nan"), float("inf")):
         with pytest.raises(ParameterError):
             _config(rate=bad)

@@ -305,27 +305,34 @@ def _box_sum_preamble_corr(signal, spb):
 
 
 @given(
-    st.integers(phy.MIN_SAMPLES_PER_BIT, 16),
-    st.lists(st.integers(0, 1), max_size=60),
-    st.integers(-40, 40),
-    st.floats(0.01, 1.0),
+    st.integers(phy.MIN_SAMPLES_PER_BIT, phy.MAX_SAMPLES_PER_BIT),
+    st.integers(1, 4),
+    st.integers(0, 12),
+    st.sampled_from([0.0, 0.01, 0.3, 1.0, 5.0]),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=100, deadline=None)
-def test_preamble_corr_matches_full_correlation(spb, bits, lead, sigma, seed):
-    # a noisy OOK stream, behind `lead` samples of silence or, for a negative
-    # lead, with its first -lead samples cut (short streams included)
+def test_preamble_corr_matches_full_correlation(spb, frames, n_data, sigma, seed):
+    # a block of noisy OOK frames, each behind up to three bits of silence,
+    # and some of them constant: each frame's coefficient is the first entry
+    # of its full correlation, float for float
     rng = np.random.default_rng(seed)
-    clean = phy.modulate(np.array(bits, dtype=np.uint8), spb).ravel()
-    clean = np.concatenate([np.zeros(max(lead, 0)), clean[max(-lead, 0) :]])
-    signal = clean + rng.normal(0.0, sigma, clean.size)
-    got = phy._preamble_corr(signal, spb)
-    expected = _reference_preamble_corr(signal, spb)
-    assert got.shape == expected.shape
-    assert np.array_equal(got, _box_sum_preamble_corr(signal, spb))
-    if expected.size:
-        assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
-        assert np.argmax(got) == np.argmax(expected)
+    rows = phy.PREAMBLE_LEN + n_data
+    block = phy.modulate(rng.integers(0, 2, (frames, n_data)), spb).reshape(frames, -1)
+    for f in range(frames):
+        delay = rng.integers(0, 3 * spb)
+        block[f] = np.roll(block[f], delay)
+        block[f, :delay] = 0.0
+    constant = rng.random(frames) < 0.25
+    block[~constant] += rng.normal(0.0, sigma, (frames - constant.sum(), block.shape[1]))
+    block[constant] = rng.choice([0.0, 0.25, 1.0], (constant.sum(), 1))
+    block = block.reshape(frames, rows, spb)
+    got = phy._preamble_corr(block)
+    assert got.shape == (frames,)
+    assert np.array_equal(got, [_box_sum_preamble_corr(f.ravel(), spb)[0] for f in block])
+    assert (got[constant] == 0).all()
+    expected = [_reference_preamble_corr(f.ravel(), spb)[0] for f in block]
+    assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
 
 
 @given(
@@ -339,8 +346,8 @@ def test_preamble_corr_matches_full_correlation(spb, bits, lead, sigma, seed):
 @settings(max_examples=120, deadline=None)
 def test_demodulate_matches_offset_zero_reference(spb, n_data, frames, sigma, loss, seed):
     # a block of frames, some with lost preamble bits or with the waveform
-    # delayed so that the correlation peaks past sample 0, is demodulated
-    # frame for frame as the plain reference reads it from sample 0
+    # delayed past sample 0, is demodulated frame for frame as the plain
+    # reference reads it from sample 0
     rng = np.random.default_rng(seed)
     rows = phy.PREAMBLE_LEN + n_data
     samples = phy.modulate(rng.integers(0, 2, (frames, n_data)), spb)
@@ -369,23 +376,57 @@ def test_demodulate_matches_offset_zero_reference(spb, n_data, frames, sigma, lo
             assert np.array_equal(erasures[f], ref_flags)
 
 
+@pytest.mark.parametrize("fraction", [phy.FLOOR_FRACTION, 0.3, 0.7])
+def test_demodulate_floor_rule(monkeypatch, fraction):
+    # a clean preamble puts the threshold at exactly 0.5; data runs of 10
+    # bits just under, exactly at and just over the floor: only a run of
+    # bit means strictly below FLOOR_FRACTION * threshold is flagged
+    monkeypatch.setattr(phy, "FLOOR_FRACTION", fraction)
+    floor = phy.FLOOR_FRACTION * 0.5
+    high = [1.0] * 2
+    means = high + [0.98 * floor] * 10 + high + [floor] * 10 + high + [1.02 * floor] * 10 + high
+    power = np.repeat(np.concatenate([phy.PREAMBLE_BITS, means])[None, :, None], 8, axis=-1)
+    _, flags, found = phy.demodulate(power, 8)
+    assert found[0]
+    expected = np.zeros(len(means), dtype=bool)
+    expected[2:12] = True
+    assert np.array_equal(flags[0], expected)
+
+
+def test_demodulate_finds_delayed_frames_by_offset_zero_coefficient():
+    # a waveform delayed past sample 0, zero-filled in front, is found iff
+    # its coefficient at sample 0 passes; no other offset is searched
+    rng = np.random.default_rng(11)
+    spb = 8
+    samples = phy.modulate(rng.integers(0, 2, 200, dtype=np.uint8), spb).ravel()
+    for delay in (1, 2, 16):
+        late = np.concatenate([np.zeros(delay), samples[:-delay]]).reshape(-1, spb)
+        found = _receive(late)[2]
+        assert found == _reference_demodulate(late, 8)[2]
+        # each is found, though its correlation peaks past sample 0
+        assert found and _box_sum_preamble_corr(late.ravel(), spb).argmax() > 0
+
+
 def test_demodulate_needs_a_data_bit():
     with pytest.raises(ParameterError):
         phy.demodulate(np.ones((2, phy.PREAMBLE_LEN, 8)))
 
 
 def test_preamble_corr_constant_and_short_streams():
+    rng = np.random.default_rng(4)
     for spb in (phy.MIN_SAMPLES_PER_BIT, 8, 16):
-        n = phy.PREAMBLE_LEN * spb
-        # levels exact in binary keep the window sums exact, so every
+        # levels exact in binary keep the window sums exact, so a constant
         # window's variance is exactly 0 and so is its coefficient
-        for level in (0.0, 0.25, 1.0):
-            assert (phy._preamble_corr(np.full(n + 50, level), spb) == 0).all()
-        assert phy._preamble_corr(np.ones(n - 1), spb).size == 0
-        template = np.repeat(phy.PREAMBLE_BITS.astype(float), spb)
-        corr = phy._preamble_corr(np.concatenate([np.zeros(7), template, np.zeros(9)]), spb)
-        assert corr.size == 17
-        assert np.argmax(corr) == 7 and corr[7] == pytest.approx(1.0)
+        levels = np.array([0.0, 0.25, 1.0])
+        block = np.broadcast_to(levels[:, None, None], (3, phy.PREAMBLE_LEN + 5, spb))
+        assert (phy._preamble_corr(block) == 0).all()
+        # the exact template scores 1, and only the preamble's rows are
+        # read: the preamble alone scores as it does with data behind it
+        template = np.repeat(phy.PREAMBLE_BITS.astype(float), spb).reshape(-1, spb)
+        corr = phy._preamble_corr(template[None])
+        assert corr[0] == pytest.approx(1.0)
+        longer = np.concatenate([template, rng.normal(0.0, 3.0, (9, spb))])
+        assert np.array_equal(phy._preamble_corr(longer[None]), corr)
 
 
 def test_erasure_run_flagging_margin():
@@ -414,7 +455,7 @@ def _reference_flags(row, margin):
 
 def _reference_demodulate(power, margin):
     """One (rows, spb) power waveform read from sample 0, step by step:
-    (bits, flags, found).  Found iff the correlation peaks at sample 0 at or
+    (bits, flags, found).  Found iff the correlation at sample 0 is at or
     above CORR_THRESHOLD and the threshold halfway between the weakest
     preamble '1' and the strongest preamble '0' bit mean is positive."""
     corr = _box_sum_preamble_corr(power.ravel(), power.shape[1])
@@ -422,7 +463,7 @@ def _reference_demodulate(power, margin):
     preamble = means[: phy.PREAMBLE_LEN]
     threshold = (preamble[phy.PREAMBLE_BITS == 1].min()
                  + preamble[phy.PREAMBLE_BITS == 0].max()) / 2.0
-    found = corr[0] == corr.max() and corr[0] >= phy.CORR_THRESHOLD and threshold > 0
+    found = corr[0] >= phy.CORR_THRESHOLD and threshold > 0
     data = means[phy.PREAMBLE_LEN :]
     bits = phy.scramble((data >= threshold).astype(np.uint8))
     flags = _reference_flags(data < phy.FLOOR_FRACTION * threshold, margin)
