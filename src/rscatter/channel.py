@@ -10,6 +10,7 @@ directly from Pareto on/off gates.
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -139,32 +140,106 @@ def gate_durations(rng, stats, total_us):
     return np.array(out)
 
 
-def _off_time_before(durations, x):
-    """Cumulative off-state time in [0, x) for an on-first alternating gate."""
-    durations = np.asarray(durations, dtype=float)
-    bounds = np.concatenate([[0.0], np.cumsum(durations)])
-    is_off = np.arange(durations.size) % 2 == 1
-    off_cum = np.concatenate([[0.0], np.cumsum(np.where(is_off, durations, 0.0))])
-    return np.interp(x, bounds, off_cum)
+def _gate_bounds(durations):
+    """A gate's run bounds, as _run_bounds lays them out."""
+    d = durations.tolist()
+    if len(d) % 2:
+        d.append(0.0)
+    return chain(accumulate(d, initial=0.0), (math.inf,))
 
 
-def erasure_mask_from_gate(durations, rate, n_symbols):
-    """Deterministic mask, one bool per symbol: a symbol is erased iff its
-    transmit interval overlaps an off run (a partially-lost symbol counts
-    as lost)."""
+def _gate_off(durations):
+    """A gate's off time before each pair of bounds, from 0."""
+    d = durations[1::2].tolist()
+    if len(durations) % 2:
+        d.append(0.0)
+    return accumulate(d, initial=0.0)
+
+
+def _run_bounds(gates):
+    """Flat run bounds and off time of a block of gates, summed in
+    np.cumsum's sequential order, and the flat index of each gate's last
+    bound.
+
+    A gate of R runs takes R' + 2 entries, R' being R rounded up to even by
+    an empty off run: its bounds 0, d0, d0 + d1, ..., then inf.  An even
+    entry count puts each gate's run j at a flat index of j's parity, and
+    its region past the last bound at an even (on) one.  The off time of
+    bound j is the off time before it, np.interp's value there; bounds 2i
+    and 2i + 1 have the same.
+    """
+    gates = [np.asarray(g, dtype=float) for g in gates]
+    ends = list(accumulate(len(g) + len(g) % 2 + 2 for g in gates))
+    size = ends[-1] if ends else 0
+    bounds = np.fromiter(chain.from_iterable(map(_gate_bounds, gates)), float, size)
+    off = np.fromiter(chain.from_iterable(map(_gate_off, gates)), float, size // 2)
+    return bounds, off.repeat(2), [end - 2 for end in ends]
+
+
+def _interp(x, bounds, off, j):
+    """np.interp(x, bounds, off) at points x of run j (bounds[j] <= x <
+    bounds[j + 1]), by np.interp's own formula and special cases."""
+    b0, b1, f0, f1 = bounds[j], bounds[j + 1], off[j], off[j + 1]
+    slope = (f1 - f0) / (b1 - b0)
+    out = np.where(x == b0, f0, slope * (x - b0) + f0)
+    bad = np.isnan(out)
+    if bad.any():
+        out[bad] = (slope * (x - b1) + f1)[bad]
+        still = bad & np.isnan(out) & (f0 == f1)
+        out[still] = f0[still]
+    return out
+
+
+def erasure_mask_from_gate(gates, rate, n_symbols):
+    """Lost-symbol masks of a block of gates, one row per gate: a symbol is
+    erased iff its transmit interval overlaps an off run of the gate (a
+    partially-lost symbol counts as lost).
+
+    gates is a sequence of on-first duration arrays; the result is a
+    (len(gates), n_symbols) bool array.  Each row is the np.interp form:
+    the off time before each symbol edge, interpolated over the gate's run
+    bounds, rises by more than period * 1e-9 over an erased symbol.  The
+    work is O(runs) plus one pass over the block's symbols.  A symbol whose
+    edges lie in one run is erased iff that run is off: np.interp gives
+    both edges the run's start value in an on run, and values a period
+    apart in an off run.  Only a symbol whose interval holds a run bound is
+    interpolated, at both edges.
+    """
     if not (math.isfinite(rate) and rate > 0):
         raise ParameterError(f"rate must be finite and > 0, got {rate}")
-    durations = np.asarray(durations, dtype=float)
     period_us = 1e6 / rate
-    total = float(durations.sum()) if durations.size else 0.0
-    if n_symbols * period_us > total + 1e-9:
+    bounds, off, last = _run_bounds(gates)
+    totals = bounds[last]
+    if totals.size and n_symbols * period_us > totals.min() + 1e-9:
         raise ParameterError(
-            f"gate ({total:.1f} us) shorter than transmission "
+            f"gate ({totals.min():.1f} us) shorter than transmission "
             f"({n_symbols * period_us:.1f} us)"
         )
     edges = np.arange(n_symbols + 1) * period_us
-    off_cum = _off_time_before(durations, edges)
-    return np.diff(off_cum) > period_us * 1e-9
+    # edge pos[j] is the first at or after bound j: bits pos[j] ..
+    # pos[j + 1] - 2 have both edges in run j, and bit pos[j + 1] - 1
+    # straddles bound j + 1 when pos[j] < pos[j + 1] <= n_symbols (each
+    # gate's pos rise from 0 at its first bound to n_symbols + 1 at inf)
+    pos = edges.searchsorted(bounds)
+    now, nxt = pos[:-1], pos[1:]
+    group_end = (nxt > now).nonzero()[0]  # last bound of each equal-pos group
+    inner = nxt[group_end] <= n_symbols
+    # a straddled bit's right edge lies in the run of the next group's end
+    left, right = group_end[:-1][inner[:-1]], group_end[1:][inner[:-1]]
+    bit = nxt[left] - 1
+    at = _interp(edges[np.concatenate([bit, bit + 1])], bounds, off,
+                 np.concatenate([left, right]))
+    lost = at[left.size :] - at[: left.size] > period_us * 1e-9
+
+    # per bound j: its run's bits, all erased iff j is odd, then the bit
+    # straddling bound j + 1, if any
+    values = np.zeros(2 * now.size, dtype=bool)
+    values[2::4] = True
+    values[2 * left + 1] = lost
+    lengths = np.zeros(2 * now.size, dtype=np.intp)
+    lengths[0::2] = np.maximum(nxt - now - 1, 0)
+    lengths[2 * left + 1] = 1
+    return values.repeat(lengths).reshape(len(last), n_symbols)
 
 
 def erasure_mask_markov(rng, ch, n_symbols):

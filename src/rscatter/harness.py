@@ -213,22 +213,20 @@ def _codeword_erasures(flags, code):
     return sym, sym.sum(axis=-1) > code.t
 
 
-def _draw_lost(rng, stats, plan):
-    """One gate over the plan's horizon, as its lost-bit mask."""
-    gate = channel.gate_durations(rng, stats, plan["horizon_us"])
-    return channel.erasure_mask_from_gate(gate, plan["bit_rate"], plan["mask_bits_n"])
-
-
-def _draw_frames(rng, config, stats, plan, frame_bits, lost_all, noise=()):
-    """Draw frames into the rows of frame_bits and lost_all: per frame a
-    random payload, then its gate as a lost-bit mask, then one normal draw
-    into the same row of each array of noise."""
-    for i in range(len(frame_bits)):
-        payload = rng.integers(0, 256, size=config.payload_bytes, dtype=np.uint8).tobytes()
-        lost_all[i] = _draw_lost(rng, stats, plan)
-        frame_bits[i] = phy.bytes_to_bits(phy.frame_build(payload))
+def _draw_frames(rng, config, stats, plan, count, noise=()):
+    """A block of count frames as (frame bits, lost-bit masks), one frame
+    per row.  Per frame: a random payload, then its gate, then one normal
+    draw into the same row of each array of noise.  The block's frames and
+    masks are then built at once."""
+    payloads = np.empty((count, config.payload_bytes), dtype=np.uint8)
+    gates = []
+    for i in range(count):
+        payloads[i] = rng.integers(0, 256, size=config.payload_bytes, dtype=np.uint8)
+        gates.append(channel.gate_durations(rng, stats, plan["horizon_us"]))
         for draws in noise:
             draws[i] = rng.normal(0.0, config.noise_sigma, draws.shape[1:])
+    frame_bits = np.unpackbits(phy.frame_block(payloads), axis=1)
+    return frame_bits, channel.erasure_mask_from_gate(gates, plan["bit_rate"], plan["mask_bits_n"])
 
 
 def _symbol_frames(config, code, plan, frame_bits, lost_all):
@@ -293,34 +291,35 @@ def run(config):
     outcomes = np.empty((4, config.frames), dtype=np.int64)
     for first in range(0, config.frames, BLOCK_FRAMES):
         count = min(BLOCK_FRAMES, config.frames - first)
-        frame_bits = np.empty((count, plan["frame_bits_n"]), dtype=np.uint8)
-        lost_all = np.empty((count, plan["mask_bits_n"]), dtype=bool)
         if config.mode == "sample":
-            block = _sample_frames(rng, config, stats, code, plan, frame_bits, lost_all)
+            block = _sample_frames(rng, config, stats, code, plan, count)
         else:
-            _draw_frames(rng, config, stats, plan, frame_bits, lost_all)
-            block = _symbol_frames(config, code, plan, frame_bits, lost_all)
+            drawn = _draw_frames(rng, config, stats, plan, count)
+            block = _symbol_frames(config, code, plan, *drawn)
         outcomes[:, first : first + count] = _outcomes(block)
 
     return _report(config, code, p_s, predicted_pe, plan, outcomes)
 
 
-def _sample_frames(rng, config, stats, code, plan, frame_bits, lost_all):
-    """Draw a block of frames into frame_bits and lost_all, receive them and
-    return their transmissions as _symbol_frames does.
+def _sample_frames(rng, config, stats, code, plan, count):
+    """Draw a block of count frames, receive them and return their
+    transmissions as _symbol_frames does.
 
-    Each frame's baseline, then coded, I and Q noise is drawn right after
-    its gate.  The waveforms of as many frames as fit WAVEFORM_BYTES are
-    then modulated, gated and demodulated at once.  A transmission is found
-    iff its preamble correlation at sample 0, the only offset tested, is at
-    least phy.CORR_THRESHOLD and its threshold is positive.  All codewords
-    of found coded frames left to the decoder by the delivery rule are
-    decoded at once.
+    The block is drawn and received in parts of as many frames as fit
+    WAVEFORM_BYTES.  _draw_frames draws a part, each frame's baseline, then
+    coded, I and Q noise right after its gate, and builds the part's frames
+    and lost-bit masks at once; the part's waveforms are then modulated,
+    gated and demodulated at once.  A transmission is found iff its
+    preamble correlation at sample 0, the only offset tested, is at least
+    phy.CORR_THRESHOLD and its threshold is positive.  All codewords of
+    found coded frames left to the decoder by the delivery rule are decoded
+    at once.
     """
     pre, nf, spb = plan["preamble_bits"], plan["frame_bits_n"], config.samples_per_bit
-    count, sizes = len(frame_bits), (nf, plan["coded_bits_n"])
+    sizes = (nf, plan["coded_bits_n"])
     step = max(1, WAVEFORM_BYTES // ((pre + max(sizes)) * spb * 8))
     noisy = config.noise_sigma > 0
+    frame_bits = np.empty((count, nf), dtype=np.uint8)
     # per transmission: received bits, erasure flags, preamble found
     received = [(np.empty((count, size), np.uint8), np.empty((count, size), bool),
                  np.empty(count, bool)) for size in sizes]
@@ -328,11 +327,11 @@ def _sample_frames(rng, config, stats, code, plan, frame_bits, lost_all):
         part = slice(lo, min(lo + step, count))
         noise = [np.empty((part.stop - lo, 2, pre + size, spb)) if noisy else None
                  for size in sizes]
-        _draw_frames(rng, config, stats, plan, frame_bits[part], lost_all[part],
-                     noise if noisy else ())
+        frame_bits[part], lost = _draw_frames(rng, config, stats, plan, part.stop - lo,
+                                              noise if noisy else ())
         transmissions = (frame_bits[part], _encode_frames(code, plan, frame_bits[part]))
         for bits, draws, outs in zip(transmissions, noise, received):
-            power = phy.apply_channel(phy.modulate(bits, spb), lost_all[part], draws)
+            power = phy.apply_channel(phy.modulate(bits, spb), lost, draws)
             for out, got in zip(outs, phy.demodulate(power, config.erasure_margin_bits)):
                 out[part] = got
 
@@ -389,7 +388,13 @@ def sweep_parity(config, n=127):
             # t grows, so the trend is not blurred by independent sampling
             # noise per point
             gate_rng = np.random.default_rng([config.seed, 0])
-            lost = np.array([_draw_lost(gate_rng, stats, plan) for _ in range(config.frames)])
+            lost = np.empty((config.frames, plan["mask_bits_n"]), dtype=bool)
+            for first in range(0, config.frames, BLOCK_FRAMES):
+                block = lost[first : first + BLOCK_FRAMES]
+                gates = [channel.gate_durations(gate_rng, stats, plan["horizon_us"])
+                         for _ in block]
+                block[:] = channel.erasure_mask_from_gate(gates, plan["bit_rate"],
+                                                          plan["mask_bits_n"])
         rows.append(_parity_point(config, code, plan, lost))
     return rows
 

@@ -15,6 +15,7 @@ from sample 0.  No complex array is built: the power is hypot(gated + I
 noise, Q noise).
 """
 
+import binascii
 import struct
 
 import numpy as np
@@ -53,33 +54,31 @@ FLOOR_FRACTION = 0.5
 CORR_THRESHOLD = 0.5
 
 
-def _crc16_shift8(crc):
-    for _ in range(8):
-        crc = ((crc << 1) ^ 0x1021 if crc & 0x8000 else crc << 1) & 0xFFFF
-    return crc
-
-
-# register update for each value of the register's top byte xor a data byte
-_CRC16_TABLE = [_crc16_shift8(top << 8) for top in range(256)]
-
-
 def crc16(data):
-    """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection/xor."""
-    crc = 0xFFFF
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[(crc >> 8) ^ byte]
-    return crc
+    """CRC-16/CCITT-FALSE of a bytes-like object: poly 0x1021, init 0xFFFF,
+    no reflection or final xor (the standard library's binascii.crc_hqx)."""
+    return binascii.crc_hqx(data, 0xFFFF)
+
+
+def frame_block(payloads):
+    """Frames of a (frames, payload_bytes) uint8 block of payloads, one per
+    row: length || payload || crc16, the CRC big-endian over length and
+    payload.  Returns a (frames, 3 + payload_bytes) uint8 array."""
+    payloads = np.asarray(payloads, dtype=np.uint8)
+    count, size = payloads.shape
+    if not (MIN_PAYLOAD <= size <= MAX_PAYLOAD):
+        raise ParameterError(f"payload must be {MIN_PAYLOAD}..{MAX_PAYLOAD} bytes, got {size}")
+    frames = np.empty((count, size + 3), dtype=np.uint8)
+    frames[:, 0] = size
+    frames[:, 1:-2] = payloads
+    crcs = [crc16(body) for body in frames[:, :-2]]
+    frames[:, -2:] = np.array(crcs, dtype=">u2").view(np.uint8).reshape(count, 2)
+    return frames
 
 
 def frame_build(payload):
-    """length || payload || crc16, with the CRC over length and payload."""
-    payload = bytes(payload)
-    if not (MIN_PAYLOAD <= len(payload) <= MAX_PAYLOAD):
-        raise ParameterError(
-            f"payload must be {MIN_PAYLOAD}..{MAX_PAYLOAD} bytes, got {len(payload)}"
-        )
-    body = bytes([len(payload)]) + payload
-    return body + struct.pack(">H", crc16(body))
+    """The frame of one payload, as bytes (see frame_block)."""
+    return frame_block(np.frombuffer(bytes(payload), dtype=np.uint8)[None]).tobytes()
 
 
 def frame_parse(buf):

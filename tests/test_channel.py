@@ -144,25 +144,90 @@ def test_gate_durations_caps_run_count(monkeypatch):
         gate_durations(np.random.default_rng(1), stats, 500.0)
 
 
+def _reference_erasure_mask(durations, rate, n_symbols):
+    """One gate's mask in the per-gate np.interp form: the off time before
+    each symbol edge, interpolated over the run bounds, rises by more than
+    period * 1e-9 over an erased symbol."""
+    durations = np.asarray(durations, dtype=float)
+    period_us = 1e6 / rate
+    total = float(durations.sum()) if durations.size else 0.0
+    if n_symbols * period_us > total + 1e-9:
+        raise ParameterError("gate shorter than transmission")
+    edges = np.arange(n_symbols + 1) * period_us
+    bounds = np.concatenate([[0.0], np.cumsum(durations)])
+    is_off = np.arange(durations.size) % 2 == 1
+    off_cum = np.concatenate([[0.0], np.cumsum(np.where(is_off, durations, 0.0))])
+    return np.diff(np.interp(edges, bounds, off_cum)) > period_us * 1e-9
+
+
 def test_erasure_mask_from_gate_oracle():
     # on 3 us, off 2 us, on 5 us at 1 symbol/us: symbols 0-2 clean,
     # 3-4 erased, 5-9 clean (symbol 4 ends exactly at the off/on edge)
-    mask = erasure_mask_from_gate(np.array([3.0, 2.0, 5.0]), 1e6, 10)
-    assert mask.tolist() == [False, False, False, True, True, False, False, False, False, False]
+    mask = erasure_mask_from_gate([np.array([3.0, 2.0, 5.0])], 1e6, 10)
+    assert mask.tolist() == [[False, False, False, True, True, False, False, False, False, False]]
 
 
 def test_erasure_mask_partial_overlap_counts_as_lost():
     # off run of 0.5 us inside symbol 1: the symbol is partially dark -> lost
-    mask = erasure_mask_from_gate(np.array([1.25, 0.5, 10.0]), 1e6, 5)
-    assert mask.tolist() == [False, True, False, False, False]
+    mask = erasure_mask_from_gate([np.array([1.25, 0.5, 10.0])], 1e6, 5)
+    assert mask.tolist() == [[False, True, False, False, False]]
 
 
 def test_erasure_mask_requires_cover():
     with pytest.raises(ParameterError):
-        erasure_mask_from_gate(np.array([3.0]), 1e6, 10)
+        erasure_mask_from_gate([np.array([3.0])], 1e6, 10)
     for rate in (0.0, -1.0, inf, nan):
         with pytest.raises(ParameterError, match="rate"):
-            erasure_mask_from_gate(np.array([10.0, 5.0, 10.0]), rate, 8)
+            erasure_mask_from_gate([np.array([10.0, 5.0, 10.0])], rate, 8)
+
+
+# run lengths in bit-times: much shorter than a bit, about a bit, and
+# spanning hundreds of bits
+_RUN_BITS = {"short": (0.003, 0.3), "mid": (0.3, 30.0), "long": (100.0, 400.0)}
+
+
+def _oracle_gate(rng, kind, period, end):
+    """On-first durations covering end: log-uniform runs of one _RUN_BITS
+    kind, or (kind "exact") whole and half multiples of the period."""
+    durations = np.empty(0)
+    while durations.sum() < end:
+        if kind == "exact":
+            more = rng.integers(1, 40, 64) * (period / 2)
+        else:
+            lo, hi = _RUN_BITS[kind]
+            more = period * lo * (hi / lo) ** rng.random(256)
+        durations = np.concatenate([durations, more])
+    return durations[: np.searchsorted(np.cumsum(durations), end) + 1]
+
+
+@given(
+    st.one_of(st.floats(4.0, 8.0).map(lambda e: 10.0**e),
+              st.integers(-6, 6).map(lambda k: 1e6 / 2.0**k)),
+    st.integers(1, 400),
+    st.lists(st.tuples(st.sampled_from(["short", "mid", "long", "exact"]), st.booleans()),
+             min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_erasure_mask_block_matches_per_gate_interp(rate, n_symbols, kinds, seed):
+    # rates with a power-of-two period put whole-multiple bounds exactly on
+    # symbol edges; a tight gate ends up to 5e-10 us before the last edge
+    rng = np.random.default_rng(seed)
+    period = 1e6 / rate
+    end = n_symbols * period
+    gates = []
+    for kind, tight in kinds:
+        durations = _oracle_gate(rng, kind, period, end)
+        before = durations[:-1].sum()
+        if tight and before < end - 5e-10:
+            durations[-1] = end - rng.uniform(0.0, 5e-10) - before
+        gates.append(durations)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        block = erasure_mask_from_gate(gates, rate, n_symbols)
+    assert block.shape == (len(gates), n_symbols)
+    for row, durations in zip(block, gates):
+        assert np.array_equal(row, _reference_erasure_mask(durations, rate, n_symbols))
 
 
 def test_markov_mask_statistics():

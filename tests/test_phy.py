@@ -71,6 +71,24 @@ def test_frame_payload_bounds():
     assert phy.frame_parse(phy.frame_build(bytes(108))) == bytes(108)
 
 
+def test_frame_block_rows_are_frames():
+    # each row is length || payload || big-endian CRC over length and payload
+    rng = np.random.default_rng(13)
+    for size in (phy.MIN_PAYLOAD, 64, phy.MAX_PAYLOAD):
+        payloads = rng.integers(0, 256, size=(5, size), dtype=np.uint8)
+        frames = phy.frame_block(payloads)
+        assert frames.shape == (5, size + 3) and frames.dtype == np.uint8
+        for row, payload in zip(frames, payloads):
+            body = bytes([size]) + payload.tobytes()
+            crc = _reference_crc16(body)
+            assert row.tobytes() == body + bytes([crc >> 8, crc & 0xFF])
+            assert row.tobytes() == phy.frame_build(payload)
+    assert phy.frame_block(np.empty((0, 8), np.uint8)).shape == (0, 11)
+    for size in (phy.MIN_PAYLOAD - 1, phy.MAX_PAYLOAD + 1):
+        with pytest.raises(ParameterError):
+            phy.frame_block(np.zeros((2, size), np.uint8))
+
+
 @given(st.binary(min_size=3, max_size=108))
 @settings(max_examples=60)
 def test_frame_roundtrip_property(payload):
