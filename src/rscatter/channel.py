@@ -164,22 +164,22 @@ def _run_bounds(gates):
     A gate of R runs takes R' + 2 entries, R' being R rounded up to even by
     an empty off run: its bounds 0, d0, d0 + d1, ..., then inf.  An even
     entry count puts each gate's run j at a flat index of j's parity, and
-    its region past the last bound at an even (on) one.  The off time of
-    bound j is the off time before it, np.interp's value there; bounds 2i
-    and 2i + 1 have the same.
+    its region past the last bound at an even (on) one.  Entry i of the off
+    time is the off time before bounds 2i and 2i + 1, np.interp's value
+    there.
     """
     gates = [np.asarray(g, dtype=float) for g in gates]
     ends = list(accumulate(len(g) + len(g) % 2 + 2 for g in gates))
     size = ends[-1] if ends else 0
     bounds = np.fromiter(chain.from_iterable(map(_gate_bounds, gates)), float, size)
     off = np.fromiter(chain.from_iterable(map(_gate_off, gates)), float, size // 2)
-    return bounds, off.repeat(2), [end - 2 for end in ends]
+    return bounds, off, [end - 2 for end in ends]
 
 
 def _interp(x, bounds, off, j):
-    """np.interp(x, bounds, off) at points x of run j (bounds[j] <= x <
-    bounds[j + 1]), by np.interp's own formula and special cases."""
-    b0, b1, f0, f1 = bounds[j], bounds[j + 1], off[j], off[j + 1]
+    """np.interp(x, bounds, off.repeat(2)) at points x of run j (bounds[j]
+    <= x < bounds[j + 1]), by np.interp's own formula and special cases."""
+    b0, b1, f0, f1 = bounds[j], bounds[j + 1], off[j >> 1], off[(j + 1) >> 1]
     slope = (f1 - f0) / (b1 - b0)
     out = np.where(x == b0, f0, slope * (x - b0) + f0)
     bad = np.isnan(out)
@@ -222,23 +222,24 @@ def erasure_mask_from_gate(gates, rate, n_symbols):
     # gate's pos rise from 0 at its first bound to n_symbols + 1 at inf)
     pos = edges.searchsorted(bounds)
     now, nxt = pos[:-1], pos[1:]
-    group_end = (nxt > now).nonzero()[0]  # last bound of each equal-pos group
-    inner = nxt[group_end] <= n_symbols
+    # only the last bound of each group of equal pos has bits of its own
+    group_end = (nxt > now).nonzero()[0]
+    start, stop = now[group_end], nxt[group_end]
+    inner = stop <= n_symbols
     # a straddled bit's right edge lies in the run of the next group's end
     left, right = group_end[:-1][inner[:-1]], group_end[1:][inner[:-1]]
-    bit = nxt[left] - 1
+    bit = stop[inner] - 1
     at = _interp(edges[np.concatenate([bit, bit + 1])], bounds, off,
                  np.concatenate([left, right]))
-    lost = at[left.size :] - at[: left.size] > period_us * 1e-9
 
-    # per bound j: its run's bits, all erased iff j is odd, then the bit
-    # straddling bound j + 1, if any
-    values = np.zeros(2 * now.size, dtype=bool)
-    values[2::4] = True
-    values[2 * left + 1] = lost
-    lengths = np.zeros(2 * now.size, dtype=np.intp)
-    lengths[0::2] = np.maximum(nxt - now - 1, 0)
-    lengths[2 * left + 1] = 1
+    # per group: the bits of its last bound's run, erased iff that run is
+    # odd (off), then the bit straddling the next bound, if any
+    values = np.zeros(2 * group_end.size, dtype=bool)
+    values[0::2] = group_end % 2
+    values[1::2][inner] = at[bit.size :] - at[: bit.size] > period_us * 1e-9
+    lengths = np.empty(2 * group_end.size, dtype=np.intp)
+    lengths[0::2] = stop - start - 1
+    lengths[1::2] = inner
     return values.repeat(lengths).reshape(len(last), n_symbols)
 
 
