@@ -31,6 +31,7 @@ codeword.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -94,8 +95,13 @@ class ExperimentConfig:
             ("samples_per_bit", phy.MIN_SAMPLES_PER_BIT, phy.MAX_SAMPLES_PER_BIT),
             ("erasure_margin_bits", 0, math.inf),
         ):
-            if not (low <= getattr(self, name) <= high):
-                raise ParameterError(f"{name} must be in {low}..{high}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # every bounded field but the noise level is an integer
+            if name != "noise_sigma" and (isinstance(value, bool)
+                                          or not isinstance(value, numbers.Integral)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            if not (low <= value <= high):
+                raise ParameterError(f"{name} must be in {low}..{high}, got {value}")
         # symbol mode models no receiver noise: it would run a noisy config
         # noise-free
         if self.mode == "symbol" and self.noise_sigma > 0:
@@ -209,7 +215,11 @@ def _codeword_erasures(flags, code):
     more than t flagged symbols is a loss, the same accounting the code
     selection assumes.
     """
-    sym = flags.reshape(flags.shape[:-1] + (-1, code.n, code.m)).any(axis=-1)
+    bits = flags.reshape(flags.shape[:-1] + (-1, code.n, code.m))
+    # OR the m bit slices in turn: faster than .any over a short last axis
+    sym = bits[..., 0].copy()
+    for b in range(1, code.m):
+        sym |= bits[..., b]
     return sym, sym.sum(axis=-1) > code.t
 
 

@@ -229,29 +229,43 @@ def _preamble_corr(power):
 
 
 def flag_erasure_runs(below_floor, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
-    """Flag maximal runs of below-floor bits longer than margin_bits.
+    """Flag the below-floor bits that lie in a run longer than margin_bits.
 
     This is the receiver's only way to separate off-state losses from legal
     zero runs under OOK; runs at or under the margin are left unflagged.
-    A 2-D (rows, bits) array is flagged row by row: runs never continue
-    from one row into the next.
+    The input is flagged row by row along its last axis: runs never
+    continue from one row into the next.
+
+    A bit is flagged iff some window of w = margin_bits + 1 consecutive
+    bits around it is all below floor: a binary opening.  Each row is
+    padded with w False bits so that no window spans two rows; then every
+    bit is ANDed with the w - 1 bits after it (erosion: a window starts
+    here) and ORed with the w - 1 bits before it (dilation: a window
+    covers here).  Both run in place on the flat array, by doubling, in
+    O(log w) whole-array calls.  A margin at or past the row width flags
+    nothing.
     """
     below = np.asarray(below_floor, dtype=bool)
-    if below.size == 0:
+    width = below.shape[-1]
+    w = int(margin_bits) + 1
+    if below.size == 0 or w > width:
         return np.zeros(below.shape, dtype=bool)
-    # a False pad column ends every run within its own row
-    padded = np.zeros(below.shape[:-1] + (below.shape[-1] + 1,), dtype=np.int8)
-    padded[..., :-1] = below
-    d = np.diff(padded.ravel(), prepend=np.int8(0))
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    # with the short runs' edges removed, the running sum of d is 1
-    # exactly inside the long runs
-    short = ends - starts <= margin_bits
-    d[starts[short]] = 0
-    d[ends[short]] = 0
-    flags = np.cumsum(d, dtype=np.int8).astype(bool)
-    return flags.reshape(padded.shape)[..., :-1]
+    padded = np.zeros(below.shape[:-1] + (width + w,), dtype=bool)
+    padded[..., :width] = below
+    flat = padded.reshape(-1)
+    # after a step of s, each bit holds the AND (then the OR) of span + s
+    # bits; numpy buffers an overlapping in-place call, so a step reads
+    # only the bits of the step before
+    steps = []
+    span = 1
+    while span < w:
+        steps.append(min(span, w - span))
+        span += steps[-1]
+    for s in steps:
+        np.logical_and(flat[:-s], flat[s:], out=flat[:-s])
+    for s in steps:
+        np.logical_or(flat[s:], flat[:-s], out=flat[s:])
+    return padded[..., :width]
 
 
 def perceived_erasures(bits, lost, margin_bits=DEFAULT_ERASE_MARGIN_BITS):

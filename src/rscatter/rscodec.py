@@ -8,14 +8,14 @@ encodes a (words, k*m) block of info bits, and `decode_block` decodes a
 single word is a block of one row.
 
 Encoding is on the binary image of the code: the parity bits are the info
-bits times a fixed 0/1 matrix over GF(2), built in one shot from the
-closed Cauchy form of the code's systematic generator (Roth and Seroussi,
-IEEE Trans. IT 31(6), 1985).  Decoding takes the syndromes
-S_j = r(alpha^j) straight from the field tables, then runs Berlekamp-Massey
-on Forney syndromes with erasure handling, and a Chien search and Forney's
-formula.  Every decoding step runs on the whole block at once, a row that
-has finished its own steps masked out; a decode failure is reported, never
-guessed.
+bits times a fixed 0/1 matrix over GF(2), whose entries are gathered from
+the field's binary multiplication table at the logs of the closed Cauchy
+form of the code's systematic generator (Roth and Seroussi, IEEE Trans. IT
+31(6), 1985).  Decoding takes the syndromes S_j = r(alpha^j) straight
+from the field tables, then runs Berlekamp-Massey on Forney syndromes with
+erasure handling, and a Chien search and Forney's formula.  Every decoding
+step runs on the whole block at once, a row that has finished its own
+steps masked out; a decode failure is reported, never guessed.
 
 All field arithmetic is numpy indexing into the one pair of log/exp tables
 that `gf2m.tables` builds per field.  This module also owns the one
@@ -23,7 +23,7 @@ symbol/bit layout of the package, m bits per symbol, most significant first
 (`bits_to_symbols`, `symbols_to_bits`).
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,6 +66,21 @@ def symbols_to_bits(symbols, m):
     return ((symbols[..., None] & weights) != 0).astype(np.uint8).ravel()
 
 
+@lru_cache(maxsize=None)
+def _mul_image(m):
+    """Binary image of multiplication in GF(2^m), an (m, n, m) read-only
+    float32 array: entry [b, l, c] is bit c (most significant first) of
+    2^(m-1-b) * alpha^l, the product of the element alpha^l with bit b of
+    a symbol."""
+    log, expt = tables(m)
+    weights = _bit_weights(m)
+    # (m, n); both logs are below n, so their sum stays inside the doubled table
+    values = expt[log[weights][:, None] + np.arange((1 << m) - 1)]
+    image = ((values[..., None] & weights) != 0).astype(np.float32)
+    image.flags.writeable = False
+    return image
+
+
 class RsCode:
     """An (n, k) Reed-Solomon code with derived correction capability t."""
 
@@ -105,7 +120,9 @@ class RsCode:
         j = 1..n-k (Roth and Seroussi, "On generator matrices of MDS codes",
         IEEE Trans. IT 31(6), 1985).  Bit b of symbol i is the element
         2^(m-1-b), so row i*m + b holds the bits of 2^(m-1-b) times that
-        entry.  Every product is a sum of logs.
+        entry.  Every product is a sum of logs, and the bits of each are
+        gathered from the field's multiplication image (_mul_image), one
+        take per info bit b.
         """
         n, m, k = self.n, self.m, self.k
         log, expt = self._tables
@@ -116,12 +133,12 @@ class RsCode:
         la = ls[:k].sum(axis=1)  # log A_i
         lb = ls[k:].sum(axis=1) - 2 * n  # log B_p, without the diagonal
         lp = (lx[:k, None] + la[:, None] - lx[k:] - lb - ls[:k]) % n
-        # both logs are below n, so their sum stays inside the doubled table
-        values = expt[lp[:, None, :] + log[_bit_weights(m)][:, None]]  # (k, m, n-k)
-        # the bits of every symbol value, looked up rather than computed
-        # per entry, so the expansion needs no int64 temporary
-        bits = symbols_to_bits(np.arange(n + 1), m).reshape(n + 1, m)[values]
-        return bits.reshape(k * m, (n - k) * m).astype(np.float32)
+        # row i*m + b, parity symbol p: the bits of 2^(m-1-b) * alpha^lp[i, p]
+        image = _mul_image(m)
+        out = np.empty((k, m, n - k, m), dtype=np.float32)
+        for b in range(m):
+            np.take(image[b], lp, axis=0, out=out[:, b])
+        return out.reshape(k * m, (n - k) * m)
 
     def __repr__(self):
         return f"RsCode(n={self.n}, k={self.k})"

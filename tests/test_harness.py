@@ -5,9 +5,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rscatter.errors import InfeasibleError, ParameterError
-from rscatter import harness, phy
+from rscatter import harness, phy, rscodec
 
 
 def _config(**kw):
@@ -65,6 +66,43 @@ def test_config_validation():
         _config(mode=mode, samples_per_bit=phy.MIN_SAMPLES_PER_BIT)
         _config(mode=mode, samples_per_bit=phy.MAX_SAMPLES_PER_BIT)
     _config(noise_sigma=0.0, seed=0, erasure_margin_bits=0)
+    # the counts, the seed and the sample rate are integers, not bools
+    for name in ("frames", "payload_bytes", "seed", "samples_per_bit", "erasure_margin_bits"):
+        for bad in (4.5, 16.0, True, "16", None):
+            with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+                _config(**{name: bad})
+        _config(**{name: np.int64(16)})
+    with pytest.raises(ParameterError, match="erasure_margin_bits must be an integer"):
+        _config(erasure_margin_bits=float("inf"))
+
+
+@st.composite
+def _flag_blocks(draw):
+    """Per-bit erasure flags of a block of codewords and their code: leading
+    shape of 1 or 2 axes, rows random, all False or all True."""
+    m = draw(st.integers(3, 7))
+    n = (1 << m) - 1
+    code = rscodec.RsCode(n, 2 * draw(st.integers(0, (n - 3) // 2)) + 1)
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    words = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flags = rng.random(lead + (words * code.n * code.m,)) < draw(st.sampled_from([0.02, 0.2, 0.9]))
+    rows = flags.reshape(-1, flags.shape[-1])
+    for row in rows:
+        kind = draw(st.sampled_from(["random", "none", "all"]))
+        if kind != "random":
+            row[:] = kind == "all"
+    return code, flags
+
+
+@given(_flag_blocks())
+@settings(max_examples=100, deadline=None)
+def test_codeword_erasures_match_any_over_symbol_bits(case):
+    code, flags = case
+    sym, lost = harness._codeword_erasures(flags, code)
+    expected = flags.reshape(flags.shape[:-1] + (-1, code.n, code.m)).any(axis=-1)
+    assert sym.dtype == bool and np.array_equal(sym, expected)
+    assert np.array_equal(lost, expected.sum(axis=-1) > code.t)
 
 
 def test_config_requires_scenario():

@@ -455,6 +455,11 @@ def test_erasure_run_flagging_margin():
     assert flags[10:27].all()
     assert not flags[27:].any()
     assert phy.flag_erasure_runs(np.zeros(0, dtype=bool)).size == 0
+    # at margin 0 every below-floor bit is a run longer than the margin
+    assert np.array_equal(phy.flag_erasure_runs(below, 0), below)
+    # a run of the whole row is flagged iff the margin is under the row width
+    assert phy.flag_erasure_runs(np.ones(100, dtype=bool), 99).all()
+    assert not phy.flag_erasure_runs(np.ones(100, dtype=bool), 100).any()
 
 
 def _reference_flags(row, margin):
@@ -505,7 +510,8 @@ def _below_floor_rows(draw):
     return out
 
 
-@given(_below_floor_rows(), st.integers(0, 20))
+# margins up to 60 reach under, at and past the row width of 0..40
+@given(_below_floor_rows(), st.integers(0, 60))
 @settings(max_examples=200)
 def test_erasure_run_flagging_row_wise(below, margin):
     flags = phy.flag_erasure_runs(below, margin)
@@ -513,6 +519,9 @@ def test_erasure_run_flagging_row_wise(below, margin):
     for row, got in zip(below, flags):
         assert (got == phy.flag_erasure_runs(row, margin)).all()
         assert (got == _reference_flags(row, margin)).all()
+    # a 3-D block is flagged row by row too
+    stacked = phy.flag_erasure_runs(np.stack([below, below[::-1]]), margin)
+    assert np.array_equal(stacked, np.stack([flags, flags[::-1]]))
 
 
 def test_perceived_erasures_match_demodulator():
