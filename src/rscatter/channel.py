@@ -39,10 +39,6 @@ class MarkovChannel:
         if not (0.0 <= self.beta <= 1.0):
             raise ParameterError(f"beta must be in [0, 1], got {self.beta}")
 
-    @property
-    def transition_matrix(self):
-        return np.array([[1 - self.alpha, self.alpha], [self.beta, 1 - self.beta]])
-
 
 def markov_from_stats(stats, rate):
     """Per-symbol transition probabilities from mean on/off durations.

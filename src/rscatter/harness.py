@@ -82,9 +82,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("symbol", "sample"):
             raise ParameterError(f"mode must be 'symbol' or 'sample', got {self.mode!r}")
+        for name in ("rate", "pe_threshold", "noise_sigma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ParameterError(f"rate must be finite and > 0, got {self.rate}")
         codesearch.check_threshold(self.pe_threshold)
+        if self.code is not None:
+            try:
+                rscodec.RsCode(*self.code)
+            except (TypeError, ParameterError) as exc:
+                raise ParameterError(f"code must be None or an (n, k) pair of an admissible "
+                                     f"RS code, got {self.code!r}: {exc}") from None
         # the sample-rate bounds hold in both modes, though symbol mode never
         # builds a waveform
         for name, low, high in (

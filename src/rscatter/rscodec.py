@@ -23,6 +23,7 @@ symbol/bit layout of the package, m bits per symbol, most significant first
 (`bits_to_symbols`, `symbols_to_bits`).
 """
 
+import numbers
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -85,6 +86,10 @@ class RsCode:
     """An (n, k) Reed-Solomon code with derived correction capability t."""
 
     def __init__(self, n, k):
+        for name, value in (("n", n), ("k", k)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        n, k = int(n), int(k)
         if n not in ADMISSIBLE_N:
             raise ParameterError(f"n must be one of {ADMISSIBLE_N}, got {n}")
         if not (1 <= k <= n - 2):

@@ -1,11 +1,15 @@
-"""Independent GF(2^m) arithmetic for the tests: shift-and-xor
+"""Independent oracles for the tests: GF(2^m) arithmetic by shift-and-xor
 multiplication modulo the field's primitive polynomial, the Reed-Solomon
-generator polynomial built on it, and a scalar errors-and-erasures decoder
-on log/exp tables built from that multiplication."""
+generator polynomial built on it, a scalar errors-and-erasures decoder on
+log/exp tables built from that multiplication, and the code search by
+brute force."""
 
+from fractions import Fraction
 from functools import lru_cache
 
+from rscatter.channel import post_decode_error_rate
 from rscatter.gf2m import PRIMITIVE_POLYS
+from rscatter.rscodec import ADMISSIBLE_N, RsCode
 
 
 def gf_mul(m, a, b):
@@ -154,3 +158,18 @@ def rs_decode(n, k, received, erasures=()):
     if any(_horner(m, word, exp[j % n]) for j in range(1, d + 1)):
         return None
     return word[:k]
+
+
+def brute_force_search(p_s, pe_threshold):
+    """The code search by brute force: score all 119 admissible (n, k) pairs
+    with the search's predictor and keep the feasible ones.
+
+    Returns the feasible (n, k, pe) of greatest rate k/n, ties to larger n
+    (None if no pair is feasible), every feasible (n, k, pe), and the least
+    p_e of all pairs.
+    """
+    scored = [(n, k, post_decode_error_rate(RsCode(n, k), p_s))
+              for n in ADMISSIBLE_N for k in range(1, n - 1, 2)]
+    feasible = [s for s in scored if s[2] <= pe_threshold]
+    best = max(feasible, key=lambda s: (Fraction(s[1], s[0]), s[0]), default=None)
+    return best, feasible, min(s[2] for s in scored)

@@ -15,8 +15,10 @@ from math import comb
 
 import numpy as np
 import pytest
+from gf_oracle import brute_force_search
 
 from rscatter import channel, cli, codesearch, harness, phy, rscodec, traffic
+from rscatter.errors import InfeasibleError
 
 
 def _verdict(name, ok):
@@ -128,7 +130,8 @@ def test_criterion_3_mle_recovery():
 
 def test_criterion_4_optimizer_oracle_equivalence():
     rng = np.random.default_rng(404)
-    ok = True
+    cases = [(p_s, threshold) for p_s in (0.0, 1e-9, 1e-3, 0.0554, 0.2, 1.0)
+             for threshold in (1e-6, 1e-3, 0.5)]
     for _ in range(20):
         alpha = float(rng.uniform(0.001, 0.6))
         beta = float(rng.uniform(0.02, 1.0))
@@ -136,17 +139,17 @@ def test_criterion_4_optimizer_oracle_equivalence():
         p_s = channel.symbol_error_rate(
             channel.MarkovChannel(alpha=alpha, beta=beta)
         )
+        cases.append((p_s, threshold))
+    ok = True
+    for p_s, threshold in cases:
+        # the oracle's winner as (n, k, p_e), or None and its least p_e
+        best, _, least_pe = brute_force_search(p_s, threshold)
         try:
             fast = codesearch.optimize_for_ps(p_s, threshold)
-            fast_result = (fast.code.n, fast.code.k)
-        except Exception:
-            fast_result = None
-        try:
-            slow = codesearch.brute_force_search(p_s, threshold)
-            slow_result = (slow.code.n, slow.code.k)
-        except Exception:
-            slow_result = None
-        ok = ok and fast_result == slow_result
+            ok = ok and (fast.code.n, fast.code.k, fast.predicted_pe) == best
+        except InfeasibleError as exc:
+            ok = ok and best is None and str(exc).endswith(
+                f"best achievable p_e was {least_pe:g}")
 
     out = codesearch.optimize_for_ps(0.0)
     ok = ok and (out.code.n, out.code.k) == (127, 125)

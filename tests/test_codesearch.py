@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from gf_oracle import brute_force_search
 
+from rscatter import codesearch
 from rscatter.channel import MarkovChannel, binomial_tail, symbol_error_rate
-from rscatter.codesearch import (
-    DEFAULT_PE_THRESHOLD,
-    brute_force_search,
-    optimize_code,
-    optimize_for_ps,
-)
+from rscatter.codesearch import DEFAULT_PE_THRESHOLD, optimize_code, optimize_for_ps
 from rscatter.errors import InfeasibleError, ParameterError
 from rscatter.traffic import ParetoParams, TrafficStats
+
+# (p_s, threshold) pairs from a clean channel (p_s = 0, every code feasible)
+# to a dead one (p_s = 1, none feasible), each at a strict, the default and a
+# loose threshold
+SEARCH_GRID = [(p_s, threshold) for p_s in (0.0, 1e-9, 1e-3, 0.0554, 0.2, 1.0)
+               for threshold in (1e-6, 1e-3, 0.5)]
 
 
 def test_default_threshold():
@@ -32,24 +35,43 @@ def test_selected_code_meets_threshold_and_is_rate_maximal():
     for n, k, pe in out.feasible_alternatives:
         assert pe <= 1e-3
         assert k / n <= out.rate + 1e-12
+    # a code whose p_e equals the threshold meets it
+    again = optimize_for_ps(0.0554, out.predicted_pe)
+    assert (again.code.n, again.code.k) == (out.code.n, out.code.k)
+
+
+def test_equal_rates_go_to_the_longer_code(monkeypatch):
+    # only RS(7,5) and RS(63,45) are feasible, both of rate 5/7
+    feasible = {(7, 5), (63, 45)}
+    monkeypatch.setattr(codesearch, "post_decode_error_rate",
+                        lambda code, p_s: 0.0 if (code.n, code.k) in feasible else 1.0)
+    out = optimize_for_ps(0.1)
+    assert (out.code.n, out.code.k, out.rate) == (63, 45, 5 / 7)
+    assert out.feasible_alternatives == [(7, 5, 0.0), (63, 45, 0.0)]
 
 
 def test_heuristic_equals_brute_force_over_random_channels():
     rng = np.random.default_rng(1234)
+    cases = list(SEARCH_GRID)
     for _ in range(20):
         alpha = float(rng.uniform(0.001, 0.5))
         beta = float(rng.uniform(0.05, 1.0))
         threshold = float(10 ** rng.uniform(-5, -1))
-        p_s = symbol_error_rate(MarkovChannel(alpha=alpha, beta=beta))
-        try:
-            fast = optimize_for_ps(p_s, threshold)
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                brute_force_search(p_s, threshold)
+        cases.append((symbol_error_rate(MarkovChannel(alpha=alpha, beta=beta)), threshold))
+    for p_s, threshold in cases:
+        best, feasible, least_pe = brute_force_search(p_s, threshold)
+        if best is None:
+            with pytest.raises(InfeasibleError) as err:
+                optimize_for_ps(p_s, threshold)
+            assert str(err.value).endswith(f"best achievable p_e was {least_pe:g}")
             continue
-        slow = brute_force_search(p_s, threshold)
-        assert (fast.code.n, fast.code.k) == (slow.code.n, slow.code.k)
-        assert fast.predicted_pe == pytest.approx(slow.predicted_pe, rel=1e-12)
+        out = optimize_for_ps(p_s, threshold)
+        assert (out.code.n, out.code.k, out.predicted_pe) == best
+        assert out.rate == best[1] / best[0]
+        # the shortlist is each length's largest feasible k, n ascending
+        shortlist = [max((s for s in feasible if s[0] == n), key=lambda s: s[1])
+                     for n in sorted({s[0] for s in feasible})]
+        assert out.feasible_alternatives == shortlist
 
 
 def test_per_length_winner_is_largest_feasible_k():

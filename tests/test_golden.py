@@ -97,6 +97,16 @@ CLI_SWEEP_DIGESTS = {
     "parity": "583e97f61ecc09d5c3c2752e88407876229ee0cf77458dc078a2222cebfab20d",
     "silent-duration": "9bc1f149bf75355c715591d58222ef43ae3b63e3fb79b8d5e1165f4f5f974c9d",
 }
+# `rscatter optimize` in the symbol workload's regime (mean off run 20 us at
+# shape 1.001): its JSON, every p_e a full float
+CLI_OPTIMIZE_ARGV = ["optimize", "--off-shape", "1.001", "--off-scale-min", "0.01998",
+                     "--on-shape", "1.15", "--on-scale-min", "44.52"]
+CLI_OPTIMIZE_DIGEST = "116491e3ca03c80343ea30bb7f1a3452a70dba05a39259dcc7c7bf144552ea47"
+# ...and on a channel no code can serve: exit 3 and one stderr line, "best
+# achievable p_e was 0.998093"
+CLI_INFEASIBLE_ARGV = ["optimize", "--off-shape", "2.0", "--off-scale-min", "100.0",
+                       "--on-shape", "2.0", "--on-scale-min", "10.0", "--pe-th", "1e-6"]
+CLI_INFEASIBLE_DIGEST = "c958a2a03d0d909aa8daa9e92b85b945f5fd4631438687e323db0791ab5433d4"
 # the parity part G2 of every admissible code's binary generator, as uint8
 # bytes, n ascending and then k ascending
 BINARY_GENERATOR_DIGEST = "47bf1046db48156e04774c16fc97df5e73daa40743696bb991458daae84a7c10"
@@ -240,3 +250,16 @@ def test_cli_simulate_json_unchanged(tmp_path, capsys):
 def test_cli_sweep_csv_unchanged(vary, tmp_path, capsys):
     out = cli_sweep_stdout(vary, tmp_path, capsys)
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_SWEEP_DIGESTS[vary]
+
+
+def test_cli_optimize_json_unchanged(capsys):
+    assert cli.main(CLI_OPTIMIZE_ARGV) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_OPTIMIZE_DIGEST
+
+
+def test_cli_optimize_infeasible_line_unchanged(capsys):
+    assert cli.main(CLI_INFEASIBLE_ARGV) == cli.EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == CLI_INFEASIBLE_DIGEST

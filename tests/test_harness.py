@@ -74,6 +74,18 @@ def test_config_validation():
         _config(**{name: np.int64(16)})
     with pytest.raises(ParameterError, match="erasure_margin_bits must be an integer"):
         _config(erasure_margin_bits=float("inf"))
+    # the rate, the threshold and the noise level are real numbers, not bools
+    for name in ("rate", "pe_threshold", "noise_sigma"):
+        for bad in ("1e-3", None, True):
+            with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+                _config(**{name: bad})
+    _config(rate=np.float64(1e6), pe_threshold=np.float64(1e-3), noise_sigma=np.float64(0.0))
+    # the code is None or an (n, k) pair of integers that names an RS code
+    for bad in ((15, 9.0), (15.0, 9), (15, True), (15,), (15, 9, 3), "15,9", 15, (15, 8)):
+        with pytest.raises(ParameterError, match="code must be None or an"):
+            _config(code=bad)
+    _config(code=(np.int64(15), np.int64(9)))
+    _config(code=None)
 
 
 @st.composite

@@ -38,8 +38,15 @@ def test_code_parameter_validation():
         RsCode(7, 7)
     with pytest.raises(ParameterError):
         RsCode(7, -1)
+    # n and k are integers, not bools or floats of integral value
+    for n, k in ((15.0, 9), (15, 9.0), (15, True), (True, 1), ("15", 9)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            RsCode(n, k)
     code = RsCode(15, 9)
     assert (code.m, code.t) == (4, 3)
+    code = RsCode(np.int64(15), np.int64(9))
+    assert (code.n, code.k, code.m, code.t) == (15, 9, 4, 3)
+    assert all(type(v) is int for v in (code.n, code.k, code.m, code.t))
 
 
 def test_symbol_packing_pads_final_group():
