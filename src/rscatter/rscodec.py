@@ -11,11 +11,17 @@ Encoding is on the binary image of the code: the parity bits are the info
 bits times a fixed 0/1 matrix over GF(2), whose entries are gathered from
 the field's binary multiplication table at the logs of the closed Cauchy
 form of the code's systematic generator (Roth and Seroussi, IEEE Trans. IT
-31(6), 1985).  Decoding takes the syndromes S_j = r(alpha^j) straight
-from the field tables, then runs Berlekamp-Massey on Forney syndromes with
-erasure handling, and a Chien search and Forney's formula.  Every decoding
-step runs on the whole block at once, a row that has finished its own
-steps masked out; a decode failure is reported, never guessed.
+31(6), 1985).  Decoding is Forney's errors-and-erasures decoder, and it
+does only the work whose result is not known in advance.  The syndromes
+S_j = r(alpha^j) are on the binary image too: the received bits times the
+code's check image, a 0/1 matrix gathered from the same multiplication
+table.  Berlekamp-Massey runs only on the rows whose Forney syndromes are
+not all zero (the rest, erasure-only words among them, have the errors
+locator 1).  The Chien search evaluates the errata locator Psi alone at
+every position, and Forney's evaluator and Psi' are evaluated only at
+Psi's roots.  Each step runs on its rows of the block at once, a row that
+has finished its own steps masked out; a decode failure is reported,
+never guessed.
 
 All field arithmetic is numpy indexing into the one pair of log/exp tables
 that `gf2m.tables` builds per field.  This module also owns the one
@@ -82,6 +88,30 @@ def _mul_image(m):
     return image
 
 
+def _binary_image(m, logs):
+    """Binary image of the (rows, cols) matrix of field elements
+    alpha^logs (each log in 0..n-1), a (rows*m, cols*m) 0/1 float32 matrix:
+    row i*m + b holds, in columns j*m..j*m+m-1, the bits of
+    2^(m-1-b) * alpha^logs[i, j], gathered from _mul_image with one take
+    per bit b."""
+    rows, cols = logs.shape
+    image = _mul_image(m)
+    out = np.empty((rows, m, cols, m), dtype=np.float32)
+    for b in range(m):
+        np.take(image[b], logs, axis=0, out=out[:, b])
+    return out.reshape(rows * m, cols * m)
+
+
+@lru_cache(maxsize=None)
+def _symbol_image(m):
+    """Bits of every symbol of GF(2^m), a (2^m, m) read-only float32 array:
+    row s holds the bits of s, most significant first."""
+    weights = _bit_weights(m)
+    image = ((np.arange(1 << m)[:, None] & weights) != 0).astype(np.float32)
+    image.flags.writeable = False
+    return image
+
+
 class RsCode:
     """An (n, k) Reed-Solomon code with derived correction capability t."""
 
@@ -103,13 +133,6 @@ class RsCode:
         self._tables = tables(self.m)
 
     @cached_property
-    def _locator_powers(self):
-        """Entry [j-1, i] is the log of X_i^j, as a value in 1..n, for the
-        locator X_i = alpha^(n-1-i) of position i and j = 1..n-k."""
-        powers = np.arange(1, self.n - self.k + 1)[:, None] * np.arange(1, self.n + 1)
-        return (self.n - powers % self.n).astype(np.int16)
-
-    @cached_property
     def binary_generator(self):
         """Parity part of the binary image, a (k*m, (n-k)*m) 0/1 float32 matrix.
 
@@ -125,9 +148,8 @@ class RsCode:
         j = 1..n-k (Roth and Seroussi, "On generator matrices of MDS codes",
         IEEE Trans. IT 31(6), 1985).  Bit b of symbol i is the element
         2^(m-1-b), so row i*m + b holds the bits of 2^(m-1-b) times that
-        entry.  Every product is a sum of logs, and the bits of each are
-        gathered from the field's multiplication image (_mul_image), one
-        take per info bit b.
+        entry.  Every product is a sum of logs, and _binary_image gathers
+        the bits of each.
         """
         n, m, k = self.n, self.m, self.k
         log, expt = self._tables
@@ -138,12 +160,23 @@ class RsCode:
         la = ls[:k].sum(axis=1)  # log A_i
         lb = ls[k:].sum(axis=1) - 2 * n  # log B_p, without the diagonal
         lp = (lx[:k, None] + la[:, None] - lx[k:] - lb - ls[:k]) % n
-        # row i*m + b, parity symbol p: the bits of 2^(m-1-b) * alpha^lp[i, p]
-        image = _mul_image(m)
-        out = np.empty((k, m, n - k, m), dtype=np.float32)
-        for b in range(m):
-            np.take(image[b], lp, axis=0, out=out[:, b])
-        return out.reshape(k * m, (n - k) * m)
+        return _binary_image(m, lp)
+
+    @cached_property
+    def check_image(self):
+        """Binary image of the syndrome map, an (n*m, (n-k)*m) 0/1 float32
+        matrix: a word's syndrome bits are its bits times this matrix, mod 2.
+
+        Row i*m + b holds the bits of S_1..S_(n-k) of the word whose only
+        nonzero bit is bit b (MSB first) of symbol i.  That word's S_j is
+        2^(m-1-b) X_i^j with X_i = alpha^(n-1-i), so, as in
+        binary_generator, _binary_image gathers it at the logs of X_i^j.
+        It holds n*m*(n-k)*m*4 bytes: 308 KB at RS(63,29), 3.1 MB at
+        RS(127,1).
+        """
+        n, m, d = self.n, self.m, self.n - self.k
+        # log X_i^j for position i and j = 1..n-k
+        return _binary_image(m, np.arange(n - 1, -1, -1)[:, None] * np.arange(1, d + 1) % n)
 
     def __repr__(self):
         return f"RsCode(n={self.n}, k={self.k})"
@@ -171,13 +204,15 @@ def encode_bits(code, info_bits):
 
 def _syndromes(code, words):
     """S_1..S_(n-k) of one n-symbol word, or of each row of a (rows, n)
-    array: S_j = r(alpha^j) = sum_i r_i X_i^j."""
-    log, expt = code._tables
-    # int16 keeps the (rows, n-k, n) index block small: a nonzero symbol's
-    # index is below 2n, inside the doubled exp table, and a zero's (log
-    # 2n) at most 3n, inside the zero block
-    powers = log[words].astype(np.int16)[..., None, :] + code._locator_powers
-    return np.bitwise_xor.reduce(expt[powers], axis=-1)
+    array, on the binary image: the words' bits times the code's check
+    image, mod 2, packed m bits per syndrome."""
+    n, m, d = code.n, code.m, code.n - code.k
+    words = np.asarray(words)
+    rows = words.shape[:-1]
+    bits = np.take(_symbol_image(m), words, axis=0).reshape(rows + (n * m,))
+    # float32 sums are exact: each is at most n*m <= 889 < 2**24
+    sums = (bits @ code.check_image).astype(np.uint16).reshape(rows + (d, m))
+    return ((sums & 1) @ _bit_weights(m)).astype(np.uint8)
 
 
 def _poly_mul(code, a, b, width):
@@ -222,16 +257,15 @@ def _berlekamp_massey(code, seqs, lengths):
     return lam
 
 
-def _eval_at_positions(code, polys):
-    """Ascending-coefficient polynomials (..., width) at the inverse locator
-    X_i^-1 = alpha^(i+1) of every position i, by one Horner pass over all
-    positions: the result is (..., n)."""
+def _eval_at(code, polys, log_x):
+    """Ascending-coefficient polynomials (..., width) at the points
+    alpha^log_x by Horner's rule; log_x broadcasts against polys' leading
+    axes, and so does the result."""
     log, expt = code._tables
-    log_x = np.arange(1, code.n + 1) % code.n
-    acc = np.zeros(polys.shape[:-1] + (code.n,), dtype=np.uint8)
+    acc = np.zeros(np.broadcast_shapes(polys.shape[:-1], np.shape(log_x)), dtype=np.uint8)
     for j in range(polys.shape[-1] - 1, -1, -1):
         # a zero accumulator's index is at most 3n, inside the zero block
-        acc = expt[log[acc] + log_x] ^ polys[..., j, None]
+        acc = expt[log[acc] + log_x] ^ polys[..., j]
     return acc
 
 
@@ -257,6 +291,9 @@ def decode_block(code, words, erased):
     log, expt = code._tables
     info = words[:, :k].copy()
     f = erased.sum(axis=1)
+    # the syndromes are on the binary image (code.check_image); a row whose
+    # syndromes are all zero, or that has more than n - k erasures, takes
+    # none of the steps below
     synd = _syndromes(code, words)
     ok = (f <= d) & ~synd.any(axis=1)
     rows = np.flatnonzero((f <= d) & synd.any(axis=1))
@@ -278,24 +315,36 @@ def decode_block(code, words, erased):
     # erasure term and obey the errors-only locator
     at = f[:, None] + np.arange(d)
     seqs = np.where(at < d, np.take_along_axis(_poly_mul(code, gamma, synd, d), at % d, 1), 0)
-    lam = _berlekamp_massey(code, seqs, d - f)
+    # a row whose Forney syndromes are all zero, an erasure-only word among
+    # them, has no discrepancy, so its errors locator is 1: Berlekamp-Massey
+    # runs on the other rows only
+    lam = np.zeros((len(rows), (d - f).max() + 1), dtype=np.uint8)
+    lam[:, 0] = 1
+    busy = np.flatnonzero(seqs.any(axis=1))
+    if busy.size:
+        found = _berlekamp_massey(code, seqs[busy], d - f[busy])
+        lam[busy, : found.shape[1]] = found
     e = lam.shape[1] - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)  # lam[:, 0] is 1
     good = 2 * e <= d - f
 
-    # joint errata locator Psi, Forney's evaluator Omega = S(x) Psi(x)
-    # mod x^d, and the formal derivative of Psi, which keeps its odd terms
-    # only; then the Chien search for the roots of Psi and the Forney
-    # magnitudes Omega(X^-1) / Psi'(X^-1) at them
+    # joint errata locator Psi and the Chien search for its roots at the
+    # inverse locators X_i^-1 = alpha^(i+1) of every position
     width = int((e + f)[good].max(initial=0)) + 1
-    polys = np.zeros((3, len(rows), max(width, d)), dtype=np.uint8)
-    polys[0, :, :width] = _poly_mul(code, gamma, lam, width)
-    polys[1, :, :d] = _poly_mul(code, polys[0, :, :width], synd, d)
-    polys[2, :, : width - 1 : 2] = polys[0, :, 1:width:2]
-    psi, num, den = _eval_at_positions(code, polys)
-    roots = psi == 0
-    good &= (roots.sum(axis=1) == e + f) & ~(roots & (den == 0)).any(axis=1)
-    fix = roots & good[:, None]
-    rx[fix] ^= expt[log[num[fix]] + n - log[den[fix]]]
+    psi = _poly_mul(code, gamma, lam, width)
+    roots = _eval_at(code, psi[:, None, :], np.arange(1, n + 1) % n) == 0
+    good &= roots.sum(axis=1) == e + f
+
+    # Forney's magnitudes Omega(X^-1) / Psi'(X^-1), with the evaluator
+    # Omega = S(x) Psi(x) mod x^d and the formal derivative of Psi, which
+    # keeps its odd terms only, evaluated only at the roots of the rows
+    # still good.  Psi' is nonzero there: such a row's Psi has degree
+    # e + f and e + f distinct roots, so every root is simple
+    polys = np.zeros((2, len(rows), d), dtype=np.uint8)  # width - 1 <= d
+    polys[0] = _poly_mul(code, psi, synd, d)
+    polys[1, :, : width - 1 : 2] = psi[:, 1:width:2]
+    row, col = np.nonzero(roots & good[:, None])
+    num, den = _eval_at(code, polys[:, row], (col + 1) % n)
+    rx[row, col] ^= expt[log[num] + n - log[den]]
 
     good[good] = ~_syndromes(code, rx[good]).any(axis=1)
     info[rows[good]] = rx[good, :k]

@@ -184,6 +184,28 @@ def test_binary_syndromes_match_horner_reference():
             assert _syndromes(code, np.array(words)).tolist() == expected
             info = np.array([_random_info(rng, code) for _ in range(3)])
             assert not _syndromes(code, _codewords(code, info)).any()
+            # a block of no rows has no syndromes
+            assert _syndromes(code, np.zeros((0, n), dtype=np.int64)).shape == (0, n - k)
+
+
+def test_check_image_rows_are_unit_word_syndromes():
+    # row i of the check image holds the syndrome bits of the word whose
+    # only set bit is bit i: bit b = i % m (MSB first) of symbol p = i // m,
+    # the one-term polynomial v x^(n-1-p) with v = 2^(m-1-b), whose S_j is
+    # v (alpha^j)^(n-1-p)
+    for n in ADMISSIBLE_N:
+        m = n.bit_length()
+        powers = [gf_pow(m, 2, e) for e in range(n)]
+        for k in (1, n - 2):
+            code = RsCode(n, k)
+            image = code.check_image
+            assert image.shape == (n * m, (n - k) * m) and image.dtype == np.float32
+            expected = [
+                [gf_mul(m, 1 << (m - 1 - i % m), powers[j * (n - 1 - i // m) % n])
+                 for j in range(1, n - k + 1)]
+                for i in range(n * m)
+            ]
+            assert (image == _to_bits(np.array(expected), m)).all()
 
 
 def test_decode_clean_word_roundtrip():
@@ -305,28 +327,50 @@ def test_large_code_random_stress_within_capacity():
             assert _decodes_to(code, words, erased, info)
 
 
-@given(st.integers(3, 7), st.integers(1, 6), st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_decode_block_matches_scalar_oracle(m, rows, seed):
-    # random codes and blocks with up to n - k + 2 erasures and t + 2
-    # errors, so that many rows are past capacity
-    rng = np.random.default_rng(seed)
-    n = (1 << m) - 1
-    code = RsCode(n, 2 * int(rng.integers(0, (n - 1) // 2)) + 1)
-    d = n - code.k
+def _mixed_block(rng, code, rows):
+    """A (rows, n) block of received words and its erasure mask whose rows
+    cycle, in a shuffled order, through four kinds: clean codewords,
+    erasures only (their Forney syndromes are zero), errors within
+    capacity with or without erasures, and words past capacity."""
+    n, d = code.n, code.n - code.k
     words = _codewords(code, rng.integers(0, n + 1, size=(rows, code.k)))
     erased = np.zeros(words.shape, dtype=bool)
-    for row in range(rows):
-        f = min(int(rng.integers(0, d + 3)), n)
-        e = min(int(rng.integers(0, code.t + 3)), n - f)
+    for row, kind in enumerate(rng.permutation(np.arange(rows) % 4)):
+        if kind == 0:
+            continue
+        if kind == 1:
+            f, e = int(rng.integers(1, d + 1)), 0
+        elif kind == 2:
+            f = int(rng.integers(0, d - 1))
+            e = int(rng.integers(1, (d - f) // 2 + 1))
+        else:
+            f = min(int(rng.integers(0, d + 3)), n)
+            e = min(max(0, (d - f) // 2 + 1 + int(rng.integers(0, 3))), n - f)
         positions = rng.choice(n, size=f + e, replace=False)
         erased[row, positions[:f]] = True
         words[row, positions[:f]] = rng.integers(0, n + 1, size=f)
         words[row, positions[f:]] ^= rng.integers(1, n + 1, size=e)
+    return words, erased
+
+
+@given(st.integers(3, 7), st.integers(1, 128), st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_decode_block_matches_scalar_oracle(m, rows, seed):
+    # random codes and blocks of up to 128 rows mixing the four kinds of
+    # _mixed_block: each row decodes as the scalar oracle decodes it, and
+    # as the decoder decodes it alone, so the rows that skip
+    # Berlekamp-Massey and the roots-only Forney step cannot disturb the
+    # indexing of the others
+    rng = np.random.default_rng(seed)
+    n = (1 << m) - 1
+    code = RsCode(n, 2 * int(rng.integers(0, (n - 1) // 2)) + 1)
+    words, erased = _mixed_block(rng, code, rows)
     out, ok = decode_block(code, words, erased)
     for word, flags, got, good in zip(words, erased, out, ok):
         expected = rs_decode(n, code.k, word, np.flatnonzero(flags))
         assert (got.tolist() if good else None) == expected
+        alone, alone_ok = decode_block(code, word[None], flags[None])
+        assert alone_ok[0] == good and (alone[0] == got).all()
 
 
 def test_decode_validates_inputs():
