@@ -3,8 +3,8 @@
 The on/off excitation process is reduced to per-symbol transition
 probabilities alpha (on->off) and beta (off->on); the stationary off
 fraction alpha/(alpha+beta) is the average symbol error rate of the
-uncoded link.  Masks can be drawn either from the Markov chain itself or
-directly from Pareto on/off gates.
+uncoded link.  Erasure masks for Monte Carlo are drawn from Pareto on/off
+gates.
 """
 
 import math
@@ -14,7 +14,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, InfiniteMeanError, ParameterError
 from .traffic import pareto_mean, pareto_sample
 
 # Most on/off runs one gate may hold: the draw loop reaches it in about 1.5 s
@@ -52,7 +52,7 @@ def markov_from_stats(stats, rate):
     try:
         mean_on = pareto_mean(stats.on)
         mean_off = pareto_mean(stats.off)
-    except Exception as exc:
+    except InfiniteMeanError as exc:
         raise InfeasibleError(f"channel infeasible: {exc}") from exc
     r_us = rate / 1e6
     alpha = r_us / mean_on
@@ -161,8 +161,8 @@ def _run_bounds(gates):
     an empty off run: its bounds 0, d0, d0 + d1, ..., then inf.  An even
     entry count puts each gate's run j at a flat index of j's parity, and
     its region past the last bound at an even (on) one.  Entry i of the off
-    time is the off time before bounds 2i and 2i + 1, np.interp's value
-    there.
+    time is the off time before bounds 2i and 2i + 1, so the off time
+    before run j is entry j // 2.
     """
     gates = [np.asarray(g, dtype=float) for g in gates]
     ends = list(accumulate(len(g) + len(g) % 2 + 2 for g in gates))
@@ -172,34 +172,19 @@ def _run_bounds(gates):
     return bounds, off, [end - 2 for end in ends]
 
 
-def _interp(x, bounds, off, j):
-    """np.interp(x, bounds, off.repeat(2)) at points x of run j (bounds[j]
-    <= x < bounds[j + 1]), by np.interp's own formula and special cases."""
-    b0, b1, f0, f1 = bounds[j], bounds[j + 1], off[j >> 1], off[(j + 1) >> 1]
-    slope = (f1 - f0) / (b1 - b0)
-    out = np.where(x == b0, f0, slope * (x - b0) + f0)
-    bad = np.isnan(out)
-    if bad.any():
-        out[bad] = (slope * (x - b1) + f1)[bad]
-        still = bad & np.isnan(out) & (f0 == f1)
-        out[still] = f0[still]
-    return out
-
-
 def erasure_mask_from_gate(gates, rate, n_symbols):
     """Lost-symbol masks of a block of gates, one row per gate: a symbol is
     erased iff its transmit interval overlaps an off run of the gate (a
     partially-lost symbol counts as lost).
 
     gates is a sequence of on-first duration arrays; the result is a
-    (len(gates), n_symbols) bool array.  Each row is the np.interp form:
-    the off time before each symbol edge, interpolated over the gate's run
-    bounds, rises by more than period * 1e-9 over an erased symbol.  The
-    work is O(runs) plus one pass over the block's symbols.  A symbol whose
-    edges lie in one run is erased iff that run is off: np.interp gives
-    both edges the run's start value in an on run, and values a period
-    apart in an off run.  Only a symbol whose interval holds a run bound is
-    interpolated, at both edges.
+    (len(gates), n_symbols) bool array.  A symbol is erased iff the off
+    time before its right edge exceeds that before its left edge by more
+    than period * 1e-9.  The work is O(runs) plus one pass over the
+    block's symbols.  A symbol whose edges lie in one run is erased iff
+    that run is off.  Only at the edges of a symbol whose interval holds a
+    run bound is the off time read: the off time before the edge's run j,
+    plus the edge's time into the run when j is odd (an off run).
     """
     if not (math.isfinite(rate) and rate > 0):
         raise ParameterError(f"rate must be finite and > 0, got {rate}")
@@ -225,8 +210,11 @@ def erasure_mask_from_gate(gates, rate, n_symbols):
     # a straddled bit's right edge lies in the run of the next group's end
     left, right = group_end[:-1][inner[:-1]], group_end[1:][inner[:-1]]
     bit = stop[inner] - 1
-    at = _interp(edges[np.concatenate([bit, bit + 1])], bounds, off,
-                 np.concatenate([left, right]))
+    # the off time before each such edge: the off time before its run,
+    # plus its time into the run if that run is odd (off)
+    run = np.concatenate([left, right])
+    x = edges[np.concatenate([bit, bit + 1])]
+    at = off[run >> 1] + (x - bounds[run]) * (run & 1)
 
     # per group: the bits of its last bound's run, erased iff that run is
     # odd (off), then the bit straddling the next bound, if any
@@ -237,29 +225,3 @@ def erasure_mask_from_gate(gates, rate, n_symbols):
     lengths[0::2] = stop - start - 1
     lengths[1::2] = inner
     return values.repeat(lengths).reshape(len(last), n_symbols)
-
-
-def erasure_mask_markov(rng, ch, n_symbols):
-    """Simulate the per-symbol chain from its stationary distribution; True
-    marks a symbol sent in the off state.
-
-    Sojourn times in each state are geometric, so the chain is generated
-    run-by-run; the first run is a fresh geometric draw by memorylessness.
-    """
-    if n_symbols <= 0:
-        return np.empty(0, dtype=bool)
-    p_off = symbol_error_rate(ch) if (ch.alpha + ch.beta) > 0 else 0.0
-    state_off = bool(rng.random() < p_off)
-    flags = []
-    covered = 0
-    while covered < n_symbols:
-        p_leave = ch.beta if state_off else ch.alpha
-        if p_leave <= 0.0:
-            run = n_symbols - covered
-        else:
-            run = int(rng.geometric(p_leave))
-        run = min(run, n_symbols - covered)
-        flags.append(np.full(run, state_off))
-        covered += run
-        state_off = not state_off
-    return np.concatenate(flags)

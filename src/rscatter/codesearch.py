@@ -1,10 +1,11 @@
 """Heuristic selection of the rate-maximal RS code meeting a reliability
 threshold.
 
-For each admissible codeword length n = 2^m - 1 (m in 3..7), k is scanned
-down the odd values n-2, n-4, ... and the scan stops at the first k whose
-predicted post-decode error rate (`channel.post_decode_error_rate`) stays
-at or below the threshold.  That k is the largest feasible one, since the
+For each admissible codeword length n = 2^m - 1 (`rscodec.ADMISSIBLE_N`,
+one per field of `gf2m.PRIMITIVE_POLYS`), k is scanned down the odd
+values n-2, n-4, ... and the scan stops at the first k whose predicted
+post-decode error rate (`channel.post_decode_error_rate`) stays at or
+below the threshold.  That k is the largest feasible one, since the
 binomial tail is monotone in the correction capability t = (n - k) / 2.
 The per-length winners then compete on rate k/n, ties broken toward larger
 n (better burst spanning).  The tests check the scan against an oracle
@@ -16,9 +17,8 @@ from fractions import Fraction
 
 from .channel import markov_from_stats, post_decode_error_rate, symbol_error_rate
 from .errors import InfeasibleError, ParameterError
-from .rscodec import RsCode
+from .rscodec import ADMISSIBLE_N, RsCode
 
-CANDIDATE_M = (3, 4, 5, 6, 7)
 DEFAULT_PE_THRESHOLD = 1e-3
 
 
@@ -45,8 +45,7 @@ def optimize_for_ps(p_s, pe_threshold=DEFAULT_PE_THRESHOLD):
         raise ParameterError(f"p_s must be in [0, 1], got {p_s}")
     winners = []
     least_pe = 1.0
-    for m in CANDIDATE_M:
-        n = (1 << m) - 1
+    for n in ADMISSIBLE_N:
         for k in range(n - 2, 0, -2):
             code = RsCode(n, k)
             pe = post_decode_error_rate(code, p_s)

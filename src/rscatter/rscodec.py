@@ -48,26 +48,28 @@ def _bit_weights(m):
 
 
 def _in_range(values, top, what):
-    """values as an array; ParameterError unless every entry is in 0..top."""
+    """values as an array; ParameterError unless every entry is a whole
+    number in 0..top.  Only a non-integer dtype is checked for fractions."""
     values = np.asarray(values)
-    if not ((values >= 0) & (values <= top)).all():
-        raise ParameterError(f"{what} must be in 0..{top}")
+    whole = values.dtype.kind in "biu" or (values == np.trunc(values)).all()
+    if not (whole and ((values >= 0) & (values <= top)).all()):
+        raise ParameterError(f"{what} must be whole numbers in 0..{top}")
     return values
 
 
 def bits_to_symbols(bits, m):
-    """Big-endian grouping of m bits per symbol; final group zero-padded."""
+    """Big-endian grouping of m bits per symbol; the bit count must be a
+    multiple of m."""
     weights = _bit_weights(m)
     bits = _in_range(bits, 1, "bits").astype(np.uint8)
-    pad = (-bits.size) % m
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+    if bits.size % m:
+        raise ParameterError(f"{bits.size} bits are not whole {m}-bit symbols")
     return bits.reshape(-1, m) @ weights
 
 
 def symbols_to_bits(symbols, m):
-    """Inverse of bits_to_symbols (padding bits are kept; the frame length
-    field is what lets a parser strip them)."""
+    """Inverse of bits_to_symbols: m bits per symbol, most significant
+    first."""
     weights = _bit_weights(m)
     symbols = _in_range(symbols, (1 << m) - 1, f"GF(2^{m}) symbols").astype(np.int64)
     return ((symbols[..., None] & weights) != 0).astype(np.uint8).ravel()
@@ -193,9 +195,7 @@ def encode_bits(code, info_bits):
     width = code.k * code.m
     if info_bits.ndim != 2 or info_bits.shape[1] != width:
         raise ParameterError(f"info_bits must have shape (blocks, {width})")
-    if info_bits.size and (info_bits.min() < 0 or info_bits.max() > 1):
-        raise ParameterError("info_bits must be 0 or 1")
-    info_bits = info_bits.astype(np.uint8, copy=False)
+    info_bits = _in_range(info_bits, 1, "info_bits").astype(np.uint8, copy=False)
     # float32 sums are exact: each is at most k*m <= 875 < 2**24
     parity = info_bits.astype(np.float32) @ code.binary_generator
     parity_bits = (parity.astype(np.uint16) & 1).astype(np.uint8)

@@ -55,23 +55,6 @@ class DurationTrace:
             raise ParameterError("all durations must be finite and positive")
 
 
-def pareto_pdf(tau, p):
-    """Density shape * scale^shape / tau^(shape+1) for tau >= scale, else 0."""
-    tau = np.asarray(tau, dtype=float)
-    out = np.where(
-        tau >= p.scale_min,
-        p.shape * p.scale_min**p.shape / np.maximum(tau, p.scale_min) ** (p.shape + 1),
-        0.0,
-    )
-    return float(out) if out.ndim == 0 else out
-
-
-def pareto_cdf(tau, p):
-    tau = np.asarray(tau, dtype=float)
-    out = np.where(tau >= p.scale_min, 1.0 - (p.scale_min / np.maximum(tau, p.scale_min)) ** p.shape, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def pareto_sample(rng, p, size=None):
     """Inverse-CDF sampler: scale * U^(-1/shape) with U uniform on (0, 1]."""
     u = 1.0 - rng.random(size)  # (0, 1]
@@ -99,18 +82,6 @@ def mle_fit(samples):
     if denom <= 0:
         raise DegenerateTraceError("all samples equal; shape estimate is undefined")
     return ParetoParams(shape=x.size / denom, scale_min=scale)
-
-
-def log_likelihood(samples, p):
-    """Pareto log-likelihood of a sample set; -inf if any sample < scale_min."""
-    x = np.asarray(samples, dtype=float)
-    if np.any(x < p.scale_min):
-        return -math.inf
-    return (
-        x.size * math.log(p.shape)
-        + x.size * p.shape * math.log(p.scale_min)
-        - (p.shape + 1.0) * float(np.sum(np.log(x)))
-    )
 
 
 def fit_stats(trace):

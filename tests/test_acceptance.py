@@ -16,6 +16,7 @@ from math import comb
 import numpy as np
 import pytest
 from gf_oracle import brute_force_search
+from traffic_oracle import log_likelihood
 
 from rscatter import channel, cli, codesearch, harness, phy, rscodec, traffic
 from rscatter.errors import InfeasibleError
@@ -121,10 +122,10 @@ def test_criterion_3_mle_recovery():
         fit = traffic.mle_fit(x)
         ok = ok and abs(fit.shape - 2.5) / 2.5 <= 0.02
         ok = ok and fit.scale_min == float(x.min())
-        best = traffic.log_likelihood(x, fit)
+        best = log_likelihood(x, fit)
         for factor in (0.9, 1.1):
             other = traffic.ParetoParams(fit.shape * factor, fit.scale_min)
-            ok = ok and best >= traffic.log_likelihood(x, other)
+            ok = ok and best >= log_likelihood(x, other)
     _verdict("3 mle-recovery", ok)
 
 

@@ -12,7 +12,6 @@ from rscatter.channel import (
     MarkovChannel,
     binomial_tail,
     erasure_mask_from_gate,
-    erasure_mask_markov,
     gate_durations,
     markov_from_stats,
     post_decode_error_rate,
@@ -65,6 +64,12 @@ def test_markov_from_stats_infinite_mean_is_infeasible():
     stats = _stats(0.9, 10.0, 2.0, 100.0)
     with pytest.raises(InfeasibleError):
         markov_from_stats(stats, rate=1e6)
+
+
+def test_markov_from_stats_malformed_stats_is_not_infeasible():
+    # a programming error must not read as an infeasible channel
+    with pytest.raises(AttributeError):
+        markov_from_stats(None, rate=1e6)
 
 
 def test_stationary_error_rate():
@@ -157,6 +162,32 @@ def _reference_erasure_mask(durations, rate, n_symbols):
     return np.diff(np.interp(edges, bounds, off_cum)) > period_us * 1e-9
 
 
+def _markov_mask(rng, ch, n_symbols):
+    """Simulate the per-symbol chain from its stationary distribution; True
+    marks a symbol sent in the off state.
+
+    Sojourn times in each state are geometric, so the chain is generated
+    run-by-run; the first run is a fresh geometric draw by memorylessness.
+    """
+    if n_symbols <= 0:
+        return np.empty(0, dtype=bool)
+    p_off = symbol_error_rate(ch) if (ch.alpha + ch.beta) > 0 else 0.0
+    state_off = bool(rng.random() < p_off)
+    flags = []
+    covered = 0
+    while covered < n_symbols:
+        p_leave = ch.beta if state_off else ch.alpha
+        if p_leave <= 0.0:
+            run = n_symbols - covered
+        else:
+            run = int(rng.geometric(p_leave))
+        run = min(run, n_symbols - covered)
+        flags.append(np.full(run, state_off))
+        covered += run
+        state_off = not state_off
+    return np.concatenate(flags)
+
+
 def test_erasure_mask_from_gate_oracle():
     # on 3 us, off 2 us, on 5 us at 1 symbol/us: symbols 0-2 clean,
     # 3-4 erased, 5-9 clean (symbol 4 ends exactly at the off/on edge)
@@ -230,7 +261,7 @@ def test_erasure_mask_block_matches_per_gate_interp(rate, n_symbols, kinds, seed
 def test_markov_mask_statistics():
     ch = MarkovChannel(alpha=0.02, beta=0.2)
     rng = np.random.default_rng(1)
-    erased = np.concatenate([erasure_mask_markov(rng, ch, 5000) for _ in range(40)])
+    erased = np.concatenate([_markov_mask(rng, ch, 5000) for _ in range(40)])
     target = symbol_error_rate(ch)
     sd = np.sqrt(target * (1 - target) / erased.size)
     # correlated samples: allow a wide multiple of the i.i.d. deviation
@@ -240,8 +271,8 @@ def test_markov_mask_statistics():
 def test_markov_mask_degenerate_chains():
     rng = np.random.default_rng(2)
     always_on = MarkovChannel(alpha=0.0, beta=1.0)
-    assert not erasure_mask_markov(rng, always_on, 500).any()
-    assert len(erasure_mask_markov(rng, always_on, 0)) == 0
+    assert not _markov_mask(rng, always_on, 500).any()
+    assert len(_markov_mask(rng, always_on, 0)) == 0
 
 
 def test_predicted_error_rate_matches_markov_mask_overflow():
@@ -256,7 +287,7 @@ def test_predicted_error_rate_matches_markov_mask_overflow():
     rng = np.random.default_rng(3)
     trials = 20_000
     hits = sum(
-        int(erasure_mask_markov(rng, ch, code.n).sum() > code.t)
+        int(_markov_mask(rng, ch, code.n).sum() > code.t)
         for _ in range(trials)
     )
     measured = hits / trials
@@ -265,7 +296,7 @@ def test_predicted_error_rate_matches_markov_mask_overflow():
 
     bursty = MarkovChannel(alpha=0.05, beta=0.45)
     hits = sum(
-        int(erasure_mask_markov(rng, bursty, code.n).sum() > code.t)
+        int(_markov_mask(rng, bursty, code.n).sum() > code.t)
         for _ in range(trials)
     )
     same_ps_tail = post_decode_error_rate(code, symbol_error_rate(bursty))

@@ -49,23 +49,24 @@ def test_code_parameter_validation():
     assert all(type(v) is int for v in (code.n, code.k, code.m, code.t))
 
 
-def test_symbol_packing_pads_final_group():
-    # 7 bits at m=3: 3 symbols, the last padded with 2 zero bits
-    bits = [1, 0, 1, 1, 1, 0, 1]
+def test_symbol_packing_rejects_partial_group():
+    # 9 bits at m=3 are 3 symbols; 7 bits leave a partial last group
+    bits = [1, 0, 1, 1, 1, 0, 1, 0, 0]
     syms = bits_to_symbols(bits, 3)
     assert syms.tolist() == [0b101, 0b110, 0b100]
-    back = symbols_to_bits(syms, 3)
-    assert back[:7].tolist() == bits
-    assert back[7:].tolist() == [0, 0]
+    assert symbols_to_bits(syms, 3).tolist() == bits
+    for partial in (bits[:7], bits[:1]):
+        with pytest.raises(ParameterError):
+            bits_to_symbols(partial, 3)
 
 
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=200), st.integers(3, 7))
 @settings(max_examples=60)
 def test_symbol_packing_roundtrip_property(bits, m):
+    bits = bits[: len(bits) - len(bits) % m]  # whole symbols
     syms = bits_to_symbols(bits, m)
-    back = symbols_to_bits(syms, m)
-    assert back[: len(bits)].tolist() == bits
-    assert not back[len(bits) :].any()
+    assert len(syms) == len(bits) // m
+    assert symbols_to_bits(syms, m).tolist() == bits
 
 
 def test_symbol_packing_validates_m():
@@ -77,10 +78,10 @@ def test_symbol_packing_validates_m():
 
 def test_symbol_packing_validates_values():
     # each would otherwise be cast to a wrong symbol or lose bits silently
-    for bits in ([2, 0, 0], np.array([-1, 0, 0]), [0.0, np.nan, 1.0]):
+    for bits in ([2, 0, 0], np.array([-1, 0, 0]), [0.0, np.nan, 1.0], [0.5, 1, 0.9]):
         with pytest.raises(ParameterError):
             bits_to_symbols(bits, 3)
-    for symbols in ([9], [-1], np.array([[1, 8]])):
+    for symbols in ([9], [-1], np.array([[1, 8]]), [2.7]):
         with pytest.raises(ParameterError):
             symbols_to_bits(symbols, 3)
     assert symbols_to_bits([7, 0], 3).tolist() == [1, 1, 1, 0, 0, 0]
@@ -159,6 +160,8 @@ def test_encode_bits_validates_shape_and_range():
         encode_bits(code, np.full((2, 9), 2))
     with pytest.raises(ParameterError):
         encode_bits(code, np.full((2, 9), -1))
+    with pytest.raises(ParameterError):
+        encode_bits(code, np.full((2, 9), 0.5))
     assert encode_bits(code, np.zeros((0, 9), dtype=np.uint8)).shape == (0, 21)
 
 
@@ -384,6 +387,7 @@ def test_decode_validates_inputs():
         (clean, none.astype(np.int64)),  # mask not boolean
         (np.where(none, 0, 8), none),  # symbol above n
         (np.where(none, 0, -1), none),  # negative symbol
+        (clean + (np.arange(7) == 2) * 0.4, none),  # fractional symbol
     ]:
         with pytest.raises(ParameterError):
             decode_block(code, words, erased)
