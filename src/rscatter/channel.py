@@ -10,6 +10,7 @@ gates.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain
 
 import numpy as np
@@ -75,16 +76,20 @@ def symbol_error_rate(ch):
     return ch.alpha / (ch.alpha + ch.beta)
 
 
+@lru_cache(maxsize=32)
+def _log_factorials(n):
+    """log j! = lgamma(j + 1) for j = 0..n, as a tuple."""
+    return tuple(math.lgamma(j + 1) for j in range(n + 1))
+
+
 def _log_binom_tail(n, t, p):
     """log-space sum_{i=t+1}^{n} C(n,i) p^i (1-p)^(n-i)."""
     if t >= n:
         return 0.0
     lp = math.log(p)
     lq = math.log1p(-p)
-    terms = [
-        math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * lp + (n - i) * lq
-        for i in range(t + 1, n + 1)
-    ]
+    lf = _log_factorials(n)
+    terms = [lf[n] - lf[i] - lf[n - i] + i * lp + (n - i) * lq for i in range(t + 1, n + 1)]
     hi = max(terms)
     return math.exp(hi) * math.fsum(math.exp(v - hi) for v in terms)
 

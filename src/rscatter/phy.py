@@ -17,6 +17,7 @@ noise, Q noise).
 
 import binascii
 import struct
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,8 +141,17 @@ def scramble(bits):
     zeros.  Erasure flagging can therefore flag legal zeros.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    n = bits.shape[-1]
-    return bits ^ np.tile(_SCRAMBLER, -(-n // _SCRAMBLER.size))[:n]
+    return bits ^ _pn_sequence(bits.shape[-1])
+
+
+# room for every length of a parity sweep at n = 127 (k*m for 63 values of
+# k, and n*m) besides the frame and codeword lengths of a link
+@lru_cache(maxsize=128)
+def _pn_sequence(n):
+    """The first n bits of the tiled PN sequence, a read-only array."""
+    pn = np.tile(_SCRAMBLER, -(-n // _SCRAMBLER.size))[:n]
+    pn.flags.writeable = False
+    return pn
 
 
 def _waveform(samples, ndim=None):

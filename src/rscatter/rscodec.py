@@ -58,21 +58,31 @@ def _in_range(values, top, what):
 
 
 def bits_to_symbols(bits, m):
-    """Big-endian grouping of m bits per symbol; the bit count must be a
-    multiple of m."""
+    """Big-endian grouping of m bits per symbol, flattened; each row (the
+    last axis) must hold whole symbols."""
     weights = _bit_weights(m)
     bits = _in_range(bits, 1, "bits").astype(np.uint8)
-    if bits.size % m:
-        raise ParameterError(f"{bits.size} bits are not whole {m}-bit symbols")
+    width = bits.shape[-1] if bits.ndim else bits.size
+    if width % m:
+        raise ParameterError(f"{width} bits per row are not whole {m}-bit symbols")
     return bits.reshape(-1, m) @ weights
 
 
 def symbols_to_bits(symbols, m):
     """Inverse of bits_to_symbols: m bits per symbol, most significant
-    first."""
-    weights = _bit_weights(m)
-    symbols = _in_range(symbols, (1 << m) - 1, f"GF(2^{m}) symbols").astype(np.int64)
-    return ((symbols[..., None] & weights) != 0).astype(np.uint8).ravel()
+    first, flattened."""
+    table = _symbol_bits(m)
+    symbols = _in_range(symbols, (1 << m) - 1, f"GF(2^{m}) symbols")
+    return np.take(table, symbols.astype(np.intp, copy=False), axis=0).ravel()
+
+
+@lru_cache(maxsize=None)
+def _symbol_bits(m):
+    """Bits of every symbol of GF(2^m), a (2^m, m) read-only uint8 array:
+    row s holds the bits of s, most significant first."""
+    table = ((np.arange(1 << m)[:, None] & _bit_weights(m)) != 0).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -106,10 +116,9 @@ def _binary_image(m, logs):
 
 @lru_cache(maxsize=None)
 def _symbol_image(m):
-    """Bits of every symbol of GF(2^m), a (2^m, m) read-only float32 array:
-    row s holds the bits of s, most significant first."""
-    weights = _bit_weights(m)
-    image = ((np.arange(1 << m)[:, None] & weights) != 0).astype(np.float32)
+    """_symbol_bits(m) as a read-only float32 array, for the syndrome
+    product."""
+    image = _symbol_bits(m).astype(np.float32)
     image.flags.writeable = False
     return image
 

@@ -1,5 +1,6 @@
 """Markov burst channel, reliability arithmetic, erasure masks."""
 
+import math
 import warnings
 from fractions import Fraction
 from math import comb, inf, nan
@@ -18,7 +19,7 @@ from rscatter.channel import (
     symbol_error_rate,
 )
 from rscatter.errors import InfeasibleError, ParameterError
-from rscatter.rscodec import RsCode
+from rscatter.rscodec import ADMISSIBLE_N, RsCode
 from rscatter.traffic import ParetoParams, TrafficStats
 
 
@@ -86,6 +87,30 @@ def test_stationary_error_rate():
 def test_binomial_tail_against_exact_rationals():
     for n, t, p in [(7, 2, 0.1), (7, 2, 0.05), (15, 4, 0.2), (63, 9, 0.07), (127, 16, 0.0554)]:
         assert binomial_tail(n, t, p) == pytest.approx(_exact_tail(n, t, p), rel=1e-12)
+
+
+def _lgamma_tail(n, t, p):
+    """binomial_tail for 0 < p < 1, each log-factorial a math.lgamma call."""
+    if t >= n:
+        return 0.0
+    lp, lq = math.log(p), math.log1p(-p)
+    terms = [
+        math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * lp + (n - i) * lq
+        for i in range(t + 1, n + 1)
+    ]
+    hi = max(terms)
+    return min(1.0, math.exp(hi) * math.fsum(math.exp(v - hi) for v in terms))
+
+
+def test_binomial_tail_equals_lgamma_oracle():
+    # the tabled log-factorials give the oracle's floats bit for bit, at
+    # every admissible n (and a few others) and every t
+    grid = np.concatenate([np.geomspace(1e-12, 0.5, 25), 1.0 - np.geomspace(1e-9, 0.45, 10),
+                           [0.0554, 0.1, 1 / 3]])
+    for n in ADMISSIBLE_N + (1, 2, 10, 200):
+        for t in range(n + 1):
+            for p in grid.tolist():
+                assert binomial_tail(n, t, p) == _lgamma_tail(n, t, p), (n, t, p)
 
 
 def test_binomial_tail_against_scipy():

@@ -23,7 +23,9 @@ SCENARIOS = {
     # off runs of a few bit-times, mostly under the erasure margin
     "short_off": dict(off_shape=2.0, off_scale_min=0.5, on_shape=1.3, on_scale_min=20.0),
 }
-# symbol mode runs more frames than one batch of the frame kernel holds
+# 40 symbol-mode frames fill no whole number of blocks of 7 or 32 frames in
+# test_reports_do_not_depend_on_block_size; the default budget holds them
+# in one block
 FRAMES = {"symbol": 40, "sample": 3}
 
 LINK_DIGESTS = {
@@ -47,6 +49,10 @@ PARITY_DIGESTS = {
     63: "699b1ff5def9829975db4b112fa48d9fb83510c2bc88b38c612baf53a1c134e4",
     127: "227fd02cc509a001a5c6bb1f325650fa5fd0eca64030a5f57050a7d027fbe10a",
 }
+# block sizes, in frames or parity trials, at which the block-invariance
+# test reruns pinned experiments; the default BLOCK_BITS puts each of them
+# in one block
+SMALL_BLOCKS = (1, 7, 32)
 # the parity sweep off the default rate and margin, keyed by (rate, margin, n):
 # the gate horizon and bit clock scale with the rate
 PARITY_RATE_DIGESTS = {
@@ -64,9 +70,9 @@ NOISY_DIGESTS = {
     (0.3, 4): "aa6a92d2a6269c54ddcd4648f33b14186ea64cd8865a454163419500ab04ded7",
     (0.3, 6): "d2cf5e10d55303739ccc8a44c233e08bc31ee6d390c32a1e1cf5b033dbf00fb2",
 }
-# sample mode over more frames than one block of the run loop, keyed by
-# (noise_sigma, m): pins the block boundaries and, with noise, the order of
-# the noise draws from one block to the next
+# sample mode over more frames than one waveform part, keyed by
+# (noise_sigma, m); run again in blocks of 1, 7 and 32 frames, it pins the
+# order of the noise draws from one block to the next
 SAMPLE_BLOCK_FRAMES = 40
 SAMPLE_BLOCK_DIGESTS = {
     (0.0, 3): "409fdf742fa1a1e0827d75bdc61aff35ff3490f1c0e6802e71d4542ec0e9f62f",
@@ -217,6 +223,44 @@ def test_longest_waveform_reports_unchanged(sigma):
                            payload_bytes=phy.MAX_PAYLOAD, frames=5, on_scale_min=300.0,
                            margin=16)
     assert _digest(report) == LONGEST_WAVEFORM_DIGESTS[sigma]
+
+
+def _link_plan(m):
+    """The frame plan of link_reports at symbol size m (16-byte payloads)."""
+    return harness._frame_plan(RsCode(*CODES[m]), 1e6, (1 + 16 + 2) * 8)
+
+
+# per case: the pinned digest, the frame plan that sizes its lost masks,
+# and the experiment
+BLOCK_CASES = {
+    "symbol": (LINK_DIGESTS["symbol", 7], _link_plan(7), lambda: link_reports("symbol", 7)),
+    "sample": (SAMPLE_BLOCK_DIGESTS[0.0, 3], _link_plan(3),
+               lambda: link_reports("sample", 3, frames=SAMPLE_BLOCK_FRAMES)),
+    "noisy_sample": (SAMPLE_BLOCK_DIGESTS[0.3, 4], _link_plan(4),
+                     lambda: link_reports("sample", 4, noise_sigma=0.3,
+                                          frames=SAMPLE_BLOCK_FRAMES)),
+    # every parity trial at n = 127 has a mask of n*m bits, whatever its k
+    "parity": (PARITY_DIGESTS[127], harness._frame_plan(RsCode(127, 1), 1e6, 7, preamble_bits=0),
+               lambda: parity_rows(127)),
+}
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_reports_do_not_depend_on_block_size(case, block, monkeypatch):
+    digest, plan, experiment = BLOCK_CASES[case]
+    # room for `block` whole frames and all but one bit of another
+    monkeypatch.setattr(harness, "BLOCK_BITS", (block + 1) * plan["mask_bits_n"] - 1)
+    sizes = []
+    block_frames = harness._block_frames
+
+    def spy(plan):
+        sizes.append(block_frames(plan))
+        return sizes[-1]
+
+    monkeypatch.setattr(harness, "_block_frames", spy)
+    assert _digest(experiment()) == digest
+    assert set(sizes) == {block}
 
 
 @pytest.mark.parametrize("n", sorted(PARITY_DIGESTS))

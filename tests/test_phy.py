@@ -138,6 +138,22 @@ def test_scrambler_properties():
     assert (phy.scramble(phy.scramble(bits)) == bits).all()
 
 
+def test_scramble_matches_tiled_pn_at_every_length():
+    # up to the longest transmission an experiment builds, RS(7,1) with
+    # 108-byte payloads: 36 + 6216 bits
+    pn = phy._SCRAMBLER
+    rng = np.random.default_rng(3)
+    for n in range(6400):
+        bits = rng.integers(0, 2, size=(2, n), dtype=np.uint8)
+        got = phy.scramble(bits)
+        assert got.dtype == np.uint8 and got.flags.writeable
+        assert np.array_equal(got, bits ^ np.tile(pn, n // 127 + 1)[:n])
+    # the cached sequence is not the caller's to change
+    got = phy.scramble(np.zeros(300, dtype=np.uint8))
+    got[:] = 0
+    assert np.array_equal(phy.scramble(np.zeros(300, dtype=np.uint8))[:127], pn)
+
+
 def test_modulate_levels_and_timing():
     bits = np.array([1, 0, 1], dtype=np.uint8)
     spb = 8

@@ -58,6 +58,11 @@ def test_symbol_packing_rejects_partial_group():
     for partial in (bits[:7], bits[:1]):
         with pytest.raises(ParameterError):
             bits_to_symbols(partial, 3)
+    # each row must hold whole symbols: 3 rows of 4 bits are 12 bits, but
+    # grouping them by 3 would make symbols that straddle the rows
+    with pytest.raises(ParameterError):
+        bits_to_symbols(np.array([[1, 0, 0, 0]] * 3), 3)
+    assert bits_to_symbols(np.array([bits[:6]] * 2), 3).tolist() == [0b101, 0b110] * 2
 
 
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=200), st.integers(3, 7))
