@@ -4,10 +4,11 @@ Two modes share one timeline model and one run loop: a frame is the
 36-bit preamble followed by the payload bits (baseline) or the RS codeword
 bits (coded), transmitted at m bits per channel symbol and R
 symbols/second over a Pareto on/off gate that starts in the on state at
-the first preamble bit.  Frames are scored a block at a time, a block
-holding as many frames as fit BLOCK_BITS lost-mask bits.  Sample mode runs
-the waveform chain on as many frames at once as fit WAVEFORM_BYTES and
-decodes all codewords of a block in one call.
+the first preamble bit.  Both modes draw a block of frames, as many as fit
+BLOCK_BITS lost-mask bits, once from the run's generator; sample mode draws
+receiver noise from generators of its own, runs the waveform chain on as
+many frames at once as fit WAVEFORM_BYTES and decodes all codewords of a
+block in one call.
 
 The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
@@ -55,11 +56,11 @@ BLOCK_BITS = 2**18
 # log dominates memory: a symbol-mode `rscatter simulate` peaked at 451 MB RSS,
 # 1148 MB with the log in its JSON (Python 3.11, numpy 2.4, x86-64 Linux).
 MAX_FRAMES = 10**6
-# Bytes of one float waveform array in sample mode.  The waveform chain runs
-# on as many frames of a block at once as this holds: 3 at RS(63,29),
-# 64-byte payloads and 8 samples per bit (there 1 frame ran slower, and 10
-# no faster with 1.4 MB more peak memory), and 1 when a single waveform is
-# larger (3.2 MB at RS(7,1), 108-byte payloads and 64 samples per bit).
+# Bytes of one float waveform array in sample mode.  Only the waveform chain
+# runs in parts, of as many frames of a block as this holds per transmission:
+# 3 coded frames at RS(63,29), 64-byte payloads and 8 samples per bit (there
+# 1 frame ran slower, and 10 no faster with 1.4 MB more peak memory), and 1
+# when a single waveform is larger (3.2 MB at RS(7,1), 108 B, 64 spb).
 WAVEFORM_BYTES = 384 * 1024
 
 
@@ -247,18 +248,15 @@ def _codeword_erasures(flags, code):
     return sym, sym.sum(axis=-1) > code.t
 
 
-def _draw_frames(rng, config, stats, plan, count, noise=()):
+def _draw_frames(rng, config, stats, plan, count):
     """A block of count frames as (frame bits, lost-bit masks), one frame
-    per row.  Per frame: a random payload, then its gate, then one normal
-    draw into the same row of each array of noise.  The block's frames and
-    masks are then built at once."""
+    per row.  Each frame's payload, then its gate, is drawn from rng frame
+    by frame; the block's frames and masks are then built at once."""
     payloads = np.empty((count, config.payload_bytes), dtype=np.uint8)
     gates = []
     for i in range(count):
         payloads[i] = rng.integers(0, 256, size=config.payload_bytes, dtype=np.uint8)
         gates.append(channel.gate_durations(rng, stats, plan["horizon_us"]))
-        for draws in noise:
-            draws[i] = rng.normal(0.0, config.noise_sigma, draws.shape[1:])
     frame_bits = np.unpackbits(phy.frame_block(payloads), axis=1)
     return frame_bits, channel.erasure_mask_from_gate(gates, plan["bit_rate"], plan["mask_bits_n"])
 
@@ -316,63 +314,63 @@ def run(config):
     """One Monte Carlo link experiment, in symbol or sample mode.
 
     Frames are drawn and scored a block of _block_frames(plan) at a time,
-    by the symbol-level kernel or by the sample-level receiver.  Each frame
-    takes its draws from the one generator in frame order, and each is
+    by the symbol-level kernel or by the sample-level receiver.  Both modes
+    draw each block once from the one generator, so a seed gives the same
+    frames in both modes and at every noise level; sample mode draws the
+    baseline's noise from the generator [seed, 2, 0] and the coded one's
+    from [seed, 2, 1].  Each frame takes its draws in frame order and is
     scored on its own, so the outcomes do not depend on the block size.
     """
     stats = config.stats()
     code, plan, p_s, predicted_pe = _link_setup(config, stats)
     rng = np.random.default_rng(config.seed)
+    if config.mode == "sample":
+        noise = [np.random.default_rng([config.seed, 2, i]) for i in range(2)]
 
     outcomes = np.empty((4, config.frames), dtype=np.int64)
     size = _block_frames(plan)
     for first in range(0, config.frames, size):
         count = min(size, config.frames - first)
+        drawn = _draw_frames(rng, config, stats, plan, count)
         if config.mode == "sample":
-            block = _sample_frames(rng, config, stats, code, plan, count)
+            block = _sample_frames(config, code, plan, *drawn, noise)
         else:
-            drawn = _draw_frames(rng, config, stats, plan, count)
             block = _symbol_frames(config, code, plan, *drawn)
         outcomes[:, first : first + count] = _outcomes(block)
 
     return _report(config, code, p_s, predicted_pe, plan, outcomes)
 
 
-def _sample_frames(rng, config, stats, code, plan, count):
-    """Draw a block of count frames, receive them and return their
-    transmissions as _symbol_frames does.
+def _sample_frames(config, code, plan, frame_bits, lost, noise):
+    """Receive a block of frames and return its transmissions as
+    _symbol_frames does.
 
-    The block is drawn and received in parts of as many frames as fit
-    WAVEFORM_BYTES.  _draw_frames draws a part, each frame's baseline, then
-    coded, I and Q noise right after its gate, and builds the part's frames
-    and lost-bit masks at once; the part's waveforms are then modulated,
-    gated and demodulated at once.  A transmission is found iff its
-    preamble correlation at sample 0, the only offset tested, is at least
-    phy.CORR_THRESHOLD and its threshold is positive.  All codewords of
-    found coded frames left to the decoder by the delivery rule are decoded
-    at once.
+    The block is encoded at once.  Each transmission, the baseline then
+    the coded, is modulated, gated and demodulated in parts of as many
+    frames as fit WAVEFORM_BYTES; at noise_sigma > 0 a part's I and Q noise
+    is one draw from that transmission's generator in noise, frame after
+    frame.  A transmission is found iff its preamble correlation at sample
+    0, the only offset tested, is at least phy.CORR_THRESHOLD and its
+    threshold is positive.  All codewords of found coded frames left to the
+    decoder by the delivery rule are decoded at once.
     """
-    pre, nf, spb = plan["preamble_bits"], plan["frame_bits_n"], config.samples_per_bit
-    sizes = (nf, plan["coded_bits_n"])
-    step = max(1, WAVEFORM_BYTES // ((pre + max(sizes)) * spb * 8))
-    noisy = config.noise_sigma > 0
-    frame_bits = np.empty((count, nf), dtype=np.uint8)
+    spb, sigma = config.samples_per_bit, config.noise_sigma
     # per transmission: received bits, erasure flags, preamble found
-    received = [(np.empty((count, size), np.uint8), np.empty((count, size), bool),
-                 np.empty(count, bool)) for size in sizes]
-    for lo in range(0, count, step):
-        part = slice(lo, min(lo + step, count))
-        noise = [np.empty((part.stop - lo, 2, pre + size, spb)) if noisy else None
-                 for size in sizes]
-        frame_bits[part], lost = _draw_frames(rng, config, stats, plan, part.stop - lo,
-                                              noise if noisy else ())
-        transmissions = (frame_bits[part], _encode_frames(code, plan, frame_bits[part]))
-        for bits, draws, outs in zip(transmissions, noise, received):
-            power = phy.apply_channel(phy.modulate(bits, spb), lost, draws)
-            for out, got in zip(outs, phy.demodulate(power, config.erasure_margin_bits)):
-                out[part] = got
+    received = []
+    for bits, gen in zip((frame_bits, _encode_frames(code, plan, frame_bits)), noise):
+        shape = (plan["preamble_bits"] + bits.shape[1], spb)
+        step = max(1, WAVEFORM_BYTES // (math.prod(shape) * 8))
+        parts = []
+        for lo in range(0, len(bits), step):
+            part = bits[lo : lo + step]
+            draws = gen.normal(0.0, sigma, (len(part), 2) + shape) if sigma > 0 else None
+            power = phy.apply_channel(phy.modulate(part, spb), lost[lo : lo + step], draws)
+            parts.append(phy.demodulate(power, config.erasure_margin_bits))
+            del power, draws  # free a part's waveforms before the next part's
+        received.append([np.concatenate(arrays) for arrays in zip(*parts)])
 
     (base, _, base_found), (bits, flags, heard) = received
+    count, nf = frame_bits.shape
     words = rscodec.bits_to_symbols(bits, code.m).reshape(count, -1, code.n)
     erased, failed = _codeword_erasures(flags, code)
     failed[~heard] = True  # frames not found are not decoded
@@ -415,30 +413,25 @@ def sweep_parity(config, n=127):
     if config.mode == "sample":
         raise ParameterError("the parity sweep runs in symbol mode only, got mode 'sample'")
     stats = config.stats()
-    rows, lost = [], None
-    for k in range(n - 2, 0, -2):
-        code = rscodec.RsCode(n, k)
-        plan = _frame_plan(code, config.rate, k * code.m, preamble_bits=0)
-        if lost is None:
-            # common random gates across all parity points (every k has the
-            # same horizon): each trial's erasure burden is then fixed while
-            # t grows, so the trend is not blurred by independent sampling
-            # noise per point
-            gate_rng = np.random.default_rng([config.seed, 0])
-            lost = np.empty((config.frames, plan["mask_bits_n"]), dtype=bool)
-            size = _block_frames(plan)
-            for first in range(0, config.frames, size):
-                block = lost[first : first + size]
-                gates = [channel.gate_durations(gate_rng, stats, plan["horizon_us"])
-                         for _ in block]
-                block[:] = channel.erasure_mask_from_gate(gates, plan["bit_rate"],
-                                                          plan["mask_bits_n"])
-        rows.append(_parity_point(config, code, plan, lost))
-    return rows
+    # common random gates across all parity points, masked by the plan that
+    # every k shares (one horizon, n*m mask bits): each trial's erasure burden
+    # is then fixed while t grows, so the trend is not blurred by independent
+    # sampling noise per point
+    code = rscodec.RsCode(n, n - 2)
+    plan = _frame_plan(code, config.rate, code.k * code.m, preamble_bits=0)
+    gate_rng = np.random.default_rng([config.seed, 0])
+    lost = np.empty((config.frames, plan["mask_bits_n"]), dtype=bool)
+    size = _block_frames(plan)
+    for first in range(0, config.frames, size):
+        block = lost[first : first + size]
+        gates = [channel.gate_durations(gate_rng, stats, plan["horizon_us"]) for _ in block]
+        block[:] = channel.erasure_mask_from_gate(gates, plan["bit_rate"], plan["mask_bits_n"])
+    return [_parity_point(config, rscodec.RsCode(n, k), lost) for k in range(n - 2, 0, -2)]
 
 
-def _parity_point(config, code, plan, lost):
+def _parity_point(config, code, lost):
     m, k, trials = code.m, code.k, config.frames
+    plan = _frame_plan(code, config.rate, k * m, preamble_bits=0)
     info = np.random.default_rng([config.seed, 1, k]).integers(0, 1 << m, size=(trials, k))
     info_bits = rscodec.symbols_to_bits(info.ravel(), m).reshape(trials, k * m)
     base_bits = plan["frame_bits_n"]

@@ -53,6 +53,9 @@ PARITY_DIGESTS = {
 # test reruns pinned experiments; the default BLOCK_BITS puts each of them
 # in one block
 SMALL_BLOCKS = (1, 7, 32)
+# WAVEFORM_BYTES at which the noisy block-invariance case also runs: one
+# frame per waveform part, and one part per block
+WAVEFORM_PARTS = (1, 10**8)
 # the parity sweep off the default rate and margin, keyed by (rate, margin, n):
 # the gate horizon and bit clock scale with the rate
 PARITY_RATE_DIGESTS = {
@@ -61,39 +64,42 @@ PARITY_RATE_DIGESTS = {
     (2.5e6, 16, 15): "f7a7f4e51eac05c6ffc27248e3b10119dd3942fd2f9766519aadc49fc6c787ca",
     (2.5e6, 16, 127): "56bc944b595fa7fd634a933ffb0f95003ef559e1ee4af8a289584f1160a85d2a",
 }
-# sample mode with receiver noise, keyed by (noise_sigma, m); at 0.1 the
-# noise rarely moves a decision, at 0.3 it does, which pins the order of
-# the baseline and coded noise draws
+# sample mode with receiver noise, keyed by (noise_sigma, m).  The frames
+# and gates are those of the noise-free runs: at 0.1 the noise moves no
+# decision, so these digests equal LINK_DIGESTS["sample", m]; at 0.3 it
+# does, which pins the baseline's and the coded transmission's noise draws
 NOISY_DIGESTS = {
-    (0.1, 4): "625c53869d8b79cada03e501b6c7c0523ec7708ef7625421d6366e67fe8be981",
-    (0.1, 6): "858248bb7b62321b805476ba674063b17235a486c67119887b5e3305e01b14e7",
-    (0.3, 4): "aa6a92d2a6269c54ddcd4648f33b14186ea64cd8865a454163419500ab04ded7",
-    (0.3, 6): "d2cf5e10d55303739ccc8a44c233e08bc31ee6d390c32a1e1cf5b033dbf00fb2",
+    (0.1, 4): "61959751616ba5486ce03a16ea36f6a1bc7decf521a09712e839d56f8bb03c4a",
+    (0.1, 6): "43697b887c5eb7f8779a6379e2db95b8176470c077ccb42e9c1c8845d0ca386d",
+    (0.3, 4): "b7cd12019b8f1e6c4ec48da3306ecbd406fa26b04de07a6e0df41b03aa3b5b5c",
+    (0.3, 6): "b77be32ebc5608ad306a32921aa17a722136f826192001416098e1ccfcf376a8",
 }
 # sample mode over more frames than one waveform part, keyed by
-# (noise_sigma, m); run again in blocks of 1, 7 and 32 frames, it pins the
-# order of the noise draws from one block to the next
+# (noise_sigma, m); run again in blocks of 1, 7 and 32 frames, and in the
+# noisy case in waveform parts of one frame and of a whole block, it pins
+# that each transmission's noise is drawn frame after frame
 SAMPLE_BLOCK_FRAMES = 40
 SAMPLE_BLOCK_DIGESTS = {
     (0.0, 3): "409fdf742fa1a1e0827d75bdc61aff35ff3490f1c0e6802e71d4542ec0e9f62f",
-    (0.3, 4): "95765fc5da56dbb7db76a2ec01de8a0cb45b7336ec005aa2ca5a038b7901117a",
+    (0.3, 4): "2f5ee2f836e5fd4a7aa38378419654c11928a1ff6d96050054ed6b19959f202b",
 }
 # sample mode off the default 8 samples per bit, keyed by (samples_per_bit,
 # noise_sigma): 37 frames fill no whole number of blocks of any size
 SPB_FRAMES = 37
 SPB_DIGESTS = {
     (4, 0.0): "ea5bd0ab7224af60be553c3f0aae3d18ede22b63aacc769391000c6dc9789802",
-    (4, 0.3): "bbf9f9816a18391ce882fb156d4fd158c17c9ede0bcdf709648e7c57d58159bc",
+    (4, 0.3): "9656a9ea49ff3fcc26ff9130d94c22880b79678369642a10cc9e3eac8cf7b279",
     (13, 0.0): "ae10aa54a7eb7858e28045b9d86c2def5bfada711ea659b4afce440c5b10f37d",
-    (13, 0.3): "8399ef0fe212daab4597c8b35830c54286fb122a414adf7f558a5d1f7d48291a",
+    (13, 0.3): "f95cefa1fcc52625f98ebea6f68ce663bd439a0f4ab116d7de613d84d4ae040e",
     (64, 0.0): "150653322b665c481281332d24f061939bace4a308d638b3ec99a8f0ed25682a",
-    (64, 0.3): "ac580d3c47266dab696f34f5178b25679d85dd2a2923b0efd725e1f56cef2dac",
+    (64, 0.3): "e9ff447e0c3f789c3c039b9f0c5d2ca191e0680ded80849286f9ea1f80dad290",
 }
 # the longest waveform an experiment can ask for: RS(7,1), 108-byte payloads
-# and 64 samples per bit, keyed by noise_sigma
+# and 64 samples per bit, keyed by noise_sigma; over 64 samples a bit's mean
+# power hides noise of 0.3, so both runs give one report
 LONGEST_WAVEFORM_DIGESTS = {
     0.0: "440d68c283c98c38177923903a4ae9826e25a27f2560d56ab98a7fcdbff638cb",
-    0.3: "d65340a4a3997c77556161a876fd61c0f65f1b5f24116df001e8785fcfb5f8a8",
+    0.3: "440d68c283c98c38177923903a4ae9826e25a27f2560d56ab98a7fcdbff638cb",
 }
 SILENT_DIGEST = "8491f148c4e6b3bad4da2abbdb1d88953ea3a277e6a22ba289f38abaff319abc"
 CLI_SIMULATE_DIGEST = "bdee225fe20caaa987703415ab2aeab36426570b8497896c5b49b966e178190e"
@@ -101,7 +107,7 @@ CLI_SIMULATE_DIGEST = "bdee225fe20caaa987703415ab2aeab36426570b8497896c5b49b966e
 # sweep runs in sample mode
 CLI_SWEEP_DIGESTS = {
     "parity": "583e97f61ecc09d5c3c2752e88407876229ee0cf77458dc078a2222cebfab20d",
-    "silent-duration": "9bc1f149bf75355c715591d58222ef43ae3b63e3fb79b8d5e1165f4f5f974c9d",
+    "silent-duration": "67ec2450d675b1881714737f80c402a3d80b92315d038e21828b39211987a1a2",
 }
 # `rscatter optimize` in the symbol workload's regime (mean off run 20 us at
 # shape 1.001): its JSON, every p_e a full float
@@ -260,6 +266,10 @@ def test_reports_do_not_depend_on_block_size(case, block, monkeypatch):
 
     monkeypatch.setattr(harness, "_block_frames", spy)
     assert _digest(experiment()) == digest
+    if case == "noisy_sample":
+        for size in WAVEFORM_PARTS:
+            monkeypatch.setattr(harness, "WAVEFORM_BYTES", size)
+            assert _digest(experiment()) == digest
     assert set(sizes) == {block}
 
 

@@ -189,6 +189,26 @@ def test_modes_agree_frame_by_frame_without_noise():
         assert rs.ber_baseline == rp.ber_baseline
 
 
+def test_modes_draw_the_same_frames(monkeypatch):
+    # both modes, with or without receiver noise, are handed the same frames
+    # and lost-bit masks: the noise comes from generators of its own
+    draw = harness._draw_frames
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs[-1].append(draw(*args, **kwargs))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(harness, "_draw_frames", spy)
+    for mode, sigma in (("symbol", 0.0), ("sample", 0.0), ("sample", 0.3)):
+        runs.append([])
+        harness.run(_config(mode=mode, noise_sigma=sigma))
+    (bits, lost), *others = [[np.concatenate(a) for a in zip(*calls)] for calls in runs]
+    assert bits.shape == (40, (1 + 16 + 2) * 8)
+    for other_bits, other_lost in others:
+        assert np.array_equal(other_bits, bits) and np.array_equal(other_lost, lost)
+
+
 def test_same_seed_same_report():
     a = harness.run(_config())
     b = harness.run(_config())
