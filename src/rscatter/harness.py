@@ -14,18 +14,20 @@ The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
 read the same lost-bit mask, preamble included: symbol mode evaluates it
 directly, and sample mode zeroes every sample of a lost bit before noise
-and demodulation.  Lost bits are erasures by the blind-receiver rule in
-phy.perceived_erasures, and a codeword is delivered only when its erased
-symbols stay within the correction capability t that the code selection
-assumes.  Both modes score a frame by one rule: it is delivered iff its
-preamble is found, no codeword is lost or fails to decode, and its
-received frame bits equal the sent bits, which is exactly when
-phy.frame_parse of those bits returns the sent payload.  A frame not found
-has every bit wrong.  At zero noise the sample-level pipeline reproduces the
-symbol-level frame outcomes exactly when every off run is longer than
-erasure_margin_bits bit-times.  A shorter off run is not flagged, and a
-lost bit in it whose line bit was 1 is a symbol error that only the
-sample-level decoder sees.
+and demodulation.  Both modes flag a run of line bits read as 0 longer
+than erasure_margin_bits as erased (phy.flag_erasure_runs): symbol mode
+reads a bit as 0 iff it was lost or sent as 0 (phy.perceived_erasures),
+sample mode iff the receiver slices it 0 (phy.demodulate).  A codeword is
+delivered only when its erased symbols stay within the correction
+capability t that the code selection assumes.  Both modes score a frame by
+one rule: it is delivered iff its preamble is found, no codeword is lost
+or fails to decode, and its received frame bits equal the sent bits, which
+is exactly when phy.frame_parse of those bits returns the sent payload.  A
+frame not found has every bit wrong.  At zero noise the sample-level
+pipeline reproduces the symbol-level frame outcomes exactly when every off
+run is longer than erasure_margin_bits bit-times.  A shorter off run is
+not flagged, and a lost bit in it whose line bit was 1 is a symbol error
+that only the sample-level decoder sees.
 
 The parity sweep runs the same symbol-level frame kernel: each trial is a
 frame without preamble or CRC whose k*m information bits form a single

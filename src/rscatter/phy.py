@@ -5,7 +5,7 @@ unipolar NRZ/OOK sample generation behind a fixed 36-bit preamble, sample
 gating by a lost-bit mask plus additive noise, and blind demodulation of
 frames synchronised to sample 0: matched filter, a preamble
 cross-correlation test at sample 0 alone, adaptive power threshold, and
-erasure flagging of long zero-power runs.
+erasure flagging of long runs of bits sliced 0.
 
 A waveform is one (bits, samples_per_bit) array, and the waveform functions
 take a leading frame axis: `modulate` returns the real envelopes,
@@ -46,11 +46,9 @@ MAX_SAMPLES_PER_BIT = 64
 # unit carrier amplitude (SNR -60 dB) already buries every frame, while
 # from about 1e151 the demodulator's squared-power sums overflow float64
 MAX_NOISE_SIGMA = 1e3
-# OOK cannot tell a transmitted 0 from the off state; a below-floor run is
-# flagged erased only when longer than this many bit-times.
+# OOK cannot tell a transmitted 0 from the off state; a run of bits read as
+# 0 is flagged erased only when longer than this many bit-times.
 DEFAULT_ERASE_MARGIN_BITS = 16
-# a bit statistic under this fraction of the decision threshold is below floor
-FLOOR_FRACTION = 0.5
 # minimum preamble correlation coefficient for a frame to be detected
 CORR_THRESHOLD = 0.5
 
@@ -238,8 +236,8 @@ def _preamble_corr(power):
     return np.divide(num, denom, out=np.zeros(frames), where=denom > 0)
 
 
-def flag_erasure_runs(below_floor, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
-    """Flag the below-floor bits that lie in a run longer than margin_bits.
+def flag_erasure_runs(zeros, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
+    """Flag the bits read as 0 (zeros) that lie in a run longer than margin_bits.
 
     This is the receiver's only way to separate off-state losses from legal
     zero runs under OOK; runs at or under the margin are left unflagged.
@@ -247,7 +245,7 @@ def flag_erasure_runs(below_floor, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     continue from one row into the next.
 
     A bit is flagged iff some window of w = margin_bits + 1 consecutive
-    bits around it is all below floor: a binary opening.  Each row is
+    bits around it is all read as 0: a binary opening.  Each row is
     padded with w False bits so that no window spans two rows; then every
     bit is ANDed with the w - 1 bits after it (erosion: a window starts
     here) and ORed with the w - 1 bits before it (dilation: a window
@@ -255,13 +253,13 @@ def flag_erasure_runs(below_floor, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     O(log w) whole-array calls.  A margin at or past the row width flags
     nothing.
     """
-    below = np.asarray(below_floor, dtype=bool)
-    width = below.shape[-1]
+    zeros = np.asarray(zeros, dtype=bool)
+    width = zeros.shape[-1]
     w = int(margin_bits) + 1
-    if below.size == 0 or w > width:
-        return np.zeros(below.shape, dtype=bool)
-    padded = np.zeros(below.shape[:-1] + (width + w,), dtype=bool)
-    padded[..., :width] = below
+    if zeros.size == 0 or w > width:
+        return np.zeros(zeros.shape, dtype=bool)
+    padded = np.zeros(zeros.shape[:-1] + (width + w,), dtype=bool)
+    padded[..., :width] = zeros
     flat = padded.reshape(-1)
     # after a step of s, each bit holds the AND (then the OR) of span + s
     # bits; numpy buffers an overlapping in-place call, so a step reads
@@ -282,11 +280,11 @@ def perceived_erasures(bits, lost, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     """Erasure flags a blind noise-free receiver would produce for known
     transmitted bits and known lost-bit positions.
 
-    A bit reads as zero power iff it was lost or its scrambled line bit is
-    0, so the perceived erasures are exactly the over-margin runs of that
-    predicate.  Used by the symbol-level simulator to stay bit-exact with
-    the sample-level demodulator at zero noise.  2-D inputs are one
-    transmission per row.
+    A bit reads as 0 iff it was lost or its scrambled line bit is 0, so the
+    perceived erasures are exactly the over-margin runs of that predicate:
+    the rule demodulate applies to the bits it slices.  Used by the
+    symbol-level simulator to stay bit-exact with the sample-level
+    demodulator at zero noise.  2-D inputs are one transmission per row.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     lost = np.asarray(lost, dtype=bool)
@@ -308,10 +306,12 @@ def demodulate(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
 
     Each bit's statistic is its mean power (a rectangular matched filter
     sampled once per bit).  The threshold is the average of the minimum '1'
-    and the maximum '0' statistic over the preamble; data bits are sliced at
-    it and descrambled, and below-floor runs longer than erase_margin_bits
-    bit-times are flagged erased.  All thresholds are relative, so scaling
-    the power by any positive constant leaves every decision unchanged.
+    and the maximum '0' statistic over the preamble.  Data bits are sliced
+    once, 1 at or above it, and descrambled; runs of line bits sliced 0
+    longer than erase_margin_bits bit-times are flagged erased, as in
+    perceived_erasures, so the erasures are flag_erasure_runs(scramble(bits)
+    == 0, margin).  The threshold is relative, so scaling the power by any
+    positive constant leaves every decision unchanged.
     """
     power = _waveform(power, ndim=3)
     rows = power.shape[1]
@@ -321,8 +321,6 @@ def demodulate(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     pre = stats[:, :PREAMBLE_LEN]
     threshold = (pre[:, PREAMBLE_BITS == 1].min(axis=-1)
                  + pre[:, PREAMBLE_BITS == 0].max(axis=-1)) / 2.0
-    data = stats[:, PREAMBLE_LEN:]
-    level = threshold[:, None]
-    bits = scramble((data >= level).astype(np.uint8))
-    erasures = flag_erasure_runs(data < FLOOR_FRACTION * level, erase_margin_bits)
-    return bits, erasures, (_preamble_corr(power) >= CORR_THRESHOLD) & (threshold > 0)
+    line = stats[:, PREAMBLE_LEN:] >= threshold[:, None]
+    erasures = flag_erasure_runs(~line, erase_margin_bits)
+    return scramble(line), erasures, (_preamble_corr(power) >= CORR_THRESHOLD) & (threshold > 0)

@@ -65,14 +65,16 @@ PARITY_RATE_DIGESTS = {
     (2.5e6, 16, 127): "56bc944b595fa7fd634a933ffb0f95003ef559e1ee4af8a289584f1160a85d2a",
 }
 # sample mode with receiver noise, keyed by (noise_sigma, m).  The frames
-# and gates are those of the noise-free runs: at 0.1 the noise moves no
-# decision, so these digests equal LINK_DIGESTS["sample", m]; at 0.3 it
-# does, which pins the baseline's and the coded transmission's noise draws
+# and gates are those of the noise-free runs: at 0.1, and at 0.3 for m = 4,
+# the noise moves no decision, so these digests equal LINK_DIGESTS["sample",
+# m]; at 0.3 for m = 6 and at 0.5 it does, which pins the baseline's and the
+# coded transmission's noise draws
 NOISY_DIGESTS = {
     (0.1, 4): "61959751616ba5486ce03a16ea36f6a1bc7decf521a09712e839d56f8bb03c4a",
     (0.1, 6): "43697b887c5eb7f8779a6379e2db95b8176470c077ccb42e9c1c8845d0ca386d",
-    (0.3, 4): "b7cd12019b8f1e6c4ec48da3306ecbd406fa26b04de07a6e0df41b03aa3b5b5c",
-    (0.3, 6): "b77be32ebc5608ad306a32921aa17a722136f826192001416098e1ccfcf376a8",
+    (0.3, 4): "61959751616ba5486ce03a16ea36f6a1bc7decf521a09712e839d56f8bb03c4a",
+    (0.3, 6): "ac950d6f5c5c91fd78eeb0fc2fcdea0372f48a36a2944bae3ec3ee4806a057e2",
+    (0.5, 4): "f70516f9edd7d1ca83568c1a43a28898bb4b664a9c76bee97fc978ceece8a96f",
 }
 # sample mode over more frames than one waveform part, keyed by
 # (noise_sigma, m); run again in blocks of 1, 7 and 32 frames, and in the
@@ -81,25 +83,32 @@ NOISY_DIGESTS = {
 SAMPLE_BLOCK_FRAMES = 40
 SAMPLE_BLOCK_DIGESTS = {
     (0.0, 3): "409fdf742fa1a1e0827d75bdc61aff35ff3490f1c0e6802e71d4542ec0e9f62f",
-    (0.3, 4): "2f5ee2f836e5fd4a7aa38378419654c11928a1ff6d96050054ed6b19959f202b",
+    (0.3, 4): "74a7a825edb086bd687b0a7194a8cfe4a98087d3badf192493b0926d424d5d99",
 }
 # sample mode off the default 8 samples per bit, keyed by (samples_per_bit,
-# noise_sigma): 37 frames fill no whole number of blocks of any size
+# noise_sigma): 37 frames fill no whole number of blocks of any size.  Over
+# 13 or more samples a bit's mean power hides noise of 0.3, so those runs
+# give the noise-free report; 0.4 at 13 and 0.52 at 64 samples per bit move
+# decisions, and from about 0.6 every frame fails at both
 SPB_FRAMES = 37
 SPB_DIGESTS = {
     (4, 0.0): "ea5bd0ab7224af60be553c3f0aae3d18ede22b63aacc769391000c6dc9789802",
-    (4, 0.3): "9656a9ea49ff3fcc26ff9130d94c22880b79678369642a10cc9e3eac8cf7b279",
+    (4, 0.3): "bba766642bc4e911d52fd9fc20ae2e55c7f6c56a46f91282d8de812ea09a6b94",
     (13, 0.0): "ae10aa54a7eb7858e28045b9d86c2def5bfada711ea659b4afce440c5b10f37d",
-    (13, 0.3): "f95cefa1fcc52625f98ebea6f68ce663bd439a0f4ab116d7de613d84d4ae040e",
+    (13, 0.3): "ae10aa54a7eb7858e28045b9d86c2def5bfada711ea659b4afce440c5b10f37d",
+    (13, 0.4): "d56915da1f05a998cb68f37bef2a6500f601a7d1828f3c9f384d4c48dc7de95f",
     (64, 0.0): "150653322b665c481281332d24f061939bace4a308d638b3ec99a8f0ed25682a",
-    (64, 0.3): "e9ff447e0c3f789c3c039b9f0c5d2ca191e0680ded80849286f9ea1f80dad290",
+    (64, 0.3): "150653322b665c481281332d24f061939bace4a308d638b3ec99a8f0ed25682a",
+    (64, 0.52): "887f0bc812c66a3e968fffdbac885d1ec2397c913572004516cb0d250a16f0c3",
 }
 # the longest waveform an experiment can ask for: RS(7,1), 108-byte payloads
 # and 64 samples per bit, keyed by noise_sigma; over 64 samples a bit's mean
-# power hides noise of 0.3, so both runs give one report
+# power hides noise of 0.3, so that run gives the noise-free report, while
+# 0.52 fails 3 coded frames of 5 against 2 without noise
 LONGEST_WAVEFORM_DIGESTS = {
     0.0: "440d68c283c98c38177923903a4ae9826e25a27f2560d56ab98a7fcdbff638cb",
     0.3: "440d68c283c98c38177923903a4ae9826e25a27f2560d56ab98a7fcdbff638cb",
+    0.52: "38697be3ef0f4b818ebc081adfe761c03875a00af36b61af4e794206c5389b73",
 }
 SILENT_DIGEST = "8491f148c4e6b3bad4da2abbdb1d88953ea3a277e6a22ba289f38abaff319abc"
 CLI_SIMULATE_DIGEST = "bdee225fe20caaa987703415ab2aeab36426570b8497896c5b49b966e178190e"

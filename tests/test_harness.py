@@ -189,6 +189,27 @@ def test_modes_agree_frame_by_frame_without_noise():
         assert rs.ber_baseline == rp.ber_baseline
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 0.5])
+def test_receiver_erasures_are_a_function_of_its_bits(sigma, monkeypatch):
+    # both modes flag erasures by one rule: in every found frame the
+    # receiver's erasures are the over-margin runs of the line bits it
+    # sliced 0, whatever the noise
+    demodulate = phy.demodulate
+    flagged = []
+
+    def spy(power, margin):
+        bits, erasures, found = demodulate(power, margin)
+        expected = phy.flag_erasure_runs(phy.scramble(bits) == 0, margin)
+        assert np.array_equal(erasures[found], expected[found])
+        flagged.append(int(erasures[found].sum()))
+        return bits, erasures, found
+
+    monkeypatch.setattr(phy, "demodulate", spy)
+    for margin in (0, 8, 16):
+        harness.run(_config(mode="sample", noise_sigma=sigma, erasure_margin_bits=margin))
+    assert sum(flagged) > 0
+
+
 def test_modes_draw_the_same_frames(monkeypatch):
     # both modes, with or without receiver noise, are handed the same frames
     # and lost-bit masks: the noise comes from generators of its own

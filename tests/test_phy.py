@@ -410,21 +410,20 @@ def test_demodulate_matches_offset_zero_reference(spb, n_data, frames, sigma, lo
             assert np.array_equal(erasures[f], ref_flags)
 
 
-@pytest.mark.parametrize("fraction", [phy.FLOOR_FRACTION, 0.3, 0.7])
-def test_demodulate_floor_rule(monkeypatch, fraction):
+def test_demodulate_erasure_rule():
     # a clean preamble puts the threshold at exactly 0.5; data runs of 10
-    # bits just under, exactly at and just over the floor: only a run of
-    # bit means strictly below FLOOR_FRACTION * threshold is flagged
-    monkeypatch.setattr(phy, "FLOOR_FRACTION", fraction)
-    floor = phy.FLOOR_FRACTION * 0.5
+    # bit means just under, exactly at and just over it.  A mean at the
+    # threshold slices to 1, so only the run just under it reads as 0, and
+    # only that run, longer than the margin of 8, is flagged
     high = [1.0] * 2
-    means = high + [0.98 * floor] * 10 + high + [floor] * 10 + high + [1.02 * floor] * 10 + high
+    means = high + [0.98 * 0.5] * 10 + high + [0.5] * 10 + high + [1.02 * 0.5] * 10 + high
     power = np.repeat(np.concatenate([phy.PREAMBLE_BITS, means])[None, :, None], 8, axis=-1)
-    _, flags, found = phy.demodulate(power, 8)
+    bits, flags, found = phy.demodulate(power, 8)
     assert found[0]
     expected = np.zeros(len(means), dtype=bool)
     expected[2:12] = True
     assert np.array_equal(flags[0], expected)
+    assert np.array_equal(phy.scramble(bits[0]), ~expected)
 
 
 def test_demodulate_finds_delayed_frames_by_offset_zero_coefficient():
@@ -464,15 +463,15 @@ def test_preamble_corr_constant_and_short_streams():
 
 
 def test_erasure_run_flagging_margin():
-    below = np.zeros(100, dtype=bool)
-    below[10:27] = True  # 17-bit run: flagged at the default margin of 16
-    below[40:56] = True  # 16-bit run: exactly at margin, not flagged
-    flags = phy.flag_erasure_runs(below)
+    zeros = np.zeros(100, dtype=bool)
+    zeros[10:27] = True  # 17-bit run: flagged at the default margin of 16
+    zeros[40:56] = True  # 16-bit run: exactly at margin, not flagged
+    flags = phy.flag_erasure_runs(zeros)
     assert flags[10:27].all()
     assert not flags[27:].any()
     assert phy.flag_erasure_runs(np.zeros(0, dtype=bool)).size == 0
-    # at margin 0 every below-floor bit is a run longer than the margin
-    assert np.array_equal(phy.flag_erasure_runs(below, 0), below)
+    # at margin 0 every bit read as 0 is a run longer than the margin
+    assert np.array_equal(phy.flag_erasure_runs(zeros, 0), zeros)
     # a run of the whole row is flagged iff the margin is under the row width
     assert phy.flag_erasure_runs(np.ones(100, dtype=bool), 99).all()
     assert not phy.flag_erasure_runs(np.ones(100, dtype=bool), 100).any()
@@ -482,10 +481,10 @@ def _reference_flags(row, margin):
     """Run-by-run flagging of one row."""
     flags = np.zeros(row.size, dtype=bool)
     start = None
-    for i, below in enumerate(list(row) + [False]):
-        if below and start is None:
+    for i, is_zero in enumerate(list(row) + [False]):
+        if is_zero and start is None:
             start = i
-        elif not below and start is not None:
+        elif not is_zero and start is not None:
             if i - start > margin:
                 flags[start:i] = True
             start = None
@@ -494,7 +493,8 @@ def _reference_flags(row, margin):
 
 def _reference_demodulate(power, margin):
     """One (rows, spb) power waveform read from sample 0, step by step:
-    (bits, flags, found).  Found iff the correlation at sample 0 is at or
+    (bits, flags, found).  The flags are the runs of line bits sliced 0
+    longer than margin.  Found iff the correlation at sample 0 is at or
     above CORR_THRESHOLD and the threshold halfway between the weakest
     preamble '1' and the strongest preamble '0' bit mean is positive."""
     corr = _box_sum_preamble_corr(power.ravel(), power.shape[1])
@@ -503,14 +503,12 @@ def _reference_demodulate(power, margin):
     threshold = (preamble[phy.PREAMBLE_BITS == 1].min()
                  + preamble[phy.PREAMBLE_BITS == 0].max()) / 2.0
     found = corr[0] >= phy.CORR_THRESHOLD and threshold > 0
-    data = means[phy.PREAMBLE_LEN :]
-    bits = phy.scramble((data >= threshold).astype(np.uint8))
-    flags = _reference_flags(data < phy.FLOOR_FRACTION * threshold, margin)
-    return bits, flags, found
+    line = (means[phy.PREAMBLE_LEN :] >= threshold).astype(np.uint8)
+    return phy.scramble(line), _reference_flags(line == 0, margin), found
 
 
 @st.composite
-def _below_floor_rows(draw):
+def _zero_rows(draw):
     rows = draw(st.integers(0, 6))
     width = draw(st.integers(0, 40))
     out = np.zeros((rows, width), dtype=bool)
@@ -527,16 +525,16 @@ def _below_floor_rows(draw):
 
 
 # margins up to 60 reach under, at and past the row width of 0..40
-@given(_below_floor_rows(), st.integers(0, 60))
+@given(_zero_rows(), st.integers(0, 60))
 @settings(max_examples=200)
-def test_erasure_run_flagging_row_wise(below, margin):
-    flags = phy.flag_erasure_runs(below, margin)
-    assert flags.shape == below.shape and flags.dtype == bool
-    for row, got in zip(below, flags):
+def test_erasure_run_flagging_row_wise(zeros, margin):
+    flags = phy.flag_erasure_runs(zeros, margin)
+    assert flags.shape == zeros.shape and flags.dtype == bool
+    for row, got in zip(zeros, flags):
         assert (got == phy.flag_erasure_runs(row, margin)).all()
         assert (got == _reference_flags(row, margin)).all()
     # a 3-D block is flagged row by row too
-    stacked = phy.flag_erasure_runs(np.stack([below, below[::-1]]), margin)
+    stacked = phy.flag_erasure_runs(np.stack([zeros, zeros[::-1]]), margin)
     assert np.array_equal(stacked, np.stack([flags, flags[::-1]]))
 
 
