@@ -426,6 +426,26 @@ def test_demodulate_erasure_rule():
     assert np.array_equal(phy.scramble(bits[0]), ~expected)
 
 
+@pytest.mark.parametrize("fraction", [0.3, 0.5, 0.7])
+def test_demodulate_floor_rule(fraction):
+    # no floor under the threshold: a clean preamble puts it at 0.5, and a
+    # run of bit means at fraction * 0.5 is flagged however deep it is, if
+    # it is longer than the margin of 8; a run of exactly 8 slices to 0 too
+    # but is left unflagged
+    depth = fraction * 0.5
+    high = [1.0] * 2
+    means = high + [depth] * 10 + high + [depth] * 8 + high
+    power = np.repeat(np.concatenate([phy.PREAMBLE_BITS, means])[None, :, None], 8, axis=-1)
+    bits, flags, found = phy.demodulate(power, 8)
+    assert found[0]
+    zeros = np.zeros(len(means), dtype=bool)
+    zeros[2:12] = zeros[14:22] = True
+    assert np.array_equal(phy.scramble(bits[0]), ~zeros)
+    expected = np.zeros(len(means), dtype=bool)
+    expected[2:12] = True
+    assert np.array_equal(flags[0], expected)
+
+
 def test_demodulate_finds_delayed_frames_by_offset_zero_coefficient():
     # a waveform delayed past sample 0, zero-filled in front, is found iff
     # its coefficient at sample 0 passes; no other offset is searched
