@@ -9,14 +9,14 @@ gates.
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import InfeasibleError, InfiniteMeanError, ParameterError
-from .traffic import pareto_mean, pareto_sample
+from .traffic import pareto_mean
 
 # Most on/off runs one gate may hold: the draw loop reaches it in about 1.5 s
 # on a 2-core Xeon, and a 100 us gate at 1e-4 us scales needs about half.
@@ -115,86 +115,89 @@ def post_decode_error_rate(code, p_s):
     return binomial_tail(code.n, code.t, p_s)
 
 
-def gate_durations(rng, stats, total_us):
-    """Alternating on/off durations covering total_us, starting in on.
+def _too_many_runs(total_us):
+    return ParameterError(f"a {total_us:g} us gate needs more than {MAX_GATE_RUNS} on/off "
+                          "runs at these run scales")
 
-    Each duration is drawn i.i.d. from its Pareto law; only the last run
-    overshoots the requested horizon.  A gate that needs more than
-    MAX_GATE_RUNS runs raises ParameterError.
+
+def draw_gate(rng, stats, total_us, bounds, off):
+    """Draw one on/off gate covering total_us, starting in on, and return
+    its durations; only the last run overshoots the horizon.
+
+    Each duration takes one rng.random() call u and is
+    scale * (1 - u) ** (-1 / shape), the inverse CDF of its state's Pareto
+    law at 1 - u, uniform on (0, 1].  The gate's run bounds are appended to
+    bounds and its off times to off, in the layout erasure_mask_from_gate
+    reads: bounds 0, d0, d0 + d1, ... summed in run order, an empty off run
+    when the run count R is odd, then inf, so R' + 2 bounds with R' the
+    even run count; off takes the off time before each pair of bounds,
+    (R' + 2) / 2 entries from 0.  A gate that needs more than MAX_GATE_RUNS
+    runs raises ParameterError.
     """
-    if total_us <= 0:
-        return np.empty(0)
-    out = []
-    covered = 0.0
-    state_on = True
+    random = rng.random
+    on_scale, on_exp = stats.on.scale_min, -1.0 / stats.on.shape
+    off_scale, off_exp = stats.off.scale_min, -1.0 / stats.off.shape
+    durations = []
+    covered = dark = 0.0
+    bounds.append(0.0)
+    off.append(0.0)
     while covered < total_us:
-        if len(out) == MAX_GATE_RUNS:
-            raise ParameterError(
-                f"a {total_us:g} us gate needs more than {MAX_GATE_RUNS} on/off "
-                "runs at these run scales"
-            )
-        p = stats.on if state_on else stats.off
-        d = float(pareto_sample(rng, p))
-        out.append(d)
+        if len(durations) == MAX_GATE_RUNS:
+            raise _too_many_runs(total_us)
+        d = on_scale * (1.0 - random()) ** on_exp
+        durations.append(d)
         covered += d
-        state_on = not state_on
-    return np.array(out)
+        bounds.append(covered)
+        if not covered < total_us:
+            # an empty off run evens the run count
+            bounds.append(covered)
+            off.append(dark)
+            break
+        if len(durations) == MAX_GATE_RUNS:
+            raise _too_many_runs(total_us)
+        d = off_scale * (1.0 - random()) ** off_exp
+        durations.append(d)
+        covered += d
+        dark += d
+        bounds.append(covered)
+        off.append(dark)
+    bounds.append(math.inf)
+    return durations
 
 
-def _gate_bounds(durations):
-    """A gate's run bounds, as _run_bounds lays them out."""
-    d = durations.tolist()
-    if len(d) % 2:
-        d.append(0.0)
-    return chain(accumulate(d, initial=0.0), (math.inf,))
+def gate_durations(rng, stats, total_us):
+    """Alternating on/off durations covering total_us, starting in on, as
+    draw_gate draws them; an empty array when total_us <= 0."""
+    return np.array(draw_gate(rng, stats, total_us, array("d"), array("d")))
 
 
-def _gate_off(durations):
-    """A gate's off time before each pair of bounds, from 0."""
-    d = durations[1::2].tolist()
-    if len(durations) % 2:
-        d.append(0.0)
-    return accumulate(d, initial=0.0)
-
-
-def _run_bounds(gates):
-    """Flat run bounds and off time of a block of gates, summed in
-    np.cumsum's sequential order, and the flat index of each gate's last
-    bound.
-
-    A gate of R runs takes R' + 2 entries, R' being R rounded up to even by
-    an empty off run: its bounds 0, d0, d0 + d1, ..., then inf.  An even
-    entry count puts each gate's run j at a flat index of j's parity, and
-    its region past the last bound at an even (on) one.  Entry i of the off
-    time is the off time before bounds 2i and 2i + 1, so the off time
-    before run j is entry j // 2.
-    """
-    gates = [np.asarray(g, dtype=float) for g in gates]
-    ends = list(accumulate(len(g) + len(g) % 2 + 2 for g in gates))
-    size = ends[-1] if ends else 0
-    bounds = np.fromiter(chain.from_iterable(map(_gate_bounds, gates)), float, size)
-    off = np.fromiter(chain.from_iterable(map(_gate_off, gates)), float, size // 2)
-    return bounds, off, [end - 2 for end in ends]
-
-
-def erasure_mask_from_gate(gates, rate, n_symbols):
+def erasure_mask_from_gate(bounds, off, rate, n_symbols):
     """Lost-symbol masks of a block of gates, one row per gate: a symbol is
     erased iff its transmit interval overlaps an off run of the gate (a
     partially-lost symbol counts as lost).
 
-    gates is a sequence of on-first duration arrays; the result is a
-    (len(gates), n_symbols) bool array.  A symbol is erased iff the off
-    time before its right edge exceeds that before its left edge by more
-    than period * 1e-9.  The work is O(runs) plus one pass over the
-    block's symbols.  A symbol whose edges lie in one run is erased iff
-    that run is off.  Only at the edges of a symbol whose interval holds a
-    run bound is the off time read: the off time before the edge's run j,
-    plus the edge's time into the run when j is odd (an off run).
+    bounds and off are the gates' run bounds and off times, one gate after
+    another in the layout draw_gate appends them in; the result is a
+    (gates, n_symbols) bool array.  An even bound count per gate puts each
+    gate's run j at a flat index of j's parity, and its region past the
+    last bound at an even (on) one; off entry i is the off time before
+    bounds 2i and 2i + 1, so the off time before run j is entry j // 2.  A
+    symbol is erased iff the off time before its right edge exceeds that
+    before its left edge by more than period * 1e-9.  The work is O(runs)
+    plus one pass over the block's symbols.  A symbol whose edges lie in
+    one run is erased iff that run is off.  Only at the edges of a symbol
+    whose interval holds a run bound is the off time read: the off time
+    before the edge's run j, plus the edge's time into the run when j is
+    odd (an off run).
     """
     if not (math.isfinite(rate) and rate > 0):
         raise ParameterError(f"rate must be finite and > 0, got {rate}")
     period_us = 1e6 / rate
-    bounds, off, last = _run_bounds(gates)
+    bounds = np.asarray(bounds, dtype=float)
+    off = np.asarray(off, dtype=float)
+    # a gate's bounds are 0 first and positive after it, so its last bound
+    # is the one before the inf ahead of the next gate's 0
+    last = np.append((bounds == 0.0).nonzero()[0][1:], bounds.size) - 2
     totals = bounds[last]
     if totals.size and n_symbols * period_us > totals.min() + 1e-9:
         raise ParameterError(

@@ -5,10 +5,15 @@ Two modes share one timeline model and one run loop: a frame is the
 bits (coded), transmitted at m bits per channel symbol and R
 symbols/second over a Pareto on/off gate that starts in the on state at
 the first preamble bit.  Both modes draw a block of frames, as many as fit
-BLOCK_BITS lost-mask bits, once from the run's generator; sample mode draws
-receiver noise from generators of its own, runs the waveform chain on as
-many frames at once as fit WAVEFORM_BYTES and decodes all codewords of a
-block in one call.
+BLOCK_BITS lost-mask bits, once from the run's generator, frame by frame:
+a payload read from raw generator words exactly as rng.integers would draw
+its bytes, then a gate whose run bounds go straight into the buffers the
+block's lost-bit mask is computed from (_draw_block).  The payload replay
+follows numpy's Generator stream, which NEP 19 does not promise across
+numpy versions; the test that replays the per-frame calls fails first if
+it changes.  Sample mode draws receiver noise from generators of its own,
+runs the waveform chain on as many frames at once as fit WAVEFORM_BYTES and
+decodes all codewords of a block in one call.
 
 The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
@@ -36,6 +41,7 @@ codeword.
 
 import math
 import numbers
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -53,6 +59,12 @@ from .errors import InfeasibleError, ParameterError
 # with 108-byte payloads.  There 256 noise-free sample-mode frames at 64
 # samples per bit peaked at 47.4 MB RSS, against 45.2 MB in 32-frame blocks
 # and 60.5 MB in 128-frame ones (Python 3.11, numpy 2.4, x86-64 Linux).
+# With short runs a block's run bounds outweigh its masks: at off and on
+# shape 1.5 and scale 0.005 us a gate holds about 17,500 runs, so a block of
+# 144 RS(127,95) frames with 108-byte payloads draws 2.5 million bounds and
+# 1.3 million off times, 8 bytes each in array('d') buffers.  300 such frames
+# (seed 1, margin 4) peaked at 119.4 MB RSS in 6.8 s on a shared 2-core Xeon;
+# the same buffers as Python float lists peaked at 263 MB.
 BLOCK_BITS = 2**18
 # Most frames (or parity trials) per experiment.  At this cap the per-frame
 # log dominates memory: a symbol-mode `rscatter simulate` peaked at 451 MB RSS,
@@ -250,17 +262,60 @@ def _codeword_erasures(flags, code):
     return sym, sym.sum(axis=-1) > code.t
 
 
+def _draw_block(rng, stats, total_us, count, payload_bytes):
+    """The payloads and gates of count frames, drawn from rng frame by
+    frame, a frame's payload first: payload_bytes bytes as
+    rng.integers(0, 256, payload_bytes, dtype=np.uint8) draws them, then a
+    gate covering total_us by channel.draw_gate.  Returns the payloads as a
+    (count, payload_bytes) uint8 array and the gates' run bounds and off
+    times, laid out for channel.erasure_mask_from_gate.
+
+    The payloads are read from raw generator words as numpy reads them: a
+    payload takes ceil(payload_bytes / 4) uint32s through the generator's
+    uint32 buffer, a buffered value first, then each fresh word's low half
+    and then its high half; the last word's unused high half is left
+    buffered.  Each uint32 gives four bytes, low byte first, cut to
+    payload_bytes per payload.  The buffer is read once before the block
+    and written back once after it.  This follows numpy's Generator stream,
+    which NEP 19 does not promise across numpy versions; the test that
+    replays the per-frame draws fails first if it changes.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    held, value = state["has_uint32"], state["uinteger"]
+    halves_n = -(-payload_bytes // 4)  # uint32s per payload
+    words, bounds, off = [], array("d"), array("d")
+    draw_gate = channel.draw_gate
+    buffered = held
+    for _ in range(count):
+        if halves_n:
+            words.append(bitgen.random_raw((halves_n - buffered + 1) >> 1))
+            buffered = (halves_n - buffered) & 1
+        draw_gate(rng, stats, total_us, bounds, off)
+    if not halves_n:
+        return np.empty((count, 0), dtype=np.uint8), bounds, off
+    words = np.concatenate(words)
+    shifts = np.arange(0, 64, 8, dtype=np.uint64)
+    data = ((words[:, None] >> shifts) & 0xFF).astype(np.uint8).ravel()
+    if held:
+        data = np.concatenate([((np.uint64(value) >> shifts[:4]) & 0xFF).astype(np.uint8), data])
+    payloads = data[: count * 4 * halves_n].reshape(count, -1)[:, :payload_bytes]
+    state = bitgen.state
+    state["has_uint32"] = buffered
+    if words.size:
+        state["uinteger"] = int(words[-1] >> 32)
+    bitgen.state = state
+    return payloads, bounds, off
+
+
 def _draw_frames(rng, config, stats, plan, count):
     """A block of count frames as (frame bits, lost-bit masks), one frame
-    per row.  Each frame's payload, then its gate, is drawn from rng frame
-    by frame; the block's frames and masks are then built at once."""
-    payloads = np.empty((count, config.payload_bytes), dtype=np.uint8)
-    gates = []
-    for i in range(count):
-        payloads[i] = rng.integers(0, 256, size=config.payload_bytes, dtype=np.uint8)
-        gates.append(channel.gate_durations(rng, stats, plan["horizon_us"]))
+    per row, from one _draw_block draw."""
+    payloads, bounds, off = _draw_block(rng, stats, plan["horizon_us"], count,
+                                        config.payload_bytes)
     frame_bits = np.unpackbits(phy.frame_block(payloads), axis=1)
-    return frame_bits, channel.erasure_mask_from_gate(gates, plan["bit_rate"], plan["mask_bits_n"])
+    lost = channel.erasure_mask_from_gate(bounds, off, plan["bit_rate"], plan["mask_bits_n"])
+    return frame_bits, lost
 
 
 def _symbol_frames(config, code, plan, frame_bits, lost_all):
@@ -426,8 +481,8 @@ def sweep_parity(config, n=127):
     size = _block_frames(plan)
     for first in range(0, config.frames, size):
         block = lost[first : first + size]
-        gates = [channel.gate_durations(gate_rng, stats, plan["horizon_us"]) for _ in block]
-        block[:] = channel.erasure_mask_from_gate(gates, plan["bit_rate"], plan["mask_bits_n"])
+        _, bounds, off = _draw_block(gate_rng, stats, plan["horizon_us"], len(block), 0)
+        block[:] = channel.erasure_mask_from_gate(bounds, off, plan["bit_rate"], plan["mask_bits_n"])
     return [_parity_point(config, rscodec.RsCode(n, k), lost) for k in range(n - 2, 0, -2)]
 
 

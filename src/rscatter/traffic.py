@@ -55,12 +55,6 @@ class DurationTrace:
             raise ParameterError("all durations must be finite and positive")
 
 
-def pareto_sample(rng, p, size=None):
-    """Inverse-CDF sampler: scale * U^(-1/shape) with U uniform on (0, 1]."""
-    u = 1.0 - rng.random(size)  # (0, 1]
-    return p.scale_min * u ** (-1.0 / p.shape)
-
-
 def pareto_mean(p):
     """Mean shape*scale/(shape-1); diverges for shape <= 1."""
     if p.shape <= 1.0:

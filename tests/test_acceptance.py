@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 import pytest
 from gf_oracle import brute_force_search
-from traffic_oracle import log_likelihood
+from traffic_oracle import log_likelihood, pareto_sample
 
 from rscatter import channel, cli, codesearch, harness, phy, rscodec, traffic
 from rscatter.errors import InfeasibleError
@@ -118,7 +118,7 @@ def test_criterion_3_mle_recovery():
     ok = True
     for seed in range(5):
         rng = np.random.default_rng(300 + seed)
-        x = traffic.pareto_sample(rng, truth, size=100_000)
+        x = pareto_sample(rng, truth, size=100_000)
         fit = traffic.mle_fit(x)
         ok = ok and abs(fit.shape - 2.5) / 2.5 <= 0.02
         ok = ok and fit.scale_min == float(x.min())

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from draw_oracle import run_bounds
+from traffic_oracle import pareto_cdf
 from rscatter.channel import (
     MarkovChannel,
     binomial_tail,
@@ -158,6 +160,16 @@ def test_gate_durations_cover_horizon():
     assert gate_durations(rng, stats, 0.0).size == 0
 
 
+def test_gate_runs_follow_their_pareto_laws():
+    # on runs are even-indexed and off runs odd; all but the last are whole draws
+    stats = _stats(2.5, 1.0, 1.8, 4.0)
+    durations = gate_durations(np.random.default_rng(0), stats, 1e6)[:-1]
+    for runs, law in ((durations[0::2], stats.on), (durations[1::2], stats.off)):
+        assert runs.size > 80_000 and float(runs.min()) >= law.scale_min
+        for q in (1.25, 2.0, 5.0, 8.0, 20.0):
+            assert float(np.mean(runs <= q)) == pytest.approx(pareto_cdf(q, law), abs=0.005)
+
+
 def test_gate_durations_caps_run_count(monkeypatch):
     from rscatter import channel
 
@@ -213,25 +225,29 @@ def _markov_mask(rng, ch, n_symbols):
     return np.concatenate(flags)
 
 
+def _mask(gates, rate, n_symbols):
+    return erasure_mask_from_gate(*run_bounds(gates), rate, n_symbols)
+
+
 def test_erasure_mask_from_gate_oracle():
     # on 3 us, off 2 us, on 5 us at 1 symbol/us: symbols 0-2 clean,
     # 3-4 erased, 5-9 clean (symbol 4 ends exactly at the off/on edge)
-    mask = erasure_mask_from_gate([np.array([3.0, 2.0, 5.0])], 1e6, 10)
+    mask = _mask([np.array([3.0, 2.0, 5.0])], 1e6, 10)
     assert mask.tolist() == [[False, False, False, True, True, False, False, False, False, False]]
 
 
 def test_erasure_mask_partial_overlap_counts_as_lost():
     # off run of 0.5 us inside symbol 1: the symbol is partially dark -> lost
-    mask = erasure_mask_from_gate([np.array([1.25, 0.5, 10.0])], 1e6, 5)
+    mask = _mask([np.array([1.25, 0.5, 10.0])], 1e6, 5)
     assert mask.tolist() == [[False, True, False, False, False]]
 
 
 def test_erasure_mask_requires_cover():
     with pytest.raises(ParameterError):
-        erasure_mask_from_gate([np.array([3.0])], 1e6, 10)
+        _mask([np.array([3.0])], 1e6, 10)
     for rate in (0.0, -1.0, inf, nan):
         with pytest.raises(ParameterError, match="rate"):
-            erasure_mask_from_gate([np.array([10.0, 5.0, 10.0])], rate, 8)
+            _mask([np.array([10.0, 5.0, 10.0])], rate, 8)
 
 
 # run lengths in bit-times: much shorter than a bit, about a bit, and
@@ -277,7 +293,7 @@ def test_erasure_mask_block_matches_per_gate_interp(rate, n_symbols, kinds, seed
         gates.append(durations)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        block = erasure_mask_from_gate(gates, rate, n_symbols)
+        block = _mask(gates, rate, n_symbols)
     assert block.shape == (len(gates), n_symbols)
     for row, durations in zip(block, gates):
         assert np.array_equal(row, _reference_erasure_mask(durations, rate, n_symbols))

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from traffic_oracle import pareto_sample
 from rscatter import cli, harness, phy, traffic
 from rscatter.errors import ParameterError
 
@@ -14,8 +15,8 @@ from rscatter.errors import ParameterError
 def _write_trace(tmp_path, seed=0, n=400):
     rng = np.random.default_rng(seed)
     trace = traffic.DurationTrace(
-        off_durations=traffic.pareto_sample(rng, traffic.ParetoParams(2.5, 4.0), n),
-        on_durations=traffic.pareto_sample(rng, traffic.ParetoParams(2.0, 100.0), n),
+        off_durations=pareto_sample(rng, traffic.ParetoParams(2.5, 4.0), n),
+        on_durations=pareto_sample(rng, traffic.ParetoParams(2.0, 100.0), n),
     )
     path = tmp_path / "trace.csv"
     traffic.save_trace(trace, path)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from draw_oracle import draw_frames_loop, run_bounds
+from traffic_oracle import pareto_sample
 from rscatter.errors import InfeasibleError, ParameterError
-from rscatter import harness, phy, rscodec
+from rscatter import channel, harness, phy, rscodec, traffic
 
 
 def _config(**kw):
@@ -230,6 +232,54 @@ def test_modes_draw_the_same_frames(monkeypatch):
         assert np.array_equal(other_bits, bits) and np.array_equal(other_lost, lost)
 
 
+# run scales in us: about 10 runs per 300 us gate, and about 240 short ones
+_DRAW_REGIMES = {"long": (1.2, 2.0, 1.3, 20.0), "short": (1.5, 0.3, 1.5, 0.6)}
+
+
+@pytest.mark.parametrize("regime", sorted(_DRAW_REGIMES))
+@pytest.mark.parametrize("held", [0, 1])
+@pytest.mark.parametrize("payload_bytes", [0, 3, 4, 5, 6, 108])
+def test_block_draw_replays_per_frame_draws(payload_bytes, held, regime):
+    # the block draw reads raw generator words in place of rng.integers and
+    # gate_durations frame by frame: equal payloads, run bounds, lost masks
+    # and final generator state, for every payload size mod 4 (0 is the
+    # parity sweep's gates-only draw), over back-to-back blocks that carry
+    # the generator's uint32 buffer from one to the next
+    off_shape, off_scale, on_shape, on_scale = _DRAW_REGIMES[regime]
+    stats = traffic.TrafficStats(off=traffic.ParetoParams(off_shape, off_scale),
+                                 on=traffic.ParetoParams(on_shape, on_scale))
+    total_us, rate, n_symbols = 300.0, 1e6, 299
+    block_rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for rng in (block_rng, loop_rng):
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = held, 0xA5C3_1E07
+        rng.bit_generator.state = state
+    runs = 0
+    for count in (1, 7, 144):
+        payloads, bounds, off = harness._draw_block(block_rng, stats, total_us, count,
+                                                    payload_bytes)
+        want, gates = draw_frames_loop(loop_rng, stats, total_us, count, payload_bytes)
+        assert payloads.shape == want.shape and np.array_equal(payloads, want)
+        want_bounds, want_off = run_bounds(gates)
+        assert np.array_equal(bounds, want_bounds) and np.array_equal(off, want_off)
+        lost = channel.erasure_mask_from_gate(bounds, off, rate, n_symbols)
+        assert np.array_equal(lost, channel.erasure_mask_from_gate(want_bounds, want_off,
+                                                                   rate, n_symbols))
+        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+        runs += sum(len(g) for g in gates)
+    assert runs / 152 > (100 if regime == "short" else 2)
+
+
+@pytest.mark.parametrize("sweep", [False, True])
+def test_gate_run_cap_stops_experiments(sweep, monkeypatch):
+    # a gate that needs more runs than the cap fails the whole experiment
+    # at once, through the block draw of both the run loop and the sweep
+    cfg = _config(frames=5, off_scale_min=0.3, on_scale_min=0.6)
+    monkeypatch.setattr(channel, "MAX_GATE_RUNS", 3)
+    with pytest.raises(ParameterError, match="runs"):
+        harness.sweep_parity(cfg, n=15) if sweep else harness.run(cfg)
+
+
 def test_same_seed_same_report():
     a = harness.run(_config())
     b = harness.run(_config())
@@ -301,12 +351,10 @@ def test_sweep_silent_rescales_off_mean():
 
 
 def test_trace_scenario_resolution(tmp_path):
-    from rscatter import traffic
-
     rng = np.random.default_rng(4)
     trace = traffic.DurationTrace(
-        off_durations=traffic.pareto_sample(rng, traffic.ParetoParams(2.5, 3.0), 500),
-        on_durations=traffic.pareto_sample(rng, traffic.ParetoParams(2.5, 80.0), 500),
+        off_durations=pareto_sample(rng, traffic.ParetoParams(2.5, 3.0), 500),
+        on_durations=pareto_sample(rng, traffic.ParetoParams(2.5, 80.0), 500),
     )
     path = tmp_path / "t.csv"
     traffic.save_trace(trace, path)

@@ -1,6 +1,7 @@
 """Independent oracles for the Pareto traffic model, in closed form:
-`pareto_cdf` checks the sampler `traffic.pareto_sample`, and
-`log_likelihood` checks the fit `traffic.mle_fit`."""
+`pareto_cdf` checks the gate sampler `channel.draw_gate`, and
+`log_likelihood` checks the fit `traffic.mle_fit`.  `pareto_sample` draws
+i.i.d. Pareto durations for fits and traces."""
 
 import math
 
@@ -12,6 +13,11 @@ def pareto_cdf(tau, p):
     tau = np.asarray(tau, dtype=float)
     out = np.where(tau >= p.scale_min, 1.0 - (p.scale_min / np.maximum(tau, p.scale_min)) ** p.shape, 0.0)
     return float(out) if out.ndim == 0 else out
+
+
+def pareto_sample(rng, p, size):
+    """Inverse-CDF sampler: scale * U^(-1/shape) with U uniform on (0, 1]."""
+    return p.scale_min * (1.0 - rng.random(size)) ** (-1.0 / p.shape)
 
 
 def log_likelihood(samples, p):
