@@ -4,7 +4,7 @@ Submodules:
   gf2m        GF(2^m) log/exp tables, one pair per field, m in 3..7
   rscodec     systematic RS encoder / errors-and-erasures decoder
   traffic     Pareto on/off duration modeling, MLE fitting, trace I/O
-  channel     two-state Markov burst channel and erasure masks
+  channel     per-symbol loss rate of the on/off gate, erasure masks
   codesearch  rate-maximal code selection under a reliability threshold
   phy         framing, OOK modulation, blind demodulation
   harness     Monte Carlo link experiments and sweeps

@@ -1,16 +1,16 @@
-"""Two-state Markov burst channel and erasure-mask generation.
+"""Per-symbol loss rate of the on/off gate, and erasure-mask generation.
 
-The on/off excitation process is reduced to per-symbol transition
-probabilities alpha (on->off) and beta (off->on); the stationary off
-fraction alpha/(alpha+beta) is the average symbol error rate of the
-uncoded link.  Erasure masks for Monte Carlo are drawn from Pareto on/off
-gates.
+symbol_error_rate reduces fitted Pareto on/off statistics to one number,
+p_s: the stationary off fraction of the gate at symbol granularity,
+alpha/(alpha+beta) from the per-symbol run-leaving probabilities alpha
+(on) and beta (off), each clamped to 1.  The code search and the link
+reports take it as the i.i.d. symbol loss rate.  Erasure masks for Monte
+Carlo are drawn from Pareto on/off gates.
 """
 
 import math
 import warnings
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,30 +23,14 @@ from .traffic import pareto_mean
 MAX_GATE_RUNS = 1_000_000
 
 
-@dataclass(frozen=True)
-class MarkovChannel:
-    """Per-symbol transition probabilities of the two-state chain.
+def symbol_error_rate(stats, rate):
+    """Per-symbol loss rate p_s of the on/off gate at rate symbols/second.
 
-    The transition matrix is Q = [[1-alpha, alpha], [beta, 1-beta]] over
-    the (on, off) states.
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ParameterError(f"beta must be in [0, 1], got {self.beta}")
-
-
-def markov_from_stats(stats, rate):
-    """Per-symbol transition probabilities from mean on/off durations.
-
-    alpha = R/mean_on and beta = R/mean_off with R expressed in symbols
-    per microsecond, so both are dimensionless per-symbol probabilities.
-    Quotients above 1 are clamped with a diagnostic.
+    With R the rate in symbols per microsecond, alpha = R/mean_on and
+    beta = R/mean_off are the per-symbol probabilities of leaving an on
+    and an off run; p_s = alpha/(alpha+beta) is the off fraction of the
+    gate seen at symbol granularity.  A quotient above 1 (a run shorter
+    than a symbol) is clamped to 1 with a diagnostic.
     """
     if not (math.isfinite(rate) and rate > 0):
         raise ParameterError(f"rate must be finite and > 0, got {rate}")
@@ -66,14 +50,9 @@ def markov_from_stats(stats, rate):
         )
         alpha = min(alpha, 1.0)
         beta = min(beta, 1.0)
-    return MarkovChannel(alpha=alpha, beta=beta)
-
-
-def symbol_error_rate(ch):
-    """Stationary off fraction alpha/(alpha+beta) of the two-state chain."""
-    if ch.alpha + ch.beta == 0:
+    if alpha + beta == 0:
         raise ParameterError("alpha and beta are both zero; error rate undefined")
-    return ch.alpha / (ch.alpha + ch.beta)
+    return alpha / (alpha + beta)
 
 
 @lru_cache(maxsize=32)
@@ -109,8 +88,8 @@ def post_decode_error_rate(code, p_s):
     """Codeword failure probability of an (n, k) RS code at raw rate p_s:
     P(more than t of n symbols erased), reported as predicted_pe.
 
-    The symbols are taken as i.i.d. erasures at the Markov chain's
-    stationary rate.
+    The symbols are taken as i.i.d. erasures at the gate's off fraction
+    p_s (symbol_error_rate).
     """
     return binomial_tail(code.n, code.t, p_s)
 

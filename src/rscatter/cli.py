@@ -85,7 +85,7 @@ def _scenario_stats(args):
 
 def _cmd_optimize(args):
     stats = _scenario_stats(args)
-    outcome = codesearch.optimize_code(stats, args.rate, args.pe_th)
+    outcome = codesearch.optimize_for_ps(channel.symbol_error_rate(stats, args.rate), args.pe_th)
     _emit(
         {
             "n": outcome.code.n,
@@ -103,20 +103,21 @@ def _cmd_optimize(args):
 def _cmd_simulate(args):
     config = load_config(args.config)
     report = harness.run(config)
-    out = report.to_dict()
     if args.frame_log:
         with open(args.frame_log, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["frame", "baseline_error", "coded_error"])
             writer.writeheader()
             writer.writerows(report.frame_log)
     if not args.keep_frame_log_in_json:
-        out["frame_log"] = []
-    _emit(out)
+        report = dataclasses.replace(report, frame_log=[])
+    _emit(report.to_dict())
 
 
 def _cmd_sweep(args):
     config = load_config(args.config)
     if args.vary == "parity":
+        if args.values is not None:
+            raise ParameterError("--values applies to --vary silent-duration only")
         n = config.code[0] if config.code else 127
         rows = harness.sweep_parity(config, n=n)
     else:

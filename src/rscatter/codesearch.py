@@ -15,7 +15,7 @@ that scores all 119 pairs (every odd k <= n-2 of each n).
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .channel import markov_from_stats, post_decode_error_rate, symbol_error_rate
+from .channel import post_decode_error_rate
 from .errors import InfeasibleError, ParameterError
 from .rscodec import ADMISSIBLE_N, RsCode
 
@@ -39,7 +39,8 @@ def check_threshold(pe_threshold):
 
 
 def optimize_for_ps(p_s, pe_threshold=DEFAULT_PE_THRESHOLD):
-    """Run the heuristic search for a given raw symbol error rate."""
+    """Select the rate-maximal code at the per-symbol loss rate p_s, which
+    channel.symbol_error_rate gives for traffic statistics."""
     check_threshold(pe_threshold)
     if not (0.0 <= p_s <= 1.0):
         raise ParameterError(f"p_s must be in [0, 1], got {p_s}")
@@ -65,9 +66,3 @@ def optimize_for_ps(p_s, pe_threshold=DEFAULT_PE_THRESHOLD):
         rate=code.k / code.n,
         feasible_alternatives=[(c.n, c.k, c_pe) for c, c_pe in winners],
     )
-
-
-def optimize_code(stats, rate_R, pe_threshold=DEFAULT_PE_THRESHOLD):
-    """Select the rate-maximal code for measured traffic statistics."""
-    ch = markov_from_stats(stats, rate_R)
-    return optimize_for_ps(symbol_error_rate(ch), pe_threshold)

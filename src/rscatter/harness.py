@@ -177,7 +177,7 @@ class LinkReport:
 def _link_setup(config, stats):
     """The link's code, its frame plan, p_s and predicted error rate."""
     code = rscodec.RsCode(*config.code) if config.code is not None else None
-    p_s = channel.symbol_error_rate(channel.markov_from_stats(stats, config.rate))
+    p_s = channel.symbol_error_rate(stats, config.rate)
     if code is None:
         outcome = codesearch.optimize_for_ps(p_s, config.pe_threshold)
         code, predicted_pe = outcome.code, outcome.predicted_pe

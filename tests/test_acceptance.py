@@ -137,10 +137,9 @@ def test_criterion_4_optimizer_oracle_equivalence():
         alpha = float(rng.uniform(0.001, 0.6))
         beta = float(rng.uniform(0.02, 1.0))
         threshold = float(10 ** rng.uniform(-5, -1))
-        p_s = channel.symbol_error_rate(
-            channel.MarkovChannel(alpha=alpha, beta=beta)
-        )
-        cases.append((p_s, threshold))
+        # the stationary off fraction of a chain leaving on at alpha and off
+        # at beta per symbol
+        cases.append((alpha / (alpha + beta), threshold))
     ok = True
     for p_s, threshold in cases:
         # the oracle's winner as (n, k, p_e), or None and its least p_e

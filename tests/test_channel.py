@@ -1,4 +1,4 @@
-"""Markov burst channel, reliability arithmetic, erasure masks."""
+"""Per-symbol loss rate of the gate, reliability arithmetic, erasure masks."""
 
 import math
 import warnings
@@ -12,17 +12,15 @@ from hypothesis import given, settings, strategies as st
 from draw_oracle import run_bounds
 from traffic_oracle import pareto_cdf
 from rscatter.channel import (
-    MarkovChannel,
     binomial_tail,
     erasure_mask_from_gate,
     gate_durations,
-    markov_from_stats,
     post_decode_error_rate,
     symbol_error_rate,
 )
 from rscatter.errors import InfeasibleError, ParameterError
 from rscatter.rscodec import ADMISSIBLE_N, RsCode
-from rscatter.traffic import ParetoParams, TrafficStats
+from rscatter.traffic import ParetoParams, TrafficStats, pareto_mean
 
 
 def _stats(off_shape, off_scale, on_shape, on_scale):
@@ -38,52 +36,83 @@ def _exact_tail(n, t, p):
     return float(sum(comb(n, i) * p**i * q ** (n - i) for i in range(t + 1, n + 1)))
 
 
-def test_markov_channel_validation():
-    with pytest.raises(ParameterError):
-        MarkovChannel(alpha=1.2, beta=0.5)
+def test_symbol_error_rate_rejects_bad_rate():
     for rate in (0.0, -1.0, inf, nan):
         with pytest.raises(ParameterError, match="rate"):
-            markov_from_stats(_stats(3.0, 10.0, 2.0, 100.0), rate=rate)
+            symbol_error_rate(_stats(3.0, 10.0, 2.0, 100.0), rate=rate)
 
 
-def test_markov_from_stats_transition_quotients():
+def test_symbol_error_rate_from_transition_quotients():
     # mean_on = 2*100/(2-1) = 200 us, mean_off = 3*10/(3-1) = 15 us;
-    # at 1 symbol/us: alpha = 1/200, beta = 1/15
+    # at 1 symbol/us: alpha = 1/200, beta = 1/15, so p_s = 15/215
     stats = _stats(3.0, 10.0, 2.0, 100.0)
-    ch = markov_from_stats(stats, rate=1e6)
-    assert ch.alpha == pytest.approx(1 / 200, rel=1e-12)
-    assert ch.beta == pytest.approx(1 / 15, rel=1e-12)
+    assert symbol_error_rate(stats, rate=1e6) == pytest.approx(15 / 215, rel=1e-12)
 
 
-def test_markov_from_stats_clamps_with_warning():
-    # mean_off = 1.5 * 0.2 / 0.5 = 0.6 us < one symbol period
+def test_symbol_error_rate_clamps_with_warning():
+    # mean_off = 1.5 * 0.2 / 0.5 = 0.6 us < one symbol period: beta is 1
     stats = _stats(1.5, 0.2, 2.0, 100.0)
-    with pytest.warns(UserWarning):
-        ch = markov_from_stats(stats, rate=1e6)
-    assert ch.beta == 1.0
+    with pytest.warns(UserWarning, match="transition quotient exceeds 1"):
+        p_s = symbol_error_rate(stats, rate=1e6)
+    alpha = 1 / 200
+    assert p_s == alpha / (alpha + 1.0)
 
 
-def test_markov_from_stats_infinite_mean_is_infeasible():
+def test_symbol_error_rate_infinite_mean_is_infeasible():
     stats = _stats(0.9, 10.0, 2.0, 100.0)
     with pytest.raises(InfeasibleError):
-        markov_from_stats(stats, rate=1e6)
+        symbol_error_rate(stats, rate=1e6)
 
 
-def test_markov_from_stats_malformed_stats_is_not_infeasible():
+def test_symbol_error_rate_malformed_stats_is_not_infeasible():
     # a programming error must not read as an infeasible channel
     with pytest.raises(AttributeError):
-        markov_from_stats(None, rate=1e6)
+        symbol_error_rate(None, rate=1e6)
 
 
 def test_stationary_error_rate():
-    ch = MarkovChannel(alpha=0.1, beta=0.4)
-    assert symbol_error_rate(ch) == pytest.approx(0.2, rel=1e-12)
+    # mean_on = 10 us, mean_off = 2.5 us at 1 symbol/us: alpha = 0.1, beta = 0.4
+    alpha, beta = 0.1, 0.4
+    assert symbol_error_rate(_stats(2.0, 1.25, 2.0, 5.0), rate=1e6) == pytest.approx(
+        0.2, rel=1e-12)
     # stationary vector of the transition matrix over (on, off) agrees
-    q = np.array([[1 - ch.alpha, ch.alpha], [ch.beta, 1 - ch.beta]])
-    pi = np.array([ch.beta, ch.alpha]) / (ch.alpha + ch.beta)
+    q = np.array([[1 - alpha, alpha], [beta, 1 - beta]])
+    pi = np.array([beta, alpha]) / (alpha + beta)
     assert np.allclose(pi @ q, pi)
-    with pytest.raises(ParameterError):
-        symbol_error_rate(MarkovChannel(alpha=0.0, beta=0.0))
+    # both quotients underflow to 0: means of 2e300 us at 1e-306 symbols/us
+    with pytest.raises(ParameterError, match="both zero"):
+        symbol_error_rate(_stats(2.0, 1e300, 2.0, 1e300), rate=1e-300)
+
+
+def _two_step_p_s(stats, rate):
+    """p_s in two steps, and whether a quotient was clamped: the clamped
+    transition quotients, then the stationary off fraction of their chain."""
+    r_us = rate / 1e6
+    alpha = r_us / pareto_mean(stats.on)
+    beta = r_us / pareto_mean(stats.off)
+    clamped = alpha > 1.0 or beta > 1.0
+    alpha, beta = min(alpha, 1.0), min(beta, 1.0)
+    return alpha / (alpha + beta), clamped
+
+
+_SHAPES = st.floats(1.0, 10.0, exclude_min=True)
+_SCALES = st.floats(-3.0, 4.0).map(lambda e: 10.0**e)
+
+
+@given(_SHAPES, _SCALES, _SHAPES, _SCALES, st.floats(3.0, 9.0).map(lambda e: 10.0**e))
+@settings(max_examples=200, deadline=None)
+def test_symbol_error_rate_equals_two_step_formula(off_shape, off_scale, on_shape, on_scale,
+                                                   rate):
+    # at these rates many runs are shorter than a symbol, so the clamp is hit
+    stats = _stats(off_shape, off_scale, on_shape, on_scale)
+    expected, clamped = _two_step_p_s(stats, rate)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        p_s = symbol_error_rate(stats, rate)
+    assert p_s == expected
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == clamped
+    assert all(m.startswith("transition quotient exceeds 1") for m in messages)
 
 
 def test_binomial_tail_against_exact_rationals():
@@ -199,21 +228,22 @@ def _reference_erasure_mask(durations, rate, n_symbols):
     return np.diff(np.interp(edges, bounds, off_cum)) > period_us * 1e-9
 
 
-def _markov_mask(rng, ch, n_symbols):
-    """Simulate the per-symbol chain from its stationary distribution; True
-    marks a symbol sent in the off state.
+def _markov_mask(rng, alpha, beta, n_symbols):
+    """Simulate the per-symbol two-state chain that leaves on with
+    probability alpha and off with beta, from its stationary distribution;
+    True marks a symbol sent in the off state.
 
     Sojourn times in each state are geometric, so the chain is generated
     run-by-run; the first run is a fresh geometric draw by memorylessness.
     """
     if n_symbols <= 0:
         return np.empty(0, dtype=bool)
-    p_off = symbol_error_rate(ch) if (ch.alpha + ch.beta) > 0 else 0.0
+    p_off = alpha / (alpha + beta) if (alpha + beta) > 0 else 0.0
     state_off = bool(rng.random() < p_off)
     flags = []
     covered = 0
     while covered < n_symbols:
-        p_leave = ch.beta if state_off else ch.alpha
+        p_leave = beta if state_off else alpha
         if p_leave <= 0.0:
             run = n_symbols - covered
         else:
@@ -300,10 +330,10 @@ def test_erasure_mask_block_matches_per_gate_interp(rate, n_symbols, kinds, seed
 
 
 def test_markov_mask_statistics():
-    ch = MarkovChannel(alpha=0.02, beta=0.2)
+    alpha, beta = 0.02, 0.2
     rng = np.random.default_rng(1)
-    erased = np.concatenate([_markov_mask(rng, ch, 5000) for _ in range(40)])
-    target = symbol_error_rate(ch)
+    erased = np.concatenate([_markov_mask(rng, alpha, beta, 5000) for _ in range(40)])
+    target = alpha / (alpha + beta)
     sd = np.sqrt(target * (1 - target) / erased.size)
     # correlated samples: allow a wide multiple of the i.i.d. deviation
     assert abs(float(erased.mean()) - target) < 12 * sd
@@ -311,9 +341,9 @@ def test_markov_mask_statistics():
 
 def test_markov_mask_degenerate_chains():
     rng = np.random.default_rng(2)
-    always_on = MarkovChannel(alpha=0.0, beta=1.0)
-    assert not _markov_mask(rng, always_on, 500).any()
-    assert len(_markov_mask(rng, always_on, 0)) == 0
+    # alpha = 0: the chain never leaves on
+    assert not _markov_mask(rng, 0.0, 1.0, 500).any()
+    assert len(_markov_mask(rng, 0.0, 1.0, 0)) == 0
 
 
 def test_predicted_error_rate_matches_markov_mask_overflow():
@@ -322,23 +352,23 @@ def test_predicted_error_rate_matches_markov_mask_overflow():
     code = RsCode(63, 45)
     # alpha + beta = 1 makes successive symbols independent, so the
     # binomial tail is exact; burstier chains overshoot it (checked below)
-    ch = MarkovChannel(alpha=0.08, beta=0.92)
-    p_s = symbol_error_rate(ch)
-    predicted = post_decode_error_rate(code, p_s)
+    alpha, beta = 0.08, 0.92
+    predicted = post_decode_error_rate(code, alpha / (alpha + beta))
     rng = np.random.default_rng(3)
     trials = 20_000
     hits = sum(
-        int(_markov_mask(rng, ch, code.n).sum() > code.t)
+        int(_markov_mask(rng, alpha, beta, code.n).sum() > code.t)
         for _ in range(trials)
     )
     measured = hits / trials
     sd = np.sqrt(predicted * (1 - predicted) / trials)
     assert abs(measured - predicted) < 3 * sd
 
-    bursty = MarkovChannel(alpha=0.05, beta=0.45)
+    # a burstier chain at the same p_s = 0.1
+    alpha, beta = 0.05, 0.45
     hits = sum(
-        int(_markov_mask(rng, bursty, code.n).sum() > code.t)
+        int(_markov_mask(rng, alpha, beta, code.n).sum() > code.t)
         for _ in range(trials)
     )
-    same_ps_tail = post_decode_error_rate(code, symbol_error_rate(bursty))
+    same_ps_tail = post_decode_error_rate(code, alpha / (alpha + beta))
     assert hits / trials > same_ps_tail  # bursts concentrate failures

@@ -349,6 +349,20 @@ def test_sweep_parity_csv(tmp_path, capsys):
     assert len(lines) == 1 + 7  # header plus one row per odd k of n=15
 
 
+def test_sweep_parity_rejects_values(tmp_path, capsys):
+    # --values are mean silent durations, which the parity sweep does not vary
+    conf = _write_config(
+        tmp_path,
+        "off_shape = 1.5\noff_scale_min = 1.0\non_shape = 1.5\non_scale_min = 30.0\n"
+        "code = 15,9\nframes = 4\nseed = 4\n",
+    )
+    rc = cli.main(["sweep", "--vary", "parity", "--values", "5,20", "--config", str(conf)])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--values" in captured.err
+
+
 def test_gen_trace_then_fit_roundtrip(tmp_path, capsys):
     out = tmp_path / "synthetic.csv"
     rc = cli.main([

@@ -5,8 +5,8 @@ import pytest
 from gf_oracle import brute_force_search
 
 from rscatter import codesearch
-from rscatter.channel import MarkovChannel, binomial_tail, symbol_error_rate
-from rscatter.codesearch import DEFAULT_PE_THRESHOLD, optimize_code, optimize_for_ps
+from rscatter.channel import binomial_tail, symbol_error_rate
+from rscatter.codesearch import DEFAULT_PE_THRESHOLD, optimize_for_ps
 from rscatter.errors import InfeasibleError, ParameterError
 from rscatter.traffic import ParetoParams, TrafficStats
 
@@ -57,7 +57,9 @@ def test_heuristic_equals_brute_force_over_random_channels():
         alpha = float(rng.uniform(0.001, 0.5))
         beta = float(rng.uniform(0.05, 1.0))
         threshold = float(10 ** rng.uniform(-5, -1))
-        cases.append((symbol_error_rate(MarkovChannel(alpha=alpha, beta=beta)), threshold))
+        # p_s is the stationary off fraction of a chain leaving on at alpha
+        # and off at beta per symbol
+        cases.append((alpha / (alpha + beta), threshold))
     for p_s, threshold in cases:
         best, feasible, least_pe = brute_force_search(p_s, threshold)
         if best is None:
@@ -97,14 +99,18 @@ def test_threshold_validation():
 
 
 def test_optimize_code_from_traffic_stats():
-    # mean_off 20 us, mean_on 341.33 us at 1 symbol/us -> p_s ~ 0.0554
+    # the two calls from traffic statistics to a code, as the CLI, the
+    # harness and the choose_code demo make them: mean_off 20 us, mean_on
+    # 341.33 us at 1 symbol/us -> p_s ~ 0.0554
     stats = TrafficStats(
         off=ParetoParams(3.0, 20.0 * 2 / 3),
         on=ParetoParams(2.0, 341.33 / 2),
     )
-    out = optimize_code(stats, 1e6)
+    p_s = symbol_error_rate(stats, 1e6)
+    assert p_s == pytest.approx(20.0 / 361.33, rel=1e-12)
+    out = optimize_for_ps(p_s)
     direct = optimize_for_ps(20.0 / 361.33)
-    assert (out.code.n, out.code.k) == (direct.code.n, direct.code.k)
+    assert (out.code.n, out.code.k) == (direct.code.n, direct.code.k) == (127, 95)
 
 
 def test_selection_is_deterministic():

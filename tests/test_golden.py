@@ -8,6 +8,7 @@ moves and says why.  Each digest is over the canonical JSON
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,18 @@ CLI_OPTIMIZE_DIGEST = "116491e3ca03c80343ea30bb7f1a3452a70dba05a39259dcc7c7bf144
 CLI_INFEASIBLE_ARGV = ["optimize", "--off-shape", "2.0", "--off-scale-min", "100.0",
                        "--on-shape", "2.0", "--on-scale-min", "10.0", "--pe-th", "1e-6"]
 CLI_INFEASIBLE_DIGEST = "c958a2a03d0d909aa8daa9e92b85b945f5fd4631438687e323db0791ab5433d4"
+# the clamp regime: a mean off run of 0.6 us, shorter than a 1 us symbol,
+# clamps beta to 1 with a warning.  Pinned through both callers of the code
+# search: `rscatter optimize`'s JSON, and a symbol-mode link report whose
+# code the search picks (RS(127,121)) and whose 108-byte frames outlast
+# the 170.665 us shortest on run
+CLAMP_SCENARIO = dict(off_shape=1.5, off_scale_min=0.2, on_shape=2.0, on_scale_min=170.665)
+CLAMP_WARNING = ("transition quotient exceeds 1 (alpha=0.00293, beta=1.67); "
+                 "clamping to 1 (more than one transition per symbol)")
+CLI_CLAMP_ARGV = ["optimize", "--off-shape", "1.5", "--off-scale-min", "0.2",
+                  "--on-shape", "2.0", "--on-scale-min", "170.665"]
+CLI_CLAMP_DIGEST = "b9b7361d7608117784d96bb801b1385c6612a633c87b459377d40991dc1da386"
+CLAMP_LINK_DIGEST = "fa9a796bbd72fdc51de1cd391005b014b200d94c88f8308175bf37b0556db16a"
 # the parity part G2 of every admissible code's binary generator, as uint8
 # bytes, n ascending and then k ascending
 BINARY_GENERATOR_DIGEST = "47bf1046db48156e04774c16fc97df5e73daa40743696bb991458daae84a7c10"
@@ -326,3 +339,17 @@ def test_cli_optimize_infeasible_line_unchanged(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert hashlib.sha256(captured.err.encode()).hexdigest() == CLI_INFEASIBLE_DIGEST
+
+
+def test_cli_optimize_clamp_regime_unchanged(capsys):
+    with pytest.warns(UserWarning, match=re.escape(CLAMP_WARNING)):
+        assert cli.main(CLI_CLAMP_ARGV) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_CLAMP_DIGEST
+
+
+def test_clamp_regime_link_report_unchanged():
+    cfg = harness.ExperimentConfig(**CLAMP_SCENARIO, frames=40, payload_bytes=108, seed=11)
+    with pytest.warns(UserWarning, match=re.escape(CLAMP_WARNING)):
+        report = harness.run(cfg).to_dict()
+    assert _digest(report) == CLAMP_LINK_DIGEST
