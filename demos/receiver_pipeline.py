@@ -2,9 +2,9 @@
 
 Builds a frame, modulates it as scrambled OOK behind the 36-bit preamble,
 punches an excitation outage into the waveform, and lets the blind
-demodulator find the preamble by its correlation at sample 0, the only
-offset it tests, and recover bits and erasure flags before the RS decoder
-repairs the hole.
+demodulator find the preamble by the correlation of its bit means at
+sample 0, the only offset it tests, and recover bits and erasure flags
+before the RS decoder repairs the hole.
 """
 
 import numpy as np

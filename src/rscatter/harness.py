@@ -19,10 +19,13 @@ The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
 read the same lost-bit mask, preamble included: symbol mode evaluates it
 directly, and sample mode zeroes every sample of a lost bit before noise
-and demodulation.  Both modes flag a run of line bits read as 0 longer
-than erasure_margin_bits as erased (phy.flag_erasure_runs): symbol mode
-reads a bit as 0 iff it was lost or sent as 0 (phy.perceived_erasures),
-sample mode iff the receiver slices it 0 (phy.demodulate).  A codeword is
+and demodulation.  Symbol mode finds a frame iff no preamble '1' bit is
+lost, which is the receiver's rule at zero noise: a lost preamble '0' bit
+reads as the 0 that was sent.  Both modes flag a run of line bits read as
+0 longer than erasure_margin_bits as erased (phy.flag_erasure_runs):
+symbol mode reads a bit as 0 iff it was lost or sent as 0
+(phy.perceived_erasures), sample mode iff the receiver slices it 0
+(phy.demodulate).  A codeword is
 delivered only when its erased symbols stay within the correction
 capability t that the code selection assumes.  Both modes score a frame by
 one rule: it is delivered iff its preamble is found, no codeword is lost
@@ -323,7 +326,8 @@ def _symbol_frames(config, code, plan, frame_bits, lost_all):
     frame per row, each as the (found, wrong, failed) that _outcomes scores.
     """
     pre, nf = plan["preamble_bits"], plan["frame_bits_n"]
-    found = ~lost_all[:, :pre].any(axis=1)
+    # the receiver's rule at zero noise: found iff no preamble '1' bit is lost
+    found = ~(lost_all[:, :pre] & (phy.PREAMBLE_BITS[:pre] == 1)).any(axis=1)
 
     # baseline: uncoded frame right after the preamble; a lost bit reads
     # as the PN bit after descrambling, so only lost bits whose line bit
@@ -406,10 +410,14 @@ def _sample_frames(config, code, plan, frame_bits, lost, noise):
     the coded, is modulated, gated and demodulated in parts of as many
     frames as fit WAVEFORM_BYTES; at noise_sigma > 0 a part's I and Q noise
     is one draw from that transmission's generator in noise, frame after
-    frame.  A transmission is found iff its preamble correlation at sample
-    0, the only offset tested, is at least phy.CORR_THRESHOLD and its
-    threshold is positive.  All codewords of found coded frames left to the
-    decoder by the delivery rule are decoded at once.
+    frame.  A transmission is found iff the correlation coefficient of its
+    preamble's bit means with phy.PREAMBLE_BITS at sample 0, the only
+    offset tested, is at least phy.CORR_THRESHOLD and its threshold is
+    positive (phy.demodulate); at zero noise that is iff no preamble '1'
+    bit is lost, the rule _symbol_frames applies.  Under noise alone a few
+    frames in a thousand pass by chance, and then fail with their real bit
+    errors rather than all their bits.  All codewords of found coded frames
+    left to the decoder by the delivery rule are decoded at once.
     """
     spb, sigma = config.samples_per_bit, config.noise_sigma
     # per transmission: received bits, erasure flags, preamble found

@@ -3,9 +3,12 @@
 Framing (length byte, 3..108 byte payload, CRC-16), scrambling,
 unipolar NRZ/OOK sample generation behind a fixed 36-bit preamble, sample
 gating by a lost-bit mask plus additive noise, and blind demodulation of
-frames synchronised to sample 0: matched filter, a preamble
-cross-correlation test at sample 0 alone, adaptive power threshold, and
-erasure flagging of long runs of bits sliced 0.
+frames synchronised to sample 0: matched filter (each bit's mean power),
+a correlation test of the preamble's bit means with the preamble bits at
+sample 0 alone, adaptive power threshold, and erasure flagging of long
+runs of bits sliced 0.  The receiver reads the samples only through their
+bit means, so its preamble test, like its slicer, gains from oversampling;
+its one cost is that a few noise-only preambles in a thousand pass it.
 
 A waveform is one (bits, samples_per_bit) array, and the waveform functions
 take a leading frame axis: `modulate` returns the real envelopes,
@@ -27,11 +30,6 @@ PREAMBLE_BITS = np.array(
     [int(c) for c in "101010101010101010101010110100100011"], dtype=np.uint8
 )
 PREAMBLE_LEN = PREAMBLE_BITS.size  # 36
-# the correlator's template constants: '1' positions, mean and sum of
-# squared deviations of PREAMBLE_BITS
-_PREAMBLE_ONES = np.flatnonzero(PREAMBLE_BITS)
-_PREAMBLE_MEAN = PREAMBLE_BITS.mean()
-_PREAMBLE_SQUARES = np.sum((PREAMBLE_BITS - _PREAMBLE_MEAN) ** 2)
 
 MIN_PAYLOAD = 3
 MAX_PAYLOAD = 108
@@ -49,7 +47,8 @@ MAX_NOISE_SIGMA = 1e3
 # OOK cannot tell a transmitted 0 from the off state; a run of bits read as
 # 0 is flagged erased only when longer than this many bit-times.
 DEFAULT_ERASE_MARGIN_BITS = 16
-# minimum preamble correlation coefficient for a frame to be detected
+# minimum correlation coefficient of a frame's preamble bit means with
+# PREAMBLE_BITS for the frame to be found
 CORR_THRESHOLD = 0.5
 
 
@@ -206,36 +205,6 @@ def apply_channel(samples, lost_bits, noise=None):
     return power
 
 
-def _preamble_corr(power):
-    """Each frame's correlation coefficient with the preamble template
-    (PREAMBLE_BITS held spb samples per bit) at sample 0: power is a
-    (frames, rows >= PREAMBLE_LEN, spb) block, of which only the first
-    PREAMBLE_LEN rows are read.  0 where a frame's preamble window is
-    constant.
-
-    The template is constant over each bit, so its correlation with the
-    window is the sum of the one-bit sums at the template's '1' bits minus
-    the template mean times the window's sum: box sums from one cumulative
-    sum per frame, added in sequence, instead of a correlation with the full
-    template.
-    """
-    frames, _, spb = power.shape
-    n = PREAMBLE_LEN * spb
-    window = power[:, :PREAMBLE_LEN].reshape(frames, n)
-    csum = np.zeros((frames, n + 1))
-    np.cumsum(window, axis=1, out=csum[:, 1:])
-    bit_sum = csum[:, spb::spb] - csum[:, :-spb:spb]
-    # a running sum over the '1' bits adds them first + second, then the rest
-    num = np.cumsum(bit_sum[:, _PREAMBLE_ONES], axis=1)[:, -1]
-    win_sum = csum[:, n]
-    num -= _PREAMBLE_MEAN * win_sum
-    # n times the window's variance (sum of squares minus squared sum / n),
-    # then the denominator
-    denom = np.cumsum(np.square(window), axis=1)[:, -1] - win_sum * win_sum / n
-    denom = np.sqrt(np.maximum(denom, 0.0)) * np.sqrt(spb * _PREAMBLE_SQUARES)
-    return np.divide(num, denom, out=np.zeros(frames), where=denom > 0)
-
-
 def flag_erasure_runs(zeros, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     """Flag the bits read as 0 (zeros) that lie in a run longer than margin_bits.
 
@@ -299,16 +268,24 @@ def demodulate(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     power is (frames, rows, samples_per_bit), one frame's preamble and
     rows - PREAMBLE_LEN bits per waveform.  Returns the (frames, rows -
     PREAMBLE_LEN) bits and erasure flags and a (frames,) mask of the frames
-    found.  A frame is found iff the correlation of its first PREAMBLE_LEN
-    bit-times with the preamble template, taken at sample 0 only, is at or
-    above CORR_THRESHOLD and its threshold is positive; no other offset is
-    searched.  The rows of frames not found hold no meaning.
+    found.  The rows of frames not found hold no meaning.
 
     Each bit's statistic is its mean power (a rectangular matched filter
-    sampled once per bit).  The threshold is the average of the minimum '1'
-    and the maximum '0' statistic over the preamble.  Data bits are sliced
-    once, 1 at or above it, and descrambled; runs of line bits sliced 0
-    longer than erase_margin_bits bit-times are flagged erased, as in
+    sampled once per bit), and every decision reads these statistics only.
+    A frame is found iff the Pearson correlation coefficient of its first
+    PREAMBLE_LEN statistics with PREAMBLE_BITS is at or above
+    CORR_THRESHOLD and its threshold is positive; the coefficient of
+    constant statistics is taken as 0.  Only sample 0 is tested; no other
+    offset is searched.  A bit mean's noise falls as 1/sqrt(samples per
+    bit), so oversampling steadies the test as it steadies the slicer.  At
+    zero noise a frame is found iff no preamble '1' bit was lost.  Under
+    noise alone, with every preamble bit lost, a few frames in a thousand
+    pass the test by chance.
+
+    The threshold is the average of the minimum '1' and the maximum '0'
+    statistic over the preamble.  Data bits are sliced once, 1 at or above
+    it, and descrambled; runs of line bits sliced 0 longer than
+    erase_margin_bits bit-times are flagged erased, as in
     perceived_erasures, so the erasures are flag_erasure_runs(scramble(bits)
     == 0, margin).  The threshold is relative, so scaling the power by any
     positive constant leaves every decision unchanged.
@@ -321,6 +298,11 @@ def demodulate(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     pre = stats[:, :PREAMBLE_LEN]
     threshold = (pre[:, PREAMBLE_BITS == 1].min(axis=-1)
                  + pre[:, PREAMBLE_BITS == 0].max(axis=-1)) / 2.0
+    dev = pre - pre.mean(axis=-1, keepdims=True)
+    template = PREAMBLE_BITS - PREAMBLE_BITS.mean()
+    num = dev @ template
+    denom = np.sqrt(np.square(dev).sum(axis=-1) * (template @ template))
+    corr = np.divide(num, denom, out=np.zeros(len(num)), where=denom > 0)
     line = stats[:, PREAMBLE_LEN:] >= threshold[:, None]
     erasures = flag_erasure_runs(~line, erase_margin_bits)
-    return scramble(line), erasures, (_preamble_corr(power) >= CORR_THRESHOLD) & (threshold > 0)
+    return scramble(line), erasures, (corr >= CORR_THRESHOLD) & (threshold > 0)

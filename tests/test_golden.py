@@ -75,7 +75,7 @@ NOISY_DIGESTS = {
     (0.1, 6): "43697b887c5eb7f8779a6379e2db95b8176470c077ccb42e9c1c8845d0ca386d",
     (0.3, 4): "61959751616ba5486ce03a16ea36f6a1bc7decf521a09712e839d56f8bb03c4a",
     (0.3, 6): "ac950d6f5c5c91fd78eeb0fc2fcdea0372f48a36a2944bae3ec3ee4806a057e2",
-    (0.5, 4): "f70516f9edd7d1ca83568c1a43a28898bb4b664a9c76bee97fc978ceece8a96f",
+    (0.5, 4): "5a6ea56408f334ebb346ee47c72dc195a0361fbcbb91e071cbdff78eccdc6246",
 }
 # sample mode over more frames than one waveform part, keyed by
 # (noise_sigma, m); run again in blocks of 1, 7 and 32 frames, and in the
@@ -88,9 +88,10 @@ SAMPLE_BLOCK_DIGESTS = {
 }
 # sample mode off the default 8 samples per bit, keyed by (samples_per_bit,
 # noise_sigma): 37 frames fill no whole number of blocks of any size.  Over
-# 13 or more samples a bit's mean power hides noise of 0.3, so those runs
-# give the noise-free report; 0.4 at 13 and 0.52 at 64 samples per bit move
-# decisions, and from about 0.6 every frame fails at both
+# 13 or more samples a bit's mean power hides noise of 0.3, and over 64 it
+# hides 0.52, so those runs give the noise-free report; 0.4 at 13 and 0.8 at
+# 64 samples per bit move decisions, and from about 1.0 at 13 and 1.2 at 64
+# every coded frame fails
 SPB_FRAMES = 37
 SPB_DIGESTS = {
     (4, 0.0): "ea5bd0ab7224af60be553c3f0aae3d18ede22b63aacc769391000c6dc9789802",
@@ -100,16 +101,18 @@ SPB_DIGESTS = {
     (13, 0.4): "d56915da1f05a998cb68f37bef2a6500f601a7d1828f3c9f384d4c48dc7de95f",
     (64, 0.0): "150653322b665c481281332d24f061939bace4a308d638b3ec99a8f0ed25682a",
     (64, 0.3): "150653322b665c481281332d24f061939bace4a308d638b3ec99a8f0ed25682a",
-    (64, 0.52): "887f0bc812c66a3e968fffdbac885d1ec2397c913572004516cb0d250a16f0c3",
+    (64, 0.52): "150653322b665c481281332d24f061939bace4a308d638b3ec99a8f0ed25682a",
+    (64, 0.8): "56b78f3115c8a7a60fe3336ff0fd061a0eb39a3fdb71b594fde1bbac506d7479",
 }
 # the longest waveform an experiment can ask for: RS(7,1), 108-byte payloads
 # and 64 samples per bit, keyed by noise_sigma; over 64 samples a bit's mean
-# power hides noise of 0.3, so that run gives the noise-free report, while
-# 0.52 fails 3 coded frames of 5 against 2 without noise
+# power hides noise of 0.3 and 0.52, so those runs give the noise-free
+# report, while 0.8 fails all 5 baseline frames against 1 without noise
 LONGEST_WAVEFORM_DIGESTS = {
     0.0: "440d68c283c98c38177923903a4ae9826e25a27f2560d56ab98a7fcdbff638cb",
     0.3: "440d68c283c98c38177923903a4ae9826e25a27f2560d56ab98a7fcdbff638cb",
-    0.52: "38697be3ef0f4b818ebc081adfe761c03875a00af36b61af4e794206c5389b73",
+    0.52: "440d68c283c98c38177923903a4ae9826e25a27f2560d56ab98a7fcdbff638cb",
+    0.8: "591537a2844ee7636f3e0be133230efad2b6b432000c067be105e3c1c6d602a5",
 }
 SILENT_DIGEST = "8491f148c4e6b3bad4da2abbdb1d88953ea3a277e6a22ba289f38abaff319abc"
 CLI_SIMULATE_DIGEST = "bdee225fe20caaa987703415ab2aeab36426570b8497896c5b49b966e178190e"

@@ -191,6 +191,26 @@ def test_modes_agree_frame_by_frame_without_noise():
         assert rs.ber_baseline == rp.ber_baseline
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_symbol_mode_finds_frames_by_the_receivers_rule(seed):
+    # at zero noise the receiver finds a frame iff no preamble '1' bit is
+    # lost, and symbol mode finds the same frames: a lost preamble '0' bit
+    # reads as the 0 that was sent
+    rng = np.random.default_rng(seed)
+    code = rscodec.RsCode(15, 11)
+    frame_bits = rng.integers(0, 2, (300, (1 + 8 + 2) * 8), dtype=np.uint8)
+    plan = harness._frame_plan(code, 1e6, frame_bits.shape[1])
+    lost = rng.random((300, plan["mask_bits_n"])) < rng.choice([0.01, 0.05, 0.3], (300, 1))
+    (found, _, _), _ = harness._symbol_frames(
+        _config(erasure_margin_bits=8), code, plan, frame_bits, lost)
+    power = phy.apply_channel(phy.modulate(frame_bits, 4), lost)
+    assert np.array_equal(found, phy.demodulate(power, 8)[2])
+    ones_lost = (lost[:, : phy.PREAMBLE_LEN] & (phy.PREAMBLE_BITS == 1)).any(axis=1)
+    assert np.array_equal(found, ~ones_lost)
+    # some frames lost only preamble '0' bits, and they are found
+    assert (found & lost[:, : phy.PREAMBLE_LEN].any(axis=1)).any()
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.5])
 def test_receiver_erasures_are_a_function_of_its_bits(sigma, monkeypatch):
     # both modes flag erasures by one rule: in every found frame the

@@ -300,73 +300,13 @@ def test_demodulate_misses_noise_without_preamble():
     rng = np.random.default_rng(5)
     noise = np.hypot(rng.normal(0, 1, (500, 8)), rng.normal(0, 1, (500, 8)))
     assert not _receive(noise)[2]
-
-
-def _reference_preamble_corr(signal, spb):
-    """Correlation coefficient of every signal window with the preamble
-    template, from a full-length correlation and two-pass window variances."""
-    template = np.repeat(phy.PREAMBLE_BITS.astype(float), spb)
-    if signal.size < template.size:
-        return np.empty(0)
-    centered = template - template.mean()
-    num = np.correlate(signal, centered, mode="valid")
-    windows = np.lib.stride_tricks.sliding_window_view(signal, template.size)
-    denom = np.sqrt(windows.var(axis=1) * template.size * np.sum(centered**2))
-    return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0)
-
-
-def _box_sum_preamble_corr(signal, spb):
-    """The correlator's box-sum arithmetic written plainly, one fresh array
-    per step: the found/lost decision rests on these exact floats."""
-    n = phy.PREAMBLE_LEN * spb
-    if signal.size < n:
-        return np.empty(0)
-    mean = phy.PREAMBLE_BITS.mean()
-    tpl_norm = np.sqrt(spb * np.sum((phy.PREAMBLE_BITS - mean) ** 2))
-    count = signal.size - n + 1
-    csum = np.concatenate([[0.0], np.cumsum(signal)])
-    bit_sum = csum[spb:] - csum[:-spb]
-    ones = np.flatnonzero(phy.PREAMBLE_BITS) * spb
-    num = bit_sum[ones[0] : ones[0] + count]
-    for o in ones[1:]:
-        num = num + bit_sum[o : o + count]
-    win_sum = csum[n:] - csum[:-n]
-    num = num - mean * win_sum
-    csq = np.concatenate([[0.0], np.cumsum(np.square(signal))])
-    denom = (csq[n:] - csq[:-n]) - win_sum * win_sum / n
-    denom = np.sqrt(np.maximum(denom, 0.0)) * tpl_norm
-    return np.divide(num, denom, out=np.zeros(count), where=denom > 0)
-
-
-@given(
-    st.integers(phy.MIN_SAMPLES_PER_BIT, phy.MAX_SAMPLES_PER_BIT),
-    st.integers(1, 4),
-    st.integers(0, 12),
-    st.sampled_from([0.0, 0.01, 0.3, 1.0, 5.0]),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=100, deadline=None)
-def test_preamble_corr_matches_full_correlation(spb, frames, n_data, sigma, seed):
-    # a block of noisy OOK frames, each behind up to three bits of silence,
-    # and some of them constant: each frame's coefficient is the first entry
-    # of its full correlation, float for float
-    rng = np.random.default_rng(seed)
-    rows = phy.PREAMBLE_LEN + n_data
-    block = phy.modulate(rng.integers(0, 2, (frames, n_data)), spb).reshape(frames, -1)
-    for f in range(frames):
-        delay = rng.integers(0, 3 * spb)
-        block[f] = np.roll(block[f], delay)
-        block[f, :delay] = 0.0
-    constant = rng.random(frames) < 0.25
-    block[~constant] += rng.normal(0.0, sigma, (frames - constant.sum(), block.shape[1]))
-    block[constant] = rng.choice([0.0, 0.25, 1.0], (constant.sum(), 1))
-    block = block.reshape(frames, rows, spb)
-    got = phy._preamble_corr(block)
-    assert got.shape == (frames,)
-    assert np.array_equal(got, [_box_sum_preamble_corr(f.ravel(), spb)[0] for f in block])
-    assert (got[constant] == 0).all()
-    expected = [_reference_preamble_corr(f.ravel(), spb)[0] for f in block]
-    assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
+    # with every bit lost the power is noise alone, whose scale no decision
+    # reads: fewer than 1% of such frames pass the test on bit means
+    for spb, frames in ((4, 2000), (8, 2000), (phy.MAX_SAMPLES_PER_BIT, 1000)):
+        samples = phy.modulate(rng.integers(0, 2, (frames, 1)), spb)
+        noise = rng.standard_normal((frames, 2) + samples.shape[1:])
+        power = phy.apply_channel(samples, np.ones(samples.shape[:2], dtype=bool), noise)
+        assert phy.demodulate(power)[2].mean() < 0.01
 
 
 @given(
@@ -403,9 +343,11 @@ def test_demodulate_matches_offset_zero_reference(spb, n_data, frames, sigma, lo
     bits, erasures, found = phy.demodulate(power, 8)
     assert bits.shape == erasures.shape == (frames, n_data) and found.shape == (frames,)
     for f in range(frames):
-        ref_bits, ref_flags, ref_found = _reference_demodulate(power[f], 8)
-        assert found[f] == ref_found
-        if ref_found:
+        ref_bits, ref_flags, ref_found, ref_corr = _reference_demodulate(power[f], 8)
+        # a coefficient this close to the threshold may round either way
+        if abs(ref_corr - phy.CORR_THRESHOLD) > 1e-9:
+            assert found[f] == ref_found
+        if ref_found and found[f]:
             assert np.array_equal(bits[f], ref_bits)
             assert np.array_equal(erasures[f], ref_flags)
 
@@ -448,16 +390,22 @@ def test_demodulate_floor_rule(fraction):
 
 def test_demodulate_finds_delayed_frames_by_offset_zero_coefficient():
     # a waveform delayed past sample 0, zero-filled in front, is found iff
-    # its coefficient at sample 0 passes; no other offset is searched
+    # its bit means at sample 0 pass; no other offset is searched
     rng = np.random.default_rng(11)
     spb = 8
     samples = phy.modulate(rng.integers(0, 2, 200, dtype=np.uint8), spb).ravel()
-    for delay in (1, 2, 16):
+    found = {}
+    for delay in (1, 2, 4, spb, 2 * spb, 3 * spb):
         late = np.concatenate([np.zeros(delay), samples[:-delay]]).reshape(-1, spb)
-        found = _receive(late)[2]
-        assert found == _reference_demodulate(late, 8)[2]
-        # each is found, though its correlation peaks past sample 0
-        assert found and _box_sum_preamble_corr(late.ravel(), spb).argmax() > 0
+        found[delay] = _receive(late)[2]
+        assert found[delay] == _reference_demodulate(late, 8)[2]
+    assert found[1] and found[2] and found[2 * spb]
+    # one bit late, the exact template starts at the second bit and a search
+    # over offsets would find it; at sample 0 the alternating prefix reads in
+    # antiphase, and the frame is not found
+    late = np.concatenate([np.zeros(spb), samples[:-spb]]).reshape(-1, spb)
+    assert np.array_equal(late[1 : phy.PREAMBLE_LEN + 1].mean(axis=1), phy.PREAMBLE_BITS)
+    assert not found[spb] and _reference_demodulate(late, 8)[3] < 0
 
 
 def test_demodulate_needs_a_data_bit():
@@ -465,21 +413,44 @@ def test_demodulate_needs_a_data_bit():
         phy.demodulate(np.ones((2, phy.PREAMBLE_LEN, 8)))
 
 
-def test_preamble_corr_constant_and_short_streams():
+def test_demodulate_preamble_test_reads_preamble_bit_means():
     rng = np.random.default_rng(4)
     for spb in (phy.MIN_SAMPLES_PER_BIT, 8, 16):
-        # levels exact in binary keep the window sums exact, so a constant
-        # window's variance is exactly 0 and so is its coefficient
-        levels = np.array([0.0, 0.25, 1.0])
-        block = np.broadcast_to(levels[:, None, None], (3, phy.PREAMBLE_LEN + 5, spb))
-        assert (phy._preamble_corr(block) == 0).all()
-        # the exact template scores 1, and only the preamble's rows are
-        # read: the preamble alone scores as it does with data behind it
+        rows = phy.PREAMBLE_LEN + 9
+        # a constant preamble window is not found, whatever its level
+        levels = np.array([0.0, 1e-300, 0.1, 0.25, 1.0, 750.0])
+        block = np.broadcast_to(levels[:, None, None], (levels.size, rows, spb))
+        assert not phy.demodulate(block)[2].any()
+        # the exact template is found, whatever data rows follow it
         template = np.repeat(phy.PREAMBLE_BITS.astype(float), spb).reshape(-1, spb)
-        corr = phy._preamble_corr(template[None])
-        assert corr[0] == pytest.approx(1.0)
-        longer = np.concatenate([template, rng.normal(0.0, 3.0, (9, spb))])
-        assert np.array_equal(phy._preamble_corr(longer[None]), corr)
+        block = np.concatenate([np.broadcast_to(template, (3,) + template.shape),
+                                rng.normal(0.0, 3.0, (3, rows - phy.PREAMBLE_LEN, spb))], axis=1)
+        assert phy.demodulate(block)[2].all()
+        # only the preamble's rows are read: noisy frames, some found and
+        # some not, are found alike behind other data rows; the noise grows
+        # as sqrt(spb) to keep the bit means' spread alike at every spb
+        block = phy.modulate(rng.integers(0, 2, (40, rows - phy.PREAMBLE_LEN)), spb)
+        power = phy.apply_channel(block, np.zeros((40, rows), dtype=bool),
+                                  rng.normal(0.0, 0.4 * np.sqrt(spb), (40, 2, rows, spb)))
+        found = phy.demodulate(power)[2]
+        assert found.any() and not found.all()
+        power[:, phy.PREAMBLE_LEN :] = rng.random((40, rows - phy.PREAMBLE_LEN, spb))
+        assert np.array_equal(phy.demodulate(power)[2], found)
+
+
+@pytest.mark.parametrize("spb", [8, phy.MAX_SAMPLES_PER_BIT])
+def test_preamble_test_finds_what_the_slicer_reads(spb):
+    # 200 unlost frames of 300 random bits: the test reads bit means, as the
+    # slicer does, so it finds every frame up to sigma = 0.6, where the
+    # slicer still reads the frames at 64 samples per bit
+    rng = np.random.default_rng(3)
+    samples = phy.modulate(rng.integers(0, 2, (200, 300)), spb)
+    unlost = np.zeros(samples.shape[:2], dtype=bool)
+    for part in np.split(np.arange(200), 4):  # 50 frames a part bound the memory
+        normals = rng.standard_normal((part.size, 2) + samples.shape[1:])
+        for sigma in (0.5, 0.55, 0.6):
+            power = phy.apply_channel(samples[part], unlost[part], sigma * normals)
+            assert phy.demodulate(power, 8)[2].all()
 
 
 def test_erasure_run_flagging_margin():
@@ -513,18 +484,20 @@ def _reference_flags(row, margin):
 
 def _reference_demodulate(power, margin):
     """One (rows, spb) power waveform read from sample 0, step by step:
-    (bits, flags, found).  The flags are the runs of line bits sliced 0
-    longer than margin.  Found iff the correlation at sample 0 is at or
-    above CORR_THRESHOLD and the threshold halfway between the weakest
-    preamble '1' and the strongest preamble '0' bit mean is positive."""
-    corr = _box_sum_preamble_corr(power.ravel(), power.shape[1])
+    (bits, flags, found, corr).  The flags are the runs of line bits sliced
+    0 longer than margin.  corr is the Pearson coefficient of the preamble's
+    bit means with PREAMBLE_BITS, 0 where the means are constant.  Found iff
+    corr is at or above CORR_THRESHOLD and the threshold halfway between the
+    weakest preamble '1' and the strongest preamble '0' bit mean is
+    positive."""
     means = power.mean(axis=1)
     preamble = means[: phy.PREAMBLE_LEN]
+    corr = np.corrcoef(preamble, phy.PREAMBLE_BITS)[0, 1] if np.ptp(preamble) > 0 else 0.0
     threshold = (preamble[phy.PREAMBLE_BITS == 1].min()
                  + preamble[phy.PREAMBLE_BITS == 0].max()) / 2.0
-    found = corr[0] >= phy.CORR_THRESHOLD and threshold > 0
+    found = corr >= phy.CORR_THRESHOLD and threshold > 0
     line = (means[phy.PREAMBLE_LEN :] >= threshold).astype(np.uint8)
-    return phy.scramble(line), _reference_flags(line == 0, margin), found
+    return phy.scramble(line), _reference_flags(line == 0, margin), found, corr
 
 
 @st.composite
