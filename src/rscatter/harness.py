@@ -1,19 +1,19 @@
 """Monte Carlo link experiments: baseline vs RS-coded backscatter.
 
-Two modes share one timeline model and one run loop: a frame is the
-36-bit preamble followed by the payload bits (baseline) or the RS codeword
-bits (coded), transmitted at m bits per channel symbol and R
-symbols/second over a Pareto on/off gate that starts in the on state at
-the first preamble bit.  Both modes draw a block of frames, as many as fit
-BLOCK_BITS lost-mask bits, once from the run's generator, frame by frame:
-a payload read from raw generator words exactly as rng.integers would draw
-its bytes, then a gate whose run bounds go straight into the buffers the
-block's lost-bit mask is computed from (_draw_block).  The payload replay
-follows numpy's Generator stream, which NEP 19 does not promise across
-numpy versions; the test that replays the per-frame calls fails first if
-it changes.  Sample mode draws receiver noise from generators of its own,
-runs the waveform chain on as many frames at once as fit WAVEFORM_BYTES and
-decodes all codewords of a block in one call.
+Two modes share one timeline model and one run loop: a frame is the 36-bit
+preamble followed by the payload bits (baseline) or the RS codeword bits
+(coded), transmitted at m bits per channel symbol and R symbols/second over
+a Pareto on/off gate that starts in the on state at the first preamble bit.
+Every experiment runs one block loop (_blocks), which draws blocks of as
+many frames as fit BLOCK_BITS lost-mask bits from its generator, frame by
+frame: a payload read from raw generator words as rng.integers would draw
+its bytes, then a gate whose run bounds go straight into the buffers of the
+block's lost-bit mask (_draw_block).  The payload replay follows numpy's
+Generator stream, which NEP 19 does not promise across numpy versions; the
+test that replays the per-frame calls fails first if it changes.  Sample
+mode draws receiver noise from generators of its own, runs the waveform
+chain on as many frames at once as fit WAVEFORM_BYTES and decodes all
+codewords of a block in one call.
 
 The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
@@ -37,9 +37,9 @@ run is longer than erasure_margin_bits bit-times.  A shorter off run is
 not flagged, and a lost bit in it whose line bit was 1 is a symbol error
 that only the sample-level decoder sees.
 
-The parity sweep runs the same symbol-level frame kernel: each trial is a
-frame without preamble or CRC whose k*m information bits form a single
-codeword.
+The parity sweep runs the same symbol-level frame kernel on the same
+blocks: each trial is a frame without preamble or CRC whose k*m
+information bits form a single codeword, and each k sums its outcomes.
 """
 
 import math
@@ -52,26 +52,26 @@ import numpy as np
 from . import channel, codesearch, phy, rscodec, traffic
 from .errors import InfeasibleError, ParameterError
 
-# Lost-mask bits per block of the run loop and of the parity sweep's gate
-# masking: a block holds max(1, BLOCK_BITS // mask_bits_n) frames, so small
-# frames go in large blocks, which amortise the per-call cost of the array
-# operations and of the decoder, and large frames in small ones, which keep
-# memory bounded for any frame size and count.  That is 144 frames at
-# RS(127,95) with 108-byte payloads, 169 at RS(63,29) with 64-byte payloads,
-# 294 parity trials at n = 127 and 41 frames for the largest frame, RS(7,1)
-# with 108-byte payloads.  There 256 noise-free sample-mode frames at 64
-# samples per bit peaked at 47.4 MB RSS, against 45.2 MB in 32-frame blocks
-# and 60.5 MB in 128-frame ones (Python 3.11, numpy 2.4, x86-64 Linux).
-# With short runs a block's run bounds outweigh its masks: at off and on
-# shape 1.5 and scale 0.005 us a gate holds about 17,500 runs, so a block of
-# 144 RS(127,95) frames with 108-byte payloads draws 2.5 million bounds and
-# 1.3 million off times, 8 bytes each in array('d') buffers.  300 such frames
+# Lost-mask bits per block of _blocks, the block loop of every experiment: a
+# block holds max(1, BLOCK_BITS // mask_bits_n) frames, so small frames go in
+# large blocks, which amortise the per-call cost of the array operations and
+# of the decoder, and large frames in small ones, which bound the memory of
+# link runs and parity sweeps for any frame size and count.  That is 144
+# frames at RS(127,95) with 108-byte payloads, 169 at RS(63,29) with 64-byte
+# payloads, 294 parity trials at n = 127 and 41 frames for the largest frame,
+# RS(7,1) with 108-byte payloads.  There 256 noise-free sample-mode frames at
+# 64 samples per bit peaked at 47.4 MB RSS, against 45.2 MB in 32-frame blocks
+# and 60.5 MB in 128-frame ones (Python 3.11, numpy 2.4, x86-64 Linux).  With
+# short runs a block's run bounds outweigh its masks: at off and on shape 1.5
+# and scale 0.005 us a gate holds about 17,500 runs, so a block of 144
+# RS(127,95) frames with 108-byte payloads draws 2.5 million bounds and 1.3
+# million off times, 8 bytes each in array('d') buffers.  300 such frames
 # (seed 1, margin 4) peaked at 119.4 MB RSS in 6.8 s on a shared 2-core Xeon;
 # the same buffers as Python float lists peaked at 263 MB.
 BLOCK_BITS = 2**18
-# Most frames (or parity trials) per experiment.  At this cap the per-frame
-# log dominates memory: a symbol-mode `rscatter simulate` peaked at 451 MB RSS,
-# 1148 MB with the log in its JSON (Python 3.11, numpy 2.4, x86-64 Linux).
+# Most frames (or parity trials) per experiment.  At this cap a link run's
+# frame log dominates memory: symbol-mode `rscatter simulate` peaked at 451 MB
+# RSS, 1148 MB with the log in its JSON (Python 3.11, numpy 2.4, x86-64 Linux).
 MAX_FRAMES = 10**6
 # Bytes of one float waveform array in sample mode.  Only the waveform chain
 # runs in parts, of as many frames of a block as this holds per transmission:
@@ -311,14 +311,16 @@ def _draw_block(rng, stats, total_us, count, payload_bytes):
     return payloads, bounds, off
 
 
-def _draw_frames(rng, config, stats, plan, count):
-    """A block of count frames as (frame bits, lost-bit masks), one frame
-    per row, from one _draw_block draw."""
-    payloads, bounds, off = _draw_block(rng, stats, plan["horizon_us"], count,
-                                        config.payload_bytes)
-    frame_bits = np.unpackbits(phy.frame_block(payloads), axis=1)
-    lost = channel.erasure_mask_from_gate(bounds, off, plan["bit_rate"], plan["mask_bits_n"])
-    return frame_bits, lost
+def _blocks(rng, stats, plan, frames, payload_bytes):
+    """The block loop of every experiment: for each block of _block_frames(plan)
+    of its frames, drawn from rng by one _draw_block call, yields the block's
+    first frame index, its payloads and its lost-bit masks."""
+    size = _block_frames(plan)
+    for first in range(0, frames, size):
+        count = min(size, frames - first)
+        payloads, bounds, off = _draw_block(rng, stats, plan["horizon_us"], count, payload_bytes)
+        yield first, payloads, channel.erasure_mask_from_gate(bounds, off, plan["bit_rate"],
+                                                              plan["mask_bits_n"])
 
 
 def _symbol_frames(config, code, plan, frame_bits, lost_all):
@@ -361,11 +363,10 @@ def _outcomes(transmissions):
     return np.array(rows)
 
 
-def _rates(outcomes, frame_bits_n):
-    """Baseline and coded BER and FER of (4, frames) outcomes, keyed as in
-    the sweep rows."""
-    frames = outcomes.shape[1]
-    fe_base, bit_err_base, fe_coded, bit_err_coded = (int(v) for v in outcomes.sum(axis=1))
+def _rates(sums, frames, frame_bits_n):
+    """Baseline and coded BER and FER of frames frames from the sums over
+    them of their _outcomes rows, keyed as in the sweep rows."""
+    fe_base, bit_err_base, fe_coded, bit_err_coded = (int(v) for v in sums)
     bits = frames * frame_bits_n
     return {"ber_baseline": bit_err_base / bits, "ber_coded": bit_err_coded / bits,
             "fer_baseline": fe_base / frames, "fer_coded": fe_coded / frames}
@@ -389,15 +390,13 @@ def run(config):
         noise = [np.random.default_rng([config.seed, 2, i]) for i in range(2)]
 
     outcomes = np.empty((4, config.frames), dtype=np.int64)
-    size = _block_frames(plan)
-    for first in range(0, config.frames, size):
-        count = min(size, config.frames - first)
-        drawn = _draw_frames(rng, config, stats, plan, count)
+    for first, payloads, lost in _blocks(rng, stats, plan, config.frames, config.payload_bytes):
+        frame_bits = np.unpackbits(phy.frame_block(payloads), axis=1)
         if config.mode == "sample":
-            block = _sample_frames(config, code, plan, *drawn, noise)
+            block = _sample_frames(config, code, plan, frame_bits, lost, noise)
         else:
-            block = _symbol_frames(config, code, plan, *drawn)
-        outcomes[:, first : first + count] = _outcomes(block)
+            block = _symbol_frames(config, code, plan, frame_bits, lost)
+        outcomes[:, first : first + len(lost)] = _outcomes(block)
 
     return _report(config, code, p_s, predicted_pe, plan, outcomes)
 
@@ -449,7 +448,7 @@ def _sample_frames(config, code, plan, frame_bits, lost, noise):
 
 def _report(config, code, p_s, predicted_pe, plan, outcomes):
     """The report of (4, frames) outcomes, as _outcomes gives them."""
-    rates = _rates(outcomes, plan["frame_bits_n"])
+    rates = _rates(outcomes.sum(axis=1), config.frames, plan["frame_bits_n"])
     fer, fer_base = rates["fer_coded"], rates["fer_baseline"]
     payload_bits = config.payload_bytes * 8
     return LinkReport(
@@ -473,7 +472,9 @@ def sweep_parity(config, n=127):
     so the airtime exposure (n*m bit-times) is identical for every k and
     the measured trend isolates the correction capability.  The uncoded
     baseline sends the k information symbols bare.  Sample mode is
-    rejected: the sweep has no waveform receiver.
+    rejected: the sweep has no waveform receiver.  Trials are scored in the
+    blocks of _blocks; each k sums its outcomes over them and draws its info
+    symbols from the generator [seed, 1, k], which carries on across blocks.
     """
     if config.mode == "sample":
         raise ParameterError("the parity sweep runs in symbol mode only, got mode 'sample'")
@@ -483,26 +484,25 @@ def sweep_parity(config, n=127):
     # is then fixed while t grows, so the trend is not blurred by independent
     # sampling noise per point
     code = rscodec.RsCode(n, n - 2)
-    plan = _frame_plan(code, config.rate, code.k * code.m, preamble_bits=0)
-    gate_rng = np.random.default_rng([config.seed, 0])
-    lost = np.empty((config.frames, plan["mask_bits_n"]), dtype=bool)
-    size = _block_frames(plan)
-    for first in range(0, config.frames, size):
-        block = lost[first : first + size]
-        _, bounds, off = _draw_block(gate_rng, stats, plan["horizon_us"], len(block), 0)
-        block[:] = channel.erasure_mask_from_gate(bounds, off, plan["bit_rate"], plan["mask_bits_n"])
-    return [_parity_point(config, rscodec.RsCode(n, k), lost) for k in range(n - 2, 0, -2)]
-
-
-def _parity_point(config, code, lost):
-    m, k, trials = code.m, code.k, config.frames
-    plan = _frame_plan(code, config.rate, k * m, preamble_bits=0)
-    info = np.random.default_rng([config.seed, 1, k]).integers(0, 1 << m, size=(trials, k))
-    info_bits = rscodec.symbols_to_bits(info.ravel(), m).reshape(trials, k * m)
-    base_bits = plan["frame_bits_n"]
-    rates = _rates(_outcomes(_symbol_frames(config, code, plan, info_bits, lost)), base_bits)
-    throughput = base_bits * (1.0 - rates["fer_coded"]) * plan["bit_rate"] / plan["coded_bits_n"]
-    return {"parameter": k, **rates, "throughput": throughput}
+    m, ks = code.m, range(n - 2, 0, -2)
+    plan = _frame_plan(code, config.rate, code.k * m, preamble_bits=0)
+    info_rngs = [np.random.default_rng([config.seed, 1, k]) for k in ks]
+    sums = np.zeros((len(ks), 4), dtype=np.int64)
+    for _, _, lost in _blocks(np.random.default_rng([config.seed, 0]), stats, plan,
+                              config.frames, 0):
+        for row, k, info_rng in zip(sums, ks, info_rngs):
+            # a fresh code per block rebuilds G2: keeping all 63 at n = 127 holds 33 MB
+            code = rscodec.RsCode(n, k)
+            info = rscodec.symbols_to_bits(info_rng.integers(0, 1 << m, (len(lost), k)), m)
+            plan_k = _frame_plan(code, config.rate, k * m, preamble_bits=0)
+            transmissions = _symbol_frames(config, code, plan_k, info.reshape(len(lost), -1), lost)
+            row += _outcomes(transmissions).sum(axis=1)
+    rows = []
+    for k, row in zip(ks, sums):
+        rates = _rates(row, config.frames, k * m)
+        throughput = k * m * (1.0 - rates["fer_coded"]) * plan["bit_rate"] / plan["coded_bits_n"]
+        rows.append({"parameter": k, **rates, "throughput": throughput})
+    return rows
 
 
 def sweep_silent(config, mean_silent_us_values):

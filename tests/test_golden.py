@@ -262,7 +262,9 @@ def _link_plan(m):
 
 
 # per case: the pinned digest, the frame plan that sizes its lost masks,
-# and the experiment
+# and the experiment.  The parity cases also show that each k's info
+# generator carries on across blocks: a trial reads the same info symbols
+# whatever the block it falls in
 BLOCK_CASES = {
     "symbol": (LINK_DIGESTS["symbol", 7], _link_plan(7), lambda: link_reports("symbol", 7)),
     "sample": (SAMPLE_BLOCK_DIGESTS[0.0, 3], _link_plan(3),

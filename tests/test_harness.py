@@ -233,23 +233,53 @@ def test_receiver_erasures_are_a_function_of_its_bits(sigma, monkeypatch):
 
 
 def test_modes_draw_the_same_frames(monkeypatch):
-    # both modes, with or without receiver noise, are handed the same frames
-    # and lost-bit masks: the noise comes from generators of its own
-    draw = harness._draw_frames
+    # both modes, with or without receiver noise, are handed the same
+    # payloads and lost-bit masks by the one block loop: the noise comes
+    # from generators of its own
+    blocks = harness._blocks
     runs = []
 
     def spy(*args, **kwargs):
-        runs[-1].append(draw(*args, **kwargs))
-        return runs[-1][-1]
+        for block in blocks(*args, **kwargs):
+            runs[-1].append(block[1:])
+            yield block
 
-    monkeypatch.setattr(harness, "_draw_frames", spy)
+    monkeypatch.setattr(harness, "_blocks", spy)
     for mode, sigma in (("symbol", 0.0), ("sample", 0.0), ("sample", 0.3)):
         runs.append([])
         harness.run(_config(mode=mode, noise_sigma=sigma))
-    (bits, lost), *others = [[np.concatenate(a) for a in zip(*calls)] for calls in runs]
-    assert bits.shape == (40, (1 + 16 + 2) * 8)
-    for other_bits, other_lost in others:
-        assert np.array_equal(other_bits, bits) and np.array_equal(other_lost, lost)
+    (payloads, lost), *others = [[np.concatenate(a) for a in zip(*calls)] for calls in runs]
+    assert payloads.shape == (40, 16)
+    for other_payloads, other_lost in others:
+        assert np.array_equal(other_payloads, payloads) and np.array_equal(other_lost, lost)
+
+
+@pytest.mark.parametrize("sweep", [False, True])
+def test_block_bits_bound_every_experiment(sweep, monkeypatch):
+    # BLOCK_BITS bounds the rows that the symbol-level kernel sees at once,
+    # in the run loop and in the parity sweep alike, and the outputs do not
+    # depend on it
+    cfg = _config()
+
+    def experiment():
+        return harness.sweep_parity(cfg, n=15) if sweep else harness.run(cfg).to_dict()
+
+    want = experiment()
+    # blocks of 7 frames, or of 7 trials of n*m mask bits at n = 15
+    mask_bits_n = 15 * 4 if sweep else harness._frame_plan(
+        rscodec.RsCode(*cfg.code), cfg.rate, (1 + 16 + 2) * 8)["mask_bits_n"]
+    monkeypatch.setattr(harness, "BLOCK_BITS", 7 * mask_bits_n)
+    kernel = harness._symbol_frames
+    rows = []
+
+    def spy(*args):
+        rows.append(len(args[-1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(harness, "_symbol_frames", spy)
+    assert experiment() == want
+    # 40 frames, or 40 trials at each of the 7 k, in blocks of 7 and a last of 5
+    assert max(rows) == 7 and sum(rows) == 40 * (7 if sweep else 1)
 
 
 # run scales in us: about 10 runs per 300 us gate, and about 240 short ones
@@ -293,7 +323,8 @@ def test_block_draw_replays_per_frame_draws(payload_bytes, held, regime):
 @pytest.mark.parametrize("sweep", [False, True])
 def test_gate_run_cap_stops_experiments(sweep, monkeypatch):
     # a gate that needs more runs than the cap fails the whole experiment
-    # at once, through the block draw of both the run loop and the sweep
+    # at once, through the one block loop that both the run and the sweep
+    # draw from
     cfg = _config(frames=5, off_scale_min=0.3, on_scale_min=0.6)
     monkeypatch.setattr(channel, "MAX_GATE_RUNS", 3)
     with pytest.raises(ParameterError, match="runs"):
