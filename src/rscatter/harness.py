@@ -4,16 +4,14 @@ Two modes share one timeline model and one run loop: a frame is the 36-bit
 preamble followed by the payload bits (baseline) or the RS codeword bits
 (coded), transmitted at m bits per channel symbol and R symbols/second over
 a Pareto on/off gate that starts in the on state at the first preamble bit.
-Every experiment runs one block loop (_blocks), which draws blocks of as
-many frames as fit BLOCK_BITS lost-mask bits from its generator, frame by
-frame: a payload read from raw generator words as rng.integers would draw
-its bytes, then a gate whose run bounds go straight into the buffers of the
-block's lost-bit mask (_draw_block).  The payload replay follows numpy's
-Generator stream, which NEP 19 does not promise across numpy versions; the
-test that replays the per-frame calls fails first if it changes.  Sample
-mode draws receiver noise from generators of its own, runs the waveform
-chain on as many frames at once as fit WAVEFORM_BYTES and decodes all
-codewords of a block in one call.
+Every experiment runs one block loop (_blocks), which draws the gates of
+blocks of as many frames as fit BLOCK_BITS lost-mask bits from its
+generator, frame by frame, their run bounds going straight into the buffers
+of the block's lost-bit mask.  A link run reads each block's payloads as
+raw words of a generator of their own (_payloads).  Sample mode draws
+receiver noise from generators of its own, runs the waveform chain on as
+many frames at once as fit WAVEFORM_BYTES and decodes all codewords of a
+block in one call.
 
 The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
@@ -265,62 +263,26 @@ def _codeword_erasures(flags, code):
     return sym, sym.sum(axis=-1) > code.t
 
 
-def _draw_block(rng, stats, total_us, count, payload_bytes):
-    """The payloads and gates of count frames, drawn from rng frame by
-    frame, a frame's payload first: payload_bytes bytes as
-    rng.integers(0, 256, payload_bytes, dtype=np.uint8) draws them, then a
-    gate covering total_us by channel.draw_gate.  Returns the payloads as a
-    (count, payload_bytes) uint8 array and the gates' run bounds and off
-    times, laid out for channel.erasure_mask_from_gate.
-
-    The payloads are read from raw generator words as numpy reads them: a
-    payload takes ceil(payload_bytes / 4) uint32s through the generator's
-    uint32 buffer, a buffered value first, then each fresh word's low half
-    and then its high half; the last word's unused high half is left
-    buffered.  Each uint32 gives four bytes, low byte first, cut to
-    payload_bytes per payload.  The buffer is read once before the block
-    and written back once after it.  This follows numpy's Generator stream,
-    which NEP 19 does not promise across numpy versions; the test that
-    replays the per-frame draws fails first if it changes.
-    """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    held, value = state["has_uint32"], state["uinteger"]
-    halves_n = -(-payload_bytes // 4)  # uint32s per payload
-    words, bounds, off = [], array("d"), array("d")
-    draw_gate = channel.draw_gate
-    buffered = held
-    for _ in range(count):
-        if halves_n:
-            words.append(bitgen.random_raw((halves_n - buffered + 1) >> 1))
-            buffered = (halves_n - buffered) & 1
-        draw_gate(rng, stats, total_us, bounds, off)
-    if not halves_n:
-        return np.empty((count, 0), dtype=np.uint8), bounds, off
-    words = np.concatenate(words)
-    shifts = np.arange(0, 64, 8, dtype=np.uint64)
-    data = ((words[:, None] >> shifts) & 0xFF).astype(np.uint8).ravel()
-    if held:
-        data = np.concatenate([((np.uint64(value) >> shifts[:4]) & 0xFF).astype(np.uint8), data])
-    payloads = data[: count * 4 * halves_n].reshape(count, -1)[:, :payload_bytes]
-    state = bitgen.state
-    state["has_uint32"] = buffered
-    if words.size:
-        state["uinteger"] = int(words[-1] >> 32)
-    bitgen.state = state
-    return payloads, bounds, off
-
-
-def _blocks(rng, stats, plan, frames, payload_bytes):
-    """The block loop of every experiment: for each block of _block_frames(plan)
-    of its frames, drawn from rng by one _draw_block call, yields the block's
-    first frame index, its payloads and its lost-bit masks."""
+def _blocks(rng, stats, plan, frames):
+    """The block loop of every experiment: yields the lost-bit masks of
+    frames frames, _block_frames(plan) at a time.  Each frame's gate covers
+    plan["horizon_us"] and is drawn from rng in frame order by
+    channel.draw_gate, straight into the block's run-bound buffers."""
     size = _block_frames(plan)
     for first in range(0, frames, size):
-        count = min(size, frames - first)
-        payloads, bounds, off = _draw_block(rng, stats, plan["horizon_us"], count, payload_bytes)
-        yield first, payloads, channel.erasure_mask_from_gate(bounds, off, plan["bit_rate"],
-                                                              plan["mask_bits_n"])
+        bounds, off = array("d"), array("d")
+        for _ in range(min(size, frames - first)):
+            channel.draw_gate(rng, stats, plan["horizon_us"], bounds, off)
+        yield channel.erasure_mask_from_gate(bounds, off, plan["bit_rate"], plan["mask_bits_n"])
+
+
+def _payloads(rng, count, payload_bytes):
+    """count payloads as a (count, payload_bytes) uint8 array: payload i is
+    the first payload_bytes bytes, low byte first, of raw words i*w to
+    (i+1)*w - 1 of rng's bit generator, w = ceil(payload_bytes / 8)."""
+    w = -(-payload_bytes // 8)
+    words = rng.bit_generator.random_raw(count * w)
+    return words.astype("<u8", copy=False).view(np.uint8).reshape(count, 8 * w)[:, :payload_bytes]
 
 
 def _symbol_frames(config, code, plan, frame_bits, lost_all):
@@ -377,28 +339,46 @@ def run(config):
 
     Frames are drawn and scored a block of _block_frames(plan) at a time,
     by the symbol-level kernel or by the sample-level receiver.  Both modes
-    draw each block once from the one generator, so a seed gives the same
-    frames in both modes and at every noise level; sample mode draws the
-    baseline's noise from the generator [seed, 2, 0] and the coded one's
-    from [seed, 2, 1].  Each frame takes its draws in frame order and is
-    scored on its own, so the outcomes do not depend on the block size.
+    draw a block's gates from the generator seed and its payloads from
+    [seed, 3], so a seed gives the same frames in both modes and at every
+    noise level; sample mode draws the baseline's noise from the generator
+    [seed, 2, 0] and the coded one's from [seed, 2, 1].  Each generator is
+    read in frame order and each frame is scored on its own, so the
+    outcomes do not depend on the block size.
     """
     stats = config.stats()
     code, plan, p_s, predicted_pe = _link_setup(config, stats)
-    rng = np.random.default_rng(config.seed)
+    rng, payload_rng = np.random.default_rng(config.seed), np.random.default_rng([config.seed, 3])
     if config.mode == "sample":
         noise = [np.random.default_rng([config.seed, 2, i]) for i in range(2)]
 
-    outcomes = np.empty((4, config.frames), dtype=np.int64)
-    for first, payloads, lost in _blocks(rng, stats, plan, config.frames, config.payload_bytes):
+    sums = np.zeros(4, dtype=np.int64)
+    errors = []  # per block, the frames' baseline and coded errors
+    for lost in _blocks(rng, stats, plan, config.frames):
+        payloads = _payloads(payload_rng, len(lost), config.payload_bytes)
         frame_bits = np.unpackbits(phy.frame_block(payloads), axis=1)
         if config.mode == "sample":
             block = _sample_frames(config, code, plan, frame_bits, lost, noise)
         else:
             block = _symbol_frames(config, code, plan, frame_bits, lost)
-        outcomes[:, first : first + len(lost)] = _outcomes(block)
+        outcomes = _outcomes(block)
+        sums += outcomes.sum(axis=1)
+        errors.append(outcomes[[0, 2]])
 
-    return _report(config, code, p_s, predicted_pe, plan, outcomes)
+    rates = _rates(sums, config.frames, plan["frame_bits_n"])
+    fer, fer_base = rates["fer_coded"], rates["fer_baseline"]
+    payload_bits = config.payload_bytes * 8
+    return LinkReport(
+        code_n=code.n, code_k=code.k, p_s=p_s, predicted_pe=predicted_pe, frames=config.frames,
+        ber=rates["ber_coded"], fer=fer,
+        throughput=payload_bits * (1.0 - fer) / (plan["coded_air_us"] / 1e6),
+        ber_baseline=rates["ber_baseline"], fer_baseline=fer_base,
+        throughput_baseline=payload_bits * (1.0 - fer_base) / (plan["baseline_air_us"] / 1e6),
+        frame_log=[
+            {"frame": fi, "baseline_error": bool(b), "coded_error": bool(c)}
+            for fi, (b, c) in enumerate(zip(*np.concatenate(errors, axis=1)))
+        ],
+    )
 
 
 def _sample_frames(config, code, plan, frame_bits, lost, noise):
@@ -446,24 +426,6 @@ def _sample_frames(config, code, plan, frame_bits, lost, noise):
             (heard, info_bits != frame_bits, failed.any(axis=1)))
 
 
-def _report(config, code, p_s, predicted_pe, plan, outcomes):
-    """The report of (4, frames) outcomes, as _outcomes gives them."""
-    rates = _rates(outcomes.sum(axis=1), config.frames, plan["frame_bits_n"])
-    fer, fer_base = rates["fer_coded"], rates["fer_baseline"]
-    payload_bits = config.payload_bytes * 8
-    return LinkReport(
-        code_n=code.n, code_k=code.k, p_s=p_s, predicted_pe=predicted_pe, frames=config.frames,
-        ber=rates["ber_coded"], fer=fer,
-        throughput=payload_bits * (1.0 - fer) / (plan["coded_air_us"] / 1e6),
-        ber_baseline=rates["ber_baseline"], fer_baseline=fer_base,
-        throughput_baseline=payload_bits * (1.0 - fer_base) / (plan["baseline_air_us"] / 1e6),
-        frame_log=[
-            {"frame": fi, "baseline_error": bool(b), "coded_error": bool(c)}
-            for fi, (b, c) in enumerate(zip(outcomes[0], outcomes[2]))
-        ],
-    )
-
-
 def sweep_parity(config, n=127):
     """Block error rate per odd k (n-2 down to 1) at fixed codeword length.
 
@@ -488,8 +450,7 @@ def sweep_parity(config, n=127):
     plan = _frame_plan(code, config.rate, code.k * m, preamble_bits=0)
     info_rngs = [np.random.default_rng([config.seed, 1, k]) for k in ks]
     sums = np.zeros((len(ks), 4), dtype=np.int64)
-    for _, _, lost in _blocks(np.random.default_rng([config.seed, 0]), stats, plan,
-                              config.frames, 0):
+    for lost in _blocks(np.random.default_rng([config.seed, 0]), stats, plan, config.frames):
         for row, k, info_rng in zip(sums, ks, info_rngs):
             # a fresh code per block rebuilds G2: keeping all 63 at n = 127 holds 33 MB
             code = rscodec.RsCode(n, k)

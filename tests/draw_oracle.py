@@ -1,5 +1,5 @@
 """Oracles for the harness's block draw: the per-frame draw loop it
-replays, and the run bounds of duration arrays built by running sums."""
+equals, and the run bounds of duration arrays built by running sums."""
 
 import math
 from itertools import accumulate, chain
@@ -9,16 +9,20 @@ import numpy as np
 from rscatter import channel
 
 
-def draw_frames_loop(rng, stats, total_us, count, payload_bytes):
-    """count frames' payloads and gates drawn frame by frame, a frame's
-    payload first: rng.integers bytes, then channel.gate_durations.
-    Returns a (count, payload_bytes) uint8 array and the duration arrays."""
+def draw_frames_loop(gate_rng, payload_rng, stats, total_us, count, payload_bytes):
+    """count frames' payloads and gates drawn frame by frame: a payload of
+    the first payload_bytes bytes, low byte first, of ceil(payload_bytes /
+    8) raw words of payload_rng, and a gate by channel.gate_durations from
+    gate_rng.  Returns a (count, payload_bytes) uint8 array and the
+    duration arrays."""
+    words_n = -(-payload_bytes // 8)
     payloads = np.empty((count, payload_bytes), dtype=np.uint8)
     gates = []
     for i in range(count):
-        if payload_bytes:
-            payloads[i] = rng.integers(0, 256, size=payload_bytes, dtype=np.uint8)
-        gates.append(channel.gate_durations(rng, stats, total_us))
+        words = payload_rng.bit_generator.random_raw(words_n)
+        data = b"".join(int(w).to_bytes(8, "little") for w in words)
+        payloads[i] = np.frombuffer(data[:payload_bytes], dtype=np.uint8)
+        gates.append(channel.gate_durations(gate_rng, stats, total_us))
     return payloads, gates
 
 

@@ -16,7 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_DIGESTS = {
     "choose_code": "ac4574b643bc0b3add99e4df71b3a0864b9a8d8f2b2e42a7d9e704fd5ade862d",
     "fit_traffic": "2fe7239b04e87d40d7ae1535904ab303cd0cb6bb2a22f1a9975e7a6d082970d4",
-    "link_simulation": "8ecab449531b9d1e95fd3b9eb376d76d404bb75528f2a43f0f06db175296dd80",
+    "link_simulation": "520ffc089b947410edc466daf4b888ba3a2b7567001296f6a10174689edbacd2",
     "parity_sweep": "d9f80349df381832b3ea25bd2b6f53ca18684a3f3b4217338d3d30be95f5abf7",
     "receiver_pipeline": "5bded81cb42129396e4d88830e726273c8ce795c26d48e6201b2887229f5a09f",
 }

@@ -30,18 +30,18 @@ SCENARIOS = {
 FRAMES = {"symbol": 40, "sample": 3}
 
 LINK_DIGESTS = {
-    # re-pinned when symbol mode began counting every frame bit of a frame
-    # whose preamble is lost as a baseline bit error, as sample mode does
-    ("symbol", 3): "4ba6c29954311fff676e79c6fbdd55f342c3452ff5468f7eed2073eb23789508",
-    ("symbol", 4): "9d10eb9349cd47f229a8a9d89362d6cc9189dabfa2dd3273865361318a499871",
-    ("symbol", 5): "8dac310c01c79a2216cae6a62b69799b01a54d71b1b0a4262e6abf7b8e46decf",
-    ("symbol", 6): "215339bd5406ee9ff6fd23722f08fe4a207235ee8a1a4361ec8b25d237e4e292",
-    ("symbol", 7): "528fdf7042a86eb89341c205570120c0918e2720eecd3ee93a23342ad95c670e",
-    ("sample", 3): "ddccfe397d51049f0450a586e5d9d3617fab6ffa6f96ec086c09c66ac92a9f8e",
-    ("sample", 4): "61959751616ba5486ce03a16ea36f6a1bc7decf521a09712e839d56f8bb03c4a",
-    ("sample", 5): "3a7772ada6e28aac4068e5ff1b0c4eda9207b4933d6cb394068581746cb6a711",
-    ("sample", 6): "43697b887c5eb7f8779a6379e2db95b8176470c077ccb42e9c1c8845d0ca386d",
-    ("sample", 7): "fe2ecd489ce93567858b381a4212f8508559953a51295e45499fadbd613587b8",
+    # re-pinned, with every digest below that a payload reaches, when the
+    # payloads came to be read as raw words of their own generator [seed, 3]
+    ("symbol", 3): "6a3f00ce29275fa12bba88a71c62eef2e9c7fe4d7d4837f4a85395c98734b688",
+    ("symbol", 4): "edd31d837fd9855608af30ac5030f68e1f16ae2549792016e60d3b0a3e8465f4",
+    ("symbol", 5): "2f418e38ac85d074aaca15c707b38bc4987afbe5db23146ca59440c5e7fa6ff8",
+    ("symbol", 6): "51104ea0018dc5547c3051d0746d6059525c62ac0c4fc403d57194b0b2226a33",
+    ("symbol", 7): "0f1843d187489b84865a1d04938b33362fac9e553bce1effde1ab6136ab89623",
+    ("sample", 3): "b2cc5d0f589bf86608e72522aa84983a8da318b8a7366eb37e28a36ab3262c90",
+    ("sample", 4): "22a43d118977e4a42c1e00cb428c67f26de27de4584feba66a1876b90cba72f8",
+    ("sample", 5): "1c2ebe7a6393edd14008bef35b770aeb3144fa1c06c70b704e7150bb6f2e5ab4",
+    ("sample", 6): "be2900f8cec83f4b422d504fb798a975e93dc0cd7006a237c75c6db76a0dc4e3",
+    ("sample", 7): "28f1b161560a4bd4d18e4743c2c1b78eb0bd9efd737ff8986fb1df8588955a1d",
 }
 PARITY_DIGESTS = {
     7: "1f789cba096c391e80c03ccca2f5315b1ee7d603eb79207e14f1a445510708a0",
@@ -66,16 +66,15 @@ PARITY_RATE_DIGESTS = {
     (2.5e6, 16, 127): "56bc944b595fa7fd634a933ffb0f95003ef559e1ee4af8a289584f1160a85d2a",
 }
 # sample mode with receiver noise, keyed by (noise_sigma, m).  The frames
-# and gates are those of the noise-free runs: at 0.1, and at 0.3 for m = 4,
-# the noise moves no decision, so these digests equal LINK_DIGESTS["sample",
-# m]; at 0.3 for m = 6 and at 0.5 it does, which pins the baseline's and the
-# coded transmission's noise draws
+# and gates are those of the noise-free runs: at 0.1 the noise moves no
+# decision, so these digests equal LINK_DIGESTS["sample", m]; at 0.3 and 0.5
+# it does, which pins the baseline's and the coded transmission's noise draws
 NOISY_DIGESTS = {
-    (0.1, 4): "61959751616ba5486ce03a16ea36f6a1bc7decf521a09712e839d56f8bb03c4a",
-    (0.1, 6): "43697b887c5eb7f8779a6379e2db95b8176470c077ccb42e9c1c8845d0ca386d",
-    (0.3, 4): "61959751616ba5486ce03a16ea36f6a1bc7decf521a09712e839d56f8bb03c4a",
-    (0.3, 6): "ac950d6f5c5c91fd78eeb0fc2fcdea0372f48a36a2944bae3ec3ee4806a057e2",
-    (0.5, 4): "5a6ea56408f334ebb346ee47c72dc195a0361fbcbb91e071cbdff78eccdc6246",
+    (0.1, 4): "22a43d118977e4a42c1e00cb428c67f26de27de4584feba66a1876b90cba72f8",
+    (0.1, 6): "be2900f8cec83f4b422d504fb798a975e93dc0cd7006a237c75c6db76a0dc4e3",
+    (0.3, 4): "35b87c6c777c6daa57e867b0391bf77bc3f078dc5aa20421ae94c227ee432f68",
+    (0.3, 6): "e0a60614bb7102f092ec565291c2b09c692a493655bd7df33ce7bb88bf7e7c8a",
+    (0.5, 4): "b7090f5a587bb424a81ab309494d98558f0c80059be31431e927c1f8f6fb4755",
 }
 # sample mode over more frames than one waveform part, keyed by
 # (noise_sigma, m); run again in blocks of 1, 7 and 32 frames, and in the
@@ -83,8 +82,8 @@ NOISY_DIGESTS = {
 # that each transmission's noise is drawn frame after frame
 SAMPLE_BLOCK_FRAMES = 40
 SAMPLE_BLOCK_DIGESTS = {
-    (0.0, 3): "409fdf742fa1a1e0827d75bdc61aff35ff3490f1c0e6802e71d4542ec0e9f62f",
-    (0.3, 4): "74a7a825edb086bd687b0a7194a8cfe4a98087d3badf192493b0926d424d5d99",
+    (0.0, 3): "667948817b8b3267ca3528a8075df860fa47568b002fa2493da44b9008daeae7",
+    (0.3, 4): "cf8b6f3df59bd3813230b2b0bd6dd0adafb7afd4f8c4546fe26bc6d492da490f",
 }
 # sample mode off the default 8 samples per bit, keyed by (samples_per_bit,
 # noise_sigma): 37 frames fill no whole number of blocks of any size.  Over
@@ -94,33 +93,33 @@ SAMPLE_BLOCK_DIGESTS = {
 # every coded frame fails
 SPB_FRAMES = 37
 SPB_DIGESTS = {
-    (4, 0.0): "ea5bd0ab7224af60be553c3f0aae3d18ede22b63aacc769391000c6dc9789802",
-    (4, 0.3): "bba766642bc4e911d52fd9fc20ae2e55c7f6c56a46f91282d8de812ea09a6b94",
-    (13, 0.0): "ae10aa54a7eb7858e28045b9d86c2def5bfada711ea659b4afce440c5b10f37d",
-    (13, 0.3): "ae10aa54a7eb7858e28045b9d86c2def5bfada711ea659b4afce440c5b10f37d",
-    (13, 0.4): "d56915da1f05a998cb68f37bef2a6500f601a7d1828f3c9f384d4c48dc7de95f",
-    (64, 0.0): "150653322b665c481281332d24f061939bace4a308d638b3ec99a8f0ed25682a",
-    (64, 0.3): "150653322b665c481281332d24f061939bace4a308d638b3ec99a8f0ed25682a",
-    (64, 0.52): "150653322b665c481281332d24f061939bace4a308d638b3ec99a8f0ed25682a",
-    (64, 0.8): "56b78f3115c8a7a60fe3336ff0fd061a0eb39a3fdb71b594fde1bbac506d7479",
+    (4, 0.0): "0731004c591339e69d5dcb892ef0e31ef902251eb6a82d61f996fab41fb057a7",
+    (4, 0.3): "444307ebfe6b067232c5ed748b3bba6aadcaa1916d5ebfb74b9984e6c4161ef3",
+    (13, 0.0): "11b39b2a16dd1320240224b5fbeb9a55ae0f29d5f215c8a8a1381d1f29c48c30",
+    (13, 0.3): "11b39b2a16dd1320240224b5fbeb9a55ae0f29d5f215c8a8a1381d1f29c48c30",
+    (13, 0.4): "e2858a81a53fdba0f3a688b09f93ac7c8b0bff70b59bf52f2b8b8ba8e15a9dfd",
+    (64, 0.0): "b46a2bc02f9cd3ca3326f17658d78f84566ae576b5e178d8d0c3375aa12a483c",
+    (64, 0.3): "b46a2bc02f9cd3ca3326f17658d78f84566ae576b5e178d8d0c3375aa12a483c",
+    (64, 0.52): "b46a2bc02f9cd3ca3326f17658d78f84566ae576b5e178d8d0c3375aa12a483c",
+    (64, 0.8): "f734939b334ef59a42781dcffc22da22fec42579e272b91e5189f3f7dd7ba679",
 }
 # the longest waveform an experiment can ask for: RS(7,1), 108-byte payloads
 # and 64 samples per bit, keyed by noise_sigma; over 64 samples a bit's mean
 # power hides noise of 0.3 and 0.52, so those runs give the noise-free
-# report, while 0.8 fails all 5 baseline frames against 1 without noise
+# report, while 0.8 fails all 5 baseline frames against none without noise
 LONGEST_WAVEFORM_DIGESTS = {
-    0.0: "440d68c283c98c38177923903a4ae9826e25a27f2560d56ab98a7fcdbff638cb",
-    0.3: "440d68c283c98c38177923903a4ae9826e25a27f2560d56ab98a7fcdbff638cb",
-    0.52: "440d68c283c98c38177923903a4ae9826e25a27f2560d56ab98a7fcdbff638cb",
-    0.8: "591537a2844ee7636f3e0be133230efad2b6b432000c067be105e3c1c6d602a5",
+    0.0: "9e74e18de24a4b64de6660c808a6c9baf6e7964c3d44f99cfc5a72bf588a0ef4",
+    0.3: "9e74e18de24a4b64de6660c808a6c9baf6e7964c3d44f99cfc5a72bf588a0ef4",
+    0.52: "9e74e18de24a4b64de6660c808a6c9baf6e7964c3d44f99cfc5a72bf588a0ef4",
+    0.8: "dc7a0a30057e1f2150c40ed1a031efd8b24eaccc8c27ac1878e8fc00f2926c5d",
 }
-SILENT_DIGEST = "8491f148c4e6b3bad4da2abbdb1d88953ea3a277e6a22ba289f38abaff319abc"
-CLI_SIMULATE_DIGEST = "bdee225fe20caaa987703415ab2aeab36426570b8497896c5b49b966e178190e"
+SILENT_DIGEST = "a5eba238a55e9c62859e9e0ad88e9a104dfd91e1ef59a68791b92f43c7f6d1dc"
+CLI_SIMULATE_DIGEST = "0325ac1eac5e6d970145bcf4b44961cc744868c72d43d0b75eaa72016a98b35f"
 # the CSV that `rscatter sweep` prints, keyed by --vary; the silent-duration
 # sweep runs in sample mode
 CLI_SWEEP_DIGESTS = {
     "parity": "583e97f61ecc09d5c3c2752e88407876229ee0cf77458dc078a2222cebfab20d",
-    "silent-duration": "67ec2450d675b1881714737f80c402a3d80b92315d038e21828b39211987a1a2",
+    "silent-duration": "8cec82eaaa133d751a8ccfd2f4fee2611da7bfced182646c11c9a23fa773174c",
 }
 # `rscatter optimize` in the symbol workload's regime (mean off run 20 us at
 # shape 1.001): its JSON, every p_e a full float

@@ -164,16 +164,17 @@ def test_symbol_level_report_fields():
     assert d["fer"] == rep.fer and len(d["frame_log"]) == 40
 
 
-def test_modes_agree_frame_by_frame_without_noise():
+def test_modes_agree_frame_by_frame_without_noise(monkeypatch):
+    # spb 4 and short off runs: some frame has an off run that starts
+    # within the first of a bit's 4 samples, which must gate that whole bit
+    first_sample = _config(mode="symbol", frames=40, code=(15, 9), payload_bytes=32, seed=14,
+                           off_shape=1.5, off_scale_min=2.0, on_shape=1.2, on_scale_min=60.0,
+                           samples_per_bit=4, erasure_margin_bits=8)
     for cfg_sym in (
         _config(mode="symbol", frames=30, code=(63, 45), payload_bytes=32,
                 off_shape=1.1, off_scale_min=3.0, on_shape=1.2, on_scale_min=60.0,
                 erasure_margin_bits=8),
-        # spb 4 and short off runs: in frame 15 an off run starts right at
-        # the first sample of a bit, which must gate that whole bit
-        _config(mode="symbol", frames=40, code=(15, 9), payload_bytes=32, seed=14,
-                off_shape=1.5, off_scale_min=2.0, on_shape=1.2, on_scale_min=60.0,
-                samples_per_bit=4, erasure_margin_bits=8),
+        first_sample,
         # on runs of a few microseconds lose many preambles: a frame whose
         # preamble is lost counts every frame bit as a bit error in both modes
         _config(mode="symbol", frames=200, code=(15, 9), payload_bytes=16, seed=5,
@@ -189,6 +190,22 @@ def test_modes_agree_frame_by_frame_without_noise():
         assert rs.fer_baseline == rp.fer_baseline
         assert rs.ber == rp.ber
         assert rs.ber_baseline == rp.ber_baseline
+
+    # the seed gives first_sample such a frame: an off run starts where an on
+    # run ends, within the lost mask's window and the first quarter of a bit
+    draw_gate = channel.draw_gate
+    gates = []
+
+    def spy(*args):
+        gates.append(draw_gate(*args))
+        return gates[-1]
+
+    monkeypatch.setattr(channel, "draw_gate", spy)
+    harness.run(first_sample)
+    plan = harness._frame_plan(rscodec.RsCode(15, 9), first_sample.rate, (1 + 32 + 2) * 8)
+    starts = np.concatenate([np.cumsum(g)[0::2] for g in gates]) * plan["bit_rate"] / 1e6
+    starts = starts[starts < plan["mask_bits_n"]]
+    assert (starts % 1 < 1 / first_sample.samples_per_bit).any()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -234,21 +251,25 @@ def test_receiver_erasures_are_a_function_of_its_bits(sigma, monkeypatch):
 
 def test_modes_draw_the_same_frames(monkeypatch):
     # both modes, with or without receiver noise, are handed the same
-    # payloads and lost-bit masks by the one block loop: the noise comes
-    # from generators of its own
-    blocks = harness._blocks
+    # payloads and lost-bit masks: the noise comes from generators of its own
+    blocks, frame_block = harness._blocks, phy.frame_block
     runs = []
 
-    def spy(*args, **kwargs):
-        for block in blocks(*args, **kwargs):
-            runs[-1].append(block[1:])
-            yield block
+    def blocks_spy(*args):
+        for lost in blocks(*args):
+            runs[-1][1].append(lost)
+            yield lost
 
-    monkeypatch.setattr(harness, "_blocks", spy)
+    def frame_block_spy(payloads):
+        runs[-1][0].append(payloads.copy())
+        return frame_block(payloads)
+
+    monkeypatch.setattr(harness, "_blocks", blocks_spy)
+    monkeypatch.setattr(phy, "frame_block", frame_block_spy)
     for mode, sigma in (("symbol", 0.0), ("sample", 0.0), ("sample", 0.3)):
-        runs.append([])
+        runs.append(([], []))
         harness.run(_config(mode=mode, noise_sigma=sigma))
-    (payloads, lost), *others = [[np.concatenate(a) for a in zip(*calls)] for calls in runs]
+    (payloads, lost), *others = [[np.concatenate(a) for a in calls] for calls in runs]
     assert payloads.shape == (40, 16)
     for other_payloads, other_lost in others:
         assert np.array_equal(other_payloads, payloads) and np.array_equal(other_lost, lost)
@@ -287,37 +308,68 @@ _DRAW_REGIMES = {"long": (1.2, 2.0, 1.3, 20.0), "short": (1.5, 0.3, 1.5, 0.6)}
 
 
 @pytest.mark.parametrize("regime", sorted(_DRAW_REGIMES))
-@pytest.mark.parametrize("held", [0, 1])
-@pytest.mark.parametrize("payload_bytes", [0, 3, 4, 5, 6, 108])
-def test_block_draw_replays_per_frame_draws(payload_bytes, held, regime):
-    # the block draw reads raw generator words in place of rng.integers and
-    # gate_durations frame by frame: equal payloads, run bounds, lost masks
-    # and final generator state, for every payload size mod 4 (0 is the
-    # parity sweep's gates-only draw), over back-to-back blocks that carry
-    # the generator's uint32 buffer from one to the next
+@pytest.mark.parametrize("payload_bytes", [0, 3, 7, 8, 9, 108])
+def test_block_draw_equals_per_frame_draw(payload_bytes, regime, monkeypatch):
+    # a block's payloads, read by one random_raw call, and its gates, drawn
+    # by _blocks straight into run bounds, equal a per-frame loop of raw
+    # words and gate_durations: equal payloads, run bounds, lost masks and
+    # final states of both generators, for payload sizes around whole words
+    # (0 is the parity sweep's gates-only draw), over back-to-back blocks
     off_shape, off_scale, on_shape, on_scale = _DRAW_REGIMES[regime]
     stats = traffic.TrafficStats(off=traffic.ParetoParams(off_shape, off_scale),
                                  on=traffic.ParetoParams(on_shape, on_scale))
     total_us, rate, n_symbols = 300.0, 1e6, 299
-    block_rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
-    for rng in (block_rng, loop_rng):
-        state = rng.bit_generator.state
-        state["has_uint32"], state["uinteger"] = held, 0xA5C3_1E07
-        rng.bit_generator.state = state
+    # one block holds BLOCK_BITS // n_symbols = 876 frames
+    plan = {"horizon_us": total_us, "bit_rate": rate, "mask_bits_n": n_symbols}
+    gate_rngs = [np.random.default_rng(7) for _ in range(2)]
+    payload_rngs = [np.random.default_rng([7, 3]) for _ in range(2)]
+    mask = channel.erasure_mask_from_gate
+    drawn = []
+
+    def spy(bounds, off, *args):
+        drawn.append((np.array(bounds), np.array(off)))
+        return mask(bounds, off, *args)
+
+    monkeypatch.setattr(channel, "erasure_mask_from_gate", spy)
     runs = 0
     for count in (1, 7, 144):
-        payloads, bounds, off = harness._draw_block(block_rng, stats, total_us, count,
-                                                    payload_bytes)
-        want, gates = draw_frames_loop(loop_rng, stats, total_us, count, payload_bytes)
+        (lost,) = harness._blocks(gate_rngs[0], stats, plan, count)
+        payloads = harness._payloads(payload_rngs[0], count, payload_bytes)
+        want, gates = draw_frames_loop(gate_rngs[1], payload_rngs[1], stats, total_us, count,
+                                       payload_bytes)
         assert payloads.shape == want.shape and np.array_equal(payloads, want)
+        [(bounds, off)] = drawn
+        drawn.clear()
         want_bounds, want_off = run_bounds(gates)
         assert np.array_equal(bounds, want_bounds) and np.array_equal(off, want_off)
-        lost = channel.erasure_mask_from_gate(bounds, off, rate, n_symbols)
-        assert np.array_equal(lost, channel.erasure_mask_from_gate(want_bounds, want_off,
-                                                                   rate, n_symbols))
-        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert np.array_equal(lost, mask(want_bounds, want_off, rate, n_symbols))
+        for block_rng, loop_rng in (gate_rngs, payload_rngs):
+            assert block_rng.bit_generator.state == loop_rng.bit_generator.state
         runs += sum(len(g) for g in gates)
     assert runs / 152 > (100 if regime == "short" else 2)
+
+
+def test_payloads_are_raw_words_of_their_own_generator(monkeypatch):
+    # frame i's payload is the first payload_bytes bytes, low byte first, of
+    # raw words 2i and 2i + 1 of the generator [seed, 3] at 13-byte
+    # payloads, across blocks of 7 frames
+    cfg = _config(payload_bytes=13)
+    plan = harness._frame_plan(rscodec.RsCode(*cfg.code), cfg.rate, (1 + 13 + 2) * 8)
+    monkeypatch.setattr(harness, "BLOCK_BITS", 7 * plan["mask_bits_n"])
+    frame_block = phy.frame_block
+    drawn = []
+
+    def spy(payloads):
+        drawn.append(payloads.copy())
+        return frame_block(payloads)
+
+    monkeypatch.setattr(phy, "frame_block", spy)
+    harness.run(cfg)
+    words = np.random.default_rng([cfg.seed, 3]).bit_generator.random_raw(2 * cfg.frames)
+    want = [b"".join(int(w).to_bytes(8, "little") for w in words[2 * i : 2 * i + 2])[:13]
+            for i in range(cfg.frames)]
+    assert [len(p) for p in drawn] == [7] * 5 + [5]
+    assert [bytes(p) for p in np.concatenate(drawn)] == want
 
 
 @pytest.mark.parametrize("sweep", [False, True])
