@@ -308,13 +308,15 @@ _DRAW_REGIMES = {"long": (1.2, 2.0, 1.3, 20.0), "short": (1.5, 0.3, 1.5, 0.6)}
 
 
 @pytest.mark.parametrize("regime", sorted(_DRAW_REGIMES))
+@pytest.mark.parametrize("held", [0, 1])
 @pytest.mark.parametrize("payload_bytes", [0, 3, 7, 8, 9, 108])
-def test_block_draw_equals_per_frame_draw(payload_bytes, regime, monkeypatch):
+def test_block_draw_replays_per_frame_draws(payload_bytes, held, regime, monkeypatch):
     # a block's payloads, read by one random_raw call, and its gates, drawn
     # by _blocks straight into run bounds, equal a per-frame loop of raw
     # words and gate_durations: equal payloads, run bounds, lost masks and
     # final states of both generators, for payload sizes around whole words
-    # (0 is the parity sweep's gates-only draw), over back-to-back blocks
+    # (0 is the parity sweep's gates-only draw), over back-to-back blocks.
+    # Neither draw reads the generators' held uint32 word: it is left as set
     off_shape, off_scale, on_shape, on_scale = _DRAW_REGIMES[regime]
     stats = traffic.TrafficStats(off=traffic.ParetoParams(off_shape, off_scale),
                                  on=traffic.ParetoParams(on_shape, on_scale))
@@ -323,6 +325,10 @@ def test_block_draw_equals_per_frame_draw(payload_bytes, regime, monkeypatch):
     plan = {"horizon_us": total_us, "bit_rate": rate, "mask_bits_n": n_symbols}
     gate_rngs = [np.random.default_rng(7) for _ in range(2)]
     payload_rngs = [np.random.default_rng([7, 3]) for _ in range(2)]
+    for rng in gate_rngs + payload_rngs:
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = held, 0xA5C3_1E07
+        rng.bit_generator.state = state
     mask = channel.erasure_mask_from_gate
     drawn = []
 
@@ -344,7 +350,9 @@ def test_block_draw_equals_per_frame_draw(payload_bytes, regime, monkeypatch):
         assert np.array_equal(bounds, want_bounds) and np.array_equal(off, want_off)
         assert np.array_equal(lost, mask(want_bounds, want_off, rate, n_symbols))
         for block_rng, loop_rng in (gate_rngs, payload_rngs):
-            assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+            state = block_rng.bit_generator.state
+            assert state == loop_rng.bit_generator.state
+            assert (state["has_uint32"], state["uinteger"]) == (held, 0xA5C3_1E07)
         runs += sum(len(g) for g in gates)
     assert runs / 152 > (100 if regime == "short" else 2)
 
