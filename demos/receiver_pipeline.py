@@ -1,10 +1,12 @@
 """Walk one frame through the sample-level receiver chain.
 
-Builds a frame, modulates it as scrambled OOK behind the 36-bit preamble,
-punches an excitation outage into the waveform, and lets the blind
-demodulator find the preamble by the correlation of its bit means at
-sample 0, the only offset it tests, and recover bits and erasure flags
-before the RS decoder repairs the hole.
+Builds a frame, modulates it as scrambled OOK line levels behind the
+36-bit preamble, punches an excitation outage into them, adds I/Q receiver
+noise at the default samples per bit (the chain's only samples) and
+averages each bit's power over them.  The blind demodulator then finds the
+preamble by the correlation of its bit means at sample 0, the only offset
+it tests, and recovers bits and erasure flags before the RS decoder
+repairs the hole.
 """
 
 import numpy as np
@@ -29,22 +31,22 @@ def main():
     print(f"frame: {len(payload)} payload bytes -> {frame_bits.size} bits -> "
           f"{len(cw_bits)} codeword(s) of RS({code.n},{code.k})")
 
-    samples = phy.modulate(tx_bits)
-    sample_rate = BIT_RATE * samples.shape[1]
-    print(f"waveform: {samples.size} samples at {sample_rate / 1e6:.0f} MS/s")
+    levels = phy.modulate(tx_bits)
+    spb = phy.DEFAULT_SAMPLES_PER_BIT
+    print(f"waveform: {levels.size * spb} samples at {BIT_RATE * spb / 1e6:.0f} MS/s")
 
     # excitation dies for 5 us, 25 us into the frame: at 6 Mb/s that is
     # bits 150..179, preamble included
     lost = np.zeros(phy.PREAMBLE_LEN + tx_bits.size, dtype=bool)
     lost[150:180] = True
-    noise = rng.normal(0.0, 0.03, (2,) + samples.shape)  # I, then Q
-    power = phy.apply_channel(samples, lost, noise)
+    noise = rng.normal(0.0, 0.03, (2,) + levels.shape + (spb,))  # I, then Q
+    power = phy.apply_channel(levels, lost, noise)
 
     # a block of one frame, sent from sample 0
     rx_bits, flags, found = phy.demodulate(power[None])
     assert found[0], "preamble not found"
     print(f"demodulator: preamble found at sample 0, data from sample "
-          f"{phy.PREAMBLE_LEN * samples.shape[1]}")
+          f"{phy.PREAMBLE_LEN * spb}")
     flagged = int(flags[0].sum())
     print(f"erasure flags: {flagged} bit(s) flagged around the outage")
 

@@ -8,16 +8,16 @@ Every experiment runs one block loop (_blocks), which draws the gates of
 blocks of as many frames as fit BLOCK_BITS lost-mask bits from its
 generator, frame by frame, their run bounds going straight into the buffers
 of the block's lost-bit mask.  A link run reads each block's payloads as
-raw words of a generator of their own (_payloads).  Sample mode draws
-receiver noise from generators of its own, runs the waveform chain on as
-many frames at once as fit WAVEFORM_BYTES and decodes all codewords of a
-block in one call.
+raw words of a generator of their own (_payloads).  Sample mode runs the
+receiver chain one value per bit, on as many frames at once as fit
+WAVEFORM_BYTES of receiver noise, whose samples (the only ones) it draws
+from generators of its own, and decodes all codewords of a block at once.
 
 The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
 read the same lost-bit mask, preamble included: symbol mode evaluates it
-directly, and sample mode zeroes every sample of a lost bit before noise
-and demodulation.  Symbol mode finds a frame iff no preamble '1' bit is
+directly, and sample mode zeroes the level of a lost bit before noise and
+demodulation.  Symbol mode finds a frame iff no preamble '1' bit is
 lost, which is the receiver's rule at zero noise: a lost preamble '0' bit
 reads as the 0 that was sent.  Both modes flag a run of line bits read as
 0 longer than erasure_margin_bits as erased (phy.flag_erasure_runs):
@@ -71,11 +71,12 @@ BLOCK_BITS = 2**18
 # frame log dominates memory: symbol-mode `rscatter simulate` peaked at 451 MB
 # RSS, 1148 MB with the log in its JSON (Python 3.11, numpy 2.4, x86-64 Linux).
 MAX_FRAMES = 10**6
-# Bytes of one float waveform array in sample mode.  Only the waveform chain
-# runs in parts, of as many frames of a block as this holds per transmission:
-# 3 coded frames at RS(63,29), 64-byte payloads and 8 samples per bit (there
-# 1 frame ran slower, and 10 no faster with 1.4 MB more peak memory), and 1
-# when a single waveform is larger (3.2 MB at RS(7,1), 108 B, 64 spb).
+# Bytes of a part's I (or Q) noise in sample mode.  Only the receiver chain
+# runs in parts, at every noise level, of as many frames of a block as this
+# holds per transmission: 3 coded frames at RS(63,29), 64-byte payloads and 8
+# samples per bit (with a sampled chain, 1 frame ran slower and 10 no faster
+# with 1.4 MB more peak memory), and 1 when one frame's noise is larger (3.2
+# MB at RS(7,1), 108 B, 64 spb).
 WAVEFORM_BYTES = 384 * 1024
 
 
@@ -386,17 +387,19 @@ def _sample_frames(config, code, plan, frame_bits, lost, noise):
     _symbol_frames does.
 
     The block is encoded at once.  Each transmission, the baseline then
-    the coded, is modulated, gated and demodulated in parts of as many
-    frames as fit WAVEFORM_BYTES; at noise_sigma > 0 a part's I and Q noise
-    is one draw from that transmission's generator in noise, frame after
-    frame.  A transmission is found iff the correlation coefficient of its
-    preamble's bit means with phy.PREAMBLE_BITS at sample 0, the only
-    offset tested, is at least phy.CORR_THRESHOLD and its threshold is
-    positive (phy.demodulate); at zero noise that is iff no preamble '1'
-    bit is lost, the rule _symbol_frames applies.  Under noise alone a few
-    frames in a thousand pass by chance, and then fail with their real bit
-    errors rather than all their bits.  All codewords of found coded frames
-    left to the decoder by the delivery rule are decoded at once.
+    the coded, is modulated, gated and demodulated one value per bit, in
+    parts of as many frames as fit WAVEFORM_BYTES.  Samples exist only as
+    noise: at noise_sigma > 0 a part's (frames, 2, bits, samples_per_bit)
+    I and Q noise is one draw from that transmission's generator in noise,
+    and each bit's power is averaged over its samples.  A transmission is
+    found iff the correlation coefficient of its preamble's bit means with
+    phy.PREAMBLE_BITS at sample 0, the only offset tested, is at least
+    phy.CORR_THRESHOLD and its threshold is positive (phy.demodulate); at
+    zero noise that is iff no preamble '1' bit is lost, the rule
+    _symbol_frames applies.  Under noise alone a few frames in a thousand
+    pass by chance, and then fail with their real bit errors rather than
+    all their bits.  All codewords of found coded frames left to the
+    decoder by the delivery rule are decoded at once.
     """
     spb, sigma = config.samples_per_bit, config.noise_sigma
     # per transmission: received bits, erasure flags, preamble found
@@ -408,9 +411,9 @@ def _sample_frames(config, code, plan, frame_bits, lost, noise):
         for lo in range(0, len(bits), step):
             part = bits[lo : lo + step]
             draws = gen.normal(0.0, sigma, (len(part), 2) + shape) if sigma > 0 else None
-            power = phy.apply_channel(phy.modulate(part, spb), lost[lo : lo + step], draws)
-            parts.append(phy.demodulate(power, config.erasure_margin_bits))
-            del power, draws  # free a part's waveforms before the next part's
+            stats = phy.apply_channel(phy.modulate(part), lost[lo : lo + step], draws)
+            parts.append(phy.demodulate(stats, config.erasure_margin_bits))
+            del draws  # free a part's noise before the next part's
         received.append([np.concatenate(arrays) for arrays in zip(*parts)])
 
     (base, _, base_found), (bits, flags, heard) = received

@@ -1,24 +1,27 @@
 """Tag-side frame construction and receiver-side detection.
 
 Framing (length byte, 3..108 byte payload, CRC-16), scrambling,
-unipolar NRZ/OOK sample generation behind a fixed 36-bit preamble, sample
-gating by a lost-bit mask plus additive noise, and blind demodulation of
-frames synchronised to sample 0: matched filter (each bit's mean power),
-a correlation test of the preamble's bit means with the preamble bits at
+unipolar NRZ/OOK line levels behind a fixed 36-bit preamble, gating by a
+lost-bit mask plus additive noise, and blind demodulation of frames
+synchronised to sample 0: matched filter (each bit's mean power), a
+correlation test of the preamble's bit means with the preamble bits at
 sample 0 alone, adaptive power threshold, and erasure flagging of long
 runs of bits sliced 0.  The receiver reads the samples only through their
 bit means, so its preamble test, like its slicer, gains from oversampling;
 its one cost is that a few noise-only preambles in a thousand pass it.
 
-A waveform is one (bits, samples_per_bit) array, and the waveform functions
-take a leading frame axis: `modulate` returns the real envelopes,
-`apply_channel` the received power sqrt(I^2 + Q^2) per sample, and
-`demodulate` reads a (frames, bits, samples_per_bit) block of frames sent
-from sample 0.  No complex array is built: the power is hypot(gated + I
-noise, Q noise).
+The receiver chain carries one value per bit and takes a leading frame
+axis: `modulate` returns the line levels, `apply_channel` each bit's mean
+received power, and `demodulate` reads a (frames, bits) block of these bit
+means of frames sent from sample 0.  Samples exist only as noise: with
+(..., 2, bits, samples_per_bit) I and Q noise a bit's power is the mean of
+hypot(gated level + I noise, Q noise) over its samples; without noise every
+sample of a bit would hold its gated level, which is then its mean.  No
+complex array is built.
 """
 
 import binascii
+import numbers
 import struct
 from functools import lru_cache
 
@@ -34,11 +37,11 @@ PREAMBLE_LEN = PREAMBLE_BITS.size  # 36
 MIN_PAYLOAD = 3
 MAX_PAYLOAD = 108
 DEFAULT_SAMPLES_PER_BIT = 8
-# fewest samples per bit a waveform may carry
+# fewest samples per bit that receiver noise may carry
 MIN_SAMPLES_PER_BIT = 4
 # most samples per bit an experiment may ask for: the longest frame (108
-# bytes under RS(7,1), 6252 bits) then holds about 4*10^5 samples, 3.2 MB
-# as a float envelope
+# bytes under RS(7,1), 6252 bits) then draws about 4*10^5 I noise samples
+# and as many Q, 3.2 MB each as floats
 MAX_SAMPLES_PER_BIT = 64
 # largest receiver noise an experiment may ask for: a thousand times the
 # unit carrier amplitude (SNR -60 dB) already buries every frame, while
@@ -151,58 +154,49 @@ def _pn_sequence(n):
     return pn
 
 
-def _waveform(samples, ndim=None):
-    """samples as a (..., bits, samples_per_bit) array; ParameterError unless
-    it has ndim axes (at least 2 when ndim is None) and at least
-    MIN_SAMPLES_PER_BIT samples per bit."""
-    samples = np.asarray(samples)
-    axes_ok = samples.ndim == ndim if ndim else samples.ndim >= 2
-    if not axes_ok or samples.shape[-1] < MIN_SAMPLES_PER_BIT:
-        raise ParameterError(f"a waveform needs {ndim or 'at least 2'} axes and >= "
-                             f"{MIN_SAMPLES_PER_BIT} samples per bit, got shape {samples.shape}")
-    return samples
+def modulate(bits):
+    """OOK/NRZ line levels of preamble || scrambled bits, one transmission
+    per row of bits: (..., bits) -> float (..., PREAMBLE_LEN + bits), 1 ->
+    unit amplitude, 0 -> zero.
 
-
-def modulate(bits, samples_per_bit=DEFAULT_SAMPLES_PER_BIT):
-    """OOK/NRZ envelope of preamble || scrambled bits, one waveform per row of
-    bits: (..., bits) -> float (..., PREAMBLE_LEN + bits, samples_per_bit),
-    1 -> unit amplitude, 0 -> zero.
-
-    Carrier and frequency shifting are abstracted away; the envelope is the
-    ideal clean-band baseband signal.
+    Carrier and frequency shifting are abstracted away; each level is the
+    ideal clean-band baseband envelope over its bit.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     levels = np.empty(bits.shape[:-1] + (PREAMBLE_LEN + bits.shape[-1],))
     levels[..., :PREAMBLE_LEN] = PREAMBLE_BITS
     levels[..., PREAMBLE_LEN:] = scramble(bits)
-    return _waveform(np.repeat(levels[..., None], samples_per_bit, axis=-1))
+    return levels
 
 
-def apply_channel(samples, lost_bits, noise=None):
-    """Gate waveforms by lost-bit masks, add I/Q noise and detect the power.
+def apply_channel(levels, lost_bits, noise=None):
+    """Gate line levels by lost-bit masks, add I/Q noise and detect each
+    bit's mean power.
 
-    samples is (..., rows, samples_per_bit); lost_bits (..., >= rows) holds
-    one flag per waveform row, preamble included (entries past the waveform
-    are ignored), and every sample of a lost bit is scaled to zero.  noise,
-    when given, is (..., 2, rows, samples_per_bit): each waveform's I noise,
-    then its Q noise.  Returns the received power sqrt(I^2 + Q^2) per sample,
-    hypot(gated + I noise, Q noise); without noise, the gated envelope.
+    levels is (..., rows); lost_bits (..., >= rows) holds one flag per row,
+    preamble included (entries past the levels are ignored), and the level
+    of a lost bit is scaled to zero.  noise, when given, is (..., 2, rows,
+    samples_per_bit), at least MIN_SAMPLES_PER_BIT samples per bit: each
+    transmission's I noise, then its Q noise, the only samples the chain
+    holds.  Returns each bit's received power sqrt(I^2 + Q^2) averaged over
+    its samples, the mean of hypot(gated + I noise, Q noise); without noise,
+    the gated levels.
     """
-    samples = _waveform(samples)
-    rows = samples.shape[-2]
-    lost_bits = np.asarray(lost_bits, dtype=bool)
-    if lost_bits.shape[-1] < rows:
-        raise ParameterError(
-            f"lost-bit mask ({lost_bits.shape[-1]}) shorter than waveform ({rows})")
-    power = samples * ~lost_bits[..., :rows, None]
-    if noise is not None:
-        noise = np.asarray(noise)
-        expected = samples.shape[:-2] + (2,) + samples.shape[-2:]
-        if noise.shape != expected:
-            raise ParameterError(f"noise shape must be {expected} (I, then Q), got {noise.shape}")
-        power += noise[..., 0, :, :]
-        np.hypot(power, noise[..., 1, :, :], out=power)
-    return power
+    levels, lost_bits = np.asarray(levels), np.asarray(lost_bits, dtype=bool)
+    if min(levels.ndim, lost_bits.ndim) == 0 or lost_bits.shape[-1] < levels.shape[-1]:
+        raise ParameterError(f"lost-bit mask of shape {lost_bits.shape} does not cover the "
+                             f"levels, of shape {levels.shape}")
+    rows = levels.shape[-1]
+    power = levels * ~lost_bits[..., :rows]
+    if noise is None:
+        return power
+    noise = np.asarray(noise)
+    if noise.shape[:-1] != levels.shape[:-1] + (2, rows) or noise.shape[-1] < MIN_SAMPLES_PER_BIT:
+        raise ParameterError(f"noise shape must be {levels.shape[:-1] + (2, rows)} (I, then Q) "
+                             f"plus >= {MIN_SAMPLES_PER_BIT} samples per bit, got {noise.shape}")
+    power = power[..., None] + noise[..., 0, :, :]
+    np.hypot(power, noise[..., 1, :, :], out=power)
+    return power.mean(axis=-1)
 
 
 def flag_erasure_runs(zeros, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
@@ -220,8 +214,10 @@ def flag_erasure_runs(zeros, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     here) and ORed with the w - 1 bits before it (dilation: a window
     covers here).  Both run in place on the flat array, by doubling, in
     O(log w) whole-array calls.  A margin at or past the row width flags
-    nothing.
+    nothing; a margin that is not an integer >= 0 is a ParameterError.
     """
+    if isinstance(margin_bits, bool) or not isinstance(margin_bits, numbers.Integral) or margin_bits < 0:
+        raise ParameterError(f"erasure margin must be an integer >= 0, got {margin_bits!r}")
     zeros = np.asarray(zeros, dtype=bool)
     width = zeros.shape[-1]
     w = int(margin_bits) + 1
@@ -262,17 +258,17 @@ def perceived_erasures(bits, lost, margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     return flag_erasure_runs(lost | (scramble(bits) == 0), margin_bits)
 
 
-def demodulate(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
+def demodulate(stats, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     """Blind demodulation of a block of frames sent from sample 0.
 
-    power is (frames, rows, samples_per_bit), one frame's preamble and
-    rows - PREAMBLE_LEN bits per waveform.  Returns the (frames, rows -
-    PREAMBLE_LEN) bits and erasure flags and a (frames,) mask of the frames
-    found.  The rows of frames not found hold no meaning.
+    stats is (frames, rows), one frame's preamble and rows - PREAMBLE_LEN
+    bits per row.  Returns the (frames, rows - PREAMBLE_LEN) bits and
+    erasure flags and a (frames,) mask of the frames found.  The rows of
+    frames not found hold no meaning.
 
-    Each bit's statistic is its mean power (a rectangular matched filter
-    sampled once per bit), and every decision reads these statistics only.
-    A frame is found iff the Pearson correlation coefficient of its first
+    Each bit's statistic is its mean power over its samples (a rectangular
+    matched filter sampled once per bit), as apply_channel returns it, and
+    every decision reads these statistics only.  A frame is found iff the Pearson correlation coefficient of its first
     PREAMBLE_LEN statistics with PREAMBLE_BITS is at or above
     CORR_THRESHOLD and its threshold is positive; the coefficient of
     constant statistics is taken as 0.  Only sample 0 is tested; no other
@@ -287,14 +283,13 @@ def demodulate(power, erase_margin_bits=DEFAULT_ERASE_MARGIN_BITS):
     it, and descrambled; runs of line bits sliced 0 longer than
     erase_margin_bits bit-times are flagged erased, as in
     perceived_erasures, so the erasures are flag_erasure_runs(scramble(bits)
-    == 0, margin).  The threshold is relative, so scaling the power by any
-    positive constant leaves every decision unchanged.
+    == 0, margin).  The threshold is relative, so scaling the statistics by
+    any positive constant leaves every decision unchanged.
     """
-    power = _waveform(power, ndim=3)
-    rows = power.shape[1]
-    if rows <= PREAMBLE_LEN:
-        raise ParameterError(f"waveforms of {rows} rows carry no bit past the preamble")
-    stats = power.mean(axis=-1)
+    stats = np.asarray(stats)
+    if stats.ndim != 2 or stats.shape[1] <= PREAMBLE_LEN:
+        raise ParameterError(f"the receiver reads (frames, rows) bit means with more than "
+                             f"{PREAMBLE_LEN} rows, got shape {stats.shape}")
     pre = stats[:, :PREAMBLE_LEN]
     threshold = (pre[:, PREAMBLE_BITS == 1].min(axis=-1)
                  + pre[:, PREAMBLE_BITS == 0].max(axis=-1)) / 2.0

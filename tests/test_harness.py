@@ -220,8 +220,8 @@ def test_symbol_mode_finds_frames_by_the_receivers_rule(seed):
     lost = rng.random((300, plan["mask_bits_n"])) < rng.choice([0.01, 0.05, 0.3], (300, 1))
     (found, _, _), _ = harness._symbol_frames(
         _config(erasure_margin_bits=8), code, plan, frame_bits, lost)
-    power = phy.apply_channel(phy.modulate(frame_bits, 4), lost)
-    assert np.array_equal(found, phy.demodulate(power, 8)[2])
+    stats = phy.apply_channel(phy.modulate(frame_bits), lost)
+    assert np.array_equal(found, phy.demodulate(stats, 8)[2])
     ones_lost = (lost[:, : phy.PREAMBLE_LEN] & (phy.PREAMBLE_BITS == 1)).any(axis=1)
     assert np.array_equal(found, ~ones_lost)
     # some frames lost only preamble '0' bits, and they are found

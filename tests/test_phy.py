@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import waveform_oracle
 from rscatter.errors import FrameCrcError, ParameterError
 from rscatter import phy
 
@@ -155,37 +156,40 @@ def test_scramble_matches_tiled_pn_at_every_length():
 
 
 def test_modulate_levels_and_timing():
+    # one line level per bit-time: the preamble, then the scrambled bits
     bits = np.array([1, 0, 1], dtype=np.uint8)
-    spb = 8
-    levels = phy.modulate(bits, spb)
-    assert levels.shape == (phy.PREAMBLE_LEN + 3, spb)
+    levels = phy.modulate(bits)
+    assert levels.shape == (phy.PREAMBLE_LEN + 3,)
     assert levels.dtype == float  # a real envelope: no Q component
-    assert np.all(levels == levels[:, :1])  # constant within each bit
     assert set(np.unique(levels)) <= {0.0, 1.0}
-    # the data section carries the scrambled line bits
-    line = levels[phy.PREAMBLE_LEN :, 0].astype(np.uint8)
+    assert np.array_equal(levels[: phy.PREAMBLE_LEN], phy.PREAMBLE_BITS)
+    line = levels[phy.PREAMBLE_LEN :].astype(np.uint8)
     assert (line == phy.scramble(bits)).all()
+    # one transmission per row of bits; samples per bit are the noise's
+    block = phy.modulate(np.stack([bits, 1 - bits]))
+    assert block.shape == (2, phy.PREAMBLE_LEN + 3) and np.array_equal(block[0], levels)
+    with pytest.raises(TypeError):
+        phy.modulate(bits, samples_per_bit=8)
 
 
 def test_samples_per_bit_floor():
-    with pytest.raises(ParameterError):
-        phy.modulate([1, 0], samples_per_bit=3)
-    good = phy.modulate(np.ones(10, dtype=np.uint8), 8)
-    lost = _no_loss(good)
-    # a flat waveform, and rows shorter than the samples-per-bit floor
-    for bad in (good.ravel(), good[:, : phy.MIN_SAMPLES_PER_BIT - 1]):
+    # the samples are the noise's: fewer than the floor per bit are refused
+    levels = phy.modulate(np.ones(10, dtype=np.uint8))
+    lost = _no_loss(levels)
+    for spb in (1, phy.MIN_SAMPLES_PER_BIT - 1):
         with pytest.raises(ParameterError):
-            phy.apply_channel(bad, lost)
+            phy.apply_channel(levels, lost, np.zeros((2, levels.size, spb)))
+    power = phy.apply_channel(levels, lost, np.zeros((2, levels.size, phy.MIN_SAMPLES_PER_BIT)))
+    assert power.tobytes() == levels.tobytes()
+    assert _receive(power)[2]
+    # the receiver reads a 2-D block of frames' bit means
+    for bad in (levels, levels[None, :, None], np.repeat(levels[None, :, None], 8, axis=-1)):
         with pytest.raises(ParameterError):
-            phy.demodulate(bad[None])
-    assert _receive(good[:, : phy.MIN_SAMPLES_PER_BIT])[2]
-    # the receiver reads a 3-D block of frames
-    with pytest.raises(ParameterError):
-        phy.demodulate(good)
+            phy.demodulate(bad)
 
 
-def _no_loss(samples):
-    return np.zeros(samples.shape[0], dtype=bool)
+def _no_loss(levels):
+    return np.zeros(levels.shape[-1], dtype=bool)
 
 
 def _receive(power):
@@ -194,32 +198,44 @@ def _receive(power):
 
 
 def test_apply_channel_gates_samples():
-    samples = phy.modulate(np.ones(10, dtype=np.uint8), 8)
-    rng = np.random.default_rng(0)
+    levels = phy.modulate(np.ones(10, dtype=np.uint8))
     # lost bits 2..3 of the data section (after the preamble)
-    lost = _no_loss(samples)
+    lost = _no_loss(levels)
     lost[phy.PREAMBLE_LEN + 2 : phy.PREAMBLE_LEN + 4] = True
-    gated = phy.apply_channel(samples, lost)
-    assert gated.shape == samples.shape and gated.dtype == float
+    gated = phy.apply_channel(levels, lost)
+    assert gated.shape == levels.shape and gated.dtype == float
     data = gated[phy.PREAMBLE_LEN :]
-    assert not data[2].any() and not data[3].any()
+    assert not data[2] and not data[3]
     line = phy.scramble(np.ones(10, dtype=np.uint8))
     for i in (0, 1, 4, 9):
-        assert (data[i] == float(line[i])).all()
+        assert data[i] == float(line[i])
+    # zero noise on every sample leaves each bit's mean at its gated level
+    noiseless = phy.apply_channel(levels, lost, np.zeros((2, levels.size, 8)))
+    assert noiseless.tobytes() == gated.tobytes()
 
 
 def test_apply_channel_requires_cover():
-    samples = phy.modulate(np.ones(10, dtype=np.uint8), 8)
-    lost = _no_loss(samples)
-    with pytest.raises(ParameterError):
-        phy.apply_channel(samples, lost[:-1])
-    # a longer mask is cut to the waveform
-    gated = phy.apply_channel(samples, np.append(lost, True))
-    assert gated.tobytes() == samples.tobytes()
-    # the noise is one I and one Q draw of the waveform's shape
-    for shape in ((2,) + samples.shape[:-1] + (7,), samples.shape, (1, 2) + samples.shape):
+    levels = phy.modulate(np.ones(10, dtype=np.uint8))
+    lost = _no_loss(levels)
+    # one flag per level, and at least one level
+    for bad_levels, bad_lost in ((levels, lost[:-1]), (levels, lost[0]), (levels[0], lost)):
         with pytest.raises(ParameterError):
-            phy.apply_channel(samples, lost, np.zeros(shape))
+            phy.apply_channel(bad_levels, bad_lost)
+    # a longer mask is cut to the levels
+    gated = phy.apply_channel(levels, np.append(lost, True))
+    assert gated.tobytes() == levels.tobytes()
+    # the noise is one I and one Q draw of the levels' rows, 4 or more
+    # samples per bit
+    rows = levels.size
+    for shape in ((2, rows - 1, 8), (2, rows + 1, 8), (rows, 8), (3, rows, 8), (1, 2, rows, 8),
+                  (2, rows), (2, 8, rows), (8,), ()):
+        with pytest.raises(ParameterError):
+            phy.apply_channel(levels, lost, np.zeros(shape))
+    # a block's noise has the block's frame axis
+    block = np.stack([levels, levels])
+    for frames in (1, 3):
+        with pytest.raises(ParameterError):
+            phy.apply_channel(block, np.stack([lost, lost]), np.zeros((frames, 2, rows, 8)))
 
 
 @given(st.integers(phy.MIN_SAMPLES_PER_BIT, 16), st.integers(1, 60), st.data())
@@ -228,32 +244,58 @@ def test_apply_channel_gates_by_lost_bit_mask(spb, n_data, data):
     bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_data, max_size=n_data)),
                     dtype=np.uint8)
     n_bits = phy.PREAMBLE_LEN + n_data
-    # masks may run past the waveform
+    # masks may run past the levels
     lost = np.array(data.draw(st.lists(st.booleans(), min_size=n_bits, max_size=n_bits + 8)))
-    samples = phy.modulate(bits, spb)
-    expected = samples * np.repeat(~lost[:n_bits], spb).reshape(n_bits, spb)
-    gated = phy.apply_channel(samples, lost)
-    assert gated.shape == (n_bits, spb)
+    levels = phy.modulate(bits)
+    expected = levels * ~lost[:n_bits]
+    gated = phy.apply_channel(levels, lost)
+    assert gated.shape == (n_bits,)
     assert gated.tobytes() == expected.tobytes()
-    # the power sqrt(I^2 + Q^2) of the gated samples plus I and Q noise, I
-    # noise first; a block of frames gets the same per frame
+    # each bit's mean over its samples of the power sqrt(I^2 + Q^2) of its
+    # gated level plus I and Q noise, I noise first; a block of frames gets
+    # the same per frame
     rng = np.random.default_rng(n_data)
-    i_noise = rng.normal(0.0, 0.1, samples.shape)
-    q_noise = rng.normal(0.0, 0.1, samples.shape)
-    noisy = phy.apply_channel(samples, lost, np.stack([i_noise, q_noise]))
-    assert noisy.tobytes() == np.hypot(expected + i_noise, q_noise).tobytes()
-    block = phy.apply_channel(np.stack([samples, samples]), np.stack([lost, ~lost]),
+    i_noise = rng.normal(0.0, 0.1, (n_bits, spb))
+    q_noise = rng.normal(0.0, 0.1, (n_bits, spb))
+    noisy = phy.apply_channel(levels, lost, np.stack([i_noise, q_noise]))
+    assert noisy.tobytes() == np.hypot(expected[:, None] + i_noise, q_noise).mean(axis=1).tobytes()
+    block = phy.apply_channel(np.stack([levels, levels]), np.stack([lost, ~lost]),
                               np.stack([[i_noise, q_noise], [q_noise, i_noise]]))
     assert block[0].tobytes() == noisy.tobytes()
-    flipped = samples * np.repeat(lost[:n_bits], spb).reshape(n_bits, spb)
-    assert block[1].tobytes() == np.hypot(flipped + q_noise, i_noise).tobytes()
+    flipped = levels * lost[:n_bits]
+    assert block[1].tobytes() == np.hypot(flipped[:, None] + q_noise, i_noise).mean(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 0.55])
+@pytest.mark.parametrize("spb", [4, 8, 13, 64])
+def test_apply_channel_matches_per_sample_reference(spb, sigma):
+    # the bit-level chain equals the per-sample one (repeat each level over
+    # its samples, gate every sample, add I, hypot with Q, average per bit)
+    # to the last bit, for losses in the preamble, in the data and across
+    # both
+    rng = np.random.default_rng(spb)
+    frames, n_data = 6, 150
+    rows = phy.PREAMBLE_LEN + n_data
+    bits = rng.integers(0, 2, (frames, n_data), dtype=np.uint8)
+    lost = np.zeros((frames, rows + 5), dtype=bool)  # masks may run past the levels
+    lost[1, 3:20] = True  # preamble '1' and '0' bits
+    lost[2, phy.PREAMBLE_LEN + 10 : phy.PREAMBLE_LEN + 70] = True  # data
+    lost[3, 20 : phy.PREAMBLE_LEN + 30] = True  # across the boundary
+    lost[4] = rng.random(rows + 5) < 0.2  # scattered
+    lost[5] = True
+    noise = rng.normal(0.0, sigma, (frames, 2, rows, spb)) if sigma else None
+    got = phy.apply_channel(phy.modulate(bits), lost, noise)
+    assert np.array_equal(got, waveform_oracle.bit_means(bits, lost, spb, noise))
+    # one frame alone is read as in its block
+    one = phy.apply_channel(phy.modulate(bits[3]), lost[3], None if noise is None else noise[3])
+    assert np.array_equal(one, got[3])
 
 
 def test_demodulate_clean_roundtrip():
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, 400, dtype=np.uint8)
-    samples = phy.modulate(bits)
-    rx = phy.apply_channel(samples, _no_loss(samples))
+    levels = phy.modulate(bits)
+    rx = phy.apply_channel(levels, _no_loss(levels))
     got, flags, found = _receive(rx)
     assert found
     assert (got == bits).all()
@@ -263,9 +305,9 @@ def test_demodulate_clean_roundtrip():
 def test_demodulate_is_amplitude_invariant():
     rng = np.random.default_rng(2)
     bits = rng.integers(0, 2, 200, dtype=np.uint8)
-    samples = phy.modulate(bits)
+    levels = phy.modulate(bits)
     for amp in (1e-3, 1.0, 750.0):
-        got, _, found = _receive(samples * amp)
+        got, _, found = _receive(levels * amp)
         assert found
         assert (got == bits).all()
 
@@ -273,20 +315,20 @@ def test_demodulate_is_amplitude_invariant():
 def test_demodulate_with_noise():
     rng = np.random.default_rng(3)
     bits = rng.integers(0, 2, 300, dtype=np.uint8)
-    samples = phy.modulate(bits)
-    rx = phy.apply_channel(samples, _no_loss(samples), rng.normal(0, 0.08, (2,) + samples.shape))
-    got, _, found = _receive(rx)
+    levels = phy.modulate(bits)
+    noise = rng.normal(0, 0.08, (2, levels.size, phy.DEFAULT_SAMPLES_PER_BIT))
+    got, _, found = _receive(phy.apply_channel(levels, _no_loss(levels), noise))
     assert found
     assert (got == bits).all()
 
 
 def test_demodulate_flags_long_outage():
     bits = np.ones(200, dtype=np.uint8)
-    samples = phy.modulate(bits)
+    levels = phy.modulate(bits)
     # 40-bit outage starting 50 bits into the data section
-    samples_lost = _no_loss(samples)
-    samples_lost[phy.PREAMBLE_LEN + 50 : phy.PREAMBLE_LEN + 90] = True
-    rx = phy.apply_channel(samples, samples_lost)
+    levels_lost = _no_loss(levels)
+    levels_lost[phy.PREAMBLE_LEN + 50 : phy.PREAMBLE_LEN + 90] = True
+    rx = phy.apply_channel(levels, levels_lost)
     _, flags, found = _receive(rx)
     assert found
     assert flags[50:90].all()
@@ -299,13 +341,13 @@ def test_demodulate_flags_long_outage():
 def test_demodulate_misses_noise_without_preamble():
     rng = np.random.default_rng(5)
     noise = np.hypot(rng.normal(0, 1, (500, 8)), rng.normal(0, 1, (500, 8)))
-    assert not _receive(noise)[2]
+    assert not _receive(noise.mean(axis=1))[2]
     # with every bit lost the power is noise alone, whose scale no decision
     # reads: fewer than 1% of such frames pass the test on bit means
     for spb, frames in ((4, 2000), (8, 2000), (phy.MAX_SAMPLES_PER_BIT, 1000)):
-        samples = phy.modulate(rng.integers(0, 2, (frames, 1)), spb)
-        noise = rng.standard_normal((frames, 2) + samples.shape[1:])
-        power = phy.apply_channel(samples, np.ones(samples.shape[:2], dtype=bool), noise)
+        levels = phy.modulate(rng.integers(0, 2, (frames, 1)))
+        noise = rng.standard_normal((frames, 2, levels.shape[1], spb))
+        power = phy.apply_channel(levels, np.ones(levels.shape, dtype=bool), noise)
         assert phy.demodulate(power)[2].mean() < 0.01
 
 
@@ -320,11 +362,11 @@ def test_demodulate_misses_noise_without_preamble():
 @settings(max_examples=120, deadline=None)
 def test_demodulate_matches_offset_zero_reference(spb, n_data, frames, sigma, loss, seed):
     # a block of frames, some with lost preamble bits or with the waveform
-    # delayed past sample 0, is demodulated frame for frame as the plain
-    # reference reads it from sample 0
+    # delayed past sample 0, is demodulated from its bit means frame for
+    # frame as the plain reference reads its samples from sample 0
     rng = np.random.default_rng(seed)
     rows = phy.PREAMBLE_LEN + n_data
-    samples = phy.modulate(rng.integers(0, 2, (frames, n_data)), spb)
+    samples = waveform_oracle.waveform(rng.integers(0, 2, (frames, n_data)), spb)
     lost = np.zeros((frames, rows), dtype=bool)
     if loss == "scattered":
         lost = rng.random((frames, rows)) < 0.2
@@ -339,8 +381,8 @@ def test_demodulate_matches_offset_zero_reference(spb, n_data, frames, sigma, lo
             samples[f] = np.roll(samples[f].ravel(), delay).reshape(rows, spb)
             samples[f].ravel()[:delay] = 0.0
     noise = rng.normal(0.0, sigma, (frames, 2, rows, spb)) if sigma else None
-    power = phy.apply_channel(samples, lost, noise)
-    bits, erasures, found = phy.demodulate(power, 8)
+    power = waveform_oracle.received_power(samples, lost, noise)
+    bits, erasures, found = phy.demodulate(power.mean(axis=-1), 8)
     assert bits.shape == erasures.shape == (frames, n_data) and found.shape == (frames,)
     for f in range(frames):
         ref_bits, ref_flags, ref_found, ref_corr = _reference_demodulate(power[f], 8)
@@ -359,8 +401,7 @@ def test_demodulate_erasure_rule():
     # only that run, longer than the margin of 8, is flagged
     high = [1.0] * 2
     means = high + [0.98 * 0.5] * 10 + high + [0.5] * 10 + high + [1.02 * 0.5] * 10 + high
-    power = np.repeat(np.concatenate([phy.PREAMBLE_BITS, means])[None, :, None], 8, axis=-1)
-    bits, flags, found = phy.demodulate(power, 8)
+    bits, flags, found = phy.demodulate(np.concatenate([phy.PREAMBLE_BITS, means])[None], 8)
     assert found[0]
     expected = np.zeros(len(means), dtype=bool)
     expected[2:12] = True
@@ -377,8 +418,7 @@ def test_demodulate_floor_rule(fraction):
     depth = fraction * 0.5
     high = [1.0] * 2
     means = high + [depth] * 10 + high + [depth] * 8 + high
-    power = np.repeat(np.concatenate([phy.PREAMBLE_BITS, means])[None, :, None], 8, axis=-1)
-    bits, flags, found = phy.demodulate(power, 8)
+    bits, flags, found = phy.demodulate(np.concatenate([phy.PREAMBLE_BITS, means])[None], 8)
     assert found[0]
     zeros = np.zeros(len(means), dtype=bool)
     zeros[2:12] = zeros[14:22] = True
@@ -393,11 +433,11 @@ def test_demodulate_finds_delayed_frames_by_offset_zero_coefficient():
     # its bit means at sample 0 pass; no other offset is searched
     rng = np.random.default_rng(11)
     spb = 8
-    samples = phy.modulate(rng.integers(0, 2, 200, dtype=np.uint8), spb).ravel()
+    samples = waveform_oracle.waveform(rng.integers(0, 2, 200, dtype=np.uint8), spb).ravel()
     found = {}
     for delay in (1, 2, 4, spb, 2 * spb, 3 * spb):
         late = np.concatenate([np.zeros(delay), samples[:-delay]]).reshape(-1, spb)
-        found[delay] = _receive(late)[2]
+        found[delay] = _receive(late.mean(axis=1))[2]
         assert found[delay] == _reference_demodulate(late, 8)[2]
     assert found[1] and found[2] and found[2 * spb]
     # one bit late, the exact template starts at the second bit and a search
@@ -410,31 +450,30 @@ def test_demodulate_finds_delayed_frames_by_offset_zero_coefficient():
 
 def test_demodulate_needs_a_data_bit():
     with pytest.raises(ParameterError):
-        phy.demodulate(np.ones((2, phy.PREAMBLE_LEN, 8)))
+        phy.demodulate(np.ones((2, phy.PREAMBLE_LEN)))
+    assert phy.demodulate(np.ones((2, phy.PREAMBLE_LEN + 1)))[0].shape == (2, 1)
 
 
 def test_demodulate_preamble_test_reads_preamble_bit_means():
     rng = np.random.default_rng(4)
+    rows = phy.PREAMBLE_LEN + 9
+    # a constant preamble window is not found, whatever its level
+    levels = np.array([0.0, 1e-300, 0.1, 0.25, 1.0, 750.0])
+    assert not phy.demodulate(np.broadcast_to(levels[:, None], (levels.size, rows)))[2].any()
+    # the exact template is found, whatever data rows follow it
+    block = np.concatenate([np.broadcast_to(phy.PREAMBLE_BITS.astype(float), (3, phy.PREAMBLE_LEN)),
+                            rng.normal(0.0, 3.0, (3, rows - phy.PREAMBLE_LEN))], axis=1)
+    assert phy.demodulate(block)[2].all()
     for spb in (phy.MIN_SAMPLES_PER_BIT, 8, 16):
-        rows = phy.PREAMBLE_LEN + 9
-        # a constant preamble window is not found, whatever its level
-        levels = np.array([0.0, 1e-300, 0.1, 0.25, 1.0, 750.0])
-        block = np.broadcast_to(levels[:, None, None], (levels.size, rows, spb))
-        assert not phy.demodulate(block)[2].any()
-        # the exact template is found, whatever data rows follow it
-        template = np.repeat(phy.PREAMBLE_BITS.astype(float), spb).reshape(-1, spb)
-        block = np.concatenate([np.broadcast_to(template, (3,) + template.shape),
-                                rng.normal(0.0, 3.0, (3, rows - phy.PREAMBLE_LEN, spb))], axis=1)
-        assert phy.demodulate(block)[2].all()
         # only the preamble's rows are read: noisy frames, some found and
         # some not, are found alike behind other data rows; the noise grows
         # as sqrt(spb) to keep the bit means' spread alike at every spb
-        block = phy.modulate(rng.integers(0, 2, (40, rows - phy.PREAMBLE_LEN)), spb)
-        power = phy.apply_channel(block, np.zeros((40, rows), dtype=bool),
+        levels = phy.modulate(rng.integers(0, 2, (40, rows - phy.PREAMBLE_LEN)))
+        power = phy.apply_channel(levels, np.zeros((40, rows), dtype=bool),
                                   rng.normal(0.0, 0.4 * np.sqrt(spb), (40, 2, rows, spb)))
         found = phy.demodulate(power)[2]
         assert found.any() and not found.all()
-        power[:, phy.PREAMBLE_LEN :] = rng.random((40, rows - phy.PREAMBLE_LEN, spb))
+        power[:, phy.PREAMBLE_LEN :] = rng.random((40, rows - phy.PREAMBLE_LEN))
         assert np.array_equal(phy.demodulate(power)[2], found)
 
 
@@ -444,12 +483,12 @@ def test_preamble_test_finds_what_the_slicer_reads(spb):
     # slicer does, so it finds every frame up to sigma = 0.6, where the
     # slicer still reads the frames at 64 samples per bit
     rng = np.random.default_rng(3)
-    samples = phy.modulate(rng.integers(0, 2, (200, 300)), spb)
-    unlost = np.zeros(samples.shape[:2], dtype=bool)
+    levels = phy.modulate(rng.integers(0, 2, (200, 300)))
+    unlost = np.zeros(levels.shape, dtype=bool)
     for part in np.split(np.arange(200), 4):  # 50 frames a part bound the memory
-        normals = rng.standard_normal((part.size, 2) + samples.shape[1:])
+        normals = rng.standard_normal((part.size, 2, levels.shape[1], spb))
         for sigma in (0.5, 0.55, 0.6):
-            power = phy.apply_channel(samples[part], unlost[part], sigma * normals)
+            power = phy.apply_channel(levels[part], unlost[part], sigma * normals)
             assert phy.demodulate(power, 8)[2].all()
 
 
@@ -466,6 +505,23 @@ def test_erasure_run_flagging_margin():
     # a run of the whole row is flagged iff the margin is under the row width
     assert phy.flag_erasure_runs(np.ones(100, dtype=bool), 99).all()
     assert not phy.flag_erasure_runs(np.ones(100, dtype=bool), 100).any()
+
+
+def test_erasure_run_flagging_rejects_bad_margins():
+    # a negative margin would flag every zero bit or fail to broadcast, and
+    # a fractional one would be cut to an integer
+    zeros = np.zeros((1, 12), dtype=bool)
+    zeros[0, 2:6] = True
+    for margin in (-1, -3, 2.7, 3.0, "3", None, True, np.float64(2)):
+        with pytest.raises(ParameterError):
+            phy.flag_erasure_runs(zeros, margin)
+    for margin in (3, np.int64(3), np.uint8(3)):
+        assert np.array_equal(phy.flag_erasure_runs(zeros, margin), zeros)
+    assert not phy.flag_erasure_runs(zeros, 4).any()
+    with pytest.raises(ParameterError):
+        phy.perceived_erasures(np.ones(12, dtype=np.uint8), np.ones(12, dtype=bool), -1)
+    with pytest.raises(ParameterError):
+        phy.demodulate(np.ones((1, phy.PREAMBLE_LEN + 12)), 2.7)
 
 
 def _reference_flags(row, margin):
@@ -535,10 +591,10 @@ def test_perceived_erasures_match_demodulator():
     rng = np.random.default_rng(6)
     bits = rng.integers(0, 2, 500, dtype=np.uint8)
     # outage covering data bits 100..139
-    samples = phy.modulate(bits)
-    samples_lost = _no_loss(samples)
-    samples_lost[phy.PREAMBLE_LEN + 100 : phy.PREAMBLE_LEN + 140] = True
-    rx = phy.apply_channel(samples, samples_lost)
+    levels = phy.modulate(bits)
+    levels_lost = _no_loss(levels)
+    levels_lost[phy.PREAMBLE_LEN + 100 : phy.PREAMBLE_LEN + 140] = True
+    rx = phy.apply_channel(levels, levels_lost)
     _, flags, found = _receive(rx)
     assert found
     lost = np.zeros(bits.size, dtype=bool)
