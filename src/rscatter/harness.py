@@ -8,29 +8,29 @@ Every experiment runs one block loop (_blocks), which draws the gates of
 blocks of as many frames as fit BLOCK_BITS lost-mask bits from its
 generator, frame by frame, their run bounds going straight into the buffers
 of the block's lost-bit mask.  A link run reads each block's payloads as
-raw words of a generator of their own (_payloads).  Sample mode runs the
-receiver chain one value per bit, on as many frames at once as fit
-WAVEFORM_BYTES of receiver noise, whose samples (the only ones) it draws
-from generators of its own, and decodes all codewords of a block at once.
+raw words of a generator of their own (_payloads).  Both modes receive
+each transmission through one function (_receive); sample mode decodes all
+codewords of a block at once.
 
 The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
-read the same lost-bit mask, preamble included: symbol mode evaluates it
-directly, and sample mode zeroes the level of a lost bit before noise and
-demodulation.  Symbol mode finds a frame iff no preamble '1' bit is
-lost, which is the receiver's rule at zero noise: a lost preamble '0' bit
-reads as the 0 that was sent.  Both modes flag a run of line bits read as
-0 longer than erasure_margin_bits as erased (phy.flag_erasure_runs):
-symbol mode reads a bit as 0 iff it was lost or sent as 0
-(phy.perceived_erasures), sample mode iff the receiver slices it 0
-(phy.demodulate).  A codeword is
-delivered only when its erased symbols stay within the correction
-capability t that the code selection assumes.  Both modes score a frame by
-one rule: it is delivered iff its preamble is found, no codeword is lost
-or fails to decode, and its received frame bits equal the sent bits, which
-is exactly when phy.frame_parse of those bits returns the sent payload.  A
-frame not found has every bit wrong.  At zero noise the sample-level
-pipeline reproduces the symbol-level frame outcomes exactly when every off
+read the same lost-bit mask, preamble included.  At zero noise the receiver
+is a closed form of the sent bits and the lost mask, applied without a
+sample: a frame is found iff no preamble '1' bit is lost (a lost preamble
+'0' bit reads as the 0 that was sent), and a run of line bits read as 0,
+lost or sent as 0, longer than erasure_margin_bits is flagged erased
+(phy.perceived_erasures).  Only at noise_sigma > 0 does sample mode run the
+receiver chain, one value per bit, on as many frames at once as fit
+WAVEFORM_BYTES of receiver noise drawn from generators of its own: it
+zeroes the level of a lost bit before noise and flags the runs of bits it
+slices 0 (phy.demodulate).  A codeword is delivered only when its erased
+symbols stay within the correction capability t that the code selection
+assumes.  Both modes score a frame by one rule: it is delivered iff its
+preamble is found, no codeword is lost or fails to decode, and its
+received frame bits equal the sent bits, which is exactly when
+phy.frame_parse of those bits returns the sent payload.  A frame not found
+has every bit wrong.  At zero noise the modes differ only in delivery,
+the t rule against the decoder, and agree frame for frame when every off
 run is longer than erasure_margin_bits bit-times.  A shorter off run is
 not flagged, and a lost bit in it whose line bit was 1 is a symbol error
 that only the sample-level decoder sees.
@@ -71,8 +71,8 @@ BLOCK_BITS = 2**18
 # frame log dominates memory: symbol-mode `rscatter simulate` peaked at 451 MB
 # RSS, 1148 MB with the log in its JSON (Python 3.11, numpy 2.4, x86-64 Linux).
 MAX_FRAMES = 10**6
-# Bytes of a part's I (or Q) noise in sample mode.  Only the receiver chain
-# runs in parts, at every noise level, of as many frames of a block as this
+# Bytes of a part's I (or Q) noise in sample mode.  The receiver chain runs
+# only at noise_sigma > 0, in parts of as many frames of a block as this
 # holds per transmission: 3 coded frames at RS(63,29), 64-byte payloads and 8
 # samples per bit (with a sampled chain, 1 frame ran slower and 10 no faster
 # with 1.4 MB more peak memory), and 1 when one frame's noise is larger (3.2
@@ -286,29 +286,52 @@ def _payloads(rng, count, payload_bytes):
     return words.astype("<u8", copy=False).view(np.uint8).reshape(count, 8 * w)[:, :payload_bytes]
 
 
-def _symbol_frames(config, code, plan, frame_bits, lost_all):
-    """The baseline and the coded transmission of a block of frames, one
-    frame per row, each as the (found, wrong, failed) that _outcomes scores.
-    """
-    pre, nf = plan["preamble_bits"], plan["frame_bits_n"]
-    # the receiver's rule at zero noise: found iff no preamble '1' bit is lost
-    found = ~(lost_all[:, :pre] & (phy.PREAMBLE_BITS[:pre] == 1)).any(axis=1)
+def _receive(config, plan, lost, sent, noise=(None, None)):
+    """The receiver's reading of a block of frames' baseline and coded
+    transmissions, sent = (frame bits, codeword bits) one frame per row
+    after the plan's preamble over the lost-bit masks lost: for each, the
+    bits received wrong (received XOR sent), the erasure flags and the
+    frames found; rows not found hold no meaning.  At zero noise that is
+    the chain's closed form (tests/test_phy.py): a lost bit reads as the PN
+    bit after descrambling, the flags are phy.perceived_erasures, and the
+    baseline, which no delivery reads, has none.  At noise_sigma > 0 each
+    transmission runs the chain in parts of WAVEFORM_BYTES, each part's I
+    and Q noise one draw from that transmission's generator in noise."""
+    pre, margin = plan["preamble_bits"], config.erasure_margin_bits
+    if config.noise_sigma == 0:
+        found = ~(lost[:, :pre] & (phy.PREAMBLE_BITS[:pre] == 1)).any(axis=1)
+        masks = [lost[:, pre : pre + bits.shape[1]] for bits in sent]
+        wrong = [mask & (phy.scramble(bits) == 1) for bits, mask in zip(sent, masks)]
+        flags = phy.perceived_erasures(sent[1], masks[1], margin)
+        return (wrong[0], None, found), (wrong[1], flags, found)
+    received = []
+    for bits, gen in zip(sent, noise):
+        shape = (pre + bits.shape[1], config.samples_per_bit)
+        step = max(1, WAVEFORM_BYTES // (math.prod(shape) * 8))
+        parts = []
+        for lo in range(0, len(bits), step):
+            part, mask = bits[lo : lo + step], lost[lo : lo + step]
+            draws = gen.normal(0.0, config.noise_sigma, (len(part), 2) + shape)
+            parts.append(phy.demodulate(phy.apply_channel(phy.modulate(part), mask, draws), margin))
+            del draws  # free a part's noise before the next part's
+        rx, flags, found = [np.concatenate(arrays) for arrays in zip(*parts)]
+        received.append((rx != bits, flags, found))
+    return received
 
-    # baseline: uncoded frame right after the preamble; a lost bit reads
-    # as the PN bit after descrambling, so only lost bits whose line bit
-    # was 1 actually corrupt the read-back
-    base_wrong = lost_all[:, pre : pre + nf] & (phy.scramble(frame_bits) == 1)
 
-    # coded: codeword bits after the preamble, receiver-perceived erasures;
-    # a flagged info bit of a lost codeword is wrong by the same line-bit rule
+def _symbol_frames(config, code, plan, frame_bits, lost):
+    """The baseline and the coded transmission of a block of frames, one per
+    row, as the (found, wrong, failed) that _outcomes scores; a codeword is
+    delivered iff it has at most t flagged symbols."""
     tx_bits = _encode_frames(code, plan, frame_bits)
-    lost_coded = lost_all[:, pre : pre + plan["coded_bits_n"]]
-    flags = phy.perceived_erasures(tx_bits, lost_coded, config.erasure_margin_bits)
+    (base, _, found), (wrong, flags, _) = _receive(config, plan, lost, (frame_bits, tx_bits))
     _, cw_fail = _codeword_erasures(flags, code)
-    wrong = flags & (phy.scramble(tx_bits) == 1)
-    wrong = wrong.reshape(cw_fail.shape + (-1,))[..., : code.k * code.m] & cw_fail[..., None]
-    coded_wrong = wrong.reshape(len(wrong), -1)[:, :nf]
-    return (found, base_wrong, False), (found, coded_wrong, cw_fail.any(axis=1))
+    # a flagged info bit of a lost codeword is wrong as received
+    shape, info = cw_fail.shape + (-1,), code.k * code.m
+    wrong = wrong.reshape(shape)[..., :info] & flags.reshape(shape)[..., :info]
+    wrong &= cw_fail[..., None]
+    wrong = wrong.reshape(len(wrong), -1)[:, : plan["frame_bits_n"]]
+    return (found, base, False), (found, wrong, cw_fail.any(axis=1))
 
 
 def _outcomes(transmissions):
@@ -383,49 +406,23 @@ def run(config):
 
 
 def _sample_frames(config, code, plan, frame_bits, lost, noise):
-    """Receive a block of frames and return its transmissions as
-    _symbol_frames does.
-
-    The block is encoded at once.  Each transmission, the baseline then
-    the coded, is modulated, gated and demodulated one value per bit, in
-    parts of as many frames as fit WAVEFORM_BYTES.  Samples exist only as
-    noise: at noise_sigma > 0 a part's (frames, 2, bits, samples_per_bit)
-    I and Q noise is one draw from that transmission's generator in noise,
-    and each bit's power is averaged over its samples.  A transmission is
-    found iff the correlation coefficient of its preamble's bit means with
-    phy.PREAMBLE_BITS at sample 0, the only offset tested, is at least
-    phy.CORR_THRESHOLD and its threshold is positive (phy.demodulate); at
-    zero noise that is iff no preamble '1' bit is lost, the rule
-    _symbol_frames applies.  Under noise alone a few frames in a thousand
-    pass by chance, and then fail with their real bit errors rather than
-    all their bits.  All codewords of found coded frames left to the
-    decoder by the delivery rule are decoded at once.
-    """
-    spb, sigma = config.samples_per_bit, config.noise_sigma
-    # per transmission: received bits, erasure flags, preamble found
-    received = []
-    for bits, gen in zip((frame_bits, _encode_frames(code, plan, frame_bits)), noise):
-        shape = (plan["preamble_bits"] + bits.shape[1], spb)
-        step = max(1, WAVEFORM_BYTES // (math.prod(shape) * 8))
-        parts = []
-        for lo in range(0, len(bits), step):
-            part = bits[lo : lo + step]
-            draws = gen.normal(0.0, sigma, (len(part), 2) + shape) if sigma > 0 else None
-            stats = phy.apply_channel(phy.modulate(part), lost[lo : lo + step], draws)
-            parts.append(phy.demodulate(stats, config.erasure_margin_bits))
-            del draws  # free a part's noise before the next part's
-        received.append([np.concatenate(arrays) for arrays in zip(*parts)])
-
-    (base, _, base_found), (bits, flags, heard) = received
+    """A block of frames as _symbol_frames returns it, received with the
+    generators in noise; the codewords of found coded frames that the
+    delivery rule leaves to the decoder are decoded at once.  Under noise
+    alone a few frames in a thousand are found, and fail with their real
+    bit errors."""
+    tx_bits = _encode_frames(code, plan, frame_bits)
+    (base, _, base_found), (wrong, flags, heard) = _receive(
+        config, plan, lost, (frame_bits, tx_bits), noise)
     count, nf = frame_bits.shape
-    words = rscodec.bits_to_symbols(bits, code.m).reshape(count, -1, code.n)
+    words = rscodec.bits_to_symbols(tx_bits ^ wrong, code.m).reshape(count, -1, code.n)
     erased, failed = _codeword_erasures(flags, code)
     failed[~heard] = True  # frames not found are not decoded
     info = words[..., : code.k].copy()
     info[~failed], decoded = rscodec.decode_block(code, words[~failed], erased[~failed])
     failed[~failed] = ~decoded
     info_bits = rscodec.symbols_to_bits(info, code.m).reshape(count, -1)[:, :nf]
-    return ((base_found, base != frame_bits, False),
+    return ((base_found, base, False),
             (heard, info_bits != frame_bits, failed.any(axis=1)))
 
 

@@ -17,11 +17,12 @@ S_j = r(alpha^j) are on the binary image too: the received bits times the
 code's check image, a 0/1 matrix gathered from the same multiplication
 table.  Berlekamp-Massey runs only on the rows whose Forney syndromes are
 not all zero (the rest, erasure-only words among them, have the errors
-locator 1).  The Chien search evaluates the errata locator Psi alone at
-every position, and Forney's evaluator and Psi' are evaluated only at
-Psi's roots.  Each step runs on its rows of the block at once, a row that
-has finished its own steps masked out; a decode failure is reported,
-never guessed.
+locator 1).  Such a row's roots are its erased positions, its evaluator
+is the product its Forney syndromes came from, and it needs no re-check;
+the Chien search evaluates the other rows' errata locator Psi at every
+position.  Forney's evaluator and Psi' are evaluated only at Psi's roots.
+Each step runs on its rows of the block at once, a row that has finished
+its own steps masked out; a decode failure is reported, never guessed.
 
 All field arithmetic is numpy indexing into the one pair of log/exp tables
 that `gf2m.tables` builds per field.  This module also owns the one
@@ -323,39 +324,41 @@ def decode_block(code, words, erased):
     # Forney syndromes: coefficients f..d-1 of Gamma(x) S(x) carry no
     # erasure term and obey the errors-only locator
     at = f[:, None] + np.arange(d)
-    seqs = np.where(at < d, np.take_along_axis(_poly_mul(code, gamma, synd, d), at % d, 1), 0)
-    # a row whose Forney syndromes are all zero, an erasure-only word among
-    # them, has no discrepancy, so its errors locator is 1: Berlekamp-Massey
-    # runs on the other rows only
-    lam = np.zeros((len(rows), (d - f).max() + 1), dtype=np.uint8)
-    lam[:, 0] = 1
-    busy = np.flatnonzero(seqs.any(axis=1))
-    if busy.size:
-        found = _berlekamp_massey(code, seqs[busy], d - f[busy])
-        lam[busy, : found.shape[1]] = found
-    e = lam.shape[1] - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)  # lam[:, 0] is 1
-    good = 2 * e <= d - f
+    polys = np.zeros((2, len(rows), d), dtype=np.uint8)  # Omega and Psi'
+    polys[0] = _poly_mul(code, gamma, synd, d)
+    seqs = np.where(at < d, np.take_along_axis(polys[0], at % d, 1), 0)
 
-    # joint errata locator Psi and the Chien search for its roots at the
-    # inverse locators X_i^-1 = alpha^(i+1) of every position
-    width = int((e + f)[good].max(initial=0)) + 1
-    psi = _poly_mul(code, gamma, lam, width)
-    roots = _eval_at(code, psi[:, None, :], np.arange(1, n + 1) % n) == 0
-    good &= roots.sum(axis=1) == e + f
+    # the errata locator Psi = Gamma Lambda and its roots.  A row whose
+    # Forney syndromes are all zero, an erasure-only word among them, has no
+    # discrepancy, so its errors locator Lambda is 1: its Psi is Gamma,
+    # whose roots are its erased positions, and its evaluator Omega = S(x)
+    # Psi(x) mod x^d is Gamma(x) S(x) mod x^d.  On the other rows
+    # Berlekamp-Massey finds Lambda, and the Chien search Psi's roots at
+    # every X_i^-1 = alpha^(i+1)
+    psi = np.zeros((len(rows), d + 1), dtype=np.uint8)
+    psi[:, : gamma.shape[1]] = gamma
+    roots, good, busy = erased.copy(), np.ones(len(rows), dtype=bool), seqs.any(axis=1)
+    if busy.any():
+        lam = _berlekamp_massey(code, seqs[busy], d - f[busy])
+        e = lam.shape[1] - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)  # lam[:, 0] is 1
+        good[busy] = 2 * e <= d - f[busy]
+        width = int((e + f[busy])[good[busy]].max(initial=0)) + 1
+        psi[busy, :width] = _poly_mul(code, gamma[busy], lam, width)
+        roots[busy] = _eval_at(code, psi[busy, :width][:, None], np.arange(1, n + 1) % n) == 0
+        good[busy] &= roots[busy].sum(axis=1) == e + f[busy]
+        polys[0, busy] = _poly_mul(code, psi[busy, :width], synd[busy], d)
 
-    # Forney's magnitudes Omega(X^-1) / Psi'(X^-1), with the evaluator
-    # Omega = S(x) Psi(x) mod x^d and the formal derivative of Psi, which
-    # keeps its odd terms only, evaluated only at the roots of the rows
-    # still good.  Psi' is nonzero there: such a row's Psi has degree
-    # e + f and e + f distinct roots, so every root is simple
-    polys = np.zeros((2, len(rows), d), dtype=np.uint8)  # width - 1 <= d
-    polys[0] = _poly_mul(code, psi, synd, d)
-    polys[1, :, : width - 1 : 2] = psi[:, 1:width:2]
+    # Forney's magnitudes Omega(X^-1) / Psi'(X^-1), Psi' keeping Psi's odd
+    # terms, at the roots of the rows still good.  Psi' is nonzero there:
+    # such a row's Psi has degree e + f and e + f distinct roots
+    polys[1, :, ::2] = psi[:, 1::2]
     row, col = np.nonzero(roots & good[:, None])
     num, den = _eval_at(code, polys[:, row], (col + 1) % n)
     rx[row, col] ^= expt[log[num] + n - log[den]]
 
-    good[good] = ~_syndromes(code, rx[good]).any(axis=1)
+    # an erasure-only row then meets every syndrome, as f <= n - k and RS is
+    # MDS (Forney, IEEE Trans. IT 11(4), 1965): only the others are re-checked
+    good[good & busy] = ~_syndromes(code, rx[good & busy]).any(axis=1)
     info[rows[good]] = rx[good, :k]
     ok[rows[good]] = True
     return info, ok

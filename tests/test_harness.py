@@ -228,11 +228,12 @@ def test_symbol_mode_finds_frames_by_the_receivers_rule(seed):
     assert (found & lost[:, : phy.PREAMBLE_LEN].any(axis=1)).any()
 
 
-@pytest.mark.parametrize("sigma", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("sigma", [0.3, 0.5])
 def test_receiver_erasures_are_a_function_of_its_bits(sigma, monkeypatch):
-    # both modes flag erasures by one rule: in every found frame the
+    # both modes flag erasures by one rule: in every found frame the noisy
     # receiver's erasures are the over-margin runs of the line bits it
-    # sliced 0, whatever the noise
+    # sliced 0, as the closed form's are at zero noise
+    # (test_phy.py::test_noise_free_chain_is_a_closed_form)
     demodulate = phy.demodulate
     flagged = []
 
@@ -247,6 +248,23 @@ def test_receiver_erasures_are_a_function_of_its_bits(sigma, monkeypatch):
     for margin in (0, 8, 16):
         harness.run(_config(mode="sample", noise_sigma=sigma, erasure_margin_bits=margin))
     assert sum(flagged) > 0
+
+
+def test_noise_free_sample_mode_runs_no_chain(monkeypatch):
+    # at zero noise sample mode reads the chain's closed form, as symbol
+    # mode does: it modulates, gates and demodulates nothing, and runs the
+    # chain only under noise
+    calls = []
+    for name in ("modulate", "apply_channel", "demodulate"):
+        def spy(*args, _name=name, _chain=getattr(phy, name)):
+            calls.append(_name)
+            return _chain(*args)
+
+        monkeypatch.setattr(phy, name, spy)
+    harness.run(_config(mode="sample"))
+    assert calls == []
+    harness.run(_config(mode="sample", noise_sigma=0.3))
+    assert set(calls) == {"modulate", "apply_channel", "demodulate"}
 
 
 def test_modes_draw_the_same_frames(monkeypatch):

@@ -603,6 +603,42 @@ def test_perceived_erasures_match_demodulator():
     assert (flags == predicted).all()
 
 
+def test_noise_free_chain_is_a_closed_form():
+    # at zero noise demodulate(apply_channel(modulate(bits), lost), margin)
+    # is a closed form of the bits and the lost mask, which is why the
+    # harness applies it in both modes and symbol mode may stand in for the
+    # receiver: a frame is found iff no preamble '1' bit is lost, a lost bit
+    # reads as the PN bit after descrambling, and the flags are
+    # perceived_erasures.  Losses are scattered at several rates and come in
+    # bursts in the preamble, in the data and across both
+    rng = np.random.default_rng(26)
+    frames, n_data = 400, 300
+    rows = phy.PREAMBLE_LEN + n_data
+    bits = rng.integers(0, 2, (frames, n_data), dtype=np.uint8)
+    lost = rng.random((frames, rows)) < rng.choice([0.0, 0.002, 0.02, 0.1, 0.4], (frames, 1))
+    for row in range(0, frames, 2):  # a burst in every other frame
+        start = rng.integers(0, rows)
+        lost[row, start : start + rng.integers(1, 80)] = True
+    lost[-1] = True
+    stats = phy.apply_channel(phy.modulate(bits), lost)
+    found = ~(lost[:, : phy.PREAMBLE_LEN] & (phy.PREAMBLE_BITS == 1)).any(axis=1)
+    data_lost = lost[:, phy.PREAMBLE_LEN :]
+    received = bits ^ (data_lost & (phy.scramble(bits) == 1))
+    flagged = 0
+    for margin in range(17):
+        got_bits, got_flags, got_found = phy.demodulate(stats, margin)
+        assert np.array_equal(got_found, found)
+        assert np.array_equal(got_bits[found], received[found])
+        flags = phy.perceived_erasures(bits, data_lost, margin)
+        assert np.array_equal(got_flags[found], flags[found])
+        flagged += flags[found].sum()
+    # frames are found and missed, found ones with lost preamble '0' bits
+    # and with bits received wrong, and some bits are flagged
+    assert found.any() and not found.all() and flagged > 0
+    assert (found & lost[:, : phy.PREAMBLE_LEN].any(axis=1)).any()
+    assert (received != bits)[found].any()
+
+
 def test_perceived_erasures_validates_lengths():
     with pytest.raises(ParameterError):
         phy.perceived_erasures(np.ones(4, dtype=np.uint8), np.zeros(5, dtype=bool))

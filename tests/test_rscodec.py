@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gf_oracle import generator_poly, gf_mul, gf_pow, poly_eval, rs_decode
 from rscatter.errors import ParameterError
+from rscatter import rscodec
 from rscatter.rscodec import (
     ADMISSIBLE_N, RsCode, _syndromes, bits_to_symbols, decode_block, encode_bits,
     symbols_to_bits,
@@ -379,6 +380,63 @@ def test_decode_block_matches_scalar_oracle(m, rows, seed):
         assert (got.tolist() if good else None) == expected
         alone, alone_ok = decode_block(code, word[None], flags[None])
         assert alone_ok[0] == good and (alone[0] == got).all()
+
+
+def _erasure_only_block(rng, code):
+    """Erasure-only rows of a block at every f = 1..n - k: erased positions
+    in parity only, in info only (when f <= k) and in both, each erased
+    symbol received as a random value; returns words, erasures and info."""
+    n, k = code.n, code.k
+    erased = []
+    for f in range(1, n - k + 1):
+        placements = [rng.choice(np.arange(k, n), size=f, replace=False)]
+        if f <= k:
+            placements.append(rng.choice(k, size=f, replace=False))
+        if f >= 2:
+            split = int(rng.integers(max(1, f - (n - k)), min(f - 1, k) + 1))
+            placements.append(np.concatenate([rng.choice(k, size=split, replace=False),
+                                              rng.choice(np.arange(k, n), size=f - split,
+                                                         replace=False)]))
+        erased += [np.isin(np.arange(n), positions) for positions in placements]
+    erased = np.array(erased)
+    info = rng.integers(0, n + 1, size=(len(erased), k))
+    words = np.where(erased, rng.integers(0, n + 1, size=erased.shape), _codewords(code, info))
+    return words, erased, info
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_erasure_only_rows_decode_without_chien_search(m, monkeypatch):
+    # a row whose Forney syndromes are all zero takes its erased positions
+    # as the roots of Psi and skips the Chien search and the final re-check;
+    # at every f = 1..n - k, with erasures in parity only, in info only and
+    # in both, it decodes to its codeword, as the scalar oracle does.  In
+    # the same block, rows with errors and erasures and rows past capacity
+    # still go through every step and decode (or fail) as the oracle says
+    rng = np.random.default_rng(m)
+    n = (1 << m) - 1
+    code = RsCode(n, n // 2 | 1)
+    words, erased, info = _erasure_only_block(rng, code)
+    searched = []
+    eval_at = rscodec._eval_at
+
+    def spy(code, polys, log_x):
+        if np.shape(log_x) == (n,):  # the Chien search, at every position
+            searched.append(len(polys))
+        return eval_at(code, polys, log_x)
+
+    monkeypatch.setattr(rscodec, "_eval_at", spy)
+    assert _decodes_to(code, words, erased, info)
+    assert searched == []
+    mixed, mixed_erased = _mixed_block(rng, code, 64)
+    block = np.concatenate([words, mixed])
+    block_erased = np.concatenate([erased, mixed_erased])
+    out, ok = decode_block(code, block, block_erased)
+    for word, flags, got, good in zip(block, block_erased, out, ok):
+        expected = rs_decode(n, code.k, word, np.flatnonzero(flags))
+        assert (got.tolist() if good else None) == expected
+    assert ok[: len(words)].all() and (out[: len(words)] == info).all()
+    # one Chien search, on mixed rows only: those with errors
+    assert len(searched) == 1 and 0 < searched[0] <= len(mixed)
 
 
 def test_decode_validates_inputs():
