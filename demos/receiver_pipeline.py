@@ -51,14 +51,14 @@ def main():
     print(f"erasure flags: {flagged} bit(s) flagged around the outage")
 
     # every codeword with its erased symbols, decoded in one call
-    words = rscodec.bits_to_symbols(rx_bits[0], code.m).reshape(-1, code.n)
+    words = rx_bits[0].reshape(-1, code.n * code.m)
     erased = flags[0].reshape(-1, code.n, code.m).any(axis=2)
     decoded, ok = rscodec.decode_block(code, words, erased)
     assert ok.all(), "decode failed"
     for i, count in enumerate(erased.sum(axis=1)):
         print(f"codeword {i}: {count} erased symbol(s), corrected")
 
-    bits = rscodec.symbols_to_bits(decoded, code.m)[: frame_bits.size]
+    bits = decoded.ravel()[: frame_bits.size]
     recovered = phy.frame_parse(phy.bits_to_bytes(bits))
     print(f"payload recovered intact: {recovered == payload}")
 

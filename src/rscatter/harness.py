@@ -9,8 +9,10 @@ blocks of as many frames as fit BLOCK_BITS lost-mask bits from its
 generator, frame by frame, their run bounds going straight into the buffers
 of the block's lost-bit mask.  A link run reads each block's payloads as
 raw words of a generator of their own (_payloads).  Both modes receive
-each transmission through one function (_receive); sample mode decodes all
-codewords of a block at once.
+each transmission through one function (_receive); sample mode decodes, in
+bits and all at once, the codewords of a block that the decoder could
+change: those of found frames, within the delivery rule, with a bit
+received wrong.
 
 The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
@@ -407,23 +409,27 @@ def run(config):
 
 def _sample_frames(config, code, plan, frame_bits, lost, noise):
     """A block of frames as _symbol_frames returns it, received with the
-    generators in noise; the codewords of found coded frames that the
-    delivery rule leaves to the decoder are decoded at once.  Under noise
-    alone a few frames in a thousand are found, and fail with their real
-    bit errors."""
+    generators in noise.  The codewords of found coded frames that the
+    delivery rule leaves to the decoder and that have a wrong bit are
+    decoded at once, in bits; a codeword received as sent has zero
+    syndromes and at most t erasures, so the decoder would return it
+    unchanged.  Under noise alone a few frames in a thousand are found, and
+    fail with their real bit errors."""
     tx_bits = _encode_frames(code, plan, frame_bits)
     (base, _, base_found), (wrong, flags, heard) = _receive(
         config, plan, lost, (frame_bits, tx_bits), noise)
     count, nf = frame_bits.shape
-    words = rscodec.bits_to_symbols(tx_bits ^ wrong, code.m).reshape(count, -1, code.n)
+    shape, width = (count, plan["n_codewords"], code.n * code.m), code.k * code.m
+    tx_bits, wrong = tx_bits.reshape(shape), wrong.reshape(shape)
     erased, failed = _codeword_erasures(flags, code)
     failed[~heard] = True  # frames not found are not decoded
-    info = words[..., : code.k].copy()
-    info[~failed], decoded = rscodec.decode_block(code, words[~failed], erased[~failed])
-    failed[~failed] = ~decoded
-    info_bits = rscodec.symbols_to_bits(info, code.m).reshape(count, -1)[:, :nf]
+    todo = ~failed & wrong.any(axis=2)
+    info, decoded = rscodec.decode_block(code, tx_bits[todo] ^ wrong[todo], erased[todo])
+    failed[todo] = ~decoded
+    wrong = wrong[..., :width].copy()  # a codeword not decoded keeps its received bits
+    wrong[todo] = info != tx_bits[todo][:, :width]
     return ((base_found, base, False),
-            (heard, info_bits != frame_bits, failed.any(axis=1)))
+            (heard, wrong.reshape(count, -1)[:, :nf], failed.any(axis=1)))
 
 
 def sweep_parity(config, n=127):

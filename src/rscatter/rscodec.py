@@ -2,10 +2,11 @@
 
 Codes are narrow-sense (parity-check roots alpha^1..alpha^(n-k)) over
 GF(2^m) with n = 2^m - 1, m in 3..7, and odd k so that n - k is even and
-t = (n - k) / 2 exactly.  The codec takes blocks only: `encode_bits`
-encodes a (words, k*m) block of info bits, and `decode_block` decodes a
-(words, n) block of received symbols with its (words, n) erasure mask.  A
-single word is a block of one row.
+t = (n - k) / 2 exactly.  The codec takes blocks of bits only, m bits per
+symbol: `encode_bits` encodes a (words, k*m) block of info bits, and
+`decode_block` decodes a (words, n*m) block of received bits with its
+(words, n) mask of erased symbols into (words, k*m) info bits.  A single
+word is a block of one row.
 
 Encoding is on the binary image of the code: the parity bits are the info
 bits times a fixed 0/1 matrix over GF(2), whose entries are gathered from
@@ -18,11 +19,14 @@ code's check image, a 0/1 matrix gathered from the same multiplication
 table.  Berlekamp-Massey runs only on the rows whose Forney syndromes are
 not all zero (the rest, erasure-only words among them, have the errors
 locator 1).  Such a row's roots are its erased positions, its evaluator
-is the product its Forney syndromes came from, and it needs no re-check;
-the Chien search evaluates the other rows' errata locator Psi at every
-position.  Forney's evaluator and Psi' are evaluated only at Psi's roots.
-Each step runs on its rows of the block at once, a row that has finished
-its own steps masked out; a decode failure is reported, never guessed.
+is the product its Forney syndromes came from, and it needs no re-check,
+so it gets Forney magnitudes at its erased info positions only; the Chien
+search evaluates the other rows' errata locator Psi at every position.
+Forney's evaluator and Psi' are evaluated only at Psi's roots, by Horner's
+rule over max(e + f) coefficients, and each magnitude is XORed into the
+received bits as the bits of its symbol.  Each step runs on its rows of
+the block at once, a row that has finished its own steps masked out; a
+decode failure is reported, never guessed.
 
 All field arithmetic is numpy indexing into the one pair of log/exp tables
 that `gf2m.tables` builds per field.  This module also owns the one
@@ -59,14 +63,20 @@ def _in_range(values, top, what):
 
 
 def bits_to_symbols(bits, m):
-    """Big-endian grouping of m bits per symbol, flattened; each row (the
-    last axis) must hold whole symbols."""
-    weights = _bit_weights(m)
-    bits = _in_range(bits, 1, "bits").astype(np.uint8)
+    """Big-endian grouping of m bits per symbol, flattened, as uint8; each
+    row (the last axis) must hold whole symbols."""
+    tables(m)
+    bits = _in_range(bits, 1, "bits").astype(np.uint8, copy=False)
     width = bits.shape[-1] if bits.ndim else bits.size
     if width % m:
         raise ParameterError(f"{width} bits per row are not whole {m}-bit symbols")
-    return bits.reshape(-1, m) @ weights
+    # shift-or over the m bit columns: numpy has no fast integer matmul
+    cols = bits.reshape(-1, m)
+    symbols = cols[:, 0].copy()
+    for b in range(1, m):
+        symbols <<= 1
+        symbols |= cols[:, b]
+    return symbols
 
 
 def symbols_to_bits(symbols, m):
@@ -113,15 +123,6 @@ def _binary_image(m, logs):
     for b in range(m):
         np.take(image[b], logs, axis=0, out=out[:, b])
     return out.reshape(rows * m, cols * m)
-
-
-@lru_cache(maxsize=None)
-def _symbol_image(m):
-    """_symbol_bits(m) as a read-only float32 array, for the syndrome
-    product."""
-    image = _symbol_bits(m).astype(np.float32)
-    image.flags.writeable = False
-    return image
 
 
 class RsCode:
@@ -212,17 +213,15 @@ def encode_bits(code, info_bits):
     return np.concatenate([info_bits, parity_bits], axis=1)
 
 
-def _syndromes(code, words):
-    """S_1..S_(n-k) of one n-symbol word, or of each row of a (rows, n)
-    array, on the binary image: the words' bits times the code's check
-    image, mod 2, packed m bits per syndrome."""
-    n, m, d = code.n, code.m, code.n - code.k
-    words = np.asarray(words)
-    rows = words.shape[:-1]
-    bits = np.take(_symbol_image(m), words, axis=0).reshape(rows + (n * m,))
+def _syndromes(code, bits):
+    """S_1..S_(n-k) of each word of a (..., n*m) array of bits, on the
+    binary image: the bits times the code's check image, mod 2, packed m
+    bits per syndrome into a (..., n-k) uint8 array."""
+    bits = np.asarray(bits)
+    rows, d = bits.shape[:-1], code.n - code.k
     # float32 sums are exact: each is at most n*m <= 889 < 2**24
-    sums = (bits @ code.check_image).astype(np.uint16).reshape(rows + (d, m))
-    return ((sums & 1) @ _bit_weights(m)).astype(np.uint8)
+    sums = (bits.astype(np.float32) @ code.check_image).astype(np.uint16)
+    return bits_to_symbols((sums & 1).astype(np.uint8), code.m).reshape(rows + (d,))
 
 
 def _poly_mul(code, a, b, width):
@@ -279,47 +278,47 @@ def _eval_at(code, polys, log_x):
     return acc
 
 
-def decode_block(code, words, erased):
-    """Decode each row of a (W, n) block of received words, with a (W, n)
-    boolean mask of erased symbols.
+def decode_block(code, bits, erased):
+    """Decode each row of a (W, n*m) block of received bits, m bits per
+    symbol, with a (W, n) boolean mask of erased symbols.
 
-    Returns the (W, k) info symbols and a (W,) mask of the rows that
-    decoded; a row that fails keeps its received info symbols.  A row
+    Returns the (W, k*m) info bits and a (W,) mask of the rows that
+    decoded; a row that fails keeps its received info bits.  A row
     corrects any pattern with 2e + f <= n - k, where f is its number of
     erased symbols and e its number of symbol errors at unknown positions.
     Beyond that it either fails or (undetectably) lands on a wrong
     codeword; the caller is expected to check the result, by a CRC or,
     in simulation, against the sent bits.
     """
-    words, erased = np.asarray(words), np.asarray(erased)
-    if words.ndim != 2 or words.shape[1] != code.n:
-        raise ParameterError(f"words must have shape (rows, {code.n}), got {words.shape}")
-    if erased.shape != words.shape or erased.dtype != bool:
-        raise ParameterError(f"erased must be a boolean mask of shape {words.shape}")
-    words = _in_range(words, code.n, "received symbols").astype(np.int64)
-    n, k, d = code.n, code.k, code.n - code.k
+    bits, erased = np.asarray(bits), np.asarray(erased)
+    n, k, m, d = code.n, code.k, code.m, code.n - code.k
+    if bits.ndim != 2 or bits.shape[1] != n * m:
+        raise ParameterError(f"bits must have shape (rows, {n * m}), got {bits.shape}")
+    if erased.shape != (len(bits), n) or erased.dtype != bool:
+        raise ParameterError(f"erased must be a boolean mask of shape {(len(bits), n)}")
+    bits = _in_range(bits, 1, "received bits").astype(np.uint8, copy=False)
     log, expt = code._tables
-    info = words[:, :k].copy()
+    info = bits[:, : k * m].copy()
     f = erased.sum(axis=1)
-    # the syndromes are on the binary image (code.check_image); a row whose
-    # syndromes are all zero, or that has more than n - k erasures, takes
-    # none of the steps below
-    synd = _syndromes(code, words)
+    # a row whose syndromes are all zero, or that has more than n - k
+    # erasures, takes none of the steps below
+    synd = _syndromes(code, bits)
     ok = (f <= d) & ~synd.any(axis=1)
     rows = np.flatnonzero((f <= d) & synd.any(axis=1))
     if not rows.size:
         return info, ok
-    rx, synd, f, erased = words[rows], synd[rows], f[rows], erased[rows]
+    rx, synd, f, erased = bits[rows], synd[rows], f[rows], erased[rows]
 
     # erasure locator Gamma(x) = prod (1 + X_i x) over each row's erased
-    # positions, X_i = alpha^(n-1-i), in max(f) steps; a row with fewer
-    # erasures is padded with the locator 0, a factor of 1
+    # positions, X_i = alpha^(n-1-i), in max(f) steps, step j touching only
+    # the j + 1 coefficients it can change; a row with fewer erasures is
+    # padded with the locator 0, a factor of 1
     pos = np.argsort(~erased, axis=1, kind="stable")[:, : f.max()]
-    loc = np.where(np.take_along_axis(erased, pos, axis=1), expt[n - 1 - pos], 0)
+    log_loc = log[np.where(np.take_along_axis(erased, pos, axis=1), expt[n - 1 - pos], 0)]
     gamma = np.zeros((len(rows), f.max() + 1), dtype=np.uint8)
     gamma[:, 0] = 1
     for j in range(f.max()):
-        gamma[:, 1:] ^= expt[log[loc[:, j, None]] + log[gamma[:, :-1]]]
+        gamma[:, 1 : j + 2] ^= expt[log_loc[:, j, None] + log[gamma[:, : j + 1]]]
 
     # Forney syndromes: coefficients f..d-1 of Gamma(x) S(x) carry no
     # erasure term and obey the errors-only locator
@@ -328,37 +327,47 @@ def decode_block(code, words, erased):
     polys[0] = _poly_mul(code, gamma, synd, d)
     seqs = np.where(at < d, np.take_along_axis(polys[0], at % d, 1), 0)
 
-    # the errata locator Psi = Gamma Lambda and its roots.  A row whose
-    # Forney syndromes are all zero, an erasure-only word among them, has no
-    # discrepancy, so its errors locator Lambda is 1: its Psi is Gamma,
-    # whose roots are its erased positions, and its evaluator Omega = S(x)
-    # Psi(x) mod x^d is Gamma(x) S(x) mod x^d.  On the other rows
-    # Berlekamp-Massey finds Lambda, and the Chien search Psi's roots at
-    # every X_i^-1 = alpha^(i+1)
+    # the errata locator Psi = Gamma Lambda, of degree e + f, and its roots.
+    # A row whose Forney syndromes are all zero, an erasure-only word among
+    # them, has no discrepancy, so its errors locator Lambda is 1: its Psi is
+    # Gamma, whose roots are its erased positions, and its evaluator Omega =
+    # S(x) Psi(x) mod x^d is Gamma(x) S(x) mod x^d, of degree below f.  On
+    # the other rows Berlekamp-Massey finds Lambda, and the Chien search
+    # Psi's roots at every X_i^-1 = alpha^(i+1)
     psi = np.zeros((len(rows), d + 1), dtype=np.uint8)
     psi[:, : gamma.shape[1]] = gamma
     roots, good, busy = erased.copy(), np.ones(len(rows), dtype=bool), seqs.any(axis=1)
+    degree = f.copy()
     if busy.any():
         lam = _berlekamp_massey(code, seqs[busy], d - f[busy])
         e = lam.shape[1] - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)  # lam[:, 0] is 1
         good[busy] = 2 * e <= d - f[busy]
-        width = int((e + f[busy])[good[busy]].max(initial=0)) + 1
+        degree[busy] += e
+        width = int(degree[busy][good[busy]].max(initial=0)) + 1
         psi[busy, :width] = _poly_mul(code, gamma[busy], lam, width)
         roots[busy] = _eval_at(code, psi[busy, :width][:, None], np.arange(1, n + 1) % n) == 0
-        good[busy] &= roots[busy].sum(axis=1) == e + f[busy]
-        polys[0, busy] = _poly_mul(code, psi[busy, :width], synd[busy], d)
+        good[busy] &= roots[busy].sum(axis=1) == degree[busy]
 
     # Forney's magnitudes Omega(X^-1) / Psi'(X^-1), Psi' keeping Psi's odd
     # terms, at the roots of the rows still good.  Psi' is nonzero there:
-    # such a row's Psi has degree e + f and e + f distinct roots
+    # such a row's Psi has degree e + f and e + f distinct roots.  Both have
+    # degree below e + f wherever the answer can pass the re-check, as the
+    # corrected word is then a codeword whose errata lie at Psi's roots, so
+    # Horner's rule over max(e + f) coefficients changes no row's result.
+    # An erasure-only row needs no magnitude at a parity position, which
+    # nothing reads
+    width = int(degree[good].max(initial=0))
+    checked = good & busy
+    if checked.any():
+        polys[0, checked, :width] = _poly_mul(code, psi[checked, :width], synd[checked], width)
     polys[1, :, ::2] = psi[:, 1::2]
-    row, col = np.nonzero(roots & good[:, None])
-    num, den = _eval_at(code, polys[:, row], (col + 1) % n)
-    rx[row, col] ^= expt[log[num] + n - log[den]]
+    row, col = np.nonzero(roots & good[:, None] & (busy[:, None] | (np.arange(n) < k)))
+    num, den = _eval_at(code, polys[:, row, :width], (col + 1) % n)
+    rx.reshape(len(rows), n, m)[row, col] ^= _symbol_bits(m)[expt[log[num] + n - log[den]]]
 
     # an erasure-only row then meets every syndrome, as f <= n - k and RS is
     # MDS (Forney, IEEE Trans. IT 11(4), 1965): only the others are re-checked
-    good[good & busy] = ~_syndromes(code, rx[good & busy]).any(axis=1)
-    info[rows[good]] = rx[good, :k]
+    good[checked] = ~_syndromes(code, rx[checked]).any(axis=1)
+    info[rows[good]] = rx[good, : k * m]
     ok[rows[good]] = True
     return info, ok

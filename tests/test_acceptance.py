@@ -54,7 +54,9 @@ def test_criterion_1_rs_exhaustive_correctness():
     info_bits = rscodec.symbols_to_bits(info, 3).reshape(50, -1)
     cws = rscodec.bits_to_symbols(rscodec.encode_bits(code, info_bits), 3).reshape(50, 7)
     words = np.where(erased, 0, cws[:, None] ^ flips).reshape(-1, 7)
-    out, good = rscodec.decode_block(code, words, np.tile(erased, (50, 1)))
+    bits = rscodec.symbols_to_bits(words, 3).reshape(len(words), -1)
+    out, good = rscodec.decode_block(code, bits, np.tile(erased, (50, 1)))
+    out = rscodec.bits_to_symbols(out, 3).reshape(-1, 3)
     ok = good.all() and (out == info.repeat(len(erased), axis=0)).all()
 
     # beyond-capacity patterns in the end-to-end path: decode failure or a
@@ -75,10 +77,12 @@ def test_criterion_1_rs_exhaustive_correctness():
     cw_bits = rscodec.encode_bits(code, np.reshape(frames, (-1, 9)))
     words = rscodec.bits_to_symbols(cw_bits, 3).reshape(len(frames), -1, 7)
     for frame_words, (j, positions, values) in zip(words, hits):
-        frame_words[j, positions] ^= values
+        frame_words[j, positions] ^= np.array(values, dtype=np.uint8)
     # a word that fails to decode keeps its received info symbols
     words = words.reshape(-1, 7)
-    out, _ = rscodec.decode_block(code, words, np.zeros(words.shape, dtype=bool))
+    bits = rscodec.symbols_to_bits(words, 3).reshape(len(words), -1)
+    out, _ = rscodec.decode_block(code, bits, np.zeros(words.shape, dtype=bool))
+    out = rscodec.bits_to_symbols(out, 3).reshape(-1, 3)
     for payload, decoded in zip(payloads, out.reshape(len(frames), -1)):
         bits = rscodec.symbols_to_bits(decoded, 3)[: frame_bits.size]
         try:

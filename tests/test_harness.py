@@ -267,6 +267,41 @@ def test_noise_free_sample_mode_runs_no_chain(monkeypatch):
     assert set(calls) == {"modulate", "apply_channel", "demodulate"}
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_decoder_gets_the_codewords_received_wrong(sigma, monkeypatch):
+    # sample mode hands the decoder, as bits, exactly the codewords of found
+    # frames that have at most t erased symbols and some bit received
+    # wrong; the others keep their received bits, as the decoder would
+    # return a codeword received as sent
+    receive, decode_block = harness._receive, rscodec.decode_block
+    received, decoded = [], []
+
+    def receive_spy(config, plan, lost, sent, *noise):
+        out = receive(config, plan, lost, sent, *noise)
+        received.append((sent[1], *out[1]))
+        return out
+
+    def decode_spy(code, bits, erased):
+        decoded.append((bits.copy(), erased.copy()))
+        return decode_block(code, bits, erased)
+
+    monkeypatch.setattr(harness, "_receive", receive_spy)
+    monkeypatch.setattr(rscodec, "decode_block", decode_spy)
+    code = rscodec.RsCode(15, 9)
+    harness.run(_config(mode="sample", noise_sigma=sigma, frames=200))
+    assert len(received) == len(decoded) == 1
+    (tx, wrong, flags, found), (bits, erased) = received[0], decoded[0]
+    words = (len(tx), -1, code.n * code.m)
+    tx, wrong = tx.reshape(words), wrong.reshape(words)
+    flagged = flags.reshape(len(tx), -1, code.n, code.m).any(axis=3)
+    todo = found[:, None] & (flagged.sum(axis=2) <= code.t) & wrong.any(axis=2)
+    assert np.array_equal(bits, tx[todo] ^ wrong[todo])
+    assert np.array_equal(erased, flagged[todo])
+    # some codewords of found frames within t erasures are skipped, received
+    # as sent, and some are decoded
+    assert 0 < todo.sum() < (found[:, None] & (flagged.sum(axis=2) <= code.t)).sum()
+
+
 def test_modes_draw_the_same_frames(monkeypatch):
     # both modes, with or without receiver noise, are handed the same
     # payloads and lost-bit masks: the noise comes from generators of its own

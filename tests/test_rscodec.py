@@ -21,9 +21,23 @@ def _random_info(rng, code):
 
 
 def _codewords(code, info):
-    """The codewords of a (rows, k) block of info symbols, as symbols."""
+    """The codewords of a (rows, k) block of info symbols, as int64 symbols."""
     bits = symbols_to_bits(info.ravel(), code.m).reshape(len(info), -1)
-    return bits_to_symbols(encode_bits(code, bits), code.m).reshape(len(info), code.n)
+    words = bits_to_symbols(encode_bits(code, bits), code.m).reshape(len(info), code.n)
+    return words.astype(np.int64)
+
+
+def _bits(code, words):
+    """The bits of an (..., n) array of symbols, as an (..., n*m) array."""
+    words = np.asarray(words)
+    return symbols_to_bits(words, code.m).reshape(words.shape[:-1] + (-1,))
+
+
+def _decode(code, words, erased):
+    """decode_block on a (rows, n) block of received symbols, fed to it as
+    bits: the (rows, k) info symbols it returns and its success mask."""
+    out, ok = decode_block(code, _bits(code, words), erased)
+    return bits_to_symbols(out, code.m).reshape(len(out), code.k), ok
 
 
 def test_admissible_lengths():
@@ -153,7 +167,7 @@ def test_every_binary_generator_row_is_a_codeword():
             code = RsCode(n, k)
             rows = np.hstack([np.eye(k * code.m, dtype=np.uint8), code.binary_generator])
             words = bits_to_symbols(rows, code.m).reshape(-1, n)
-            assert not _syndromes(code, words).any()
+            assert not _syndromes(code, _bits(code, words)).any()
 
 
 def test_encode_bits_validates_shape_and_range():
@@ -188,13 +202,14 @@ def test_binary_syndromes_match_horner_reference():
             words += [rng.integers(0, n + 1, size=n) for _ in range(4)]
             expected = [_horner_syndromes(code, word.tolist()) for word in words]
             for word, synd in zip(words, expected):
-                assert _syndromes(code, word).tolist() == synd
-            # a (rows, n) block gives each row's syndromes
-            assert _syndromes(code, np.array(words)).tolist() == expected
+                assert _syndromes(code, _bits(code, word)).tolist() == synd
+            # a (rows, n*m) block gives each row's syndromes
+            assert _syndromes(code, _bits(code, np.array(words))).tolist() == expected
             info = np.array([_random_info(rng, code) for _ in range(3)])
-            assert not _syndromes(code, _codewords(code, info)).any()
+            assert not _syndromes(code, _bits(code, _codewords(code, info))).any()
             # a block of no rows has no syndromes
-            assert _syndromes(code, np.zeros((0, n), dtype=np.int64)).shape == (0, n - k)
+            empty = np.zeros((0, n * code.m), dtype=np.uint8)
+            assert _syndromes(code, empty).shape == (0, n - k)
 
 
 def test_check_image_rows_are_unit_word_syndromes():
@@ -227,7 +242,7 @@ def test_decode_clean_word_roundtrip():
 
 def _decodes_to(code, words, erased, info):
     """Whether every row of a block decodes to its own row of info."""
-    out, ok = decode_block(code, words, erased)
+    out, ok = _decode(code, words, erased)
     return ok.all() and (out == info).all()
 
 
@@ -293,7 +308,7 @@ def test_beyond_capacity_fails_or_miscorrects_to_codeword():
             flips[-1][list(positions)] = [int(rng.integers(1, 8)) for _ in positions]
     sent = np.array(info).repeat(35, axis=0)
     words = _codewords(code, np.array(info)).repeat(35, axis=0) ^ np.array(flips)
-    out, ok = decode_block(code, words, np.zeros(words.shape, dtype=bool))
+    out, ok = _decode(code, words, np.zeros(words.shape, dtype=bool))
     assert (out[~ok] == words[~ok, :3]).all()  # a failed row keeps its info symbols
     assert (out[ok] != sent[ok]).any(axis=1).all()  # cannot undo 3 real errors
     assert ((_codewords(code, out[ok]) != words[ok]).sum(axis=1) <= code.t).all()
@@ -306,7 +321,7 @@ def test_too_many_erasures_fail():
     code = RsCode(7, 3)
     erased = np.arange(7)[None] < 5
     word = np.where(erased, 0, _codewords(code, np.array([[1, 2, 3]])))
-    _, ok = decode_block(code, word, erased)
+    _, ok = _decode(code, word, erased)
     assert not ok.any()
 
 
@@ -374,11 +389,11 @@ def test_decode_block_matches_scalar_oracle(m, rows, seed):
     n = (1 << m) - 1
     code = RsCode(n, 2 * int(rng.integers(0, (n - 1) // 2)) + 1)
     words, erased = _mixed_block(rng, code, rows)
-    out, ok = decode_block(code, words, erased)
+    out, ok = _decode(code, words, erased)
     for word, flags, got, good in zip(words, erased, out, ok):
         expected = rs_decode(n, code.k, word, np.flatnonzero(flags))
         assert (got.tolist() if good else None) == expected
-        alone, alone_ok = decode_block(code, word[None], flags[None])
+        alone, alone_ok = _decode(code, word[None], flags[None])
         assert alone_ok[0] == good and (alone[0] == got).all()
 
 
@@ -420,7 +435,7 @@ def test_erasure_only_rows_decode_without_chien_search(m, monkeypatch):
     eval_at = rscodec._eval_at
 
     def spy(code, polys, log_x):
-        if np.shape(log_x) == (n,):  # the Chien search, at every position
+        if polys.shape[-2] == 1 and np.shape(log_x) == (n,):  # the Chien search
             searched.append(len(polys))
         return eval_at(code, polys, log_x)
 
@@ -430,7 +445,7 @@ def test_erasure_only_rows_decode_without_chien_search(m, monkeypatch):
     mixed, mixed_erased = _mixed_block(rng, code, 64)
     block = np.concatenate([words, mixed])
     block_erased = np.concatenate([erased, mixed_erased])
-    out, ok = decode_block(code, block, block_erased)
+    out, ok = _decode(code, block, block_erased)
     for word, flags, got, good in zip(block, block_erased, out, ok):
         expected = rs_decode(n, code.k, word, np.flatnonzero(flags))
         assert (got.tolist() if good else None) == expected
@@ -439,29 +454,129 @@ def test_erasure_only_rows_decode_without_chien_search(m, monkeypatch):
     assert len(searched) == 1 and 0 < searched[0] <= len(mixed)
 
 
+def test_codeword_received_as_sent_decodes_to_itself():
+    # the premise that lets a caller skip the codewords received as sent:
+    # at every field and at the smallest, a middle and the largest k, a
+    # codeword received as sent decodes to itself under a random erasure
+    # mask of every f = 0..n - k and of 20 more random f <= n - k
+    rng = np.random.default_rng(31)
+    for n in ADMISSIBLE_N:
+        for k in (1, n // 2 | 1, n - 2):
+            code = RsCode(n, k)
+            d = n - k
+            f = np.concatenate([np.arange(d + 1), rng.integers(0, d + 1, size=20)])
+            erased = np.array([np.isin(np.arange(n), rng.choice(n, size=v, replace=False))
+                               for v in f])
+            info = rng.integers(0, n + 1, size=(len(f), k))
+            bits = _bits(code, _codewords(code, info))
+            out, ok = decode_block(code, bits, erased)
+            assert ok.all() and (out == bits[:, : k * code.m]).all()
+
+
+def _errata_block(rng, code, patterns):
+    """Received words, erasure masks and info of one row per (f, e, where)
+    pattern: f erased and e wrong symbols, every one received wrong, the
+    erasures drawn from the parity positions when where is "parity" and
+    from every position otherwise."""
+    n, k = code.n, code.k
+    info = rng.integers(0, n + 1, size=(len(patterns), k))
+    words = _codewords(code, info)
+    erased = np.zeros(words.shape, dtype=bool)
+    for row, (f, e, where) in enumerate(patterns):
+        lo = k if where == "parity" else 0
+        flagged = rng.choice(np.arange(lo, n), size=f, replace=False)
+        others = np.setdiff1d(np.arange(n), flagged)
+        positions = np.concatenate([flagged, rng.choice(others, size=e, replace=False)])
+        erased[row, flagged] = True
+        words[row, positions] ^= rng.integers(1, n + 1, size=f + e)
+    return words, erased, info
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_forney_skips_parity_points_and_truncates_horner(m, monkeypatch):
+    # Forney's magnitudes are evaluated by Horner's rule over max(e + f)
+    # coefficients, and an erasure-only row, which is not re-checked, gets
+    # none at a parity position: a block whose rows are erasure-only with
+    # every erasure in parity gets no Forney point at all, and in a block of
+    # rows within capacity the points are the roots of the rows with errors
+    # and the erased info positions of the erasure-only rows
+    rng = np.random.default_rng(40 + m)
+    n = (1 << m) - 1
+    code = RsCode(n, n // 2 | 1)
+    d, t = n - code.k, (n - code.k) // 2
+    forney = []
+    eval_at = rscodec._eval_at
+
+    def spy(code, polys, log_x):
+        if not (polys.shape[-2] == 1 and np.shape(log_x) == (n,)):  # not the Chien search
+            forney.append((polys.shape[-1], np.size(log_x)))
+        return eval_at(code, polys, log_x)
+
+    monkeypatch.setattr(rscodec, "_eval_at", spy)
+    words, erased, info = _errata_block(rng, code, [(f, 0, "parity") for f in range(1, d + 1)])
+    assert _decodes_to(code, words, erased, info)
+    assert sum(points for _, points in forney) == 0
+
+    # e + f <= n - k - 1 on every row, so that the truncation shows
+    patterns = [(f, 0, "any") for f in range(1, d)]
+    patterns += [(f, e, "any") for e in range(1, t + 1) for f in range(0, d - 2 * e + 1)]
+    patterns = [patterns[i] for i in rng.permutation(len(patterns))]
+    words, erased, info = _errata_block(rng, code, patterns)
+    forney.clear()
+    assert _decodes_to(code, words, erased, info)
+    expected = sum(f + e if e else (erased[row, : code.k]).sum()
+                   for row, (f, e, _) in enumerate(patterns))
+    assert forney == [(max(f + e for f, e, _ in patterns), expected)]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_past_capacity_rows_match_scalar_oracle(m):
+    # rows past capacity, 2e + f > n - k (more than n - k erasures among
+    # them), at a small, a middle and a large k: each decodes or fails as
+    # the scalar oracle says, with or without the re-check and the
+    # max(e + f) Horner truncation deciding it
+    rng = np.random.default_rng(50 + m)
+    n = (1 << m) - 1
+    for k in (1, n // 2 | 1, n - 2):
+        code = RsCode(n, k)
+        d = n - k
+        patterns = []
+        for _ in range(40 if m < 7 else 12):
+            f = int(rng.integers(0, min(d + 2, n) + 1))
+            low = min(max(0, (d - f) // 2 + 1), n - f)
+            patterns.append((f, int(rng.integers(low, min(low + 3, n - f) + 1)), "any"))
+        words, erased, _ = _errata_block(rng, code, patterns)
+        out, ok = _decode(code, words, erased)
+        for word, flags, got, good in zip(words, erased, out, ok):
+            expected = rs_decode(n, k, word, np.flatnonzero(flags))
+            assert (got.tolist() if good else None) == expected
+
+
 def test_decode_validates_inputs():
-    code = RsCode(7, 3)
-    clean = np.zeros((2, 7), dtype=np.int64)
+    code = RsCode(7, 3)  # n*m = 21 bits per word
+    clean = np.zeros((2, 21), dtype=np.uint8)
     none = np.zeros((2, 7), dtype=bool)
-    for words, erased in [
-        (np.zeros(7, dtype=np.int64), np.zeros(7, dtype=bool)),  # not a block
-        (np.zeros((2, 6), dtype=np.int64), np.zeros((2, 6), dtype=bool)),  # short rows
+    for bits, erased in [
+        (np.zeros(21, dtype=np.uint8), np.zeros(7, dtype=bool)),  # not a block
+        (np.zeros((2, 7), dtype=np.uint8), none),  # symbols, not bits
+        (np.zeros((2, 18), dtype=np.uint8), np.zeros((2, 6), dtype=bool)),  # short rows
         (clean, none[:1]),  # mask of another shape
+        (clean, np.zeros((2, 21), dtype=bool)),  # one flag per bit, not per symbol
         (clean, none.astype(np.int64)),  # mask not boolean
-        (np.where(none, 0, 8), none),  # symbol above n
-        (np.where(none, 0, -1), none),  # negative symbol
-        (clean + (np.arange(7) == 2) * 0.4, none),  # fractional symbol
+        (np.where(np.arange(21) == 2, 2, clean), none),  # bit above 1
+        (np.where(np.arange(21) == 2, -1, clean), none),  # negative bit
+        (np.where(np.arange(21) == 2, 0.4, clean), none),  # fractional bit
     ]:
         with pytest.raises(ParameterError):
-            decode_block(code, words, erased)
+            decode_block(code, bits, erased)
     out, ok = decode_block(code, clean, none)
-    assert out.shape == (2, 3) and ok.all()
+    assert out.shape == (2, 9) and out.dtype == np.uint8 and ok.all()
 
 
 def test_decode_block_of_no_rows():
-    # the harness decodes a (0, n) block when every frame of a block is
-    # lost or over the erasure cap
+    # the harness decodes a (0, n*m) block when no codeword of a block is
+    # left to the decoder with a wrong bit
     code = RsCode(15, 9)
-    out, ok = decode_block(code, np.zeros((0, 15), dtype=np.int64), np.zeros((0, 15), dtype=bool))
-    assert out.shape == (0, 9)
+    out, ok = decode_block(code, np.zeros((0, 60), dtype=np.uint8), np.zeros((0, 15), dtype=bool))
+    assert out.shape == (0, 36)
     assert ok.shape == (0,) and ok.dtype == bool
