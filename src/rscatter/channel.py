@@ -61,14 +61,21 @@ def _log_factorials(n):
     return tuple(math.lgamma(j + 1) for j in range(n + 1))
 
 
+@lru_cache(maxsize=32)
+def _log_binom_terms(n, p):
+    """log(C(n,i) p^i (1-p)^(n-i)) for i = 0..n, as a tuple: one list per
+    code length serves the tail at every t."""
+    lp = math.log(p)
+    lq = math.log1p(-p)
+    lf = _log_factorials(n)
+    return tuple(lf[n] - lf[i] - lf[n - i] + i * lp + (n - i) * lq for i in range(n + 1))
+
+
 def _log_binom_tail(n, t, p):
     """log-space sum_{i=t+1}^{n} C(n,i) p^i (1-p)^(n-i)."""
     if t >= n:
         return 0.0
-    lp = math.log(p)
-    lq = math.log1p(-p)
-    lf = _log_factorials(n)
-    terms = [lf[n] - lf[i] - lf[n - i] + i * lp + (n - i) * lq for i in range(t + 1, n + 1)]
+    terms = _log_binom_terms(n, p)[t + 1 :]
     hi = max(terms)
     return math.exp(hi) * math.fsum(math.exp(v - hi) for v in terms)
 
@@ -99,55 +106,88 @@ def _too_many_runs(total_us):
                           "runs at these run scales")
 
 
-def draw_gate(rng, stats, total_us, bounds, off):
-    """Draw one on/off gate covering total_us, starting in on, and return
-    its durations; only the last run overshoots the horizon.
+def draw_gates(rng, stats, total_us, count, bounds, off, durations=None):
+    """Draw count on/off gates back to back, each covering total_us and
+    starting in on; only a gate's last run overshoots the horizon.
 
-    Each duration takes one rng.random() call u and is
-    scale * (1 - u) ** (-1 / shape), the inverse CDF of its state's Pareto
-    law at 1 - u, uniform on (0, 1].  The gate's run bounds are appended to
-    bounds and its off times to off, in the layout erasure_mask_from_gate
-    reads: bounds 0, d0, d0 + d1, ... summed in run order, an empty off run
-    when the run count R is odd, then inf, so R' + 2 bounds with R' the
-    even run count; off takes the off time before each pair of bounds,
-    (R' + 2) / 2 entries from 0.  A gate that needs more than MAX_GATE_RUNS
-    runs raises ParameterError.
+    Each duration takes one uniform u and is scale * (1 - u) ** (-1 / shape),
+    the inverse CDF of its state's Pareto law at 1 - u, uniform on (0, 1].
+    The uniforms are the doubles of rng.random(), read in chunks of
+    rng.random(c), c the gates not yet finished: every such gate takes at
+    least one more uniform, so the chunks hold the doubles, in order, that
+    one rng.random() call per run would give, and leave rng in the same
+    state.  Each gate's run bounds are appended to bounds and its off times
+    to off, in the layout erasure_mask_from_gate reads: bounds 0, d0,
+    d0 + d1, ... summed in run order, an empty off run when the run count R
+    is odd, then inf, so R' + 2 bounds with R' the even run count; off takes
+    the off time before each pair of bounds, (R' + 2) / 2 entries from 0.
+    The durations are appended to durations when it is given.  A gate that
+    needs more than MAX_GATE_RUNS runs raises ParameterError; rng may then
+    have given up to count - 1 uniforms more than the runs drawn.  A gate
+    with total_us <= 0 has no run and takes no uniform.
     """
-    random = rng.random
+    random, cap = rng.random, MAX_GATE_RUNS
     on_scale, on_exp = stats.on.scale_min, -1.0 / stats.on.shape
     off_scale, off_exp = stats.off.scale_min, -1.0 / stats.off.shape
-    durations = []
+    add, add_off = bounds.append, off.append
+    keep = None if durations is None else durations.append
+    if not total_us > 0:
+        for _ in range(count):
+            bounds.extend((0.0, math.inf))
+            add_off(0.0)
+        return
+    left = count
+    if left:
+        add(0.0)
+        add_off(0.0)
     covered = dark = 0.0
-    bounds.append(0.0)
-    off.append(0.0)
-    while covered < total_us:
-        if len(durations) == MAX_GATE_RUNS:
-            raise _too_many_runs(total_us)
-        d = on_scale * (1.0 - random()) ** on_exp
-        durations.append(d)
-        covered += d
-        bounds.append(covered)
-        if not covered < total_us:
-            # an empty off run evens the run count
-            bounds.append(covered)
-            off.append(dark)
-            break
-        if len(durations) == MAX_GATE_RUNS:
-            raise _too_many_runs(total_us)
-        d = off_scale * (1.0 - random()) ** off_exp
-        durations.append(d)
-        covered += d
-        dark += d
-        bounds.append(covered)
-        off.append(dark)
-    bounds.append(math.inf)
-    return durations
+    runs, on = 0, True
+    while left:
+        # one scalar draw where a chunk would hold one double: it is faster
+        for u in random(left).tolist() if left > 1 else (random(),):
+            if on:
+                d = on_scale * (1.0 - u) ** on_exp
+                covered += d
+                add(covered)
+                if keep is not None:
+                    keep(d)
+                if covered < total_us:
+                    on, runs = False, runs + 1
+                    if runs == cap:
+                        raise _too_many_runs(total_us)
+                    continue
+                # an empty off run evens the run count
+                add(covered)
+                add_off(dark)
+            else:
+                d = off_scale * (1.0 - u) ** off_exp
+                covered += d
+                dark += d
+                add(covered)
+                add_off(dark)
+                if keep is not None:
+                    keep(d)
+                if covered < total_us:
+                    on, runs = True, runs + 1
+                    if runs == cap:
+                        raise _too_many_runs(total_us)
+                    continue
+            # the gate is covered: close it and open the next
+            add(math.inf)
+            left -= 1
+            if left:
+                add(0.0)
+                add_off(0.0)
+                covered = dark = 0.0
+                runs, on = 0, True
 
 
 def gate_durations(rng, stats, total_us):
     """Alternating on/off durations covering total_us, starting in on, as
-    draw_gate draws them; an empty array when total_us <= 0."""
-    return np.array(draw_gate(rng, stats, total_us, array("d"), array("d")))
+    draw_gates draws one gate; an empty array when total_us <= 0."""
+    durations = []
+    draw_gates(rng, stats, total_us, 1, array("d"), array("d"), durations)
+    return np.array(durations)
 
 
 def erasure_mask_from_gate(bounds, off, rate, n_symbols):

@@ -6,13 +6,15 @@ preamble followed by the payload bits (baseline) or the RS codeword bits
 a Pareto on/off gate that starts in the on state at the first preamble bit.
 Every experiment runs one block loop (_blocks), which draws the gates of
 blocks of as many frames as fit BLOCK_BITS lost-mask bits from its
-generator, frame by frame, their run bounds going straight into the buffers
-of the block's lost-bit mask.  A link run reads each block's payloads as
-raw words of a generator of their own (_payloads).  Both modes receive
-each transmission through one function (_receive); sample mode decodes, in
-bits and all at once, the codewords of a block that the decoder could
-change: those of found frames, within the delivery rule, with a bit
-received wrong.
+generator, a block's gates in one call and in frame order, their run bounds
+going straight into the buffers of the block's lost-bit mask.  Each frame's
+last codeword is encoded from its data symbols alone, with the pad's
+parity, the same for every frame, XORed in (_encode_frames).  A link run
+reads each block's payloads as raw words of a generator of their own
+(_payloads).  Both modes receive each transmission through one function
+(_receive); sample mode decodes, in bits and all at once, the codewords of
+a block that the decoder could change: those of found frames, within the
+delivery rule, with a bit received wrong.
 
 The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
@@ -46,6 +48,7 @@ import math
 import numbers
 from array import array
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,8 +69,9 @@ from .errors import InfeasibleError, ParameterError
 # and scale 0.005 us a gate holds about 17,500 runs, so a block of 144
 # RS(127,95) frames with 108-byte payloads draws 2.5 million bounds and 1.3
 # million off times, 8 bytes each in array('d') buffers.  300 such frames
-# (seed 1, margin 4) peaked at 119.4 MB RSS in 6.8 s on a shared 2-core Xeon;
-# the same buffers as Python float lists peaked at 263 MB.
+# (seed 1, margin 4) peaked at 119.3 MB RSS in 1.6 s on a shared 2-core Xeon,
+# with one draw call per block (4.2 s with one per gate); the same buffers as
+# Python float lists peaked at 263 MB.
 BLOCK_BITS = 2**18
 # Most frames (or parity trials) per experiment.  At this cap a link run's
 # frame log dominates memory: symbol-mode `rscatter simulate` peaked at 451 MB
@@ -178,14 +182,22 @@ class LinkReport:
         return asdict(self)
 
 
+@lru_cache(maxsize=4)
+def _link_code(n, k):
+    """The RsCode (n, k) of link runs, kept across runs so that its parity
+    matrix and check image are built once, not per run or per point of a
+    silent-duration sweep.  Four codes hold at most 13 MB."""
+    return rscodec.RsCode(n, k)
+
+
 def _link_setup(config, stats):
     """The link's code, its frame plan, p_s and predicted error rate."""
-    code = rscodec.RsCode(*config.code) if config.code is not None else None
     p_s = channel.symbol_error_rate(stats, config.rate)
-    if code is None:
+    if config.code is None:
         outcome = codesearch.optimize_for_ps(p_s, config.pe_threshold)
-        code, predicted_pe = outcome.code, outcome.predicted_pe
+        code, predicted_pe = _link_code(outcome.code.n, outcome.code.k), outcome.predicted_pe
     else:
+        code = _link_code(*config.code)
         predicted_pe = channel.post_decode_error_rate(code, p_s)
     # a frame is the length byte, the payload and the CRC-16
     plan = _frame_plan(code, config.rate, (1 + config.payload_bytes + 2) * 8)
@@ -237,17 +249,35 @@ def _pad_symbol(m):
 def _encode_frames(code, plan, frame_bits):
     """Frame bits (..., frame_bits_n) -> transmitted codeword bits
     (..., coded_bits_n): the frame is zero-filled to whole symbols, padded
-    with pad symbols to whole codewords and encoded codeword by codeword."""
-    m = code.m
-    pad_syms = plan["n_codewords"] * code.k - plan["info_syms"]
-    tail = np.concatenate([
-        np.zeros(plan["info_syms"] * m - plan["frame_bits_n"], dtype=np.uint8),
-        rscodec.symbols_to_bits(np.full(pad_syms, _pad_symbol(m)), m),
-    ])
+    with pad symbols to whole codewords and encoded codeword by codeword.
+
+    Only the last codeword holds pad, in its last k - j info symbols after
+    its j data symbols.  Parity is linear, so that codeword is the shortened
+    encode of its data symbols, its parity XORed with that of the pad alone,
+    which every frame shares and which is encoded once, from one row."""
+    m, km = code.m, code.k * code.m
     lead = frame_bits.shape[:-1]
-    info = np.concatenate([frame_bits, np.broadcast_to(tail, lead + tail.shape)], axis=-1)
-    cw = rscodec.encode_bits(code, info.reshape(-1, code.k * m))
-    return cw.reshape(lead + (plan["coded_bits_n"],))
+    frames = frame_bits.reshape(-1, plan["frame_bits_n"])
+    full = (plan["n_codewords"] - 1) * km  # the bits of the codewords without pad
+    parts = []
+    if full:
+        cw = rscodec.encode_bits(code, frames[:, :full].reshape(-1, km))
+        parts.append(cw.reshape(len(frames), -1))
+    # the last codeword's data bits, zero-filled to whole symbols
+    data = np.zeros((len(frames), plan["info_syms"] * m - full), dtype=np.uint8)
+    data[:, : frames.shape[1] - full] = frames[:, full:]
+    last = rscodec.encode_bits(code, data)
+    pad_syms = plan["n_codewords"] * code.k - plan["info_syms"]
+    if pad_syms:
+        pad = rscodec.symbols_to_bits(np.full(pad_syms, _pad_symbol(m)), m)
+        pad_word = np.append(np.zeros(km - pad.size, dtype=np.uint8), pad)[None]
+        pad_parity = rscodec.encode_bits(code, pad_word)[:, km:]
+        width = data.shape[1]
+        parts += [last[:, :width], np.broadcast_to(pad, (len(frames), pad.size)),
+                  last[:, width:] ^ pad_parity]
+    else:
+        parts.append(last)
+    return np.concatenate(parts, axis=1).reshape(lead + (plan["coded_bits_n"],))
 
 
 def _codeword_erasures(flags, code):
@@ -270,12 +300,12 @@ def _blocks(rng, stats, plan, frames):
     """The block loop of every experiment: yields the lost-bit masks of
     frames frames, _block_frames(plan) at a time.  Each frame's gate covers
     plan["horizon_us"] and is drawn from rng in frame order by
-    channel.draw_gate, straight into the block's run-bound buffers."""
+    channel.draw_gates, one call per block, straight into the block's
+    run-bound buffers."""
     size = _block_frames(plan)
     for first in range(0, frames, size):
         bounds, off = array("d"), array("d")
-        for _ in range(min(size, frames - first)):
-            channel.draw_gate(rng, stats, plan["horizon_us"], bounds, off)
+        channel.draw_gates(rng, stats, plan["horizon_us"], min(size, frames - first), bounds, off)
         yield channel.erasure_mask_from_gate(bounds, off, plan["bit_rate"], plan["mask_bits_n"])
 
 

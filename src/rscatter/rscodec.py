@@ -3,10 +3,11 @@
 Codes are narrow-sense (parity-check roots alpha^1..alpha^(n-k)) over
 GF(2^m) with n = 2^m - 1, m in 3..7, and odd k so that n - k is even and
 t = (n - k) / 2 exactly.  The codec takes blocks of bits only, m bits per
-symbol: `encode_bits` encodes a (words, k*m) block of info bits, and
-`decode_block` decodes a (words, n*m) block of received bits with its
-(words, n) mask of erased symbols into (words, k*m) info bits.  A single
-word is a block of one row.
+symbol: `encode_bits` encodes a (words, k*m) block of info bits, or of
+j < k info symbols for the shortened words whose last k - j info symbols
+are 0, and `decode_block` decodes a (words, n*m) block of received bits
+with its (words, n) mask of erased symbols into (words, k*m) info bits.
+A single word is a block of one row.
 
 Encoding is on the binary image of the code: the parity bits are the info
 bits times a fixed 0/1 matrix over GF(2), whose entries are gathered from
@@ -113,15 +114,17 @@ def _mul_image(m):
 
 def _binary_image(m, logs):
     """Binary image of the (rows, cols) matrix of field elements
-    alpha^logs (each log in 0..n-1), a (rows*m, cols*m) 0/1 float32 matrix:
-    row i*m + b holds, in columns j*m..j*m+m-1, the bits of
+    alpha^logs (each log in 0..n-1), a (rows*m, cols*m) read-only 0/1
+    float32 matrix: row i*m + b holds, in columns j*m..j*m+m-1, the bits of
     2^(m-1-b) * alpha^logs[i, j], gathered from _mul_image with one take
-    per bit b."""
+    per bit b.  Read-only because a code, and so its matrices, may be
+    shared by many runs."""
     rows, cols = logs.shape
     image = _mul_image(m)
     out = np.empty((rows, m, cols, m), dtype=np.float32)
     for b in range(m):
         np.take(image[b], logs, axis=0, out=out[:, b])
+    out.flags.writeable = False
     return out.reshape(rows * m, cols * m)
 
 
@@ -198,17 +201,20 @@ class RsCode:
 def encode_bits(code, info_bits):
     """Systematic encode of many words on the binary image of the code.
 
-    `info_bits` has shape (blocks, k*m): each row is k info symbols, m bits
-    per symbol, most significant bit first.  The result, of shape
-    (blocks, n*m) and dtype uint8, is each row followed by its parity bits.
+    `info_bits` has shape (blocks, j*m) with j <= k: each row is j info
+    symbols, m bits per symbol, most significant bit first, and stands for
+    the word whose last k - j info symbols are 0 (the shortened code's
+    word), so only the first j*m rows of the parity matrix are read.  The
+    result, of shape (blocks, (j + n - k)*m) and dtype uint8, is each row
+    followed by its parity bits: a whole codeword when j = k.
     """
     info_bits = np.asarray(info_bits)
-    width = code.k * code.m
-    if info_bits.ndim != 2 or info_bits.shape[1] != width:
-        raise ParameterError(f"info_bits must have shape (blocks, {width})")
+    m, width = code.m, code.k * code.m
+    if info_bits.ndim != 2 or info_bits.shape[1] % m or info_bits.shape[1] > width:
+        raise ParameterError(f"info_bits must have shape (blocks, j*{m}) with j*{m} <= {width}")
     info_bits = _in_range(info_bits, 1, "info_bits").astype(np.uint8, copy=False)
     # float32 sums are exact: each is at most k*m <= 875 < 2**24
-    parity = info_bits.astype(np.float32) @ code.binary_generator
+    parity = info_bits.astype(np.float32) @ code.binary_generator[: info_bits.shape[1]]
     parity_bits = (parity.astype(np.uint16) & 1).astype(np.uint8)
     return np.concatenate([info_bits, parity_bits], axis=1)
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config parsing, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import time
 
@@ -377,6 +378,28 @@ def test_gen_trace_then_fit_roundtrip(tmp_path, capsys):
     fitted = json.loads(capsys.readouterr().out)
     assert fitted["off"]["shape"] == pytest.approx(2.5, rel=0.25)
     assert fitted["on"]["shape"] == pytest.approx(2.0, rel=0.25)
+
+
+@pytest.mark.parametrize("scenario, total_us, seed, digest", [
+    # the console-script run of CI: long runs, 1,865 of them
+    (("2.5", "4.0", "2.0", "100.0"), "200000", "3",
+     "eca1b086e60fbba1656ffb37b7eb247fa91155f0fd40ed909fc418b6edcabb62"),
+    # sub-microsecond runs, 1,503 of them
+    (("1.5", "0.3", "1.5", "0.6"), "2000", "5",
+     "eda3d8ad6eab8e029583b4f597c991f0dd214dab935542d46567bd2c5a097da8"),
+])
+def test_gen_trace_file_is_pinned(tmp_path, capsys, scenario, total_us, seed, digest):
+    # the trace file's bytes are those the per-run draw loop wrote, one
+    # rng.random() call per run
+    out = tmp_path / "synthetic.csv"
+    off_shape, off_scale, on_shape, on_scale = scenario
+    assert cli.main([
+        "gen-trace", "--off-shape", off_shape, "--off-scale-min", off_scale,
+        "--on-shape", on_shape, "--on-scale-min", on_scale,
+        "--total-us", total_us, "--seed", seed, "-o", str(out),
+    ]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_same_seed_byte_identical_output(tmp_path, capsys):

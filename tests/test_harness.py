@@ -2,12 +2,13 @@
 cross-mode agreement, and the sweep helpers."""
 
 import dataclasses
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from draw_oracle import draw_frames_loop, run_bounds
+from draw_oracle import draw_frames_loop, draw_gate_loop, run_bounds
 from traffic_oracle import pareto_sample
 from rscatter.errors import InfeasibleError, ParameterError
 from rscatter import channel, harness, phy, rscodec, traffic
@@ -152,6 +153,38 @@ def test_pad_symbols_alternate():
     assert harness._pad_symbol(3) == 0b101
 
 
+@pytest.mark.parametrize("code, payload_bytes", [
+    ((127, 95), 108),  # the symbol workload: the second codeword holds 63 pad symbols
+    ((63, 29), 64),  # the sample workload: the fourth holds 26
+    ((15, 9), 16),  # five codewords, the last holding 2 data and 7 pad symbols
+    ((127, 125), 16),  # one codeword, which carries the pad
+    ((15, 9), None),  # a parity-sweep trial: one codeword, no pad
+])
+def test_encoded_frames_equal_the_padded_encode(code, payload_bytes):
+    # each frame's last codeword is encoded from its data symbols with the
+    # pad's parity XORed in; that equals the whole-codeword encode of the
+    # zero-filled, padded info bits
+    code = rscodec.RsCode(*code)
+    if payload_bytes is None:
+        plan = harness._frame_plan(code, 1e6, code.k * code.m, preamble_bits=0)
+    else:
+        plan = harness._frame_plan(code, 1e6, (1 + payload_bytes + 2) * 8)
+    m, rows = code.m, 12
+    pad_syms = plan["n_codewords"] * code.k - plan["info_syms"]
+    tail = np.concatenate([
+        np.zeros(plan["info_syms"] * m - plan["frame_bits_n"], dtype=np.uint8),
+        rscodec.symbols_to_bits(np.full(pad_syms, harness._pad_symbol(m)), m),
+    ])
+    frame_bits = np.random.default_rng(5).integers(0, 2, (rows, plan["frame_bits_n"]),
+                                                   dtype=np.uint8)
+    info = np.hstack([frame_bits, np.tile(tail, (rows, 1))])
+    want = rscodec.encode_bits(code, info.reshape(-1, code.k * m)).reshape(rows, -1)
+    got = harness._encode_frames(code, plan, frame_bits)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    lead = harness._encode_frames(code, plan, frame_bits.reshape(3, 4, -1))
+    assert np.array_equal(lead, want.reshape(3, 4, -1))
+
+
 def test_symbol_level_report_fields():
     rep = harness.run(_config(mode="symbol"))
     assert rep.frames == 40
@@ -192,18 +225,20 @@ def test_modes_agree_frame_by_frame_without_noise(monkeypatch):
         assert rs.ber_baseline == rp.ber_baseline
 
     # the seed gives first_sample such a frame: an off run starts where an on
-    # run ends, within the lost mask's window and the first quarter of a bit
-    draw_gate = channel.draw_gate
-    gates = []
+    # run ends, within the lost mask's window and the first quarter of a bit.
+    # Each gate's bounds take an even count of places, so the odd places of
+    # a block's bounds are the ends of its gates' on runs and their infs
+    draw_gates = channel.draw_gates
+    blocks = []
 
-    def spy(*args):
-        gates.append(draw_gate(*args))
-        return gates[-1]
+    def spy(rng, stats, total_us, count, bounds, off):
+        draw_gates(rng, stats, total_us, count, bounds, off)
+        blocks.append(np.array(bounds))
 
-    monkeypatch.setattr(channel, "draw_gate", spy)
+    monkeypatch.setattr(channel, "draw_gates", spy)
     harness.run(first_sample)
     plan = harness._frame_plan(rscodec.RsCode(15, 9), first_sample.rate, (1 + 32 + 2) * 8)
-    starts = np.concatenate([np.cumsum(g)[0::2] for g in gates]) * plan["bit_rate"] / 1e6
+    starts = np.concatenate([b[1::2] for b in blocks]) * plan["bit_rate"] / 1e6
     starts = starts[starts < plan["mask_bits_n"]]
     assert (starts % 1 < 1 / first_sample.samples_per_bit).any()
 
@@ -360,16 +395,31 @@ def test_block_bits_bound_every_experiment(sweep, monkeypatch):
 _DRAW_REGIMES = {"long": (1.2, 2.0, 1.3, 20.0), "short": (1.5, 0.3, 1.5, 0.6)}
 
 
+class _Chunks:
+    """A generator whose random() calls are recorded by the doubles each
+    gave: size 1 for a scalar call."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size=None):
+        self.sizes.append(1 if size is None else size)
+        return self.rng.random(size)
+
+
 @pytest.mark.parametrize("regime", sorted(_DRAW_REGIMES))
 @pytest.mark.parametrize("held", [0, 1])
 @pytest.mark.parametrize("payload_bytes", [0, 3, 7, 8, 9, 108])
 def test_block_draw_replays_per_frame_draws(payload_bytes, held, regime, monkeypatch):
     # a block's payloads, read by one random_raw call, and its gates, drawn
     # by _blocks straight into run bounds, equal a per-frame loop of raw
-    # words and gate_durations: equal payloads, run bounds, lost masks and
+    # words and per-gate draws: equal payloads, run bounds, lost masks and
     # final states of both generators, for payload sizes around whole words
     # (0 is the parity sweep's gates-only draw), over back-to-back blocks.
-    # Neither draw reads the generators' held uint32 word: it is left as set
+    # Neither draw reads the generators' held uint32 word: it is left as set.
+    # The gates' doubles come in chunks of at most the gates left in the
+    # block, down to single doubles when a gate needs more than that, and
+    # sum to the runs drawn
     off_shape, off_scale, on_shape, on_scale = _DRAW_REGIMES[regime]
     stats = traffic.TrafficStats(off=traffic.ParetoParams(off_shape, off_scale),
                                  on=traffic.ParetoParams(on_shape, on_scale))
@@ -392,7 +442,8 @@ def test_block_draw_replays_per_frame_draws(payload_bytes, held, regime, monkeyp
     monkeypatch.setattr(channel, "erasure_mask_from_gate", spy)
     runs = 0
     for count in (1, 7, 144):
-        (lost,) = harness._blocks(gate_rngs[0], stats, plan, count)
+        chunks = _Chunks(gate_rngs[0])
+        (lost,) = harness._blocks(chunks, stats, plan, count)
         payloads = harness._payloads(payload_rngs[0], count, payload_bytes)
         want, gates = draw_frames_loop(gate_rngs[1], payload_rngs[1], stats, total_us, count,
                                        payload_bytes)
@@ -407,7 +458,31 @@ def test_block_draw_replays_per_frame_draws(payload_bytes, held, regime, monkeyp
             assert state == loop_rng.bit_generator.state
             assert (state["has_uint32"], state["uinteger"]) == (held, 0xA5C3_1E07)
         runs += sum(len(g) for g in gates)
+        assert sum(chunks.sizes) == sum(len(g) for g in gates)
+        assert max(chunks.sizes) <= count and min(chunks.sizes) == 1
     assert runs / 152 > (100 if regime == "short" else 2)
+
+    # the run cap hit mid-block: gate i is the first to need more runs than
+    # all gates before it, and the cap is one run short of it.  The block
+    # draw then raises as the per-gate loop does at gate i, with the gates
+    # before it drawn as that loop draws them
+    probe = np.random.default_rng(0)
+    probe.bit_generator.state = gate_rngs[1].bit_generator.state
+    probed = [draw_gate_loop(probe, stats, total_us) for _ in range(144)]
+    counts = [len(g) for g in probed]
+    i = next(i for i in range(1, 144) if counts[i] > max(counts[:i]))
+    cap = counts[i] - 1
+    monkeypatch.setattr(channel, "MAX_GATE_RUNS", cap)
+    bounds, off = array("d"), array("d")
+    with pytest.raises(ParameterError, match="runs"):
+        channel.draw_gates(gate_rngs[0], stats, total_us, 144, bounds, off)
+    gates = [draw_gate_loop(gate_rngs[1], stats, total_us) for _ in range(i)]
+    with pytest.raises(ParameterError):
+        draw_gate_loop(gate_rngs[1], stats, total_us)
+    want_bounds, want_off = run_bounds(gates)
+    assert np.array_equal(np.array(off)[: want_off.size], want_off)
+    # gate i stops at the cap, its bounds drawn up to there
+    assert np.array_equal(bounds, np.append(want_bounds, np.cumsum(np.r_[0.0, probed[i][:cap]])))
 
 
 def test_payloads_are_raw_words_of_their_own_generator(monkeypatch):
@@ -442,6 +517,25 @@ def test_gate_run_cap_stops_experiments(sweep, monkeypatch):
     monkeypatch.setattr(channel, "MAX_GATE_RUNS", 3)
     with pytest.raises(ParameterError, match="runs"):
         harness.sweep_parity(cfg, n=15) if sweep else harness.run(cfg)
+
+
+def test_link_runs_reuse_their_code(monkeypatch):
+    # a link run's code comes from a small cache, so a second run of the
+    # same code, given or searched for, builds no parity matrix or check image
+    images = []
+
+    def spy(*args):
+        images.append(args)
+        return binary_image(*args)
+
+    binary_image = rscodec._binary_image
+    monkeypatch.setattr(rscodec, "_binary_image", spy)
+    harness._link_code.cache_clear()
+    for cfg in (_config(mode="sample", noise_sigma=0.3), _config(code=None, frames=5)):
+        want = harness.run(cfg).to_dict()
+        built = len(images)
+        assert built > 0 and harness.run(cfg).to_dict() == want and len(images) == built
+    assert harness._link_code.cache_info().maxsize == 4
 
 
 def test_same_seed_same_report():

@@ -183,6 +183,26 @@ def test_encode_bits_validates_shape_and_range():
     with pytest.raises(ParameterError):
         encode_bits(code, np.full((2, 9), 0.5))
     assert encode_bits(code, np.zeros((0, 9), dtype=np.uint8)).shape == (0, 21)
+    # rows of j <= k whole symbols are shortened words; more than k are not
+    with pytest.raises(ParameterError):
+        encode_bits(code, np.zeros((2, 12), dtype=np.uint8))
+    assert encode_bits(code, np.zeros((2, 6), dtype=np.uint8)).shape == (2, 18)
+
+
+def test_shortened_encode_equals_zero_filled_encode():
+    # j info symbols encode as the k-symbol word whose last k - j are 0: its
+    # j info symbols, then the same parity
+    rng = np.random.default_rng(31)
+    for n in ADMISSIBLE_N:
+        for _ in range(6):
+            code = RsCode(n, 2 * int(rng.integers(0, (n - 1) // 2)) + 1)
+            j = int(rng.integers(0, code.k + 1))
+            info = rng.integers(0, 2, (9, j * code.m), dtype=np.uint8)
+            full = encode_bits(code, np.hstack([info, np.zeros((9, (code.k - j) * code.m),
+                                                               dtype=np.uint8)]))
+            short = encode_bits(code, info)
+            assert short.shape == (9, (j + n - code.k) * code.m)
+            assert np.array_equal(short, np.delete(full, np.s_[j * code.m : code.k * code.m], 1))
 
 
 def _horner_syndromes(code, word):

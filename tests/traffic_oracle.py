@@ -1,5 +1,5 @@
 """Independent oracles for the Pareto traffic model, in closed form:
-`pareto_cdf` checks the gate sampler `channel.draw_gate`, and
+`pareto_cdf` checks the gate sampler `channel.draw_gates`, and
 `log_likelihood` checks the fit `traffic.mle_fit`.  `pareto_sample` draws
 i.i.d. Pareto durations for fits and traces."""
 
