@@ -21,6 +21,10 @@ from .traffic import pareto_mean
 # Most on/off runs one gate may hold: the draw loop reaches it in about 1.5 s
 # on a 2-core Xeon, and a 100 us gate at 1e-4 us scales needs about half.
 MAX_GATE_RUNS = 1_000_000
+# Least Pareto shape a gate draws from.  A uniform's 1 - u is at least 2**-53,
+# so (1 - u) ** (-1 / shape) is at most 2 ** (53 / shape), which Python's float
+# ** raises OverflowError for past the largest double unless shape >= 53/1024.
+MIN_GATE_SHAPE = 53 / 1024
 
 
 def symbol_error_rate(stats, rate):
@@ -123,9 +127,14 @@ def draw_gates(rng, stats, total_us, count, bounds, off, durations=None):
     the off time before each pair of bounds, (R' + 2) / 2 entries from 0.
     The durations are appended to durations when it is given.  A gate that
     needs more than MAX_GATE_RUNS runs raises ParameterError; rng may then
-    have given up to count - 1 uniforms more than the runs drawn.  A gate
-    with total_us <= 0 has no run and takes no uniform.
+    have given up to count - 1 uniforms more than the runs drawn.  A shape
+    below MIN_GATE_SHAPE in either state raises ParameterError before any
+    draw.  A gate with total_us <= 0 has no run and takes no uniform.
     """
+    for state, law in (("on", stats.on), ("off", stats.off)):
+        if law.shape < MIN_GATE_SHAPE:
+            raise ParameterError(f"{state} shape must be >= 53/1024 = {MIN_GATE_SHAPE} to draw "
+                                 f"gates, got {law.shape}: a run would overflow a double")
     random, cap = rng.random, MAX_GATE_RUNS
     on_scale, on_exp = stats.on.scale_min, -1.0 / stats.on.shape
     off_scale, off_exp = stats.off.scale_min, -1.0 / stats.off.shape
@@ -196,7 +205,7 @@ def erasure_mask_from_gate(bounds, off, rate, n_symbols):
     partially-lost symbol counts as lost).
 
     bounds and off are the gates' run bounds and off times, one gate after
-    another in the layout draw_gate appends them in; the result is a
+    another in the layout draw_gates appends them in; the result is a
     (gates, n_symbols) bool array.  An even bound count per gate puts each
     gate's run j at a flat index of j's parity, and its region past the
     last bound at an even (on) one; off entry i is the off time before

@@ -56,6 +56,8 @@ def load_config(path):
             raise ParameterError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         if key not in _CONFIG_FIELDS:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ParameterError(f"{path}:{lineno}: config key {key!r} given twice")
         conv = _CONFIG_FIELDS[key]
         try:
             values[key] = _parse_code(value) if key == "code" else conv(value)

@@ -11,10 +11,12 @@ going straight into the buffers of the block's lost-bit mask.  Each frame's
 last codeword is encoded from its data symbols alone, with the pad's
 parity, the same for every frame, XORed in (_encode_frames).  A link run
 reads each block's payloads as raw words of a generator of their own
-(_payloads).  Both modes receive each transmission through one function
-(_receive); sample mode decodes, in bits and all at once, the codewords of
-a block that the decoder could change: those of found frames, within the
-delivery rule, with a bit received wrong.
+(_payloads).  One frame kernel (_frames) scores every block of both modes
+and of the parity sweep: it receives each transmission through one
+function (_receive), and the modes differ only in delivery, the > t rule
+against a decoder that gets, in bits and all at once, the codewords of a
+block it could change: those of found frames, within the rule, with a bit
+received wrong.
 
 The gate is applied at bit resolution: a bit whose window overlaps an off
 run counts as lost (a partially-lost symbol is a lost symbol).  Both modes
@@ -33,13 +35,12 @@ assumes.  Both modes score a frame by one rule: it is delivered iff its
 preamble is found, no codeword is lost or fails to decode, and its
 received frame bits equal the sent bits, which is exactly when
 phy.frame_parse of those bits returns the sent payload.  A frame not found
-has every bit wrong.  At zero noise the modes differ only in delivery,
-the t rule against the decoder, and agree frame for frame when every off
-run is longer than erasure_margin_bits bit-times.  A shorter off run is
-not flagged, and a lost bit in it whose line bit was 1 is a symbol error
-that only the sample-level decoder sees.
+has every bit wrong.  At zero noise the modes agree frame for frame when
+every off run is longer than erasure_margin_bits bit-times.  A shorter off
+run is not flagged, and a lost bit in it whose line bit was 1 is a symbol
+error that only the sample-level decoder sees.
 
-The parity sweep runs the same symbol-level frame kernel on the same
+The parity sweep runs the same frame kernel, in symbol mode, on the same
 blocks: each trial is a frame without preamble or CRC whose k*m
 information bits form a single codeword, and each k sums its outcomes.
 """
@@ -84,6 +85,8 @@ MAX_FRAMES = 10**6
 # with 1.4 MB more peak memory), and 1 when one frame's noise is larger (3.2
 # MB at RS(7,1), 108 B, 64 spb).
 WAVEFORM_BYTES = 384 * 1024
+# The Pareto fields of an explicit scenario, which a trace replaces.
+_SCENARIO_FIELDS = ("off_shape", "off_scale_min", "on_shape", "on_scale_min")
 
 
 @dataclass
@@ -148,11 +151,16 @@ class ExperimentConfig:
         if self.mode == "symbol" and self.noise_sigma > 0:
             raise ParameterError(f"noise_sigma applies to sample mode only, got {self.noise_sigma} "
                                  "in symbol mode")
+        # stats() would fit the trace and drop the Pareto fields unread
+        given = [name for name in _SCENARIO_FIELDS if getattr(self, name) is not None]
+        if self.trace is not None and given:
+            raise ParameterError(f"give a trace or the Pareto fields, not both: trace "
+                                 f"{self.trace!r} is set with {', '.join(given)}")
 
     def stats(self):
         if self.trace is not None:
             return traffic.fit_stats(traffic.load_trace(self.trace))
-        for name in ("off_shape", "off_scale_min", "on_shape", "on_scale_min"):
+        for name in _SCENARIO_FIELDS:
             if getattr(self, name) is None:
                 raise ParameterError(f"scenario field {name} missing (and no trace given)")
         return traffic.TrafficStats(
@@ -318,7 +326,7 @@ def _payloads(rng, count, payload_bytes):
     return words.astype("<u8", copy=False).view(np.uint8).reshape(count, 8 * w)[:, :payload_bytes]
 
 
-def _receive(config, plan, lost, sent, noise=(None, None)):
+def _receive(config, plan, lost, sent, noise):
     """The receiver's reading of a block of frames' baseline and coded
     transmissions, sent = (frame bits, codeword bits) one frame per row
     after the plan's preamble over the lost-bit masks lost: for each, the
@@ -351,19 +359,35 @@ def _receive(config, plan, lost, sent, noise=(None, None)):
     return received
 
 
-def _symbol_frames(config, code, plan, frame_bits, lost):
+def _frames(config, code, plan, frame_bits, lost, noise=(None, None)):
     """The baseline and the coded transmission of a block of frames, one per
-    row, as the (found, wrong, failed) that _outcomes scores; a codeword is
-    delivered iff it has at most t flagged symbols."""
+    row, received with the generators in noise, as the (found, wrong,
+    failed) that _outcomes scores.  In symbol mode a codeword is delivered
+    iff it has at most t flagged symbols.  Sample mode decodes at once, in
+    bits, the codewords of found frames that this rule leaves to the
+    decoder and that have a wrong bit; a codeword received as sent has zero
+    syndromes and at most t erasures, so the decoder would return it
+    unchanged.  Under noise alone a few frames in a thousand are found, and
+    fail with their real bit errors."""
     tx_bits = _encode_frames(code, plan, frame_bits)
-    (base, _, found), (wrong, flags, _) = _receive(config, plan, lost, (frame_bits, tx_bits))
-    _, cw_fail = _codeword_erasures(flags, code)
-    # a flagged info bit of a lost codeword is wrong as received
-    shape, info = cw_fail.shape + (-1,), code.k * code.m
-    wrong = wrong.reshape(shape)[..., :info] & flags.reshape(shape)[..., :info]
-    wrong &= cw_fail[..., None]
+    (base, _, base_found), (wrong, flags, found) = _receive(
+        config, plan, lost, (frame_bits, tx_bits), noise)
+    erased, failed = _codeword_erasures(flags, code)
+    shape, width = failed.shape + (code.n * code.m,), code.k * code.m
+    wrong = wrong.reshape(shape)
+    if config.mode == "symbol":  # a lost codeword's flagged info bits are wrong
+        wrong = wrong[..., :width] & flags.reshape(shape)[..., :width]
+        wrong &= failed[..., None]
+    else:
+        tx_bits = tx_bits.reshape(shape)
+        failed[~found] = True  # frames not found are not decoded
+        todo = ~failed & wrong.any(axis=2)
+        info, decoded = rscodec.decode_block(code, tx_bits[todo] ^ wrong[todo], erased[todo])
+        failed[todo] = ~decoded
+        wrong = wrong[..., :width].copy()  # a codeword not decoded keeps its received bits
+        wrong[todo] = info != tx_bits[todo][:, :width]
     wrong = wrong.reshape(len(wrong), -1)[:, : plan["frame_bits_n"]]
-    return (found, base, False), (found, wrong, cw_fail.any(axis=1))
+    return (base_found, base, False), (found, wrong, failed.any(axis=1))
 
 
 def _outcomes(transmissions):
@@ -393,18 +417,19 @@ def _rates(sums, frames, frame_bits_n):
 def run(config):
     """One Monte Carlo link experiment, in symbol or sample mode.
 
-    Frames are drawn and scored a block of _block_frames(plan) at a time,
-    by the symbol-level kernel or by the sample-level receiver.  Both modes
-    draw a block's gates from the generator seed and its payloads from
-    [seed, 3], so a seed gives the same frames in both modes and at every
-    noise level; sample mode draws the baseline's noise from the generator
-    [seed, 2, 0] and the coded one's from [seed, 2, 1].  Each generator is
-    read in frame order and each frame is scored on its own, so the
-    outcomes do not depend on the block size.
+    Frames are drawn and scored a block of _block_frames(plan) at a time
+    by one frame kernel, _frames.  Both modes draw a block's gates from the
+    generator seed and its payloads from [seed, 3], so a seed gives the
+    same frames in both modes and at every noise level; sample mode draws
+    the baseline's noise from the generator [seed, 2, 0] and the coded
+    one's from [seed, 2, 1].  Each generator is read in frame order and
+    each frame is scored on its own, so the outcomes do not depend on the
+    block size.
     """
     stats = config.stats()
     code, plan, p_s, predicted_pe = _link_setup(config, stats)
     rng, payload_rng = np.random.default_rng(config.seed), np.random.default_rng([config.seed, 3])
+    noise = (None, None)
     if config.mode == "sample":
         noise = [np.random.default_rng([config.seed, 2, i]) for i in range(2)]
 
@@ -413,10 +438,7 @@ def run(config):
     for lost in _blocks(rng, stats, plan, config.frames):
         payloads = _payloads(payload_rng, len(lost), config.payload_bytes)
         frame_bits = np.unpackbits(phy.frame_block(payloads), axis=1)
-        if config.mode == "sample":
-            block = _sample_frames(config, code, plan, frame_bits, lost, noise)
-        else:
-            block = _symbol_frames(config, code, plan, frame_bits, lost)
+        block = _frames(config, code, plan, frame_bits, lost, noise)
         outcomes = _outcomes(block)
         sums += outcomes.sum(axis=1)
         errors.append(outcomes[[0, 2]])
@@ -435,31 +457,6 @@ def run(config):
             for fi, (b, c) in enumerate(zip(*np.concatenate(errors, axis=1)))
         ],
     )
-
-
-def _sample_frames(config, code, plan, frame_bits, lost, noise):
-    """A block of frames as _symbol_frames returns it, received with the
-    generators in noise.  The codewords of found coded frames that the
-    delivery rule leaves to the decoder and that have a wrong bit are
-    decoded at once, in bits; a codeword received as sent has zero
-    syndromes and at most t erasures, so the decoder would return it
-    unchanged.  Under noise alone a few frames in a thousand are found, and
-    fail with their real bit errors."""
-    tx_bits = _encode_frames(code, plan, frame_bits)
-    (base, _, base_found), (wrong, flags, heard) = _receive(
-        config, plan, lost, (frame_bits, tx_bits), noise)
-    count, nf = frame_bits.shape
-    shape, width = (count, plan["n_codewords"], code.n * code.m), code.k * code.m
-    tx_bits, wrong = tx_bits.reshape(shape), wrong.reshape(shape)
-    erased, failed = _codeword_erasures(flags, code)
-    failed[~heard] = True  # frames not found are not decoded
-    todo = ~failed & wrong.any(axis=2)
-    info, decoded = rscodec.decode_block(code, tx_bits[todo] ^ wrong[todo], erased[todo])
-    failed[todo] = ~decoded
-    wrong = wrong[..., :width].copy()  # a codeword not decoded keeps its received bits
-    wrong[todo] = info != tx_bits[todo][:, :width]
-    return ((base_found, base, False),
-            (heard, wrong.reshape(count, -1)[:, :nf], failed.any(axis=1)))
 
 
 def sweep_parity(config, n=127):
@@ -492,7 +489,7 @@ def sweep_parity(config, n=127):
             code = rscodec.RsCode(n, k)
             info = rscodec.symbols_to_bits(info_rng.integers(0, 1 << m, (len(lost), k)), m)
             plan_k = _frame_plan(code, config.rate, k * m, preamble_bits=0)
-            transmissions = _symbol_frames(config, code, plan_k, info.reshape(len(lost), -1), lost)
+            transmissions = _frames(config, code, plan_k, info.reshape(len(lost), -1), lost)
             row += _outcomes(transmissions).sum(axis=1)
     rows = []
     for k, row in zip(ks, sums):

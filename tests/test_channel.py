@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from array import array
 from fractions import Fraction
 from math import comb, inf, nan
 
@@ -210,6 +211,35 @@ def test_gate_durations_caps_run_count(monkeypatch):
     monkeypatch.setattr(channel, "MAX_GATE_RUNS", full.size - 1)
     with pytest.raises(ParameterError):
         gate_durations(np.random.default_rng(1), stats, 500.0)
+
+
+class _LastUniform:
+    """A generator whose every uniform is the largest, 1 - 2**-53."""
+
+    def random(self, size=None):
+        u = 1.0 - 2.0**-53
+        return u if size is None else np.full(size, u)
+
+
+@pytest.mark.parametrize("state", ["on", "off"])
+def test_draw_gates_shape_bound(state):
+    # at the least admissible shape the longest run of either state is the
+    # largest finite double; one double below it, the shape is rejected
+    # before any draw, whatever the uniforms
+    from rscatter import channel
+
+    def stats(shape):
+        return _stats(shape, 1.0, 2.0, 1.0) if state == "off" else _stats(2.0, 1.0, shape, 1.0)
+
+    # the on run of shape 2 is 2**26.5 us, so a 1e9 us gate reaches the off state
+    durations = array("d")
+    channel.draw_gates(_LastUniform(), stats(channel.MIN_GATE_SHAPE), 1e9, 1, array("d"),
+                       array("d"), durations)
+    assert max(durations) == pytest.approx(1.7976931348623e308, rel=1e-12)
+    assert durations[0 if state == "on" else 1] == max(durations)
+    with pytest.raises(ParameterError, match=f"{state} shape must be >= 53/1024"):
+        channel.draw_gates(_LastUniform(), stats(math.nextafter(channel.MIN_GATE_SHAPE, 0)),
+                           1e9, 1, array("d"), array("d"))
 
 
 def _reference_erasure_mask(durations, rate, n_symbols):

@@ -102,7 +102,6 @@ def test_load_config_types_and_comments(tmp_path):
         "off_scale_min = 2.0  # us\n"
         "on_shape = 2\n"
         "on_scale_min = 50.0\n"
-        "trace = trace.csv\n"
         "rate = 2e6\n"
         "code = 15,9\n"
         "pe_threshold = 1e-2\n"
@@ -115,8 +114,10 @@ def test_load_config_types_and_comments(tmp_path):
         "erasure_margin_bits = 12\n",
     )
     cfg = cli.load_config(path)
+    # a trace replaces the Pareto fields, so it takes a file of its own
+    trace = cli.load_config(_write_config(tmp_path, "trace = trace.csv\n")).trace
     for name, value in expected.items():
-        got = getattr(cfg, name)
+        got = trace if name == "trace" else getattr(cfg, name)
         assert type(got) is type(value) and got == value, name
 
 
@@ -191,21 +192,28 @@ def test_unreadable_path_exit_code(tmp_path, capsys, argv):
 
 def test_simulate_negative_values_exit_code(tmp_path, capsys):
     scenario = "off_shape = 1.5\noff_scale_min = 2.0\non_shape = 2.0\non_scale_min = 50.0\n"
-    # a later line overrides the scenario's; an infinite off run would gate
-    # nothing and report a perfect link
+
+    def replaced(text):
+        # the scenario with text's keys in place of its own: a config may
+        # not give a key twice
+        pairs = dict(line.split(" = ") for line in (scenario + text).splitlines())
+        return "".join(f"{key} = {value}\n" for key, value in pairs.items())
+
+    # an infinite off run would gate nothing and report a perfect link
     for line in ("off_scale_min = inf", "on_shape = nan",
                  "seed = -1", "noise_sigma = -0.5", "noise_sigma = nan",
                  "noise_sigma = 1e300", "noise_sigma = 1e300\nmode = sample", "noise_sigma = 0.3",
                  "erasure_margin_bits = -1", "rate = 0", "rate = inf", "pe_threshold = 2",
                  "samples_per_bit = 3", "samples_per_bit = 3\nmode = sample",
                  "samples_per_bit = 100000", "samples_per_bit = 100000\nmode = sample"):
-        conf = _write_config(tmp_path, scenario + "code = 15,9\nframes = 2\n" + line + "\n")
+        conf = _write_config(tmp_path, replaced("code = 15,9\nframes = 2\n" + line + "\n"))
         # rejected before any waveform is built, so an oversized
         # samples_per_bit costs no time or memory
         t0 = time.perf_counter()
         assert cli.main(["simulate", "--config", str(conf)]) == cli.EXIT_CONFIG
         assert time.perf_counter() - t0 < 5.0
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "given twice" not in err
     # the parity sweep has no waveform receiver
     conf = _write_config(tmp_path, scenario + "code = 15,9\nframes = 2\nmode = sample\n")
     assert cli.main(["sweep", "--vary", "parity", "--config", str(conf)]) == cli.EXIT_CONFIG
@@ -300,6 +308,39 @@ def test_gen_trace_run_cap_exit_code(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gate_shape_below_bound_exit_code(tmp_path, capsys):
+    # an off shape of 0.001 overflows a run on some seeds only (1, 4 and 5 of
+    # 1..6); the gate draw rejects it on every seed, as both commands that
+    # draw gates without the finite-mean check meet it
+    out = tmp_path / "synthetic.csv"
+    for seed in range(1, 7):
+        rc = cli.main(["gen-trace", "--off-shape", "0.001", "--off-scale-min", "1",
+                       "--on-shape", "2", "--on-scale-min", "1", "--total-us", "1000",
+                       "--seed", str(seed), "-o", str(out)])
+        assert rc == cli.EXIT_CONFIG, seed
+        assert "off shape must be >= 53/1024" in capsys.readouterr().err
+        assert not out.exists()
+    conf = _write_config(tmp_path, "off_shape = 0.001\noff_scale_min = 1.0\non_shape = 2.0\n"
+                                   "on_scale_min = 1.0\ncode = 15,9\nframes = 50\n")
+    assert cli.main(["sweep", "--vary", "parity", "--config", str(conf)]) == cli.EXIT_CONFIG
+    assert "off shape must be >= 53/1024" in capsys.readouterr().err
+
+
+def test_ambiguous_config_exit_code(tmp_path, capsys):
+    # a trace with a Pareto field would run on the trace alone, and a key
+    # given twice on its last value
+    trace = _write_trace(tmp_path)
+    conf = _write_config(tmp_path, f"trace = {trace}\noff_shape = 2.0\ncode = 15,9\nframes = 2\n")
+    assert cli.main(["simulate", "--config", str(conf)]) == cli.EXIT_CONFIG
+    assert "not both" in capsys.readouterr().err
+    assert cli.main(["optimize", "--trace", str(trace), "--off-shape", "2"]) == cli.EXIT_CONFIG
+    assert "not both: trace" in capsys.readouterr().err
+    conf = _write_config(tmp_path, "off_shape = 1.5\noff_scale_min = 2.0\non_shape = 2.0\n"
+                                   "on_scale_min = 50.0\nframes = 2\n# again\nframes = 3\n")
+    assert cli.main(["simulate", "--config", str(conf)]) == cli.EXIT_CONFIG
+    assert f"{conf}:7: config key 'frames' given twice" in capsys.readouterr().err
 
 
 SWEEP_HEADER = "parameter,ber_baseline,ber_coded,fer_baseline,fer_coded,throughput"

@@ -253,7 +253,7 @@ def test_symbol_mode_finds_frames_by_the_receivers_rule(seed):
     frame_bits = rng.integers(0, 2, (300, (1 + 8 + 2) * 8), dtype=np.uint8)
     plan = harness._frame_plan(code, 1e6, frame_bits.shape[1])
     lost = rng.random((300, plan["mask_bits_n"])) < rng.choice([0.01, 0.05, 0.3], (300, 1))
-    (found, _, _), _ = harness._symbol_frames(
+    (found, _, _), _ = harness._frames(
         _config(erasure_margin_bits=8), code, plan, frame_bits, lost)
     stats = phy.apply_channel(phy.modulate(frame_bits), lost)
     assert np.array_equal(found, phy.demodulate(stats, 8)[2])
@@ -288,18 +288,29 @@ def test_receiver_erasures_are_a_function_of_its_bits(sigma, monkeypatch):
 def test_noise_free_sample_mode_runs_no_chain(monkeypatch):
     # at zero noise sample mode reads the chain's closed form, as symbol
     # mode does: it modulates, gates and demodulates nothing, and runs the
-    # chain only under noise
+    # chain only under noise.  Only sample mode decodes, in one call per
+    # block at every noise level; symbol mode and the parity sweep apply
+    # the > t rule alone
     calls = []
-    for name in ("modulate", "apply_channel", "demodulate"):
-        def spy(*args, _name=name, _chain=getattr(phy, name)):
+    for module, name in ((phy, "modulate"), (phy, "apply_channel"), (phy, "demodulate"),
+                         (rscodec, "decode_block")):
+        def spy(*args, _name=name, _function=getattr(module, name)):
             calls.append(_name)
-            return _chain(*args)
+            return _function(*args)
 
-        monkeypatch.setattr(phy, name, spy)
-    harness.run(_config(mode="sample"))
+        monkeypatch.setattr(module, name, spy)
+    # blocks of 7 frames: 40 frames are 6 blocks
+    plan = harness._frame_plan(rscodec.RsCode(15, 9), 1e6, (1 + 16 + 2) * 8)
+    monkeypatch.setattr(harness, "BLOCK_BITS", 7 * plan["mask_bits_n"])
+    harness.run(_config())
+    harness.sweep_parity(_config(), n=15)
     assert calls == []
+    harness.run(_config(mode="sample"))
+    assert calls == ["decode_block"] * 6
+    calls.clear()
     harness.run(_config(mode="sample", noise_sigma=0.3))
-    assert set(calls) == {"modulate", "apply_channel", "demodulate"}
+    assert calls.count("decode_block") == 6
+    assert set(calls) == {"modulate", "apply_channel", "demodulate", "decode_block"}
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.3])
@@ -363,30 +374,32 @@ def test_modes_draw_the_same_frames(monkeypatch):
         assert np.array_equal(other_payloads, payloads) and np.array_equal(other_lost, lost)
 
 
-@pytest.mark.parametrize("sweep", [False, True])
-def test_block_bits_bound_every_experiment(sweep, monkeypatch):
-    # BLOCK_BITS bounds the rows that the symbol-level kernel sees at once,
-    # in the run loop and in the parity sweep alike, and the outputs do not
-    # depend on it
-    cfg = _config()
+@pytest.mark.parametrize("experiment", ["symbol", "sample", "noisy", "sweep"])
+def test_block_bits_bound_every_experiment(experiment, monkeypatch):
+    # BLOCK_BITS bounds the rows that the frame kernel sees at once, in the
+    # run loop of both modes, with and without receiver noise, and in the
+    # parity sweep alike, and the outputs do not depend on it
+    sweep = experiment == "sweep"
+    cfg = _config(mode="symbol" if experiment in ("symbol", "sweep") else "sample",
+                  noise_sigma=0.3 if experiment == "noisy" else 0.0)
 
-    def experiment():
+    def outputs():
         return harness.sweep_parity(cfg, n=15) if sweep else harness.run(cfg).to_dict()
 
-    want = experiment()
+    want = outputs()
     # blocks of 7 frames, or of 7 trials of n*m mask bits at n = 15
     mask_bits_n = 15 * 4 if sweep else harness._frame_plan(
         rscodec.RsCode(*cfg.code), cfg.rate, (1 + 16 + 2) * 8)["mask_bits_n"]
     monkeypatch.setattr(harness, "BLOCK_BITS", 7 * mask_bits_n)
-    kernel = harness._symbol_frames
+    kernel = harness._frames
     rows = []
 
     def spy(*args):
-        rows.append(len(args[-1]))
+        rows.append(len(args[4]))  # the frame rows' lost masks; the noise may follow
         return kernel(*args)
 
-    monkeypatch.setattr(harness, "_symbol_frames", spy)
-    assert experiment() == want
+    monkeypatch.setattr(harness, "_frames", spy)
+    assert outputs() == want
     # 40 frames, or 40 trials at each of the 7 k, in blocks of 7 and a last of 5
     assert max(rows) == 7 and sum(rows) == 40 * (7 if sweep else 1)
 
