@@ -485,7 +485,8 @@ def sweep_parity(config, n=127):
     sums = np.zeros((len(ks), 4), dtype=np.int64)
     for lost in _blocks(np.random.default_rng([config.seed, 0]), stats, plan, config.frames):
         for row, k, info_rng in zip(sums, ks, info_rngs):
-            # a fresh code per block rebuilds G2: keeping all 63 at n = 127 holds 33 MB
+            # a fresh code per block gathers G2 afresh from its cached logs:
+            # keeping all 63 images at n = 127 would hold 32 MB
             code = rscodec.RsCode(n, k)
             info = rscodec.symbols_to_bits(info_rng.integers(0, 1 << m, (len(lost), k)), m)
             plan_k = _frame_plan(code, config.rate, k * m, preamble_bits=0)

@@ -10,10 +10,12 @@ with its (words, n) mask of erased symbols into (words, k*m) info bits.
 A single word is a block of one row.
 
 Encoding is on the binary image of the code: the parity bits are the info
-bits times a fixed 0/1 matrix over GF(2), whose entries are gathered from
-the field's binary multiplication table at the logs of the closed Cauchy
-form of the code's systematic generator (Roth and Seroussi, IEEE Trans. IT
-31(6), 1985).  Decoding is Forney's errors-and-erasures decoder, and it
+bits times a fixed 0/1 matrix over GF(2), gathered in one take from the
+field's binary multiplication table at the logs of the closed Cauchy form
+of the code's systematic generator (Roth and Seroussi, IEEE Trans. IT
+31(6), 1985).  Each code's logs are computed once per process and kept
+as uint8; the float32 matrix is gathered per RsCode object and is not
+kept beyond it.  Decoding is Forney's errors-and-erasures decoder, and it
 does only the work whose result is not known in advance.  The syndromes
 S_j = r(alpha^j) are on the binary image too: the received bits times the
 code's check image, a 0/1 matrix gathered from the same multiplication
@@ -116,16 +118,36 @@ def _binary_image(m, logs):
     """Binary image of the (rows, cols) matrix of field elements
     alpha^logs (each log in 0..n-1), a (rows*m, cols*m) read-only 0/1
     float32 matrix: row i*m + b holds, in columns j*m..j*m+m-1, the bits of
-    2^(m-1-b) * alpha^logs[i, j], gathered from _mul_image with one take
-    per bit b.  Read-only because a code, and so its matrices, may be
-    shared by many runs."""
+    2^(m-1-b) * alpha^logs[i, j].  It is one take of _mul_image read as m*n
+    rows of m bits, row b*n + l, at the (rows, m, cols) indices
+    b*n + logs[i, j], which lands in the (i, b, j, c) layout of the result.
+    Read-only because a code, and so its matrices, may be shared by many
+    runs."""
     rows, cols = logs.shape
-    image = _mul_image(m)
-    out = np.empty((rows, m, cols, m), dtype=np.float32)
-    for b in range(m):
-        np.take(image[b], logs, axis=0, out=out[:, b])
+    n = (1 << m) - 1
+    bits = _mul_image(m).reshape(m * n, m)
+    out = np.take(bits, logs[:, None, :] + n * np.arange(m)[:, None], axis=0)
     out.flags.writeable = False
     return out.reshape(rows * m, cols * m)
+
+
+@lru_cache(maxsize=None)
+def _generator_logs(n, k):
+    """Logs of the Cauchy-form parity symbols of the (n, k) code's unit
+    info words (RsCode.binary_generator), a (k, n-k) read-only uint8 array
+    of values in 0..n-1.  Each code's logs are computed once per process:
+    all 119 codes hold 194 KB, where the float32 images of the 63 codes at
+    n = 127 alone would hold 32 MB."""
+    log, expt = tables(n.bit_length())
+    lx = np.arange(n - 1, -1, -1)  # log X_i
+    # log(X_i + X_q) for every position i and parity position q; the sum
+    # is 0 only on the diagonal of the parity rows, where its log is 2n
+    ls = log[expt[lx[:, None]] ^ expt[lx[k:]]]
+    la = ls[:k].sum(axis=1)  # log A_i
+    lb = ls[k:].sum(axis=1) - 2 * n  # log B_p, without the diagonal
+    logs = ((lx[:k, None] + la[:, None] - lx[k:] - lb - ls[:k]) % n).astype(np.uint8)
+    logs.flags.writeable = False
+    return logs
 
 
 class RsCode:
@@ -164,19 +186,11 @@ class RsCode:
         j = 1..n-k (Roth and Seroussi, "On generator matrices of MDS codes",
         IEEE Trans. IT 31(6), 1985).  Bit b of symbol i is the element
         2^(m-1-b), so row i*m + b holds the bits of 2^(m-1-b) times that
-        entry.  Every product is a sum of logs, and _binary_image gathers
-        the bits of each.
+        entry.  Every product is a sum of logs: _generator_logs computes
+        the code's logs once per process, and each RsCode gathers their
+        bits afresh with _binary_image into a matrix of its own.
         """
-        n, m, k = self.n, self.m, self.k
-        log, expt = self._tables
-        lx = np.arange(n - 1, -1, -1)  # log X_i
-        # log(X_i + X_q) for every position i and parity position q; the sum
-        # is 0 only on the diagonal of the parity rows, where its log is 2n
-        ls = log[expt[lx[:, None]] ^ expt[lx[k:]]]
-        la = ls[:k].sum(axis=1)  # log A_i
-        lb = ls[k:].sum(axis=1) - 2 * n  # log B_p, without the diagonal
-        lp = (lx[:k, None] + la[:, None] - lx[k:] - lb - ls[:k]) % n
-        return _binary_image(m, lp)
+        return _binary_image(self.m, _generator_logs(self.n, self.k))
 
     @cached_property
     def check_image(self):

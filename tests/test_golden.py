@@ -146,6 +146,7 @@ CLAMP_LINK_DIGEST = "fa9a796bbd72fdc51de1cd391005b014b200d94c88f8308175bf37b0556
 # the parity part G2 of every admissible code's binary generator, as uint8
 # bytes, n ascending and then k ascending
 BINARY_GENERATOR_DIGEST = "47bf1046db48156e04774c16fc97df5e73daa40743696bb991458daae84a7c10"
+CHECK_IMAGE_DIGEST = "22471043664b69b0d0488d3e4a7dbf55a0407f3f57616500b3fb0d3cd5c33aae"
 
 
 def _digest(obj):
@@ -313,12 +314,20 @@ def test_silent_sweep_unchanged():
     assert _digest(silent_rows()) == SILENT_DIGEST
 
 
-def test_binary_generators_unchanged():
+def _images_digest(image):
     digest = hashlib.sha256()
     for n in ADMISSIBLE_N:
         for k in range(1, n - 1, 2):
-            digest.update(RsCode(n, k).binary_generator.astype(np.uint8).tobytes())
-    assert digest.hexdigest() == BINARY_GENERATOR_DIGEST
+            digest.update(getattr(RsCode(n, k), image).astype(np.uint8).tobytes())
+    return digest.hexdigest()
+
+
+def test_binary_generators_unchanged():
+    assert _images_digest("binary_generator") == BINARY_GENERATOR_DIGEST
+
+
+def test_check_images_unchanged():
+    assert _images_digest("check_image") == CHECK_IMAGE_DIGEST
 
 
 def test_cli_simulate_json_unchanged(tmp_path, capsys):

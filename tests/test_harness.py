@@ -551,6 +551,27 @@ def test_link_runs_reuse_their_code(monkeypatch):
     assert harness._link_code.cache_info().maxsize == 4
 
 
+def test_parity_sweep_gathers_each_block_from_cached_logs(monkeypatch):
+    # each code's logs are computed once per process, its parity matrix
+    # gathered afresh per block and k, so memory stays bounded by a block
+    cfg = _config(frames=40)
+    want = harness.sweep_parity(cfg, n=15)
+    monkeypatch.setattr(harness, "BLOCK_BITS", 7 * 15 * 4)  # 6 blocks of trials
+    images = []
+
+    def spy(m, logs):
+        images.append(logs.shape)
+        return binary_image(m, logs)
+
+    binary_image = rscodec._binary_image
+    monkeypatch.setattr(rscodec, "_binary_image", spy)
+    rscodec._generator_logs.cache_clear()
+    assert harness.sweep_parity(cfg, n=15) == want
+    ks = range(13, 0, -2)
+    assert rscodec._generator_logs.cache_info().misses == len(ks)
+    assert images == [(k, 15 - k) for _ in range(6) for k in ks]
+
+
 def test_same_seed_same_report():
     a = harness.run(_config())
     b = harness.run(_config())

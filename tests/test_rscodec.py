@@ -170,6 +170,21 @@ def test_every_binary_generator_row_is_a_codeword():
             assert not _syndromes(code, _bits(code, words)).any()
 
 
+def test_generator_logs_are_small_read_only_and_cached():
+    # each code's Cauchy logs are kept once per process as read-only uint8,
+    # all 119 in under 200 KB, and every parity matrix is gathered from them
+    codes = [(n, k) for n in ADMISSIBLE_N for k in range(1, n - 1, 2)]
+    rscodec._generator_logs.cache_clear()
+    logs = [rscodec._generator_logs(n, k) for n, k in codes]
+    for n, k in codes:
+        RsCode(n, k).binary_generator
+    info = rscodec._generator_logs.cache_info()
+    assert len(codes) == info.currsize == info.misses == 119
+    assert sum(a.nbytes for a in logs) <= 200_000
+    for a in logs:
+        assert a.dtype == np.uint8 and not a.flags.writeable
+
+
 def test_encode_bits_validates_shape_and_range():
     code = RsCode(7, 3)  # k*m = 9 info bits per word
     with pytest.raises(ParameterError):
